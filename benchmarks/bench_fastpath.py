@@ -15,6 +15,7 @@ import json
 import time
 
 from repro.core.sim import Simulator
+from repro.workloads import get
 
 from .conftest import figure7_image, print_table
 
@@ -24,6 +25,10 @@ SPEEDUP_FLOOR = 5.0
 #: functional steps/s, and over accurate instructions/s.
 TRANSLATED_FLOOR = 5.0
 TRANSLATED_ACCURATE_FLOOR = 25.0
+#: Ceiling on what the public run_translated's instruction-mix
+#: bookkeeping may cost: hooked wall time over quiet fast_forward wall
+#: time for the same whole program.
+MIX_OVERHEAD_CEILING = 2.0
 WARMUP_BUDGET = 60_000
 ROUNDS = 3
 
@@ -108,6 +113,48 @@ def test_translated_throughput_floor(benchmark):
     assert vs_accurate >= TRANSLATED_ACCURATE_FLOOR, (
         f"block translation is only {vs_accurate:.1f}x the accurate "
         f"engine (floor {TRANSLATED_ACCURATE_FLOOR}x)")
+
+
+def _whole_program_seconds(image) -> tuple[float, float]:
+    """Best-of-ROUNDS wall times of boot + dispatch + the whole program
+    on the translated engine, as (bare ``fast_forward``, public
+    ``run_translated`` with its instruction-mix hooks).  The two paths
+    alternate round by round so host-speed drift hits both alike."""
+    quiet = hooked = float("inf")
+    for _ in range(ROUNDS):
+        sim = Simulator(capture_memory_trace=False, obs=False)
+        start = time.perf_counter()
+        engine = sim._boot_and_dispatch(image, "translated")
+        engine.fast_forward(50_000_000, stop_pc=sim.rom_info.poll_address)
+        quiet = min(quiet, time.perf_counter() - start)
+        sim = Simulator(capture_memory_trace=False, obs=False)
+        start = time.perf_counter()
+        sim.run_translated(image)
+        hooked = min(hooked, time.perf_counter() - start)
+    return quiet, hooked
+
+
+def test_run_translated_mix_overhead_ceiling(benchmark):
+    """The public run_translated path reports an instruction mix; that
+    bookkeeping must keep it within 2x of the quiet engine on the same
+    image in the same process (a per-retired-instruction hook costs
+    ~5.7x on this kernel)."""
+    image = get("fir_stream").image()
+    quiet, hooked = benchmark.pedantic(_whole_program_seconds,
+                                       args=(image,), rounds=1,
+                                       iterations=1)
+    ratio = hooked / quiet
+    benchmark.extra_info["quiet_s"] = round(quiet, 3)
+    benchmark.extra_info["hooked_s"] = round(hooked, 3)
+    benchmark.extra_info["overhead"] = round(ratio, 2)
+    print_table(
+        "run_translated mix bookkeeping (fir_stream, whole program)",
+        ["path", "seconds", "ratio"],
+        [["fast_forward, no hooks", f"{quiet:.3f}", "1x"],
+         ["run_translated", f"{hooked:.3f}", f"{ratio:.2f}x"]])
+    assert ratio <= MIX_OVERHEAD_CEILING, (
+        f"run_translated is {ratio:.2f}x the quiet engine "
+        f"(ceiling {MIX_OVERHEAD_CEILING}x)")
 
 
 def test_translated_checkpoint_is_byte_identical(benchmark):

@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.core.config import ArchitectureConfig
-from repro.core.sim import Simulator, _classify
+from repro.core.sim import MixRecorder, Simulator
 from repro.toolchain.objfile import Image
 
 __all__ = [
@@ -458,19 +458,15 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     sim.icache.reset_stats()
     sim.dcache.reset_stats()
 
-    mix: Counter[str] = Counter()
-    cpu.on_retire = lambda pc, inst: mix.update((_classify(inst),))
     cycles0, instret0 = cpu.cycles, cpu.instret
     fetch0, mem0 = cpu.fetch_stall_cycles, cpu.mem_stall_cycles
     traps0 = cpu.trap_count
     budget = spec.end - spec.start
     steps = 0
-    try:
+    with MixRecorder(cpu) as mix_recorder:
         while steps < budget and cpu.pc != poll:
             cpu.step()
             steps += 1
-    finally:
-        cpu.on_retire = None
     return {
         "index": spec.index,
         "ramp_start": spec.ramp_start,
@@ -485,7 +481,7 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
         "traps": cpu.trap_count - traps0,
         "ramp_steps": ramp_steps,
         "ramp_instructions": ramp_instructions,
-        "instruction_mix": dict(mix),
+        "instruction_mix": mix_recorder.mix(),
         "dcache": _cache_counters(sim.dcache.stats_dict()),
         "icache": _cache_counters(sim.icache.stats_dict()),
     }

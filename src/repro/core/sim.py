@@ -30,7 +30,8 @@ from repro.core.config import ArchitectureConfig
 from repro.core.rewriter import BUILTIN_RECIPES, install_recipes
 from repro.cpu import IntegerUnit
 from repro.cpu.archstate import ArchState
-from repro.cpu.blockcache import TranslatedUnit
+from repro.cpu.blockcache import MAX_BLOCKS, TranslatedBlock, TranslatedUnit
+from repro.cpu.decode import decode
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.isa import (
     OP_BRANCH_SETHI,
@@ -80,6 +81,86 @@ def _classify(inst) -> str:
     if inst.op3 in (Op3.JMPL, Op3.RETT, Op3.TICC):
         return "jump"
     return "alu"
+
+
+class MixRecorder:
+    """Per-class instruction mix of one measured execution window.
+
+    Retirements are counted per *static* instruction and classified
+    once per distinct instruction word, when :meth:`mix` builds the
+    report — the hot path is one dict update, not a classification:
+
+    * single steps (accurate, functional, or a translated engine's
+      interpreted fallbacks) arrive through ``on_retire`` and are
+      counted by instruction word;
+    * translated block executions arrive through ``on_block`` and are
+      counted by ``(block, retired)``.  The key is the block *object*,
+      so a block re-translated after self-modifying code counts under
+      its new instructions, and only the retired prefix is classified —
+      exact for traps, annulled delay slots and mid-block bails.
+
+    Use it as a context manager around the engine's run::
+
+        with MixRecorder(cpu) as recorder:
+            cpu.run(...)
+        instruction_mix = recorder.mix()
+    """
+
+    #: Distinct ``(block, retired)`` keys held before they are folded
+    #: into word counts: bounds what the recorder keeps alive when code
+    #: is re-translated over and over (a FLUSH inside a hot loop).
+    FOLD_AT = MAX_BLOCKS
+
+    __slots__ = ("engine", "_words", "_blocks")
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._words: dict[int, int] = {}
+        self._blocks: dict[tuple[TranslatedBlock, int], int] = {}
+
+    def __enter__(self) -> MixRecorder:
+        self.engine.on_retire = self.on_retire
+        if isinstance(self.engine, TranslatedUnit):
+            self.engine.on_block = self.on_block
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.engine.on_retire = None
+        if isinstance(self.engine, TranslatedUnit):
+            self.engine.on_block = None
+
+    def on_retire(self, pc: int, inst) -> None:
+        words = self._words
+        word = inst.word
+        words[word] = words.get(word, 0) + 1
+
+    def on_block(self, block: TranslatedBlock, retired: int) -> None:
+        blocks = self._blocks
+        key = (block, retired)
+        count = blocks.get(key)
+        if count is None:
+            if len(blocks) >= self.FOLD_AT:
+                self._fold()
+            blocks[key] = 1
+        else:
+            blocks[key] = count + 1
+
+    def _fold(self) -> None:
+        """Move the block counts into the word counts."""
+        words = self._words
+        for (block, retired), count in self._blocks.items():
+            for inst in block.insts[:retired]:
+                words[inst.word] = words.get(inst.word, 0) + count
+        self._blocks.clear()
+
+    def mix(self) -> dict[str, int]:
+        """Retirements per instruction class (classes that retired
+        nothing are absent), in class-name order."""
+        self._fold()
+        mix: Counter[str] = Counter()
+        for word, count in self._words.items():
+            mix[_classify(decode(word))] += count
+        return dict(sorted(mix.items()))
 
 
 @dataclass
@@ -414,16 +495,14 @@ class Simulator:
                                warmup_instructions=warmup_instructions)
 
         # Instrument the measured window only.
-        mix: Counter[str] = Counter()
-        cpu.on_retire = lambda pc, inst: mix.update((_classify(inst),))
         if self.recorder is not None:
             self.recorder.clear()
 
         start_cycles, start_instret = cpu.cycles, cpu.instret
         before = simulator_snapshot(self) if self.obs_enabled else None
         self.events.record(cpu.cycles, "dispatch", entry=cpu.pc)
-        cpu.run(max_instructions=max_instructions, until_pc=poll)
-        cpu.on_retire = None
+        with MixRecorder(cpu) as mix_recorder:
+            cpu.run(max_instructions=max_instructions, until_pc=poll)
         self.events.record(cpu.cycles, "done",
                            cycles=cpu.cycles - start_cycles)
         obs = (point_snapshot(simulator_snapshot(self), before)
@@ -445,7 +524,7 @@ class Simulator:
         return SimReport(
             cycles=cpu.cycles - start_cycles,
             instructions=cpu.instret - start_instret,
-            instruction_mix=dict(mix),
+            instruction_mix=mix_recorder.mix(),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
             memory_trace=trace,
@@ -510,12 +589,10 @@ class Simulator:
         poll = self.rom_info.poll_address
         fast = self._boot_and_dispatch(image, engine_name)
 
-        mix: Counter[str] = Counter()
-        fast.on_retire = lambda pc, inst: mix.update((_classify(inst),))
         start_steps, start_instret = fast.cycles, fast.instret
         self.events.record(fast.cycles, "dispatch", entry=image.entry)
-        fast.run(max_instructions=max_instructions, until_pc=poll)
-        fast.on_retire = None
+        with MixRecorder(fast) as mix_recorder:
+            fast.run(max_instructions=max_instructions, until_pc=poll)
         window = fast.cycles - start_steps
         retired = fast.instret - start_instret
         self.events.record(fast.cycles, "done", cycles=window)
@@ -533,7 +610,7 @@ class Simulator:
         return SimReport(
             cycles=window,
             instructions=retired,
-            instruction_mix=dict(mix),
+            instruction_mix=mix_recorder.mix(),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
             memory_trace=empty_trace,

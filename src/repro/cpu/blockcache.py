@@ -548,8 +548,14 @@ class TranslatedUnit(FunctionalUnit):
     translated blocks and fall back to single interpreted steps for
     anything a block cannot carry: annulled entry states, MMIO fetches,
     RETT/CPOP1, a pending ``until_pc`` inside the block, or interrupt
-    delivery.  ``on_retire`` still fires per retired instruction, but
-    batched at block boundaries (see :meth:`fast_forward`).
+    delivery.
+
+    Retirement hooks split along the same line: ``on_block(block,
+    retired)`` fires once per block execution, for which
+    ``block.insts[:retired]`` retired, and ``on_retire`` sees only the
+    interpreted single steps — an instruction executed inside a block
+    never reaches it.  Set both to observe every retirement (see
+    :class:`~repro.core.sim.MixRecorder`).
     """
 
     def __init__(self, *args, **kwargs):
@@ -558,8 +564,8 @@ class TranslatedUnit(FunctionalUnit):
         self.blocks_executed = 0
         self.blocks_invalidated = 0
         #: Optional block-retirement hook: ``on_block(block, retired)``
-        #: after each block execution — the batched counterpart of
-        #: ``on_retire``.
+        #: after each block execution; it replaces ``on_retire`` for the
+        #: instructions executed inside blocks.
         self.on_block = None
         self._blocks: dict[int, TranslatedBlock] = {}
         self._code_pages: dict[int, set[int]] = {}
@@ -662,17 +668,16 @@ class TranslatedUnit(FunctionalUnit):
 
     def fast_forward(self, budget: int, stop_pc: int | None = None) -> int:
         """Advance up to *budget* steps, stopping early when the PC
-        reaches *stop_pc*.  Blockwise where possible; ``on_retire``, if
-        set, is still called once per retired instruction in program
-        order, but batched at block boundaries (the machine state it
-        observes is the block's *exit* state, not each intermediate
-        step's)."""
+        reaches *stop_pc*.  Blockwise where possible.  Each block
+        execution calls ``on_block(block, retired)``, if set, once — the
+        retired instructions are always a prefix of ``block.insts``
+        (branch arms, traps and SMC bails only cut it short) and the
+        machine state it observes is the block's *exit* state.
+        ``on_retire`` fires only for the steps interpreted here."""
         executed = 0
         blocks = self._blocks
         step = self.step
-        on_retire = self.on_retire
         on_block = self.on_block
-        quiet = on_retire is None and on_block is None
         block_count = 0
         while executed < budget:
             pc = self.pc
@@ -709,20 +714,16 @@ class TranslatedUnit(FunctionalUnit):
                 self._active_hi = pc + 4 * length
                 self._code_dirty = False
             block_count += 1
-            if quiet:
+            if on_block is None:
                 executed += block.code(self)
             else:
                 before = self.instret
-                executed += block.code(self)
-                retired = self.instret - before
-                if on_retire is not None:
-                    # Retired instructions are always a prefix of the
-                    # block (arms/traps/bails only cut it short).
-                    insts = block.insts
-                    for i in range(retired):
-                        on_retire((pc + 4 * i) & _M32, insts[i])
-                if on_block is not None:
-                    on_block(block, retired)
+                try:
+                    executed += block.code(self)
+                finally:
+                    # Also when a trap in error mode escapes the block:
+                    # the prefix it retired is still reported.
+                    on_block(block, self.instret - before)
         self.blocks_executed += block_count
         self._active_lo = self._active_hi = 0
         return executed

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import ArchitectureConfig, LiquidProcessorSystem, Simulator, simulate
-from repro.core.sim import SimReport, _classify
+from repro.core.sampling import SamplingPlan
+from repro.core.sim import MixRecorder, SimReport, _classify
 from repro.cpu.decode import decode
 from repro.toolchain.asm import encoder
 from repro.toolchain.driver import compile_c_program
+from repro.workloads import get
 
 KERNEL = """
 unsigned count[1024];
@@ -131,3 +133,91 @@ class TestClassifier:
     ])
     def test_classes(self, word, expected):
         assert _classify(decode(word)) == expected
+
+
+def _engine_reports(image, max_instructions=50_000_000):
+    def fresh():
+        return Simulator(capture_memory_trace=False, obs=False)
+    return {
+        "accurate": fresh().run(image, max_instructions),
+        "functional": fresh().run_functional(image, max_instructions),
+        "translated": fresh().run_translated(image, max_instructions),
+        "windowed": fresh().run(image, max_instructions,
+                                fast_forward=5_000),
+    }
+
+
+class TestMixRecorder:
+    def test_mix_sums_to_instructions_on_every_engine(self, kernel_image):
+        reports = _engine_reports(kernel_image)
+        for engine, report in reports.items():
+            assert sum(report.instruction_mix.values()) == \
+                report.instructions, engine
+            assert all(count > 0
+                       for count in report.instruction_mix.values()), engine
+        whole = {engine: (reports[engine].instructions,
+                          reports[engine].instruction_mix)
+                 for engine in ("accurate", "functional", "translated")}
+        assert whole["functional"] == whole["accurate"], whole
+        assert whole["translated"] == whole["accurate"], whole
+
+    def test_sampled_windows_sum_to_their_instructions(self):
+        workload = get("crc32")
+        run = Simulator(capture_memory_trace=False).run_sampled(
+            workload.image(), SamplingPlan(n_windows=3, window_length=400,
+                                           ramp_length=256, seed=5),
+            max_instructions=workload.max_instructions)
+        for window in (run.head, *run.windows):
+            mix = window["instruction_mix"]
+            assert sum(mix.values()) == window["instructions"]
+            assert all(count > 0 for count in mix.values())
+
+    def test_no_zero_count_classes(self):
+        """A block execution that retires nothing (a trap on its first
+        instruction) adds no class."""
+        class Block:
+            insts = [decode(encoder.ld_imm(1, 2, 0)),
+                     decode(encoder.st_imm(1, 2, 0))]
+
+        recorder = MixRecorder(engine=None)
+        recorder.on_block(Block(), 0)
+        assert recorder.mix() == {}
+        recorder.on_block(Block(), 1)
+        assert recorder.mix() == {"load": 1}
+
+    def test_fold_bound_keeps_counts_exact(self, kernel_image, monkeypatch):
+        """Folding block counts into word counts early (as a program
+        that re-translates without end forces) changes nothing."""
+        expected = Simulator(capture_memory_trace=False).run_translated(
+            kernel_image).instruction_mix
+        monkeypatch.setattr(MixRecorder, "FOLD_AT", 1)
+        folded = Simulator(capture_memory_trace=False).run_translated(
+            kernel_image).instruction_mix
+        assert folded == expected
+
+    def test_hooks_detached_after_window(self, kernel_image):
+        sim = Simulator(capture_memory_trace=False)
+        fast = sim._boot_and_dispatch(kernel_image, "translated")
+        with pytest.raises(RuntimeError):
+            with MixRecorder(fast):
+                assert fast.on_retire is not None
+                assert fast.on_block is not None
+                raise RuntimeError
+        assert fast.on_retire is None and fast.on_block is None
+
+
+@pytest.mark.slow
+def test_translated_mix_matches_accurate_on_a_long_kernel():
+    """The registry kernels get this check through the difftest harness
+    (``tests/difftest/test_workload_seeds.py``); this long streaming
+    kernel retires 1.2M instructions, nearly all inside translated
+    blocks."""
+    workload = get("fir_stream")
+    image = workload.image()
+    accurate = Simulator(capture_memory_trace=False, obs=False).run(
+        image, max_instructions=workload.max_instructions)
+    translated = Simulator(capture_memory_trace=False,
+                           obs=False).run_translated(
+        image, max_instructions=workload.max_instructions)
+    assert translated.instructions == accurate.instructions
+    assert translated.instruction_mix == accurate.instruction_mix

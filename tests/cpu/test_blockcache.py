@@ -15,7 +15,7 @@ import pytest
 from repro.cpu import IntegerUnit
 from repro.cpu.blockcache import MAX_BLOCK, TranslatedUnit
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
-from repro.cpu.traps import WatchdogExpired
+from repro.cpu.traps import ErrorMode, WatchdogExpired
 from repro.mem.interface import FlatMemory
 from tests.conftest import RAM_BASE, RAM_SIZE, STACK_TOP, build
 from tests.cpu.test_fastpath import SMALL_PROGRAM, _RecordingPort
@@ -441,3 +441,129 @@ class TestSimulatorIntegration:
             assert tu.regs.read(reg) == iu.regs.read(reg), f"reg {reg}"
         assert tu.ctrl.psr == iu.ctrl.psr
         assert tu.instret == iu.instret
+
+
+def _mix_pair(source: str, max_instructions: int = 10_000,
+              raises: type[Exception] | None = None):
+    """Run *source* under a :class:`MixRecorder` on the interpreter and
+    on the translator; return (translated mix, interpreter mix, every
+    ``on_block`` call as (block, retired))."""
+    from repro.core.sim import MixRecorder
+
+    mixes, calls = [], []
+    for cls in (FunctionalUnit, TranslatedUnit):
+        unit, _, image = _make(source, cls)
+        done = image.symbols["done"]
+        with MixRecorder(unit) as recorder:
+            if cls is TranslatedUnit:
+                def spy(block, retired, forward=recorder.on_block):
+                    calls.append((block, retired))
+                    forward(block, retired)
+                unit.on_block = spy
+            if raises is None:
+                unit.run(max_instructions=max_instructions, until_pc=done)
+            else:
+                with pytest.raises(raises):
+                    unit.run(max_instructions=max_instructions,
+                             until_pc=done)
+        assert sum(recorder.mix().values()) == unit.instret
+        mixes.append(recorder.mix())
+    return mixes[1], mixes[0], calls
+
+
+class TestRetirementHooks:
+    def test_on_block_replaces_on_retire_inside_blocks(self):
+        tu, _, image = _make(SMALL_PROGRAM, TranslatedUnit)
+        stepped, executed = [], []
+        tu.on_retire = lambda pc, inst: stepped.append(pc)
+        tu.on_block = lambda block, retired: executed.append(retired)
+        tu.run(max_instructions=10_000, until_pc=image.symbols["done"])
+        assert executed and len(stepped) + sum(executed) == tu.instret
+
+    def test_trap_cut_block_counts_retired_prefix(self):
+        """A misaligned load mid-block enters error mode: only the three
+        instructions before it (set = sethi + or, add, add) retired."""
+        translated, interpreted, calls = _mix_pair("""
+    .text
+    .global _start
+_start:
+    set 0x40002001, %o0
+    add %g0, 1, %g1
+    add %g0, 2, %g2
+    ld [%o0], %o1           ! misaligned -> trap, ET=0 -> error mode
+    add %g0, 3, %g3
+    b done
+    nop
+done:
+    nop
+""", max_instructions=100, raises=ErrorMode)
+        assert translated == interpreted == {"alu": 3, "sethi": 1}
+        assert [(len(block.insts) > retired, retired)
+                for block, retired in calls] == [(True, 4)]
+
+    def test_smc_bail_counts_retired_prefix(self):
+        """A block that patches its own later instructions bails after
+        the store; the patched instruction counts under its new class."""
+        translated, interpreted, calls = _mix_pair("""
+    .text
+    .global _start
+_start:
+    set patch, %o0
+    ld [%o0], %o1
+    set target, %o2
+    st %o1, [%o2]           ! patch an instruction *ahead* in this block
+    add %g1, 1, %g1
+target:
+    add %g3, 1, %g3         ! becomes a nop (class sethi)
+    add %g2, 1, %g2
+    b done
+    nop
+done:
+    nop
+patch:
+    nop
+""")
+        assert translated == interpreted
+        assert calls[0][1] == 6     # up to and including the store
+        # target retired as the patched nop, never as its old add.
+        assert interpreted["alu"] == 4 and interpreted["store"] == 1
+
+    def test_retranslated_block_counts_new_instructions(self):
+        """The loop block is patched after its first pass and translated
+        again at the same entry PC; each translation is counted under
+        its own instructions."""
+        source = """
+    .text
+    .global _start
+_start:
+    set patch, %o0
+    set target, %o1
+    ld [%o0], %o2
+    mov 2, %l2
+outer:
+    set 3, %l1
+loop:
+    deccc %l1
+target:
+    add %g3, 1, %g3         ! patched to a nop after the first pass
+    bg loop
+    nop
+    st %o2, [%o1]
+    flush [%o1]
+    deccc %l2
+    bg outer
+    nop
+done:
+    nop
+patch:
+    nop
+"""
+        translated, interpreted, calls = _mix_pair(source)
+        assert translated == interpreted
+        loop = build(source).symbols["loop"]
+        loop_blocks = {id(block): block for block, _ in calls
+                       if block.entry == loop}
+        assert len(loop_blocks) == 2
+        first, second = (block.insts[1].word
+                         for block in loop_blocks.values())
+        assert first != second

@@ -6,10 +6,11 @@ functional :class:`FunctionalUnit` and the block-translating
 :class:`TranslatedUnit` all finish with equal
 :class:`~repro.cpu.archstate.ArchState` (registers in every window,
 control registers, the full memory image, peripheral state, retired
-instruction and trap counts) *and* the same UART byte stream and result
-word.  Any divergence is an engine bug by construction — the engines
-share decode and execute, so only the parts that differ (fetch/memory
-path, timing shims, block translation) can be at fault.
+instruction and trap counts) *and* the same UART byte stream, result
+word, retired-instruction count and per-class instruction mix.  Any
+divergence is an engine bug by construction — the engines share decode
+and execute, so only the parts that differ (fetch/memory path, timing
+shims, block translation, retirement hooks) can be at fault.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def _compare(state_a: ArchState, report_a: SimReport, sim: Simulator,
         problems.append(
             f"result_word: accurate={report_a.result_word} "
             f"{label}={report.result_word}")
+    if report_a.instructions != report.instructions:
+        problems.append(
+            f"instructions: accurate={report_a.instructions} "
+            f"{label}={report.instructions}")
+    if report_a.instruction_mix != report.instruction_mix:
+        problems.append(
+            f"instruction_mix: accurate={report_a.instruction_mix} "
+            f"{label}={report.instruction_mix}")
     return problems
 
 
