@@ -54,8 +54,8 @@ def _functional_rate(image) -> tuple[float, int]:
         # is specifically about the single-instruction functional path.
         sim.checkpoint(image, WARMUP_BUDGET, warmup_engine="fast")
         elapsed = time.perf_counter() - start
-        best = max(best, sim.fastpath_instructions / elapsed)
-        steps = sim.fastpath_instructions
+        steps = sim.counters["fastpath.instructions"]
+        best = max(best, steps / elapsed)
     return best, steps
 
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.config import ArchitectureConfig
 from repro.core.sim import MixRecorder, Simulator
+from repro.obs.collect import SAMPLING_SERIES
 from repro.toolchain.objfile import Image
 
 __all__ = [
@@ -500,8 +501,7 @@ class SampledRunner:
     The survey and checkpoint passes run on the translated engine,
     which has no timing model: their outputs (step totals, ArchStates,
     phase boundaries) are purely architectural, identical for every
-    configuration of one architectural family (``arch_key()`` — the
-    same contract the fast-forward sweep checkpoints rely on).  Both
+    configuration of one architectural family (``arch_key()``).  Both
     passes are therefore memoised on the runner, and :meth:`run`
     accepts a per-call ``config`` for the cycle-accurate measure phase
     — a serial sweep reuses one runner per (image, family) and pays
@@ -510,9 +510,8 @@ class SampledRunner:
 
     def __init__(self, config: ArchitectureConfig | None = None):
         self.config = config or ArchitectureConfig()
-        self.counters = {"runs": 0, "windows": 0, "checkpoints": 0,
-                         "survey_steps": 0, "ff_steps": 0, "ramp_steps": 0,
-                         "measured_steps": 0}
+        #: Cumulative accounting, keyed by the ``sampling.*`` series.
+        self.counters = dict.fromkeys(SAMPLING_SERIES, 0)
         self._survey_memo: tuple[Image, int, dict] | None = None
         #: placement signature -> (image, states, boundary_retired);
         #: hit by auto-mode rounds repeating a placement and by sweep
@@ -673,13 +672,13 @@ class SampledRunner:
             uart_hex=survey["uart_hex"],
         )
         counters = self.counters
-        counters["runs"] += 1
-        counters["windows"] += len(windows)
-        counters["checkpoints"] += len(states)
-        counters["survey_steps"] += total_steps
-        counters["ff_steps"] += run.fast_forward_steps()
-        counters["ramp_steps"] += run.ramp_steps()
-        counters["measured_steps"] += run.measured_steps()
+        counters["sampling.runs"] += 1
+        counters["sampling.windows"] += len(windows)
+        counters["sampling.checkpoints"] += len(states)
+        counters["sampling.survey_steps"] += total_steps
+        counters["sampling.ff_steps"] += run.fast_forward_steps()
+        counters["sampling.ramp_steps"] += run.ramp_steps()
+        counters["sampling.measured_steps"] += run.measured_steps()
         return run
 
     def run_auto(self, image: Image, plan: SamplingPlan,
@@ -716,19 +715,12 @@ class SampledRunner:
         return run
 
     def publish_obs(self, registry, counters: dict | None = None) -> None:
-        """Publish the runner's accounting as ``sampling.*`` series
-        (same names :func:`repro.obs.collect.collect_sampling` uses for
-        a Simulator's counters).  *counters* overrides the runner's
-        cumulative dict — sweep points publish per-run deltas so shared
-        runners report exactly what a fresh one would."""
+        """Publish the runner's accounting as the ``sampling.*`` series
+        (:data:`~repro.obs.collect.SAMPLING_SERIES`, the names a
+        Simulator's counters publish under too).  *counters* overrides
+        the runner's cumulative dict — sweep points publish per-run
+        deltas so shared runners report exactly what a fresh one
+        would."""
         counters = counters if counters is not None else self.counters
-        registry.counter("sampling.runs").inc(counters["runs"])
-        registry.counter("sampling.windows").inc(counters["windows"])
-        registry.counter("sampling.checkpoints").inc(
-            counters["checkpoints"])
-        registry.counter("sampling.survey_steps").inc(
-            counters["survey_steps"])
-        registry.counter("sampling.ff_steps").inc(counters["ff_steps"])
-        registry.counter("sampling.ramp_steps").inc(counters["ramp_steps"])
-        registry.counter("sampling.measured_steps").inc(
-            counters["measured_steps"])
+        for name in SAMPLING_SERIES:
+            registry.counter(name).inc(counters[name])

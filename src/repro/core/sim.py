@@ -49,7 +49,12 @@ from repro.mem.memmap import (
     MemoryMap,
 )
 from repro.mem.sram import SramBank
-from repro.obs.collect import point_snapshot, simulator_snapshot
+from repro.obs.collect import (
+    FASTPATH_SERIES,
+    SAMPLING_SERIES,
+    point_snapshot,
+    simulator_snapshot,
+)
 from repro.obs.events import EventTrace
 from repro.peripherals import Clock, CycleCounter, LedPort, Uart
 from repro.toolchain.objfile import Image
@@ -251,27 +256,12 @@ class Simulator:
         if self.recorder is not None:
             self.recorder.attach(self.dcache)
 
-        # Two-speed execution accounting (published as the fastpath.*
-        # obs series).  Native ints, same convention as the CPU's stall
-        # counters.
-        self.fastpath_instructions = 0   # steps executed functionally
-        self.fastpath_retired = 0        # of which retired instructions
-        self.fastpath_handoffs = 0       # fast->accurate engine handoffs
-        self.fastpath_blocks_translated = 0   # blocks compiled
-        self.fastpath_blocks_executed = 0     # block executions
-        self.fastpath_blocks_invalidated = 0  # blocks dropped (SMC/flush)
-        self.checkpoint_captures = 0
-        self.checkpoint_restores = 0
-
-        # Sampled-simulation accounting (published as the sampling.*
-        # obs series by repro.obs.collect.collect_sampling).
-        self.sampling_runs = 0
-        self.sampling_windows = 0
-        self.sampling_checkpoints = 0
-        self.sampling_survey_steps = 0
-        self.sampling_ff_steps = 0
-        self.sampling_ramp_steps = 0
-        self.sampling_measured_steps = 0
+        # Two-speed and sampled-simulation accounting, keyed by the
+        # fastpath.* / sampling.* series names it is published under.
+        self.counters = dict.fromkeys(FASTPATH_SERIES + SAMPLING_SERIES, 0)
+        # Instructions retired by fast engines, which cpu.instret does
+        # not see; ArchState adds them to the architectural retired count.
+        self.fast_instret = 0
 
         # Telemetry (repro.obs): cycle-stamped control-plane events plus
         # per-point metrics snapshots.  Disabled, both are no-ops.
@@ -293,7 +283,7 @@ class Simulator:
         the same SRAM/PROM byte arrays viewed flat, with the APB mapped
         through so peripheral side effects land on the same devices.
         Only PC/nPC/annul (copied in here) and the retirement counters
-        are private — :meth:`_sync_from_functional` copies them back.
+        are private — :meth:`_sync_from_functional` folds them back.
         """
         return self._fast_unit(FunctionalUnit)
 
@@ -327,13 +317,13 @@ class Simulator:
         cpu.pc, cpu.npc, cpu.annul = fast.pc, fast.npc, fast.annul
         cpu.halted, cpu.error_tt = fast.halted, fast.error_tt
         cpu.trap_count += fast.trap_count
-        self.fastpath_instructions += fast.cycles
-        self.fastpath_retired += fast.instret
-        self.fastpath_blocks_translated += getattr(
-            fast, "blocks_translated", 0)
-        self.fastpath_blocks_executed += getattr(fast, "blocks_executed", 0)
-        self.fastpath_blocks_invalidated += getattr(
-            fast, "blocks_invalidated", 0)
+        self.fast_instret += fast.instret
+        counters = self.counters
+        counters["fastpath.instructions"] += fast.cycles
+        if isinstance(fast, TranslatedUnit):
+            for name in ("blocks_translated", "blocks_executed",
+                         "blocks_invalidated"):
+                counters[f"fastpath.{name}"] += getattr(fast, name)
 
     @staticmethod
     def _warmup(engine, budget: int, poll: int) -> int:
@@ -387,7 +377,7 @@ class Simulator:
         capture (a functional/translated unit mid fast-forward) — see
         :meth:`ArchState.capture`."""
         state = ArchState.capture(self, engine=engine)
-        self.checkpoint_captures += 1
+        self.counters["fastpath.checkpoint_captures"] += 1
         self.events.record(self.cpu.cycles, "checkpoint",
                            retired=state.retired)
         return state
@@ -395,7 +385,7 @@ class Simulator:
     def restore_state(self, state: ArchState) -> None:
         """Adopt a previously captured architectural state."""
         state.restore(self)
-        self.checkpoint_restores += 1
+        self.counters["fastpath.checkpoint_restores"] += 1
 
     def checkpoint(self, image: Image, fast_forward: int,
                    warmup_engine: str = "translated") -> ArchState:
@@ -405,8 +395,7 @@ class Simulator:
         The returned :class:`ArchState` can be restored into any
         simulator whose configuration shares this one's *architectural*
         shape (:meth:`ArchitectureConfig.arch_key`) — timing dimensions
-        like cache geometry are free to differ, which is what lets one
-        warmed checkpoint serve a whole sweep.
+        like cache geometry are free to differ.
         """
         poll = self.rom_info.poll_address
         engine = self._boot_and_dispatch(image, warmup_engine)
@@ -489,7 +478,7 @@ class Simulator:
             windowed = fast_forward > 0
             provenance = warmup_engine if windowed else "none"
         if windowed:
-            self.fastpath_handoffs += 1
+            self.counters["fastpath.handoffs"] += 1
             self._normalize_window_start()
             self.events.record(cpu.cycles, "handoff", engine=provenance,
                                warmup_instructions=warmup_instructions)
@@ -551,14 +540,8 @@ class Simulator:
 
         runner = SampledRunner(self.config)
         run = runner.run(image, plan, max_instructions=max_instructions)
-        counters = runner.counters
-        self.sampling_runs += counters["runs"]
-        self.sampling_windows += counters["windows"]
-        self.sampling_checkpoints += counters["checkpoints"]
-        self.sampling_survey_steps += counters["survey_steps"]
-        self.sampling_ff_steps += counters["ff_steps"]
-        self.sampling_ramp_steps += counters["ramp_steps"]
-        self.sampling_measured_steps += counters["measured_steps"]
+        for name in SAMPLING_SERIES:
+            self.counters[name] += runner.counters[name]
         self.events.record(self.cpu.cycles, "sampled",
                            windows=len(run.windows),
                            estimated_cycles=round(run.estimated_cycles))

@@ -55,11 +55,11 @@ from repro.toolchain.objfile import Image
 #: and every point snapshot gains the ``sampling.*`` counter series.
 SCHEMA_VERSION = 5
 
-#: Layout version of persisted warmed checkpoints (see
-#: :meth:`ResultCache.put_checkpoint`); the wrapped
-#: :class:`~repro.cpu.archstate.ArchState` payload carries its own
-#: schema number on top of this.  v2: built by the translated engine.
-CHECKPOINT_SCHEMA = 2
+#: Fields of a cached record that :meth:`SweepRunner._point` reads; a
+#: disk record missing any of them is a miss, not a crash.
+_RECORD_FIELDS = ("cycles", "instructions", "instruction_mix", "dcache",
+                  "icache", "result_word", "uart_hex", "frequency_mhz",
+                  "slices", "block_rams")
 
 #: Default instruction budget per simulated point.
 DEFAULT_MAX_INSTRUCTIONS = 20_000_000
@@ -188,9 +188,6 @@ class CacheStats:
     disk_hits: int = 0
     misses: int = 0
     stores: int = 0
-    checkpoint_hits: int = 0
-    checkpoint_misses: int = 0
-    checkpoint_stores: int = 0
 
     @property
     def hits(self) -> int:
@@ -198,10 +195,7 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "stores": self.stores,
-                "checkpoint_hits": self.checkpoint_hits,
-                "checkpoint_misses": self.checkpoint_misses,
-                "checkpoint_stores": self.checkpoint_stores}
+                "misses": self.misses, "stores": self.stores}
 
 
 class ResultCache:
@@ -216,7 +210,6 @@ class ResultCache:
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._memory: dict[tuple[str, str], dict] = {}
-        self._checkpoints: dict[tuple[str, str, int], dict] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -239,7 +232,8 @@ class ResultCache:
             except (OSError, ValueError):
                 record = None
             if (isinstance(record, dict)
-                    and record.get("schema") == SCHEMA_VERSION):
+                    and record.get("schema") == SCHEMA_VERSION
+                    and all(name in record for name in _RECORD_FIELDS)):
                 self._memory[(digest, fingerprint)] = record
                 self.stats.disk_hits += 1
                 return record, "disk"
@@ -251,62 +245,12 @@ class ResultCache:
         self.stats.stores += 1
         if self.cache_dir is None:
             return
-        self._write(self._path(digest, fingerprint), record)
-
-    def _write(self, path: Path, record: dict) -> None:
+        path = self._path(digest, fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(record, sort_keys=True, indent=1)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(blob)
         os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
-
-    # -- warmed checkpoints --------------------------------------------
-
-    def _checkpoint_path(self, digest: str, arch_key: str,
-                         fast_forward: int) -> Path:
-        assert self.cache_dir is not None
-        return (self.cache_dir / digest
-                / f"checkpoint-{arch_key}-ff{fast_forward}.json")
-
-    def get_checkpoint(self, digest: str, arch_key: str,
-                       fast_forward: int) -> dict | None:
-        """Return a warmed :class:`~repro.cpu.archstate.ArchState`
-        payload, or ``None``.  Keyed by (image digest, architectural
-        key, warmup length): every config sharing an ``arch_key()``
-        computes the same functional state, so one checkpoint serves
-        the whole family."""
-        key = (digest, arch_key, fast_forward)
-        payload = self._checkpoints.get(key)
-        if payload is not None:
-            self.stats.checkpoint_hits += 1
-            return payload
-        if self.cache_dir is not None:
-            path = self._checkpoint_path(digest, arch_key, fast_forward)
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                record = None
-            if (isinstance(record, dict)
-                    and record.get("schema") == CHECKPOINT_SCHEMA
-                    and record.get("fast_forward") == fast_forward):
-                payload = record["archstate"]
-                self._checkpoints[key] = payload
-                self.stats.checkpoint_hits += 1
-                return payload
-        self.stats.checkpoint_misses += 1
-        return None
-
-    def put_checkpoint(self, digest: str, arch_key: str, fast_forward: int,
-                       payload: dict) -> None:
-        """Persist a warmed ArchState payload (``ArchState.to_payload``)."""
-        self._checkpoints[(digest, arch_key, fast_forward)] = payload
-        self.stats.checkpoint_stores += 1
-        if self.cache_dir is None:
-            return
-        record = {"schema": CHECKPOINT_SCHEMA, "arch_key": arch_key,
-                  "fast_forward": fast_forward, "archstate": payload}
-        self._write(self._checkpoint_path(digest, arch_key, fast_forward),
-                    record)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +309,7 @@ def _evaluate_sampled_shared(tasks) -> "Iterable[tuple[dict, float]]":
         yield record, time.perf_counter() - start
 
 
-def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, dict | None,
+def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, int,
                                SamplingPlan | None]
                    ) -> tuple[dict, float]:
     """Simulate one point; returns (cacheable record, wall seconds).
@@ -374,10 +318,9 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, dict | None,
     small, picklable and JSON-serializable, and the exploration loop
     only needs the aggregate report.
 
-    When *checkpoint* (a JSON-able ArchState payload) is present, the
-    simulator restores it and measures only from there — the two-speed
-    fast path.  The payload travels to worker processes as a plain dict,
-    which is what keeps this function picklable.
+    A nonzero *fast_forward* warms the point itself on the translated
+    engine and measures only the window after it
+    (``Simulator.run(fast_forward=...)``).
 
     When *sampling* (a :class:`SamplingPlan`, frozen and picklable) is
     present, the whole sampled run is rebuilt in-process from
@@ -388,7 +331,7 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, dict | None,
     full estimate (CI, windows, phases) lands in the record's
     ``sampled`` section.
     """
-    config, image, max_instructions, checkpoint, sampling = task
+    config, image, max_instructions, fast_forward, sampling = task
     start = time.perf_counter()
     utilization = SynthesisModel().estimate(config)
     if sampling is not None:
@@ -397,14 +340,8 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, dict | None,
         record = _sampled_record(config, run, runner, runner.counters,
                                  utilization)
         return record, time.perf_counter() - start
-    sim = Simulator(config, capture_memory_trace=False)
-    if checkpoint is not None:
-        from repro.cpu.archstate import ArchState
-
-        report = sim.run(max_instructions=max_instructions,
-                         from_checkpoint=ArchState.from_payload(checkpoint))
-    else:
-        report = sim.run(image, max_instructions=max_instructions)
+    report = Simulator(config, capture_memory_trace=False).run(
+        image, max_instructions=max_instructions, fast_forward=fast_forward)
     record = {
         "schema": SCHEMA_VERSION,
         "config_key": config.key(),
@@ -436,10 +373,6 @@ class SweepStats:
     disk_hits: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    #: Warmed checkpoints built fresh this sweep (one per distinct
-    #: (image, arch_key) family) vs. served from the result cache.
-    checkpoints_built: int = 0
-    checkpoint_hits: int = 0
 
     @property
     def cache_hits(self) -> int:
@@ -451,8 +384,6 @@ class SweepStats:
             "memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
             "wall_seconds": round(self.wall_seconds, 6),
             "sim_seconds": round(self.sim_seconds, 6),
-            "checkpoints_built": self.checkpoints_built,
-            "checkpoint_hits": self.checkpoint_hits,
         }
 
 
@@ -630,12 +561,13 @@ class SweepRunner:
         """Evaluate every (image, config) pair; image-major order.
 
         ``fast_forward > 0`` switches every point to two-speed mode:
-        per (image, ``arch_key()``) family one warmed checkpoint is
-        built (functional engine, no timing model), then every config
-        point of that family restores it and measures only the window
-        after it on the cycle-accurate engine.  Fingerprints gain a
-        ``-ff<N>`` suffix, so windowed results never collide with
-        whole-program records in the :class:`ResultCache`.
+        each point runs its first N steps on the translated engine (no
+        timing model), then measures only the window after them on the
+        cycle-accurate engine.  Every point pays for its own warm-up;
+        long fast-forwards belong on ``sampling=``, which shares its
+        warm-up passes per family.  Fingerprints gain a ``-ff<N>``
+        suffix, so windowed results never collide with whole-program
+        records in the :class:`ResultCache`.
 
         ``sampling=`` (a :class:`~repro.core.sampling.SamplingPlan`)
         switches every point to *sampled* mode instead: cycle estimates
@@ -680,23 +612,8 @@ class SweepRunner:
                     cached[index] = hit
 
         stats = SweepStats(points=len(entries))
-
-        # One warmed checkpoint per (image, arch_key) family — built
-        # only if some point of the family actually needs simulating.
-        checkpoints: dict[tuple[str, str], dict] = {}
-        if fast_forward:
-            for index, image, digest, config, _ in entries:
-                if index in cached:
-                    continue
-                key = (digest, config.arch_key())
-                if key in checkpoints:
-                    continue
-                checkpoints[key] = self._warm_checkpoint(
-                    image, digest, config, fast_forward, stats)
-
-        tasks = [(config, image, max_instructions,
-                  checkpoints.get((digest, config.arch_key())), sampling)
-                 for index, image, digest, config, _ in entries
+        tasks = [(config, image, max_instructions, fast_forward, sampling)
+                 for index, image, _, config, _ in entries
                  if index not in cached]
 
         fresh = self._evaluate(tasks)
@@ -785,31 +702,8 @@ class SweepRunner:
             totals.memory_hits += outcome.stats.memory_hits
             totals.disk_hits += outcome.stats.disk_hits
             totals.sim_seconds += outcome.stats.sim_seconds
-            totals.checkpoints_built += outcome.stats.checkpoints_built
-            totals.checkpoint_hits += outcome.stats.checkpoint_hits
         totals.wall_seconds = time.perf_counter() - started
         return MatrixOutcome(cells=cells, stats=totals, analysis=analysis)
-
-    def _warm_checkpoint(self, image: Image, digest: str,
-                         config: ArchitectureConfig, fast_forward: int,
-                         stats: SweepStats) -> dict:
-        """Fetch or build the warmed ArchState payload for *config*'s
-        architectural family, updating *stats* and the result cache."""
-        arch_key = config.arch_key()
-        if self.cache is not None:
-            payload = self.cache.get_checkpoint(digest, arch_key,
-                                                fast_forward)
-            if payload is not None:
-                stats.checkpoint_hits += 1
-                return payload
-        state = Simulator(config, capture_memory_trace=False).checkpoint(
-            image, fast_forward)
-        payload = state.to_payload()
-        stats.checkpoints_built += 1
-        if self.cache is not None:
-            self.cache.put_checkpoint(digest, arch_key, fast_forward,
-                                      payload)
-        return payload
 
     def _publish_obs(self, stats: SweepStats) -> None:
         obs = self.obs
@@ -817,8 +711,6 @@ class SweepRunner:
         obs.counter("sweep.simulated").inc(stats.simulated)
         obs.counter("sweep.memory_hits").inc(stats.memory_hits)
         obs.counter("sweep.disk_hits").inc(stats.disk_hits)
-        obs.counter("sweep.checkpoints_built").inc(stats.checkpoints_built)
-        obs.counter("sweep.checkpoint_hits").inc(stats.checkpoint_hits)
         obs.gauge("sweep.workers").set(self.workers)
         if stats.simulated and stats.wall_seconds > 0:
             lanes = max(self.workers, 1)

@@ -9,10 +9,10 @@ so a restored run replays the original bit-for-bit.
 
 Capture from one simulator, restore into another (with the same
 architectural shape), and execution continues exactly where it left
-off — that is how ``Simulator.run(fast_forward=...)`` warms a program
-functionally and hands off to the cycle-accurate engine, and how
-:class:`~repro.core.sweep.SweepRunner` reuses one warmed checkpoint
-across every configuration point of a sweep.
+off — that is how ``Simulator.run(from_checkpoint=...)`` resumes a
+warmed program on the cycle-accurate engine, and how
+:class:`~repro.core.sampling.SampledRunner` starts every measurement
+window of a sampled run from its own checkpoint.
 
 Equality compares only *architectural* fields — the clock and the RNG
 cursors are timing machinery, excluded via ``compare=False`` — so the
@@ -21,7 +21,8 @@ directly.
 
 The host a state is captured on talks a small protocol rather than a
 concrete class: it must expose ``cpu`` (an engine with the IntegerUnit's
-architectural attributes), ``checkpoint_memory()`` (name → bytearray),
+architectural attributes), ``fast_instret`` (instructions retired by
+engines other than ``cpu``), ``checkpoint_memory()`` (name → bytearray),
 ``checkpoint_peripherals()`` (name → device with ``state()`` /
 ``load_state()``), ``checkpoint_rngs()`` (name → object with
 ``rng_state()`` / ``load_rng_state()``) and a ``clock``.
@@ -89,11 +90,10 @@ class ArchState:
         ``sim.cpu`` by reference but whose position is its own.  With an
         explicit engine the retired count is the engine's alone (it
         executed everything); without one it is ``cpu.instret`` plus the
-        host's already-folded ``fastpath_retired`` share, as before.
+        host's already-folded ``fast_instret`` share.
         """
         cpu = engine if engine is not None else sim.cpu
-        extra = 0 if engine is not None else getattr(
-            sim, "fastpath_retired", 0)
+        extra = 0 if engine is not None else sim.fast_instret
         regs = cpu.regs.state()
         return cls(
             nwindows=cpu.regs.nwindows,
@@ -137,13 +137,12 @@ class ArchState:
         cpu.error_tt = self.error_tt
         cpu.asr.clear()
         cpu.asr.update(self.asr)
-        # The capture read instret + the host's fastpath_retired as one
+        # The capture read instret + the host's fast_instret as one
         # combined count; put it all on the engine and zero the host's
         # share so a re-capture reports the same total.
         cpu.instret = self.retired
         cpu.trap_count = self.traps_taken
-        if hasattr(sim, "fastpath_retired"):
-            sim.fastpath_retired = 0
+        sim.fast_instret = 0
         buffers = sim.checkpoint_memory()
         for name, blob in self.memory.items():
             buffer = buffers[name]
@@ -162,7 +161,7 @@ class ArchState:
                 sources[name].load_rng_state(state)
 
     # ------------------------------------------------------------------
-    # Serialization (ResultCache persistence, worker processes)
+    # Serialization (digests, JSON round trips)
     # ------------------------------------------------------------------
 
     def to_payload(self) -> dict:

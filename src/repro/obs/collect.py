@@ -33,7 +33,9 @@ __all__ = [
     "PIPELINE_STAGES",
     "collect_ahb",
     "collect_apb",
+    "FASTPATH_SERIES",
     "FLEET_LATENCY_BOUNDS",
+    "SAMPLING_SERIES",
     "collect_cache",
     "collect_channel",
     "collect_client",
@@ -95,46 +97,40 @@ def collect_cache(controller, registry: MetricsRegistry) -> None:
                          cache=label).inc(pstats.useful)
 
 
+#: Two-speed execution series: steps executed on the fast engines,
+#: fast->accurate handoffs, checkpoint captures/restores and the block
+#: cache's translations, executions and invalidations.  A
+#: :class:`~repro.core.sim.Simulator` counts them in ``sim.counters``
+#: under exactly these names.
+FASTPATH_SERIES = (
+    "fastpath.instructions", "fastpath.handoffs",
+    "fastpath.checkpoint_captures", "fastpath.checkpoint_restores",
+    "fastpath.blocks_translated", "fastpath.blocks_executed",
+    "fastpath.blocks_invalidated")
+
+#: Sampled-simulation series: runs, measurement windows, checkpoints
+#: captured, and the step split between the survey pass, the translated
+#: fast-forward legs, the cache-warming ramps and the cycle-accurate
+#: windows.  Keys of ``SampledRunner.counters`` and of ``sim.counters``.
+SAMPLING_SERIES = (
+    "sampling.runs", "sampling.windows", "sampling.checkpoints",
+    "sampling.survey_steps", "sampling.ff_steps", "sampling.ramp_steps",
+    "sampling.measured_steps")
+
+
 def collect_fastpath(sim, registry: MetricsRegistry) -> None:
-    """Publish the two-speed execution accounting: steps executed on the
-    functional fast path, fast->accurate handoffs, and checkpoint
-    capture/restore counts.  Declared at zero for simulators that never
-    fast-forward so every snapshot keeps the same schema."""
-    registry.counter("fastpath.instructions").inc(
-        getattr(sim, "fastpath_instructions", 0))
-    registry.counter("fastpath.handoffs").inc(
-        getattr(sim, "fastpath_handoffs", 0))
-    registry.counter("fastpath.checkpoint_captures").inc(
-        getattr(sim, "checkpoint_captures", 0))
-    registry.counter("fastpath.checkpoint_restores").inc(
-        getattr(sim, "checkpoint_restores", 0))
-    registry.counter("fastpath.blocks_translated").inc(
-        getattr(sim, "fastpath_blocks_translated", 0))
-    registry.counter("fastpath.blocks_executed").inc(
-        getattr(sim, "fastpath_blocks_executed", 0))
-    registry.counter("fastpath.blocks_invalidated").inc(
-        getattr(sim, "fastpath_blocks_invalidated", 0))
+    """Publish the two-speed execution accounting (declared at zero for
+    simulators that never fast-forward, so every snapshot keeps the
+    same schema)."""
+    for name in FASTPATH_SERIES:
+        registry.counter(name).inc(sim.counters[name])
 
 
 def collect_sampling(sim, registry: MetricsRegistry) -> None:
-    """Publish the sampled-simulation accounting: runs, measurement
-    windows, checkpoints captured, and the step split between the
-    translated fast-forward legs, the cache-warming ramps and the
-    cycle-accurate measured windows.  Declared at zero for simulators
-    that never sample, keeping the snapshot schema stable."""
-    registry.counter("sampling.runs").inc(getattr(sim, "sampling_runs", 0))
-    registry.counter("sampling.windows").inc(
-        getattr(sim, "sampling_windows", 0))
-    registry.counter("sampling.checkpoints").inc(
-        getattr(sim, "sampling_checkpoints", 0))
-    registry.counter("sampling.survey_steps").inc(
-        getattr(sim, "sampling_survey_steps", 0))
-    registry.counter("sampling.ff_steps").inc(
-        getattr(sim, "sampling_ff_steps", 0))
-    registry.counter("sampling.ramp_steps").inc(
-        getattr(sim, "sampling_ramp_steps", 0))
-    registry.counter("sampling.measured_steps").inc(
-        getattr(sim, "sampling_measured_steps", 0))
+    """Publish the sampled-simulation accounting (declared at zero for
+    simulators that never sample, keeping the snapshot schema stable)."""
+    for name in SAMPLING_SERIES:
+        registry.counter(name).inc(sim.counters[name])
 
 
 def collect_ahb(bus, registry: MetricsRegistry) -> None:

@@ -4,9 +4,9 @@ fast_forward=...)``.
 
 The contract under test: the *measured window* of a fast-forwarded run
 is byte-identical no matter how the machine reached the window — cold
-accurate warmup, functional warmup, or a restored checkpoint — and the
-sweep engine builds one warmed checkpoint per (image, arch_key) family
-and reuses it everywhere, including across processes and from disk.
+accurate warmup, functional warmup, or a restored checkpoint — and a
+``-ffN`` sweep point is exactly that direct run, serially, across
+processes and from the disk cache.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class TestSimulatorFastForward:
         warm_f = Simulator(capture_memory_trace=False)
         state_f = warm_f.checkpoint(image, WARMUP, warmup_engine="fast")
         assert state_t == state_f
-        assert warm_t.fastpath_blocks_translated > 0
-        assert warm_t.fastpath_blocks_executed > 0
-        assert warm_f.fastpath_blocks_translated == 0
+        assert warm_t.counters["fastpath.blocks_translated"] > 0
+        assert warm_t.counters["fastpath.blocks_executed"] > 0
+        assert warm_f.counters["fastpath.blocks_translated"] == 0
 
     def test_checkpoint_restore_reproduces_the_window(self, image):
         direct = Simulator(capture_memory_trace=False).run(
@@ -142,38 +142,13 @@ class TestSweepFastForward:
     CONFIGS = [ArchitectureConfig().with_dcache_size(size)
                for size in (1024, 4096)]
 
-    def test_one_checkpoint_serves_the_arch_family(self, image, tmp_path):
-        cache = ResultCache(tmp_path)
-        outcome = SweepRunner(cache=cache).sweep(
-            self.CONFIGS, image, fast_forward=WARMUP)
-        # both configs share nwindows/extensions -> one checkpoint
-        assert outcome.stats.checkpoints_built == 1
-        assert outcome.stats.simulated == 2
-        assert cache.stats.checkpoint_stores == 1
-
     def test_rerun_is_entirely_cached(self, image, tmp_path):
         cache = ResultCache(tmp_path)
         runner = SweepRunner(cache=cache)
         runner.sweep(self.CONFIGS, image, fast_forward=WARMUP)
         again = runner.sweep(self.CONFIGS, image, fast_forward=WARMUP)
         assert again.stats.simulated == 0
-        assert again.stats.checkpoints_built == 0
         assert again.stats.cache_hits == 2
-
-    def test_checkpoint_survives_on_disk(self, image, tmp_path):
-        first = SweepRunner(cache=ResultCache(tmp_path)).sweep(
-            [self.CONFIGS[0]], image, fast_forward=WARMUP)
-        # fresh runner+cache, results wiped from memory: the point is
-        # served from disk; force a re-simulation of a sibling config to
-        # prove the *checkpoint* comes back from disk too.
-        cache = ResultCache(tmp_path)
-        second = SweepRunner(cache=cache).sweep(
-            self.CONFIGS, image, fast_forward=WARMUP)
-        assert second.stats.checkpoints_built == 0
-        assert second.stats.checkpoint_hits == 1
-        assert second.stats.simulated == 1  # only the sibling config
-        assert (second.points[0].canonical_json()
-                == first.points[0].canonical_json())
 
     def test_serial_and_parallel_agree(self, image):
         serial = SweepRunner(workers=0).sweep(
@@ -203,7 +178,11 @@ class TestSweepFastForward:
                 image, fast_forward=WARMUP)
             assert point.cycles == direct.cycles
             assert point.instructions == direct.instructions
+            assert point.instruction_mix == direct.instruction_mix
+            assert point.dcache == direct.dcache
+            assert point.icache == direct.icache
             assert point.uart_hex == direct.uart_output.hex()
+            assert point.obs == direct.obs
 
     def test_negative_fast_forward_rejected(self, image):
         with pytest.raises(ValueError):

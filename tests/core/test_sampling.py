@@ -240,7 +240,7 @@ class TestSimulatorIntegration:
         assert run.auto, "auto log must record the rounds"
         assert run.auto[-1]["n_windows"] >= 2
         # one survey serves every round
-        assert runner.counters["runs"] == len(run.auto)
+        assert runner.counters["sampling.runs"] == len(run.auto)
 
 
 class TestLongRunningRegistry:

@@ -219,12 +219,22 @@ class TestResultCache:
         assert record["schema"] == 5
         assert record["cycles"] > 0
 
-    def test_corrupt_disk_record_is_a_miss(self, image, tmp_path):
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: "{not json",
+        lambda text: "[1, 2, 3]",
+        lambda text: text[:len(text) // 2],
+        lambda text: json.dumps({**json.loads(text), "schema": 4}),
+        lambda text: json.dumps({key: value for key, value
+                                 in json.loads(text).items()
+                                 if key != "instructions"}),
+    ], ids=["not-json", "json-list", "truncated", "wrong-schema",
+            "missing-field"])
+    def test_corrupt_disk_record_is_a_miss(self, image, tmp_path, corrupt):
         config = ArchitectureConfig()
         cache = ResultCache(tmp_path)
         SweepRunner(cache=cache).sweep([config], image)
         path = tmp_path / image_digest(image) / f"{config.fingerprint()}.json"
-        path.write_text("{not json")
+        path.write_text(corrupt(path.read_text()))
         fresh = ResultCache(tmp_path)
         outcome = SweepRunner(cache=fresh).sweep([config], image)
         assert outcome.stats.simulated == 1
