@@ -127,13 +127,20 @@ class SetAssociativeCache:
         self._clock = 0
         self._seed = seed
         self._rng = np.random.default_rng(seed)
+        # The geometry's address split as plain ints, derived once: the
+        # access paths below run on every simulated fetch and load.
+        self._offset_mask = geometry.line_size - 1
+        self._offset_shift = geometry.offset_bits
+        self._index_mask = geometry.sets - 1
+        self._tag_shift = geometry.offset_bits + geometry.index_bits
 
     # -- lookup -------------------------------------------------------------
 
     def probe(self, address: int) -> _Line | None:
         """Return the valid line holding *address*, or None.  No stats."""
-        tag, index, _ = self.geometry.split(address)
-        for line in self._lines[index]:
+        tag = address >> self._tag_shift
+        for line in self._lines[(address >> self._offset_shift)
+                                & self._index_mask]:
             if line.valid and line.tag == tag:
                 return line
         return None
@@ -141,14 +148,16 @@ class SetAssociativeCache:
     def read(self, address: int, size: int) -> int | None:
         """Read *size* bytes if cached, else None (recording hit/miss)."""
         self._clock += 1
-        line = self.probe(address)
-        if line is None:
-            self.stats.read_misses += 1
-            return None
-        self.stats.read_hits += 1
-        line.last_use = self._clock
-        _, _, offset = self.geometry.split(address)
-        return int.from_bytes(line.data[offset:offset + size], "big")
+        tag = address >> self._tag_shift
+        for line in self._lines[(address >> self._offset_shift)
+                                & self._index_mask]:
+            if line.valid and line.tag == tag:
+                self.stats.read_hits += 1
+                line.last_use = self._clock
+                offset = address & self._offset_mask
+                return int.from_bytes(line.data[offset:offset + size], "big")
+        self.stats.read_misses += 1
+        return None
 
     def write(self, address: int, size: int, value: int) -> bool:
         """Update the cached copy if present (write-through, no-allocate).
@@ -157,36 +166,37 @@ class SetAssociativeCache:
         write to memory regardless.
         """
         self._clock += 1
-        line = self.probe(address)
-        if line is None:
-            self.stats.write_misses += 1
-            return False
-        self.stats.write_hits += 1
-        line.last_use = self._clock
-        _, _, offset = self.geometry.split(address)
-        line.data[offset:offset + size] = \
-            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "big")
-        return True
+        tag = address >> self._tag_shift
+        for line in self._lines[(address >> self._offset_shift)
+                                & self._index_mask]:
+            if line.valid and line.tag == tag:
+                self.stats.write_hits += 1
+                line.last_use = self._clock
+                offset = address & self._offset_mask
+                line.data[offset:offset + size] = \
+                    (value & ((1 << (8 * size)) - 1)).to_bytes(size, "big")
+                return True
+        self.stats.write_misses += 1
+        return False
 
     # -- fill / eviction -----------------------------------------------------
 
     def fill(self, line_base: int, data: bytes) -> int | None:
         """Install a full line; return the evicted line's base address (or
         None if an invalid way was used)."""
-        geometry = self.geometry
-        if len(data) != geometry.line_size:
+        if len(data) != self.geometry.line_size:
             raise ValueError("fill data must be exactly one line")
-        tag, index, _ = geometry.split(line_base)
+        index = (line_base >> self._offset_shift) & self._index_mask
         ways = self._lines[index]
         victim = self._choose_victim(ways)
         evicted = None
         if victim.valid:
             self.stats.evictions += 1
-            evicted = ((victim.tag << geometry.index_bits) | index) \
-                << geometry.offset_bits
+            evicted = (victim.tag << self._tag_shift) \
+                | (index << self._offset_shift)
         self._clock += 1
         victim.valid = True
-        victim.tag = tag
+        victim.tag = line_base >> self._tag_shift
         victim.data[:] = data
         victim.last_use = self._clock
         victim.fill_order = self._clock

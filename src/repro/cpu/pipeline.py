@@ -75,18 +75,31 @@ _STORES = frozenset({
     Op3Mem.STA, Op3Mem.STBA, Op3Mem.STHA,
 })
 _STORES_D = frozenset({Op3Mem.STD, Op3Mem.STDA})
+_STORES_ANY = _STORES | _STORES_D
 _MULS = frozenset({Op3.UMUL, Op3.UMULCC, Op3.SMUL, Op3.SMULCC})
 _DIVS = frozenset({Op3.UDIV, Op3.UDIVCC, Op3.SDIV, Op3.SDIVCC})
 
 
 class PipelineModel:
-    """Cycle accountant for the 5-stage LEON2 integer pipeline."""
+    """Cycle accountant for the 5-stage LEON2 integer pipeline.
+
+    Everything the model needs from an instruction is a function of its
+    word and :attr:`timing`, so it is derived once per word into a plan
+    ``(base issue cycles, nonzero registers the load-use interlock
+    checks, load destination register or None)``.  The plan table is
+    per model (plans depend on the timing, which is fixed for the
+    model's lifetime) and, like :class:`~repro.cpu.decode.DecodeCache`,
+    is cleared wholesale when it reaches :attr:`PLAN_CAPACITY` words.
+    """
+
+    PLAN_CAPACITY = 65536
 
     def __init__(self, timing: TimingConfig | None = None):
         self.timing = timing or TimingConfig()
         self._last_load_rd: int | None = None
         #: Load-use bubbles charged (the repro.obs pipeline-stall series).
         self.interlock_stalls = 0
+        self._plans: dict[int, tuple[int, frozenset[int], int | None]] = {}
 
     def reset(self) -> None:
         self._last_load_rd = None
@@ -98,21 +111,34 @@ class PipelineModel:
         was a load and this instruction sources its destination register,
         one bubble cycle is charged (LEON2 has no load-forward path to EX).
         """
-        t = self.timing
-        cycles = self._base_cycles(inst)
-        if t.load_use_interlock and self._last_load_rd is not None:
-            rd = self._last_load_rd
-            if rd != 0 and self._reads_register(inst, rd):
-                cycles += 1
-                self.interlock_stalls += 1
-        self._last_load_rd = None
-        if inst.op == OP_MEM:
-            op3 = inst.op3
-            if op3 in _LOADS:
-                self._last_load_rd = inst.rd
-            elif op3 in _LOADS_D:
-                self._last_load_rd = inst.rd + 1
+        plan = self._plans.get(inst.word)
+        if plan is None:
+            plan = self._plan(inst)
+        cycles, sources, load_rd = plan
+        if self._last_load_rd in sources:
+            cycles += 1
+            self.interlock_stalls += 1
+        self._last_load_rd = load_rd
         return cycles
+
+    def _plan(self, inst: DecodedInstruction
+              ) -> tuple[int, frozenset[int], int | None]:
+        if len(self._plans) >= self.PLAN_CAPACITY:
+            self._plans.clear()
+        sources: frozenset[int] = frozenset()
+        if self.timing.load_use_interlock:
+            sources = frozenset(
+                reg for reg in range(1, 32)
+                if self._reads_register(inst, reg))
+        load_rd = None
+        if inst.op == OP_MEM:
+            if inst.op3 in _LOADS:
+                load_rd = inst.rd
+            elif inst.op3 in _LOADS_D:
+                load_rd = inst.rd + 1
+        plan = (self._base_cycles(inst), sources, load_rd)
+        self._plans[inst.word] = plan
+        return plan
 
     def _base_cycles(self, inst: DecodedInstruction) -> int:
         t = self.timing
@@ -166,6 +192,6 @@ class PipelineModel:
         if not inst.imm and inst.rs2 == reg:
             return True
         # Stores read rd as data.
-        if inst.op == OP_MEM and inst.op3 in (_STORES | _STORES_D) and inst.rd == reg:
+        if inst.op == OP_MEM and inst.op3 in _STORES_ANY and inst.rd == reg:
             return True
         return False
