@@ -55,6 +55,12 @@ class MemoryTrace:
                 + self.hit.astype("u1").tobytes())
 
     @classmethod
+    def empty(cls) -> "MemoryTrace":
+        """A trace of no references (a run that captured none)."""
+        return cls(np.zeros(0, np.uint64), np.zeros(0, np.uint8),
+                   np.zeros(0, bool), np.zeros(0, bool))
+
+    @classmethod
     def from_bytes(cls, blob: bytes) -> "MemoryTrace":
         count = int(np.frombuffer(blob[:8], dtype="<u8")[0])
         offset = 8

@@ -22,6 +22,9 @@ from repro.utils import log2_exact
 
 REPLACEMENT_POLICIES = ("lru", "lrr", "random")
 
+#: Default seed of the ``random`` replacement policy's generator.
+REPLACEMENT_SEED = 0x5EED
+
 
 @dataclass(frozen=True)
 class CacheGeometry:
@@ -116,7 +119,8 @@ class _Line:
 class SetAssociativeCache:
     """Tag + data store.  Timing lives in the controller, not here."""
 
-    def __init__(self, geometry: CacheGeometry, seed: int = 0x5EED):
+    def __init__(self, geometry: CacheGeometry,
+                 seed: int = REPLACEMENT_SEED):
         self.geometry = geometry
         self.stats = CacheStats()
         self._lines = [

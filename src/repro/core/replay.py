@@ -1,0 +1,662 @@
+"""Exact trace-driven replay: run a program once, time it under any
+cache and pipeline configuration of its architecture.
+
+Inside :class:`~repro.core.sim.Simulator`, cycles are a pure function of
+the executed instruction stream: there is no interrupt source, the
+peripheral clock never advances (so no MMIO read can observe timing),
+issue cost is a per-word plan plus the load-use interlock, the caches
+are write-through and no-allocate with seeded replacement, and the
+SRAM, APB and AHB burst latencies are fixed.  One architectural pass
+therefore answers every configuration that shares its
+:meth:`~repro.core.config.ArchitectureConfig.arch_key` — the paper's
+Figure-1 premise (one program's traces answering many configurations),
+made exact:
+
+* :func:`record` runs the program once on a
+  :class:`~repro.cpu.blockcache.RecordingUnit` (the translated engine in
+  recording mode), from boot through dispatch to the poll address, with
+  ``Simulator.run``'s step budgets;
+* :meth:`Replayer.report` turns that stream into the
+  :class:`~repro.core.sim.SimReport` ``Simulator.run`` returns for one
+  configuration: a tag-only twin of each cache (same victim choice,
+  same seeded RNG call order), each block's static issue cost per
+  :class:`~repro.cpu.pipeline.TimingConfig` with the load-use interlock
+  carried across blocks and reset by traps, I-fetches collapsed to
+  cache-line runs, and the fixed bus and memory costs.  ``dcache`` and
+  ``icache`` are totals since the machine was built, boot included;
+  ``cycles`` and ``obs`` cover the program window only — exactly as on
+  the accurate engine.
+
+Replay refuses, raising :class:`ReplayUnsupported` with a cause from
+:data:`FALLBACK_CAUSES`, where it cannot be exact: a prefetching D-cache
+(the prefetcher has state), a store to code that is fetched again
+without the FLUSH the architecture requires (the accurate engine's
+I-cache would serve the stale word), and an access that faults on the
+bus.  Callers fall back to the accurate engine for those, which stays
+the oracle.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
+
+from repro.analysis.trace import MemoryTrace
+from repro.cache import CacheController
+from repro.cache.cache import REPLACEMENT_SEED, CacheGeometry, CacheStats
+from repro.core.config import ArchitectureConfig
+from repro.core.sim import MixRecorder, SimReport, Simulator
+from repro.cpu.blockcache import (
+    EXIT_ANNULLED,
+    EXIT_TAKEN,
+    REF_IFLUSH,
+    REF_WRITE,
+    STEP_ANNULLED,
+    STEP_RETIRED,
+    STEP_TAKEN,
+    Recording,
+    RecordingUnit,
+)
+from repro.cpu.decode import DecodeCache
+from repro.cpu.pipeline import PipelineModel, TimingConfig
+from repro.obs.collect import (
+    FASTPATH_SERIES,
+    SAMPLING_SERIES,
+    point_snapshot,
+    simulator_snapshot,
+)
+from repro.toolchain.objfile import Image
+
+__all__ = ["FALLBACK_CAUSES", "Recorded", "Replayer", "ReplayUnsupported",
+           "record"]
+
+#: Why a point could not be replayed (``sweep.replay_fallbacks{cause}``):
+#: a prefetching D-cache, self-modifying code without the required
+#: FLUSH, a faulting bus access, or a recording pass that ended in a
+#: watchdog or error-mode trap (the accurate engine then raises it).
+FALLBACK_CAUSES = ("prefetch", "smc", "bus_error", "error")
+
+
+class ReplayUnsupported(Exception):
+    """Replay cannot be exact for this point; ``cause`` says why."""
+
+    def __init__(self, cause: str):
+        super().__init__(cause)
+        self.cause = cause
+
+
+@dataclass
+class Recorded:
+    """One recording pass: the step stream plus everything about the
+    run that no timing configuration can change."""
+
+    recording: Recording
+    #: ``recording.mark()`` at the program's first instruction.
+    window: tuple[int, int]
+    instructions: int
+    instruction_mix: dict
+    result_word: int
+    uart_output: bytes
+    #: The recording machine: memory map, bus topology and device costs.
+    machine: Simulator
+
+
+def record(config: ArchitectureConfig, image: Image,
+           max_instructions: int) -> Recorded:
+    """Run *image* once on the recording engine, the way
+    ``Simulator(config).run(image, max_instructions)`` would run it
+    (same boot, dispatch and step budgets — a watchdog raises the same
+    :class:`~repro.cpu.traps.WatchdogExpired`)."""
+    sim = Simulator(config, capture_memory_trace=False, obs=False)
+    unit = sim._fast_unit(RecordingUnit)
+    sim._dispatch_on(unit, image)
+    window = unit.recording.mark()
+    start = unit.instret
+    with MixRecorder(unit) as mix:
+        unit.run(max_instructions=max_instructions,
+                 until_pc=sim.rom_info.poll_address)
+    return Recorded(
+        recording=unit.recording, window=window,
+        instructions=unit.instret - start, instruction_mix=mix.mix(),
+        result_word=sim.sram.host_read_word(sim.memmap.result_addr),
+        uart_output=sim.uart.transmitted(), machine=sim)
+
+
+# Access kinds of a data reference or an instruction fetch: the flush
+# markers, the cached kinds (through the tag model) and the uncached
+# single transfers (fixed costs, Replayer._single).
+(_DFLUSH, _IFLUSH, _READ_SRAM, _READ_PROM, _WRITE_SRAM, _SRAM_READ,
+ _SRAM_WRITE, _APB) = range(8)
+
+
+class _Tags:
+    """Tag-only twin of :class:`~repro.cache.cache.SetAssociativeCache`:
+    which lines are resident, with the same victim choice — the first
+    invalid way, else lru / lrr / random (the same seeded generator,
+    called in the same order) — and no data.  Lines are kept as line
+    numbers (``address >> offset_bits``)."""
+
+    def __init__(self, geometry: CacheGeometry):
+        self.ways = geometry.ways
+        self.mask = geometry.sets - 1
+        self.policy = geometry.replacement
+        self.slots = [-1] * (geometry.sets * geometry.ways)
+        self.used = [0] * len(self.slots)
+        self.filled = [0] * len(self.slots)
+        self.clock = 0
+        self.rng = np.random.default_rng(REPLACEMENT_SEED)
+        self.evictions = 0
+
+    def lookup(self, line: int) -> bool:
+        """Hit test; a hit counts as a use (lru)."""
+        first = (line & self.mask) * self.ways
+        slots = self.slots
+        for slot in range(first, first + self.ways):
+            if slots[slot] == line:
+                self.clock += 1
+                self.used[slot] = self.clock
+                return True
+        return False
+
+    def fill(self, line: int) -> None:
+        first = (line & self.mask) * self.ways
+        ways = range(first, first + self.ways)
+        slots = self.slots
+        for slot in ways:
+            if slots[slot] < 0:
+                break
+        else:
+            self.evictions += 1
+            if self.policy == "lru":
+                slot = min(ways, key=self.used.__getitem__)
+            elif self.policy == "lrr":
+                slot = min(ways, key=self.filled.__getitem__)
+            else:
+                slot = first + int(self.rng.integers(self.ways))
+        slots[slot] = line
+        self.clock += 1
+        self.used[slot] = self.filled[slot] = self.clock
+
+    def invalidate(self) -> None:
+        self.slots = [-1] * len(self.slots)
+
+
+class _DirectTags(_Tags):
+    """Direct-mapped special case: one way, so no victim choice (a
+    one-way ``random`` cache draws from its generator, but every draw
+    picks way 0)."""
+
+    def lookup(self, line: int) -> bool:
+        return self.slots[line & self.mask] == line
+
+    def fill(self, line: int) -> None:
+        slot = line & self.mask
+        if self.slots[slot] >= 0:
+            self.evictions += 1
+        self.slots[slot] = line
+
+
+def _tags(geometry: CacheGeometry) -> _Tags:
+    return (_DirectTags if geometry.ways == 1 else _Tags)(geometry)
+
+
+class Replayer:
+    """Every configuration's report from one :class:`Recorded` run.
+
+    Config-independent work (decoding the columns, classifying every
+    address, the SMC check) happens once here.  Each pass counts events
+    per phase (boot and dispatch, then the program window) — the fetch
+    pass per I-cache geometry, the data pass per D-cache geometry, the
+    issue pass per :class:`TimingConfig`, each memoized — and
+    :meth:`report` prices the counts, so a D-cache sweep replays the
+    fetch and issue streams once and only the data stream per point.
+    """
+
+    def __init__(self, recorded: Recorded):
+        self.recorded = recorded
+        rec = recorded.recording
+        machine = recorded.machine
+        bus = machine.bus.config
+        self._overhead = bus.address_cycles + bus.arbitration_cycles
+        self._memmap = machine.memmap
+        self._slaves = [(m["base"], m["base"] + m["size"], m["name"])
+                        for m in machine.bus.topology()]
+        self._devices = [(m["base"], m["base"] + m["size"])
+                         for m in machine.apb.topology()]
+        #: Wait states per beat of a line fill, per cached read kind.
+        self._fill_waits = {_READ_SRAM: machine.sram.wait_states,
+                            _READ_PROM: machine.prom.wait_states}
+        self._apb_penalty = machine.apb.penalty_cycles
+        sram_wait = machine.sram.wait_states
+        single = self._overhead + 1
+        #: One AHB single transfer per kind: (cycles, SRAM reads, SRAM
+        #: writes, APB accesses, wait states).  A cached write is one
+        #: too (write-through); the uncached kinds also bypass the cache.
+        write = (single + sram_wait, 0, 1, 0, sram_wait)
+        self._single = {
+            _SRAM_READ: (single + sram_wait, 1, 0, 0, sram_wait),
+            _SRAM_WRITE: write,
+            _APB: (single + self._apb_penalty, 0, 0, 1, self._apb_penalty),
+            _WRITE_SRAM: write,
+        }
+        self.unsupported: str | None = None
+
+        refs = np.frombuffer(rec.refs, dtype=np.uint64)
+        self._ref_addr = refs >> np.uint64(4)
+        self._fetch_kinds: dict[int, int] = {}
+        try:
+            kinds = self._classify_refs(refs)
+        except ReplayUnsupported as exc:
+            self.unsupported = exc.cause
+            return
+        if _smc_hazard(rec, refs):
+            self.unsupported = "smc"
+        window = recorded.window[1]
+        self._ref_kinds = kinds.tolist()
+        #: Per phase, how many references of each kind (config-free).
+        self._ref_counts = tuple(
+            Counter({int(kind): int(count) for kind, count
+                     in zip(*np.unique(part, return_counts=True))})
+            for part in (kinds[:window], kinds[window:]))
+        self._events = rec.events.tolist()
+        self._step_pcs = rec.step_pcs.tolist()
+        self._step_words = rec.step_words.tolist()
+        self._decode = DecodeCache()
+        self._issue_memo: dict[TimingConfig, dict] = {}
+        self._fetch_memo: dict[CacheGeometry, tuple] = {}
+        self._data_memo: dict[CacheGeometry, tuple] = {}
+
+    # -- addresses ---------------------------------------------------------
+
+    def _kind(self, address: int, write: bool) -> int:
+        """The access kind of *address*; faults are unsupported."""
+        slave = next((name for lo, hi, name in self._slaves
+                      if lo <= address < hi), None)
+        if slave is None:
+            raise ReplayUnsupported("bus_error")
+        if self._memmap.cacheable(address):
+            if slave == "sram":
+                return _WRITE_SRAM if write else _READ_SRAM
+            if slave == "prom" and not write:
+                return _READ_PROM
+        elif slave == "sram":
+            return _SRAM_WRITE if write else _SRAM_READ
+        elif slave == "apb" and any(lo <= address < hi
+                                    for lo, hi in self._devices):
+            return _APB
+        raise ReplayUnsupported("bus_error")
+
+    def _classify_refs(self, refs: np.ndarray) -> np.ndarray:
+        """Per reference: its kind (flush markers included), classified
+        once per distinct (word, read/write)."""
+        flush = ((refs >> np.uint64(1)) & np.uint64(7)) == 0
+        keys = ((self._ref_addr >> np.uint64(2)) << np.uint64(1)) \
+            | (refs & np.uint64(REF_WRITE))
+        unique, inverse = np.unique(keys[~flush], return_inverse=True)
+        table = np.array([self._kind(int(key >> 1) << 2, bool(key & 1))
+                          for key in unique.tolist()], dtype=np.int64)
+        kinds = np.where(refs == REF_IFLUSH, _IFLUSH, _DFLUSH)
+        kinds[~flush] = table[inverse]
+        return kinds
+
+    def _fetch_kind(self, address: int) -> int:
+        kind = self._fetch_kinds.get(address)
+        if kind is None:
+            kind = self._fetch_kinds[address] = self._kind(address, False)
+        return kind
+
+    # -- the three passes --------------------------------------------------
+
+    def _issue(self, timing: TimingConfig) -> dict:
+        """Pipeline counters of the program window: issue cycles (with
+        interlocks), retirements, taken CTIs, annulled slots, traps."""
+        memo = self._issue_memo.get(timing)
+        if memo is not None:
+            return memo
+        model = PipelineModel(timing)
+        plan, lookup = model.plan, self._decode.lookup
+        blocks = self.recorded.recording.blocks
+        tables: dict[int, tuple] = {}
+        words, steps_seen = self._step_words, 0
+        issue = interlocks = instret = taken = annulled = traps = 0
+        carry = None  # the previous instruction's load destination
+        window_event = self.recorded.window[0]
+        for index, code in enumerate(self._events):
+            if index == window_event:
+                issue = interlocks = instret = taken = annulled = traps = 0
+            if code >= 0:
+                block_id = code >> 16
+                retired = (code >> 2) & 127
+                if retired:
+                    table = tables.get(block_id)
+                    if table is None:
+                        table = tables[block_id] = _issue_table(
+                            blocks[block_id], plan)
+                    cost, stalls, first_sources, load_rds = table
+                    if carry in first_sources:
+                        issue += 1
+                        interlocks += 1
+                    issue += cost[retired]
+                    interlocks += stalls[retired]
+                    carry = load_rds[retired - 1]
+                    instret += retired
+                if code & EXIT_TAKEN:
+                    taken += 1
+                if code & EXIT_ANNULLED:
+                    annulled += 1
+                elif ((code >> 9) & 127) != retired:
+                    traps += 1
+                    carry = None
+                continue
+            word = words[steps_seen]
+            steps_seen += 1
+            if code == STEP_RETIRED or code == STEP_TAKEN:
+                base, sources, load_rd = plan(lookup(word))
+                if carry in sources:
+                    issue += 1
+                    interlocks += 1
+                issue += base
+                carry = load_rd
+                instret += 1
+                taken += code == STEP_TAKEN
+            elif code == STEP_ANNULLED:
+                annulled += 1
+            else:  # STEP_TRAPPED
+                traps += 1
+                carry = None
+        if window_event == len(self._events):
+            issue = interlocks = instret = taken = annulled = traps = 0
+        counts = {"issue": issue, "interlocks": interlocks,
+                  "instret": instret, "taken": taken, "annulled": annulled,
+                  "traps": traps}
+        self._issue_memo[timing] = counts
+        return counts
+
+    def _fetch(self, geometry: CacheGeometry) -> tuple[Counter, Counter]:
+        """The I-cache side's event counts: ``(boot, window)``."""
+        memo = self._fetch_memo.get(geometry)
+        if memo is not None:
+            return memo
+        tags = _tags(geometry)
+        recording = self.recorded.recording
+        blocks = recording.blocks
+        runs_memo: dict[int, list] = {}
+        flushes_after = Counter(recording.iflushes.tolist())
+        offset_bits = geometry.offset_bits
+        window_event = self.recorded.window[0]
+        pcs = self._step_pcs
+        steps_seen = 0
+        phases = (Counter(), Counter())
+        counts = phases[0]
+        for index, code in enumerate(self._events):
+            if index == window_event:
+                counts = phases[1]
+            if code >= 0:
+                key = code >> 9  # block id and steps
+                runs = runs_memo.get(key)
+                if runs is None:
+                    runs = runs_memo[key] = self._runs(
+                        blocks[code >> 16], (code >> 9) & 127, offset_bits)
+            else:
+                pc = pcs[steps_seen]
+                steps_seen += 1
+                runs = ((self._fetch_kind(pc), pc >> offset_bits, 1),)
+            for kind, line, count in runs:
+                if kind >= _SRAM_READ:
+                    counts[kind] += count
+                elif tags.lookup(line):
+                    counts["read_hits"] += count
+                else:
+                    counts["read_hits"] += count - 1
+                    counts["miss", kind] += 1
+                    evictions = tags.evictions
+                    tags.fill(line)
+                    counts["evictions"] += tags.evictions - evictions
+            flushes = flushes_after.get(index)
+            if flushes:
+                tags.invalidate()
+                counts["flushes"] += flushes
+        self._fetch_memo[geometry] = phases
+        return phases
+
+    def _runs(self, block, steps: int, offset_bits: int) -> list:
+        """The fetches of a block execution that fetched *steps* words:
+        ``(kind, line, count)`` per run of consecutive fetches from one
+        cache line (uncached fetches stand alone)."""
+        runs: list[list] = []
+        for address in range(block.entry, block.entry + 4 * steps, 4):
+            kind = self._fetch_kind(address)
+            line = address >> offset_bits
+            if (runs and kind < _SRAM_READ and runs[-1][0] == kind
+                    and runs[-1][1] == line):
+                runs[-1][2] += 1
+            else:
+                runs.append([kind, line, 1])
+        return [tuple(run) for run in runs]
+
+    def _data(self, geometry: CacheGeometry) -> tuple[Counter, Counter]:
+        """The D-cache side's event counts: ``(boot, window)``."""
+        memo = self._data_memo.get(geometry)
+        if memo is not None:
+            return memo
+        tags = _tags(geometry)
+        lines = (self._ref_addr >> np.uint64(geometry.offset_bits)).tolist()
+        kinds = self._ref_kinds
+        window = self.recorded.window[1]
+        phases = tuple(_data_pass(tags, kinds, lines, lo, hi) + part
+                       for (lo, hi), part in zip(
+                           ((0, window), (window, len(kinds))),
+                           self._ref_counts))
+        for counts in phases:
+            counts["flushes"] = counts[_DFLUSH]
+        self._data_memo[geometry] = phases
+        return phases
+
+    def _priced(self, counts: Counter, geometry: CacheGeometry) -> dict:
+        """A cache side's controller, bus and memory counters and its
+        stall cycles (``extra``) from its event counts."""
+        values = {"read_hits": counts["read_hits"],
+                  "write_hits": counts["write_hits"],
+                  "write_misses": counts[_WRITE_SRAM] - counts["write_hits"],
+                  "evictions": counts["evictions"],
+                  "flushes": counts["flushes"],
+                  "buckets": [0] * 16}
+        for name in ("read_misses", "bypasses", "miss_sum", "extra",
+                     "transfers", "bursts", "beats", "waits", "sram_reads",
+                     "sram_writes", "apb"):
+            values[name] = 0
+        nwords = geometry.line_size // 4
+        for kind, wait in self._fill_waits.items():
+            misses = counts["miss", kind]
+            cycles = self._overhead + nwords + wait * nwords
+            values["read_misses"] += misses
+            values["miss_sum"] += misses * cycles
+            values["extra"] += misses * cycles
+            bucket = cycles.bit_length()
+            values["buckets"][bucket if bucket < 15 else 15] += misses
+            values["transfers"] += misses
+            values["bursts"] += misses
+            values["beats"] += misses * nwords
+            values["waits"] += misses * wait * nwords
+            if kind == _READ_SRAM:
+                values["sram_reads"] += misses * nwords
+        values["fills"] = values["read_misses"]
+        for kind, single in self._single.items():
+            transfers = counts[kind]
+            if kind != _WRITE_SRAM:
+                values["bypasses"] += transfers
+            cycles, sram_reads, sram_writes, apb, wait = single
+            values["extra"] += cycles * transfers
+            values["transfers"] += transfers
+            values["beats"] += transfers
+            values["waits"] += wait * transfers
+            values["sram_reads"] += sram_reads * transfers
+            values["sram_writes"] += sram_writes * transfers
+            values["apb"] += apb * transfers
+        return values
+
+    # -- the report ----------------------------------------------------------
+
+    def report(self, config: ArchitectureConfig) -> SimReport:
+        """``Simulator(config).run(image, max_instructions)``'s report,
+        from the recording (no memory trace, as a sweep captures none)."""
+        if config.prefetch != "none":
+            raise ReplayUnsupported("prefetch")
+        if self.unsupported is not None:
+            raise ReplayUnsupported(self.unsupported)
+        timing = config.timing()
+        issue = self._issue(timing)
+        fetch_boot, fetch_window = self._fetch(config.icache)
+        data_boot, data_window = self._data(config.dcache)
+        fetch = self._priced(fetch_window, config.icache)
+        data = self._priced(data_window, config.dcache)
+
+        def both(name: str) -> int:
+            return fetch[name] + data[name]
+
+        mem_stall = (data["extra"]
+                     + data["flushes"] * _flush_cycles(config.dcache)
+                     + data_window[_IFLUSH] * _flush_cycles(config.icache))
+        cycles = (issue["issue"] + fetch["extra"] + mem_stall
+                  + issue["annulled"] * timing.annulled_slot_cycles
+                  + issue["traps"] * timing.trap_entry_cycles
+                  + issue["taken"] * timing.taken_cti_penalty)
+        cpu = SimpleNamespace(
+            instret=issue["instret"], cycles=cycles,
+            trap_count=issue["traps"], pipeline_flushes=issue["traps"],
+            fetch_stall_cycles=fetch["extra"], mem_stall_cycles=mem_stall,
+            annulled_slots=issue["annulled"], taken_ctis=issue["taken"],
+            cti_penalty_cycles=issue["taken"] * timing.taken_cti_penalty,
+            pipeline=SimpleNamespace(interlock_stalls=issue["interlocks"]))
+        window = SimpleNamespace(
+            cpu=cpu,
+            counters=dict.fromkeys(FASTPATH_SERIES + SAMPLING_SERIES, 0),
+            icache=_controller("icache", config.icache, fetch),
+            dcache=_controller("dcache", config.dcache, data),
+            bus=SimpleNamespace(
+                transfers=both("transfers"), burst_transfers=both("bursts"),
+                data_beats=both("beats"), wait_states=both("waits"),
+                error_count=0),
+            apb=SimpleNamespace(accesses=both("apb"),
+                                penalty_cycles=self._apb_penalty),
+            sram=SimpleNamespace(reads=both("sram_reads"),
+                                 writes=both("sram_writes")))
+        recorded = self.recorded
+        totals = {name: self._priced(boot + window_counts, geometry)
+                  for name, geometry, boot, window_counts in (
+                      ("icache", config.icache, fetch_boot, fetch_window),
+                      ("dcache", config.dcache, data_boot, data_window))}
+        return SimReport(
+            cycles=cycles,
+            instructions=recorded.instructions,
+            instruction_mix=dict(recorded.instruction_mix),
+            dcache=CacheController.stats_dict(
+                _controller("dcache", config.dcache, totals["dcache"])),
+            icache=CacheController.stats_dict(
+                _controller("icache", config.icache, totals["icache"])),
+            memory_trace=MemoryTrace.empty(),
+            result_word=recorded.result_word,
+            uart_output=recorded.uart_output,
+            obs=point_snapshot(simulator_snapshot(window), {}),
+        )
+
+
+def _data_pass(tags: _Tags, kinds: list[int], lines: list[int], lo: int,
+               hi: int) -> Counter:
+    """The tag-dependent events of references ``lo:hi``: read hits,
+    misses per kind, write hits, evictions."""
+    lookup, fill = tags.lookup, tags.fill
+    evictions = tags.evictions
+    read_hits = write_hits = 0
+    misses = {_READ_SRAM: 0, _READ_PROM: 0}
+    for index in range(lo, hi):
+        kind = kinds[index]
+        if kind == _WRITE_SRAM:
+            write_hits += lookup(lines[index])
+        elif kind == _READ_SRAM or kind == _READ_PROM:
+            line = lines[index]
+            if lookup(line):
+                read_hits += 1
+            else:
+                misses[kind] += 1
+                fill(line)
+        elif kind == _DFLUSH:
+            tags.invalidate()
+    counts = Counter(read_hits=read_hits, write_hits=write_hits,
+                     evictions=tags.evictions - evictions)
+    for kind, count in misses.items():
+        counts["miss", kind] = count
+    return counts
+
+
+def _flush_cycles(geometry: CacheGeometry) -> int:
+    """CacheController's default flush cost: one cycle per line."""
+    return geometry.sets * geometry.ways
+
+
+def _controller(name: str, geometry: CacheGeometry,
+                values: dict) -> SimpleNamespace:
+    """A stand-in with the attributes CacheController.stats_dict and the
+    obs collectors read."""
+    stats = CacheStats(
+        read_hits=values["read_hits"], read_misses=values["read_misses"],
+        write_hits=values["write_hits"], write_misses=values["write_misses"],
+        evictions=values["evictions"], flushes=values["flushes"])
+    return SimpleNamespace(
+        name=name, geometry=geometry, stats=stats,
+        cache=SimpleNamespace(stats=stats), fill_count=values["fills"],
+        bypass_count=values["bypasses"], prefetcher=None,
+        miss_cycle_buckets=values["buckets"],
+        miss_cycles_sum=values["miss_sum"])
+
+
+def _issue_table(block, plan) -> tuple:
+    """A block's issue cost per retired prefix: ``(cost, stalls,
+    first instruction's interlock sources, load destinations)`` —
+    ``cost[r]``/``stalls[r]`` cover ``insts[:r]`` with the interlocks
+    inside the prefix; the one into ``insts[0]`` depends on the carry."""
+    plans = [plan(inst) for inst in block.insts]
+    cost, stalls = [0], [0]
+    total = bubbles = 0
+    for k, (base, sources, _) in enumerate(plans):
+        if k and plans[k - 1][2] in sources:
+            total += 1
+            bubbles += 1
+        total += base
+        cost.append(total)
+        stalls.append(bubbles)
+    return cost, stalls, plans[0][1], [load_rd for _, _, load_rd in plans]
+
+
+def _smc_hazard(recording: Recording, refs: np.ndarray) -> bool:
+    """Whether some word stored by the program is read as code again
+    with no I-cache flush in between — the only way the accurate
+    engine's I-cache could serve a stale word.  (Every read of code
+    after a store is visible: the translator and the decode memo drop
+    what a store overlaps, so re-executing it means reading it again.)"""
+    sizes = (refs >> np.uint64(1)) & np.uint64(7)
+    store_at = np.nonzero((sizes != 0) & ((refs & np.uint64(REF_WRITE)) != 0))[0]
+    if not len(store_at):
+        return False
+    store_words = ((refs[store_at] >> np.uint64(4)) & ~np.uint64(3)).tolist()
+    stores: dict[int, list[int]] = {}
+    for at, word in zip(store_at.tolist(), store_words):
+        stores.setdefault(word, []).append(at)
+    flushes = np.nonzero(refs == REF_IFLUSH)[0].tolist()
+    for lo, hi, at in zip(recording.code_lo, recording.code_hi,
+                          recording.code_at):
+        for word in range(lo, hi, 4):
+            positions = stores.get(word)
+            if positions is None:
+                continue
+            last = bisect_left(positions, at) - 1
+            if last < 0:
+                continue
+            flush = bisect_right(flushes, positions[last])
+            if flush == len(flushes) or flushes[flush] >= at:
+                return True
+    return False

@@ -20,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
-import numpy as np
-
 from repro.analysis.trace import MemoryTrace, TraceRecorder
 from repro.bus.ahb import AhbBus
 from repro.bus.apb import ApbBridge
@@ -170,7 +168,14 @@ class MixRecorder:
 
 @dataclass
 class SimReport:
-    """What one simulated execution measured."""
+    """What one simulated execution measured.
+
+    ``cycles``, ``instructions``, ``instruction_mix`` and ``obs`` cover
+    the program window (dispatch to the return to the polling loop);
+    ``dcache``/``icache`` are the caches' totals since the machine was
+    built, boot included — for ``return 6 * 7`` the ``icache`` dict
+    shows 9 read misses where ``obs`` shows 4.
+    """
 
     cycles: int
     instructions: int
@@ -410,17 +415,22 @@ class Simulator:
         positioned at the program's first instruction."""
         if warmup_engine not in ("fast", "translated", "accurate"):
             raise ValueError(f"unknown warmup engine '{warmup_engine}'")
-        poll = self.rom_info.poll_address
         if warmup_engine == "translated":
             engine = self.translated_unit()
         elif warmup_engine == "fast":
             engine = self.functional_unit()
         else:
             engine = self.cpu
-        engine.run(max_instructions=100_000, until_pc=poll)
+        self._dispatch_on(engine, image)
+        return engine
+
+    def _dispatch_on(self, engine, image: Image) -> None:
+        """Boot *engine* (any engine over this machine) to the polling
+        loop, load *image*, and run it to the program's entry."""
+        engine.run(max_instructions=100_000,
+                   until_pc=self.rom_info.poll_address)
         self._load_image(image)
         engine.run(max_instructions=10_000, until_pc=image.entry)
-        return engine
 
     def _load_image(self, image: Image) -> None:
         """Deposit the program and set the mailbox (the Sim box has no
@@ -501,11 +511,8 @@ class Simulator:
         # re-dispatching (leon_ctrl's job on the real platform).
         self.sram.host_write_word(self.memmap.mailbox_start, 0)
 
-        if self.recorder is not None:
-            trace = self.recorder.trace()
-        else:
-            trace = MemoryTrace(np.zeros(0, np.uint64), np.zeros(0, np.uint8),
-                                np.zeros(0, bool), np.zeros(0, bool))
+        trace = (self.recorder.trace() if self.recorder is not None
+                 else MemoryTrace.empty())
         fastpath = ({"fast_forward": fast_forward,
                      "warmup_engine": provenance,
                      "warmup_instructions": warmup_instructions}
@@ -587,16 +594,13 @@ class Simulator:
             fastpath["blocks_translated"] = fast.blocks_translated
             fastpath["blocks_executed"] = fast.blocks_executed
             fastpath["blocks_invalidated"] = fast.blocks_invalidated
-        empty_trace = MemoryTrace(np.zeros(0, np.uint64),
-                                  np.zeros(0, np.uint8),
-                                  np.zeros(0, bool), np.zeros(0, bool))
         return SimReport(
             cycles=window,
             instructions=retired,
             instruction_mix=mix_recorder.mix(),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
-            memory_trace=empty_trace,
+            memory_trace=MemoryTrace.empty(),
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
             obs={},

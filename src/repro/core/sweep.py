@@ -11,6 +11,10 @@ analogue for the *evaluation* side of that loop:
   images, either serially or across worker processes.  Both executors
   produce byte-identical results in the deterministic order of the
   space, so parallelism is purely a wall-clock optimisation.
+* full-detail points sharing an image and an architecture are
+  evaluated together: one recording run on the translated engine, then
+  each point's record replayed from it (:mod:`repro.core.replay`),
+  byte-identical to the accurate engine, with counted fallbacks;
 * :class:`ResultCache` memoises finished points under
   ``(image digest, config fingerprint)`` with an in-memory layer and an
   optional on-disk JSON layer, so re-running a sweep skips
@@ -36,8 +40,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.core.config import ArchitectureConfig
+from repro.core.replay import (
+    FALLBACK_CAUSES,
+    Replayer,
+    ReplayUnsupported,
+)
+from repro.core.replay import record as record_program
 from repro.core.sampling import SampledRunner, SamplingPlan
-from repro.core.sim import Simulator
+from repro.core.sim import SimReport, Simulator
+from repro.cpu import traps
 from repro.core.synthesis import SynthesisModel
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.toolchain.objfile import Image
@@ -60,6 +71,10 @@ SCHEMA_VERSION = 5
 _RECORD_FIELDS = ("cycles", "instructions", "instruction_mix", "dcache",
                   "icache", "result_word", "uart_hex", "frequency_mhz",
                   "slices", "block_rams")
+
+#: Key of the integrity digest stored beside each on-disk record: a
+#: truncated or bit-flipped file fails it and is a miss.
+_DIGEST_KEY = "sha256"
 
 #: Default instruction budget per simulated point.
 DEFAULT_MAX_INSTRUCTIONS = 20_000_000
@@ -86,7 +101,12 @@ def image_digest(image: Image) -> str:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One evaluated (image, configuration) pair."""
+    """One evaluated (image, configuration) pair.
+
+    As in :class:`~repro.core.sim.SimReport`, ``cycles`` and ``obs``
+    cover the program window while ``dcache``/``icache`` are totals
+    since the machine was built, boot included.
+    """
 
     index: int
     config: ArchitectureConfig
@@ -226,14 +246,8 @@ class ResultCache:
             self.stats.memory_hits += 1
             return record, "memory"
         if self.cache_dir is not None:
-            path = self._path(digest, fingerprint)
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                record = None
-            if (isinstance(record, dict)
-                    and record.get("schema") == SCHEMA_VERSION
-                    and all(name in record for name in _RECORD_FIELDS)):
+            record = _load_record(self._path(digest, fingerprint))
+            if record is not None:
                 self._memory[(digest, fingerprint)] = record
                 self.stats.disk_hits += 1
                 return record, "disk"
@@ -247,10 +261,35 @@ class ResultCache:
             return
         path = self._path(digest, fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(record, sort_keys=True, indent=1)
+        blob = json.dumps({**record, _DIGEST_KEY: _record_digest(record)},
+                          sort_keys=True, indent=1)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(blob)
         os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
+
+
+def _record_digest(record: dict) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True,
+                                     separators=(",", ":")).encode()
+                          ).hexdigest()
+
+
+def _load_record(path: Path) -> dict | None:
+    """The record stored at *path*, or ``None`` unless it is intact:
+    valid JSON, the sha256 ``put`` stored beside it, the current schema
+    and every field :meth:`SweepRunner._point` reads."""
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(record, dict):
+        return None
+    stored = record.pop(_DIGEST_KEY, None)
+    if (stored != _record_digest(record)
+            or record.get("schema") != SCHEMA_VERSION
+            or not all(name in record for name in _RECORD_FIELDS)):
+        return None
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +381,14 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, int,
         return record, time.perf_counter() - start
     report = Simulator(config, capture_memory_trace=False).run(
         image, max_instructions=max_instructions, fast_forward=fast_forward)
-    record = {
+    return (_report_record(config, report, utilization),
+            time.perf_counter() - start)
+
+
+def _report_record(config: ArchitectureConfig, report: SimReport,
+                   utilization) -> dict:
+    """The cacheable record of one full-detail (or windowed) point."""
+    return {
         "schema": SCHEMA_VERSION,
         "config_key": config.key(),
         "cycles": report.cycles,
@@ -357,7 +403,51 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, int,
         "block_rams": utilization.block_rams,
         "obs": report.obs,
     }
-    return record, time.perf_counter() - start
+
+
+#: ``path`` of a point :func:`_evaluate_group` replayed; any other path
+#: it returns is the fallback cause (one of ``FALLBACK_CAUSES``).
+REPLAYED = "replayed"
+
+
+def _evaluate_group(tasks) -> list[tuple[dict, float, str]]:
+    """Evaluate the full-detail points of one ``(image, arch_key)``
+    group: run the program once on the recording engine, then replay
+    each point from that recording (:mod:`repro.core.replay`) — the
+    same record ``_evaluate_task`` would produce, byte for byte.  A
+    point falls back to :func:`_evaluate_task` only where replay cannot
+    be exact.  Returns ``(record, wall seconds, path)`` per task, in
+    order, *path* being :data:`REPLAYED` or the fallback cause.  Serial
+    and parallel sweeps both evaluate whole groups through here."""
+    started = time.perf_counter()
+    replayer, cause = None, "prefetch"  # the cause if nothing records
+    replayable = [task for task in tasks if task[0].prefetch == "none"]
+    if replayable:
+        config, image, max_instructions, _, _ = replayable[0]
+        try:
+            replayer = Replayer(record_program(config, image,
+                                                max_instructions))
+        except (traps.WatchdogExpired, traps.ErrorMode):
+            # The accurate engine raises it again, from the same step.
+            cause = "error"
+    shared = (time.perf_counter() - started) / len(tasks)
+    results = []
+    for task in tasks:
+        start = time.perf_counter()
+        config = task[0]
+        try:
+            if replayer is None:
+                raise ReplayUnsupported(cause)
+            report = replayer.report(config)
+        except ReplayUnsupported as exc:
+            fallback, wall = _evaluate_task(task)
+            results.append((fallback, wall + shared, exc.cause))
+            continue
+        point = _report_record(config, report,
+                               SynthesisModel().estimate(config))
+        results.append((point, time.perf_counter() - start + shared,
+                        REPLAYED))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +666,14 @@ class SweepRunner:
         plan's token, so sampled records never collide with exact ones.
         The two modes are mutually exclusive — a sampled run does its
         own fast-forwarding.
+
+        Full-detail points (neither mode) are replayed: each group of
+        points sharing an image and an architecture runs once on the
+        recording engine and every point's record is computed from that
+        recording (:mod:`repro.core.replay`), byte-identical to running
+        it on the accurate engine.  ``sweep.replayed_points`` and
+        ``sweep.replay_fallbacks{cause=...}`` in :attr:`obs` count what
+        was replayed and what fell back to the accurate engine.
         """
         started = time.perf_counter()
         if fast_forward < 0:
@@ -627,7 +725,12 @@ class SweepRunner:
                 else:
                     stats.disk_hits += 1
             else:
-                record, wall = next(fresh)
+                record, wall, path = next(fresh)
+                if path == REPLAYED:
+                    self.obs.counter("sweep.replayed_points").inc()
+                elif path is not None:
+                    self.obs.counter("sweep.replay_fallbacks",
+                                     cause=path).inc()
                 stats.simulated += 1
                 stats.sim_seconds += wall
                 layer = "simulated"
@@ -711,6 +814,9 @@ class SweepRunner:
         obs.counter("sweep.simulated").inc(stats.simulated)
         obs.counter("sweep.memory_hits").inc(stats.memory_hits)
         obs.counter("sweep.disk_hits").inc(stats.disk_hits)
+        obs.counter("sweep.replayed_points")
+        for cause in FALLBACK_CAUSES:
+            obs.counter("sweep.replay_fallbacks", cause=cause)
         obs.gauge("sweep.workers").set(self.workers)
         if stats.simulated and stats.wall_seconds > 0:
             lanes = max(self.workers, 1)
@@ -720,24 +826,56 @@ class SweepRunner:
     # ------------------------------------------------------------------
 
     def _evaluate(self, tasks):
-        """Yield (record, wall) per task, in task order."""
+        """Yield ``(record, wall, path)`` per task, in task order.
+
+        Full-detail tasks are evaluated in ``(image, arch_key)`` groups
+        (:func:`_evaluate_group`; *path* says whether the point was
+        replayed or why it fell back); windowed and sampled tasks one
+        by one (*path* is ``None``).  All tasks of one sweep share the
+        same ``fast_forward`` and sampling plan."""
         if not tasks:
             return iter(())
-        if self.workers <= 1:
-            if tasks[0][4] is not None:
-                # All tasks of one sweep share the same sampling plan;
-                # the shared path amortizes survey/checkpoint passes
+        _, _, _, fast_forward, sampling = tasks[0]
+        if sampling is not None or fast_forward:
+            if self.workers <= 1 and sampling is not None:
+                # The shared path amortizes survey/checkpoint passes
                 # across each (image, family) group.
-                return _evaluate_sampled_shared(tasks)
-            return map(_evaluate_task, tasks)
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
+                results = _evaluate_sampled_shared(tasks)
+            else:
+                results = self._map(_evaluate_task, tasks)
+            return ((record, wall, None) for record, wall in results)
+        groups: dict[tuple, list[int]] = {}
+        for index, (config, image, max_instructions, _, _) in \
+                enumerate(tasks):
+            groups.setdefault((id(image), config.arch_key(),
+                               max_instructions), []).append(index)
+        members = list(groups.values())
+        results = self._map(_evaluate_group,
+                            [[tasks[i] for i in group] for group in members])
+
+        def in_task_order():
+            done: dict[int, tuple] = {}
+            pending = zip(members, results)
+            for index in range(len(tasks)):
+                while index not in done:
+                    group, group_results = next(pending)
+                    done.update(zip(group, group_results))
+                yield done.pop(index)
+
+        return in_task_order()
+
+    def _map(self, function, items):
+        """``map(function, items)`` serially or over a process pool."""
+        if self.workers <= 1:
+            return map(function, items)
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(items)))
 
         def results():
             with pool:
                 # Executor.map preserves submission order, so consuming
-                # it keeps the sweep deterministic while points complete
+                # it keeps the sweep deterministic while items complete
                 # out of order across workers.
-                yield from pool.map(_evaluate_task, tasks, chunksize=1)
+                yield from pool.map(function, items, chunksize=1)
 
         return results()
 

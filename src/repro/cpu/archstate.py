@@ -189,28 +189,37 @@ class ArchState:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ArchState":
-        if payload.get("schema") != PAYLOAD_SCHEMA:
+        """Rebuild a state from :meth:`to_payload`'s output.  Anything
+        else — a stale schema, a missing or mistyped field, a truncated
+        or corrupt memory blob — raises :class:`ValueError`, and only
+        that."""
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema != PAYLOAD_SCHEMA:
             raise ValueError(
                 f"unsupported ArchState payload schema "
-                f"{payload.get('schema')!r} (want {PAYLOAD_SCHEMA})")
-        return cls(
-            nwindows=payload["nwindows"],
-            pc=payload["pc"], npc=payload["npc"], annul=payload["annul"],
-            halted=payload["halted"], error_tt=payload["error_tt"],
-            psr=payload["psr"], wim=payload["wim"], tbr=payload["tbr"],
-            y=payload["y"],
-            cwp=payload["cwp"],
-            globals_=tuple(payload["globals"]),
-            window_regs=tuple(payload["window_regs"]),
-            asr={int(k): v for k, v in payload["asr"].items()},
-            retired=payload["retired"],
-            traps_taken=payload["traps_taken"],
-            memory={name: zlib.decompress(base64.b64decode(blob))
-                    for name, blob in payload["memory"].items()},
-            peripherals=payload["peripherals"],
-            clock_cycles=payload["clock_cycles"],
-            rng=_rng_from_json(payload["rng"]),
-        )
+                f"{schema!r} (want {PAYLOAD_SCHEMA})")
+        try:
+            return cls(
+                nwindows=payload["nwindows"],
+                pc=payload["pc"], npc=payload["npc"], annul=payload["annul"],
+                halted=payload["halted"], error_tt=payload["error_tt"],
+                psr=payload["psr"], wim=payload["wim"], tbr=payload["tbr"],
+                y=payload["y"],
+                cwp=payload["cwp"],
+                globals_=tuple(payload["globals"]),
+                window_regs=tuple(payload["window_regs"]),
+                asr={int(k): v for k, v in payload["asr"].items()},
+                retired=payload["retired"],
+                traps_taken=payload["traps_taken"],
+                memory={name: zlib.decompress(base64.b64decode(blob))
+                        for name, blob in payload["memory"].items()},
+                peripherals=payload["peripherals"],
+                clock_cycles=payload["clock_cycles"],
+                rng=_rng_from_json(payload["rng"]),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError,
+                zlib.error) as exc:
+            raise ValueError(f"malformed ArchState payload: {exc!r}") from exc
 
     def digest(self) -> str:
         """Stable identity of the *architectural* content (the fields

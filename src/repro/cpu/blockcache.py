@@ -35,6 +35,8 @@ in ``tests/difftest`` runs in translated mode to prove it.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.cpu import isa, traps
 from repro.cpu.decode import DecodedInstruction
 from repro.cpu.fastpath import FunctionalUnit, _resolve_handler
@@ -42,7 +44,8 @@ from repro.cpu.isa import Cond, Op3, Op3Mem
 from repro.cpu.iu import IntegerUnit
 from repro.utils import u32
 
-__all__ = ["TranslatedUnit", "TranslatedBlock", "MAX_BLOCK", "MAX_BLOCKS"]
+__all__ = ["TranslatedUnit", "TranslatedBlock", "MAX_BLOCK", "MAX_BLOCKS",
+           "Recording", "RecordingUnit"]
 
 #: Longest block, in instructions (CTI + delay slot included).
 MAX_BLOCK = 64
@@ -52,6 +55,16 @@ MAX_BLOCKS = 4096
 PAGE_SHIFT = 8
 
 _M32 = 0xFFFFFFFF
+
+# Recording-mode encodings (see :class:`Recording`).  A block exit is
+# ``block id << 16 | steps << 9 | retired << 2 | taken << 1 | annulled``;
+# an interpreted step is one of the negative STEP_* codes.
+EXIT_TAKEN, EXIT_ANNULLED = 2, 1
+STEP_RETIRED, STEP_TAKEN, STEP_ANNULLED, STEP_TRAPPED = -1, -2, -3, -4
+# A data reference is ``address << 4 | size << 1 | write``; size 0 marks
+# a cache flush in the same column (REF_IFLUSH: I-cache, else D-cache).
+REF_WRITE = 1
+REF_DFLUSH, REF_IFLUSH = 0, 1
 
 # Instruction roles during block discovery.
 _PLAIN, _CTI, _BREAK = 0, 1, 2
@@ -162,12 +175,20 @@ class _Codegen:
     condition codes are bit operations on ``ctrl.psr``; loads and stores
     carry an inline fast path over the largest writable RAM region with
     the slow path (MMIO, faults, coherence) delegated to the unit's own
-    ``data_read``/``data_write``."""
+    ``data_read``/``data_write``.
 
-    def __init__(self, unit, entry, insts, cti):
+    A recording unit's blocks are a separate variant: the inline RAM
+    paths also log their data reference (``_D``) and every exit logs
+    its exit code (``_EV``); ``tk`` tracks whether the block's CTI was
+    taken, for a trap in its delay slot."""
+
+    def __init__(self, unit, entry, insts, cti, block_id=None):
         self.entry = entry
         self.insts = insts
         self.cti = cti
+        #: The recording's id for this code, or None (plain variant).
+        self.block_id = block_id
+        self.recording = block_id is not None
         ram = unit._ram
         self.has_ram = ram is not None
         if self.has_ram:
@@ -232,9 +253,19 @@ class _Codegen:
         self.emit(ind, f"u.npc = {npc}")
         self.emit(ind, f"n = {k}")
 
+    def _record_exit(self, ind: int, steps: int, retired: int,
+                     taken: bool, annulled: bool = False) -> None:
+        """Recording variant: log this (static) exit's code."""
+        if self.recording:
+            code = (self.block_id << 16 | steps << 9 | retired << 2
+                    | (EXIT_TAKEN if taken else 0)
+                    | (EXIT_ANNULLED if annulled else 0))
+            self.emit(ind, f"_EV({code})")
+
     def _bail(self, ind: int, k: int, pc: int) -> None:
         """Leave the block after instruction *k* retired (its decoded
         successors may be stale): straight-line continuation."""
+        self._record_exit(ind, k + 1, k + 1, False)
         self.emit(ind, f"u.pc = {(pc + 4) & _M32}")
         self.emit(ind, f"u.npc = {(pc + 8) & _M32}")
         self.emit(ind, f"u.cycles += {k + 1}")
@@ -353,6 +384,8 @@ class _Codegen:
                 if signed:
                     self.emit(ind + 1, "if vr & 0x80:")
                     self.emit(ind + 2, "vr |= 0xFFFFFF00")
+            if self.recording:
+                self.emit(ind + 1, f"_D(ea << 4 | {size << 1})")
             self.emit(ind, "else:")
             self._guard(ind + 1, k, pc, npc)
             self.emit(ind + 1,
@@ -390,6 +423,8 @@ class _Codegen:
                 self.emit(ind + 1, "_B[of + 1] = vv & 255")
             else:
                 self.emit(ind + 1, "_B[of] = vv & 255")
+            if self.recording:
+                self.emit(ind + 1, f"_D(ea << 4 | {size << 1 | REF_WRITE})")
             self.emit(ind, "else:")
             slow_ind = ind + 1
         self._guard(slow_ind, k, pc, npc)
@@ -414,7 +449,8 @@ class _Codegen:
     # -- block endings -----------------------------------------------------
 
     def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
-                  annulled=False) -> None:
+                  taken, annulled=False) -> None:
+        self._record_exit(ind, steps, retired, taken, annulled)
         self.emit(ind, f"u.pc = {pc_expr}")
         self.emit(ind, f"u.npc = {npc_expr}")
         if annulled:
@@ -425,20 +461,23 @@ class _Codegen:
 
     def _emit_taken_arm(self, ind, c, target_pc, target_npc, annul) -> None:
         if annul:
-            self._epilogue(ind, target_pc, target_npc, c + 2, c + 1,
+            self._epilogue(ind, target_pc, target_npc, c + 2, c + 1, True,
                            annulled=True)
         else:
+            if self.recording:
+                self.emit(ind, f"tk = {EXIT_TAKEN}")
             self.emit_inst(ind, c + 1, target_pc, in_slot=True)
-            self._epilogue(ind, target_pc, target_npc, c + 2, c + 2)
+            self._epilogue(ind, target_pc, target_npc, c + 2, c + 2, True)
 
     def _emit_untaken_arm(self, ind, c, pc_c, annul) -> None:
         cont = (pc_c + 8) & _M32
         if annul:
             self._epilogue(ind, cont, (pc_c + 12) & _M32, c + 2, c + 1,
-                           annulled=True)
+                           False, annulled=True)
         else:
             self.emit_inst(ind, c + 1, str(cont), in_slot=True)
-            self._epilogue(ind, cont, (pc_c + 12) & _M32, c + 2, c + 2)
+            self._epilogue(ind, cont, (pc_c + 12) & _M32, c + 2, c + 2,
+                           False)
 
     def _emit_cti(self, ind: int) -> None:
         c = self.cti
@@ -466,8 +505,11 @@ class _Codegen:
         self.emit(ind, "u._transfer_target = None")
         self.emit(ind, f"_H[{c}](u, _I[{c}])")
         self.emit(ind, "tgt = u._transfer_target")
+        if self.recording:
+            self.emit(ind, f"tk = {EXIT_TAKEN}")
         self.emit_inst(ind, c + 1, "tgt", in_slot=True)
-        self._epilogue(ind, "tgt", "(tgt + 4) & 0xFFFFFFFF", c + 2, c + 2)
+        self._epilogue(ind, "tgt", "(tgt + 4) & 0xFFFFFFFF", c + 2, c + 2,
+                       True)
 
     # -- whole function ----------------------------------------------------
 
@@ -476,9 +518,15 @@ class _Codegen:
         # ctrl/G/W are bound as defaults at compile time (blocks are
         # per-unit, and the unit shares these objects for its lifetime)
         # so the prologue is two statements, not six.
-        e(0, "def _block(u, ctrl=_ctrl, G=_G, W=_W, _RT=_RT):")
+        if self.recording:
+            e(0, "def _block(u, ctrl=_ctrl, G=_G, W=_W, _RT=_RT, _D=_D,"
+                 " _EV=_EV):")
+        else:
+            e(0, "def _block(u, ctrl=_ctrl, G=_G, W=_W, _RT=_RT):")
         self._emit_window_bases(1)
         e(1, "n = 0")
+        if self.recording:
+            e(1, "tk = 0")
         e(1, "try:")
         straight = self.cti if self.cti is not None else len(self.insts)
         for k in range(straight):
@@ -488,8 +536,11 @@ class _Codegen:
             self._emit_cti(2)
         else:
             end = (self.entry + 4 * straight) & _M32
-            self._epilogue(2, end, (end + 4) & _M32, straight, straight)
+            self._epilogue(2, end, (end + 4) & _M32, straight, straight,
+                           False)
         e(1, "except _Trap as trap:")
+        if self.recording:
+            e(2, f"_EV({self.block_id << 16} | (n + 1) << 9 | n << 2 | tk)")
         e(2, "u.cycles += n")
         e(2, "u.instret += n")
         e(2, "u._enter_trap(trap)")
@@ -505,7 +556,12 @@ _PURE_LOADS = frozenset(_LOADS) | {Op3Mem.LDD}
 
 def _compile_block(unit, entry: int, insts: list, cti: int | None
                    ) -> TranslatedBlock:
-    gen = _Codegen(unit, entry, insts, cti)
+    recording = unit.recording
+    block_id = None
+    if recording is not None:
+        block_id = recording._ids.setdefault(
+            (entry, tuple(inst.word for inst in insts)), len(recording._ids))
+    gen = _Codegen(unit, entry, insts, cti, block_id)
     source = gen.source()
     handlers = tuple(_resolve_handler(inst) or IntegerUnit._dispatch
                      for inst in insts)
@@ -527,6 +583,9 @@ def _compile_block(unit, entry: int, insts: list, cti: int | None
         "_W": unit.regs._window_regs,
         "_RT": row_table,
     }
+    if recording is not None:
+        namespace["_D"] = recording.refs.append
+        namespace["_EV"] = recording.events.append
     exec(compile(source, f"<block 0x{entry:08x}>", "exec"), namespace)
     length = len(insts)
     pages = tuple(range(entry >> PAGE_SHIFT,
@@ -535,8 +594,11 @@ def _compile_block(unit, entry: int, insts: list, cti: int | None
         (inst.op == isa.OP_MEM and inst.op3 not in _PURE_LOADS)
         or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH)
         for inst in insts)
-    return TranslatedBlock(entry, length, namespace["_block"],
-                           tuple(insts), pages, source, writes)
+    block = TranslatedBlock(entry, length, namespace["_block"],
+                            tuple(insts), pages, source, writes)
+    if block_id is not None and block_id == len(recording.blocks):
+        recording.blocks.append(block)
+    return block
 
 
 class TranslatedUnit(FunctionalUnit):
@@ -557,6 +619,10 @@ class TranslatedUnit(FunctionalUnit):
     never reaches it.  Set both to observe every retirement (see
     :class:`~repro.core.sim.MixRecorder`).
     """
+
+    #: The :class:`Recording` a :class:`RecordingUnit` fills; ``None``
+    #: selects the plain (non-recording) block variant.
+    recording = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -738,3 +804,125 @@ class TranslatedUnit(FunctionalUnit):
         raise traps.WatchdogExpired(
             f"did not reach pc=0x{until_pc:08x} within "
             f"{max_instructions} instructions")
+
+
+class Recording:
+    """The step stream a :class:`RecordingUnit` executed, in the columns
+    the accurate engine's caches and pipeline would have consumed it.
+
+    * ``events`` — one entry per block execution or interpreted step, in
+      execution order: a block exit ``block id << 16 | steps << 9 |
+      retired << 2 | taken << 1 | annulled`` (the block fetched
+      ``steps`` consecutive words from its entry; a trap, if any, is
+      the step neither retired nor annulled), or a negative ``STEP_*``
+      code whose pc and instruction word (0 unless retired) are the
+      next entries of ``step_pcs``/``step_words``;
+    * ``blocks`` — the translated blocks, indexed by block id; a block
+      re-translated with the same entry and words (after a FLUSH, say)
+      keeps its id, so a flushing hot loop does not grow the list;
+    * ``refs`` — data references in exact ``data_read``/``data_write``
+      call order, ``address << 4 | size << 1 | write``, with each cache
+      flush as a size-0 marker (``REF_IFLUSH``/``REF_DFLUSH``) in place;
+    * ``iflushes`` — for each I-cache flush, the index of the event
+      during which it happened (the flush follows that event's fetches);
+    * ``code_lo``/``code_hi``/``code_at`` — every read of code from
+      memory that can execute (a translation up to its first FLUSH, or
+      an interpreted step's fetch): the word range and ``len(refs)`` at
+      that moment, for the SMC check.
+
+    :meth:`mark` snapshots the column lengths, so a consumer can split
+    the stream into phases (boot and dispatch vs the program window).
+    """
+
+    def __init__(self):
+        self.blocks: list[TranslatedBlock] = []
+        self._ids: dict[tuple, int] = {}
+        self.events = array("q")
+        self.step_pcs = array("Q")
+        self.step_words = array("Q")
+        self.refs = array("Q")
+        self.iflushes = array("Q")
+        self.code_lo = array("Q")
+        self.code_hi = array("Q")
+        self.code_at = array("Q")
+
+    def mark(self) -> tuple[int, int]:
+        """``(events, refs)`` recorded so far."""
+        return len(self.events), len(self.refs)
+
+    def _code_read(self, lo: int, hi: int) -> None:
+        self.code_lo.append(lo)
+        self.code_hi.append(hi)
+        self.code_at.append(len(self.refs))
+
+
+class RecordingUnit(TranslatedUnit):
+    """A :class:`TranslatedUnit` that records its step stream into
+    :attr:`recording` as it runs — same architectural results, same
+    ``run``/``fast_forward`` step contract and budgets, with every
+    block compiled in the recording variant."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recording = Recording()
+        self._retired = None
+
+    def data_read(self, address: int, size: int, *, signed: bool) -> int:
+        self.recording.refs.append((address & _M32) << 4 | size << 1)
+        return super().data_read(address, size, signed=signed)
+
+    def data_write(self, address: int, size: int, value: int) -> None:
+        self.recording.refs.append(
+            (address & _M32) << 4 | size << 1 | REF_WRITE)
+        super().data_write(address, size, value)
+
+    def flush_icache(self) -> None:
+        recording = self.recording
+        recording.refs.append(REF_IFLUSH)
+        recording.iflushes.append(len(recording.events))
+        super().flush_icache()
+
+    def flush_dcache(self) -> None:
+        self.recording.refs.append(REF_DFLUSH)
+        super().flush_dcache()
+
+    def _translate(self, entry: int) -> TranslatedBlock | None:
+        block = super()._translate(entry)
+        if block is not None:
+            # Words past a FLUSH never execute from this translation: the
+            # FLUSH bails out of the block and drops every translation.
+            executable = next((k + 1 for k, inst in enumerate(block.insts)
+                               if inst.op == isa.OP_ARITH
+                               and inst.op3 == Op3.FLUSH), block.length)
+            self.recording._code_read(entry, entry + 4 * executable)
+        return block
+
+    def _catch_retired(self, pc: int, inst: DecodedInstruction) -> None:
+        self._retired = inst
+
+    def step(self) -> int:
+        recording = self.recording
+        pc, traps_taken = self.pc, self.trap_count
+        recording._code_read(pc, pc + 4)
+        # The interpreter reports the instruction it retired only through
+        # on_retire: borrow the hook for this step, then forward.
+        hook = self.on_retire
+        self.on_retire = self._catch_retired
+        try:
+            steps = super().step()
+        finally:
+            self.on_retire = hook
+        inst, self._retired = self._retired, None
+        if inst is not None:
+            taken = self._transfer_target is not None
+            recording.events.append(STEP_TAKEN if taken else STEP_RETIRED)
+            recording.step_words.append(inst.word)
+            if hook is not None:
+                hook(pc, inst)
+        else:
+            recording.events.append(STEP_TRAPPED
+                                    if self.trap_count != traps_taken
+                                    else STEP_ANNULLED)
+            recording.step_words.append(0)
+        recording.step_pcs.append(pc)
+        return steps

@@ -121,6 +121,12 @@ class PipelineModel:
         self._last_load_rd = load_rd
         return cycles
 
+    def plan(self, inst: DecodedInstruction
+             ) -> tuple[int, frozenset[int], int | None]:
+        """The issue plan of *inst* (see the class docstring)."""
+        plan = self._plans.get(inst.word)
+        return plan if plan is not None else self._plan(inst)
+
     def _plan(self, inst: DecodedInstruction
               ) -> tuple[int, frozenset[int], int | None]:
         if len(self._plans) >= self.PLAN_CAPACITY:

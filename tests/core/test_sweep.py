@@ -2,9 +2,14 @@
 result cache, selection helpers, and config/image identity."""
 
 import dataclasses
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ArchitectureConfig,
@@ -15,6 +20,7 @@ from repro.core import (
     image_digest,
     pareto_front,
 )
+from repro.core.sweep import _record_digest
 from repro.toolchain.driver import compile_c_program
 
 # A miniature Figure-7-shaped kernel: strided array access, small enough
@@ -315,3 +321,72 @@ class TestInputs:
     def test_points_are_immutable_records(self, serial_outcome):
         with pytest.raises(dataclasses.FrozenInstanceError):
             serial_outcome.points[0].cycles = 0
+
+
+@functools.lru_cache(maxsize=1)
+def _stored_record() -> tuple[str, str, str, bytes]:
+    """``(digest, fingerprint, record JSON, file bytes)`` of one point
+    written by the disk layer."""
+    image = compile_c_program(KERNEL)
+    config = ArchitectureConfig()
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        SweepRunner(cache=cache).sweep([config], image)
+        digest, fingerprint = image_digest(image), config.fingerprint()
+        record = cache.get(digest, fingerprint)[0]
+        blob = (Path(directory) / digest / f"{fingerprint}.json").read_bytes()
+    return digest, fingerprint, json.dumps(record, sort_keys=True), blob
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def _get_from_disk(blob: bytes):
+    digest, fingerprint, _, _ = _stored_record()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / digest / f"{fingerprint}.json"
+        path.parent.mkdir()
+        path.write_bytes(blob)
+        return ResultCache(directory).get(digest, fingerprint)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_corrupt_disk_records_fuzz_to_misses(data):
+    """Truncated, wrong-schema and wrong-type files are misses; a
+    bit-flipped file is a miss unless the flip left the record's content
+    intact.  Never an exception, never a wrong record."""
+    _, _, original, blob = _stored_record()
+    mutation = data.draw(st.sampled_from(
+        ["truncate", "bitflip", "schema", "retype", "whole"]))
+    if mutation == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif mutation == "bitflip":
+        index = data.draw(st.integers(0, len(blob) - 1))
+        bit = data.draw(st.integers(0, 7))
+        blob = blob[:index] + bytes([blob[index] ^ (1 << bit)]) \
+            + blob[index + 1:]
+    else:
+        record = json.loads(blob)
+        if mutation == "schema":
+            # A well-formed record of another schema, digest and all.
+            del record["sha256"]
+            record["schema"] = data.draw(
+                st.integers().filter(lambda n: n != record["schema"]))
+            record["sha256"] = _record_digest(record)
+        elif mutation == "retype":
+            record[data.draw(st.sampled_from(sorted(record)))] = \
+                data.draw(JSON_VALUES)
+        else:
+            record = data.draw(JSON_VALUES)
+        blob = json.dumps(record).encode()
+    hit = _get_from_disk(blob)
+    if mutation == "bitflip" and hit is not None:
+        assert json.dumps(hit[0], sort_keys=True) == original
+    else:
+        assert hit is None

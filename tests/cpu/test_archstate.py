@@ -118,3 +118,48 @@ def test_restore_rejects_mismatched_memory_size():
         assert "sram" in str(err)
     else:
         raise AssertionError("truncated memory image accepted")
+
+
+#: Arbitrary JSON values, for corrupting payload fields.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+@functools.lru_cache(maxsize=1)
+def _payload_text() -> str:
+    warm = Simulator(capture_memory_trace=False, obs=False)
+    return json.dumps(warm.checkpoint(_image(0), 200).to_payload())
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_corrupt_payload_raises_only_value_error(data):
+    """Truncated, corrupt or mistyped payloads are rejected with
+    ValueError — never KeyError, binascii.Error or zlib.error."""
+    payload = json.loads(_payload_text())
+    mutation = data.draw(st.sampled_from(
+        ["drop", "retype", "truncate-blob", "corrupt-blob", "whole"]))
+    if mutation == "drop":
+        del payload[data.draw(st.sampled_from(sorted(payload)))]
+    elif mutation == "retype":
+        payload[data.draw(st.sampled_from(sorted(payload)))] = \
+            data.draw(JSON_VALUES)
+    elif mutation in ("truncate-blob", "corrupt-blob"):
+        name = data.draw(st.sampled_from(sorted(payload["memory"])))
+        blob = payload["memory"][name]
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        tail = ("" if mutation == "truncate-blob"
+                else data.draw(st.text(max_size=8)) + blob[cut + 1:])
+        payload["memory"][name] = blob[:cut] + tail
+    else:
+        payload = data.draw(JSON_VALUES)
+    try:
+        state = ArchState.from_payload(payload)
+    except ValueError:
+        return
+    assert isinstance(state, ArchState)

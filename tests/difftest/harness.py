@@ -11,18 +11,64 @@ word, retired-instruction count and per-class instruction mix.  Any
 divergence is an engine bug by construction — the engines share decode
 and execute, so only the parts that differ (fetch/memory path, timing
 shims, block translation, retirement hooks) can be at fault.
+
+The fourth column is *timing*: for each named configuration in
+:data:`TIMING_CONFIGS` the program is also evaluated the way a
+full-detail sweep evaluates it — recorded once per architecture and
+replayed (:mod:`repro.core.replay`) — and the replayed record's whole
+canonical JSON (cycles, cache statistics, the ``obs`` snapshot) must
+equal the accurate engine's record for the same configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 
+from repro.cache.cache import CacheGeometry
+from repro.core.config import ArchitectureConfig
+from repro.core.rewriter import POPCOUNT_RECIPE
 from repro.core.sim import SimReport, Simulator
+from repro.core.sweep import (
+    REPLAYED,
+    _evaluate_group,
+    _evaluate_task,
+    _report_record,
+)
+from repro.core.synthesis import SynthesisModel
 from repro.cpu.archstate import ArchState
 from repro.toolchain.driver import SourceFile, build_image
 
 #: Generated programs are short; this bounds runaway loops/recursion.
 MAX_INSTRUCTIONS = 2_000_000
+
+STOCK = ArchitectureConfig()
+
+#: Timing configurations of the fourth column: small 2-way lrr and
+#: 4-way random caches (with the 16x16 multiplier), no load-use
+#: interlock, the deep pipeline (nonzero taken-CTI penalty) and a popc
+#: extension (another architecture, so another recording).
+TIMING_CONFIGS = {
+    "stock": STOCK,
+    "lrr2": replace(
+        STOCK, multiplier="16x16",
+        icache=CacheGeometry(size=512, line_size=16, ways=2,
+                             replacement="lrr"),
+        dcache=CacheGeometry(size=1024, line_size=16, ways=2,
+                             replacement="lrr")),
+    "random4": replace(
+        STOCK, multiplier="16x16",
+        icache=CacheGeometry(size=512, line_size=32, ways=4,
+                             replacement="random"),
+        dcache=CacheGeometry(size=1024, line_size=32, ways=4,
+                             replacement="random")),
+    "noilock": replace(STOCK, load_use_interlock=False),
+    "depth7": STOCK.with_pipeline_depth(7),
+    "popc": POPCOUNT_RECIPE.apply_to_config(STOCK),
+}
+ALL_TIMING = tuple(TIMING_CONFIGS)
+#: Non-stock configurations, for rotating one per generated seed.
+EXTRA_TIMING = ALL_TIMING[1:]
 
 
 def build(asm_text: str):
@@ -53,11 +99,13 @@ class DiffResult:
         return {tt for tt, _pc in self.traps}
 
 
-def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS
-                  ) -> DiffResult:
+def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS,
+                  timing: tuple[str, ...] = ("stock",)) -> DiffResult:
     """Run a built image on every engine; compare each fast engine's
-    result against the one cycle-accurate baseline run."""
-    accurate = Simulator(capture_memory_trace=False, obs=False)
+    result against the one cycle-accurate baseline run, and the
+    replayed record against the accurate record under each *timing*
+    configuration (names in :data:`TIMING_CONFIGS`)."""
+    accurate = Simulator(capture_memory_trace=False)
     traps: list[tuple[int, int]] = []
     accurate.cpu.on_trap = lambda tt, pc: traps.append((tt, pc))
     report_a = accurate.run(image, max_instructions=max_instructions)
@@ -74,12 +122,59 @@ def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS
                                          max_instructions=max_instructions)
     problems += _compare(state_a, report_a, translated, report_t,
                          "translated")
+    problems += compare_timing(image, max_instructions, timing, report_a)
     return DiffResult(problems, report_a, report_f, report_t, traps)
 
 
-def compare_engines(asm_text: str) -> list[str]:
+def compare_engines(asm_text: str,
+                    timing: tuple[str, ...] = ("stock",)) -> list[str]:
     """Run on every engine; return mismatch descriptions (empty = pass)."""
-    return compare_image(build(asm_text)).problems
+    return compare_image(build(asm_text), timing=timing).problems
+
+
+def compare_timing(image, max_instructions: int, timing: tuple[str, ...],
+                   stock_report: SimReport | None = None) -> list[str]:
+    """The timing column: the replayed record of each named
+    configuration must be the accurate engine's record, byte for byte.
+    *stock_report* (an accurate ``Simulator().run`` report of *image*)
+    saves re-running the stock configuration."""
+    groups: dict[str, list] = {}
+    for name in timing:
+        config = TIMING_CONFIGS[name]
+        groups.setdefault(config.arch_key(), []).append(name)
+    problems = []
+    for names in groups.values():
+        tasks = [(TIMING_CONFIGS[name], image, max_instructions, 0, None)
+                 for name in names]
+        for name, task, (replayed, _, path) in zip(
+                names, tasks, _evaluate_group(tasks)):
+            if path != REPLAYED:
+                problems.append(f"timing[{name}]: not replayed ({path})")
+                continue
+            if name == "stock" and stock_report is not None:
+                accurate = _report_record(STOCK, stock_report,
+                                          SynthesisModel().estimate(STOCK))
+            else:
+                accurate, _ = _evaluate_task(task)
+            problems += _describe_record_diff(accurate, replayed, name)
+    return problems
+
+
+def _describe_record_diff(accurate: dict, replayed: dict,
+                          name: str) -> list[str]:
+    if _canonical(accurate) == _canonical(replayed):
+        return []
+    diffs = []
+    for key in sorted(set(accurate) | set(replayed)):
+        if _canonical(accurate.get(key)) != _canonical(replayed.get(key)):
+            diffs.append(f"timing[{name}] {key}: "
+                         f"accurate={_canonical(accurate.get(key))[:200]} "
+                         f"replayed={_canonical(replayed.get(key))[:200]}")
+    return diffs
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _compare(state_a: ArchState, report_a: SimReport, sim: Simulator,

@@ -2,7 +2,10 @@
 
 Every seeded program must finish with an identical architectural state
 (registers in all windows, control registers, memory, peripherals,
-retired/trap counts) and an identical UART byte stream on both engines.
+retired/trap counts) and an identical UART byte stream on both engines,
+and its replayed timing record must equal the accurate engine's under
+the stock configuration plus one more (rotating through
+``harness.EXTRA_TIMING`` by seed; the corpus runs all of them).
 A failing seed is delta-debugged down to a minimal block listing, which
 is written into ``corpus/`` — commit that file so the bug stays covered
 forever (``test_corpus_replays`` re-runs every committed listing).
@@ -20,7 +23,7 @@ import pathlib
 import pytest
 
 from tests.difftest import gen
-from tests.difftest.harness import compare_engines
+from tests.difftest.harness import ALL_TIMING, EXTRA_TIMING, compare_engines
 
 pytestmark = pytest.mark.difftest
 
@@ -34,12 +37,17 @@ def _seeds_for(chunk: int) -> range:
     return range(chunk * per, min((chunk + 1) * per, PROGRAMS))
 
 
+def _timing_for(seed: int) -> tuple[str, ...]:
+    return ("stock", EXTRA_TIMING[seed % len(EXTRA_TIMING)])
+
+
 def _shrink_and_record(seed: int, problems: list[str]) -> str:
     """Minimize the failing seed and write the listing into corpus/."""
     blocks = gen.generate_blocks(seed)
 
     def still_fails(candidate):
-        return bool(compare_engines(gen.render(candidate, seed)))
+        return bool(compare_engines(gen.render(candidate, seed),
+                                    timing=_timing_for(seed)))
 
     minimal = gen.shrink(blocks, still_fails)
     listing = gen.render(minimal, seed)
@@ -58,7 +66,8 @@ def _shrink_and_record(seed: int, problems: list[str]) -> str:
 @pytest.mark.parametrize("chunk", range(CHUNKS))
 def test_generated_programs_match(chunk):
     for seed in _seeds_for(chunk):
-        problems = compare_engines(gen.generate(seed))
+        problems = compare_engines(gen.generate(seed),
+                                   timing=_timing_for(seed))
         if problems:
             path = _shrink_and_record(seed, problems)
             pytest.fail(
@@ -75,7 +84,7 @@ def test_generated_programs_match(chunk):
     ids=lambda p: p.name if p else "empty")
 def test_corpus_replays(listing):
     """Every committed corpus listing stays engine-identical."""
-    problems = compare_engines(listing.read_text())
+    problems = compare_engines(listing.read_text(), timing=ALL_TIMING)
     assert not problems, (
         f"{listing.name} diverged again:\n  " + "\n  ".join(problems))
 

@@ -7,7 +7,10 @@ small seed counts: patching a hot loop body, patching a delay slot, and
 a block that patches an instruction *ahead of itself* so the translated
 engine must bail out of the active block.  Every program is compared
 byte-identical across all three engines (accurate, functional,
-translated) through the shared harness.
+translated) through the shared harness, and every program's replayed
+timing record must equal the accurate engine's — a store to code
+followed by the FLUSH V8 requires keeps the I-cache coherent, so replay
+stays exact.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from tests.difftest import gen
-from tests.difftest.harness import compare_engines
+from tests.difftest.harness import ALL_TIMING, EXTRA_TIMING, compare_engines
 
 pytestmark = pytest.mark.difftest
 
@@ -35,7 +38,8 @@ EPILOGUE = """
 
 
 def _check(body: str) -> None:
-    problems = compare_engines(PROLOGUE + body + EPILOGUE)
+    problems = compare_engines(PROLOGUE + body + EPILOGUE,
+                               timing=ALL_TIMING)
     assert not problems, "\n".join(problems)
 
 
@@ -121,6 +125,7 @@ def test_generated_smc_blocks_match():
         if "_patch" not in text:
             continue
         smc_seen += 1
-        problems = compare_engines(text)
+        problems = compare_engines(
+            text, timing=("stock", EXTRA_TIMING[seed % len(EXTRA_TIMING)]))
         assert not problems, f"seed {seed}:\n" + "\n".join(problems)
     assert smc_seen > 0, "no SMC blocks in the first 40 seeds"

@@ -16,8 +16,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.sim import Simulator
+from repro.core.sweep import _evaluate_group, _evaluate_task
 from repro.cpu.archstate import ArchState
-from tests.difftest.harness import build, compare_engines
+from repro.cpu.traps import WatchdogExpired
+from tests.difftest.harness import (
+    ALL_TIMING,
+    STOCK,
+    build,
+    compare_engines,
+)
 
 pytestmark = pytest.mark.difftest
 
@@ -77,6 +84,22 @@ def test_unhandled_trap_parity(body, expected_tt):
     assert not accurate.psr & (1 << 5)  # PSR.ET
 
 
+@pytest.mark.parametrize("body,expected_tt",
+                         [case[1:] for case in ERROR_CASES],
+                         ids=[case[0] for case in ERROR_CASES])
+def test_unhandled_trap_timing_parity(body, expected_tt):
+    """The timing column of a program that never finishes: parked in
+    error_state, it hits the watchdog on the accurate engine — and the
+    replay path (recording pass, then its fallback) raises exactly the
+    same."""
+    task = (STOCK, build(PROLOGUE + body + "\n" + EPILOGUE), 5_000, 0, None)
+    with pytest.raises(WatchdogExpired) as accurate:
+        _evaluate_task(task)
+    with pytest.raises(WatchdogExpired) as replayed:
+        _evaluate_group([task])
+    assert str(replayed.value) == str(accurate.value)
+
+
 @pytest.mark.parametrize("depth", [2, 9, 12])
 def test_window_trap_parity(depth):
     """Recursion past NWINDOWS drives the ROM's overflow handler on the
@@ -101,7 +124,7 @@ unwind:
     ret
     restore
 """
-    problems = compare_engines(asm)
+    problems = compare_engines(asm, timing=ALL_TIMING)
     assert not problems, "\n".join(problems)
 
     # prove the deep case actually trapped: run accurately and count

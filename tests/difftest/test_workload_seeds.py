@@ -16,7 +16,7 @@ import pytest
 
 from repro.utils import u32
 from repro.workloads import all_workloads, get
-from tests.difftest.harness import compare_image
+from tests.difftest.harness import ALL_TIMING, compare_image, compare_timing
 
 WINDOW_OVERFLOW_TT = 0x05
 WINDOW_UNDERFLOW_TT = 0x06
@@ -30,7 +30,8 @@ def _ids():
 @pytest.mark.parametrize("workload", all_workloads(), ids=_ids())
 def test_workload_engines_agree_and_self_check(workload):
     result = compare_image(workload.image(),
-                           max_instructions=workload.max_instructions)
+                           max_instructions=workload.max_instructions,
+                           timing=ALL_TIMING)
     assert result.ok, (
         f"{workload.name}: engines diverged:\n" + "\n".join(result.problems))
     expected = workload.expected()
@@ -63,3 +64,19 @@ def test_recursive_sort_exercises_window_traps():
     overflows = sum(1 for tt, _pc in result.traps
                     if tt == WINDOW_OVERFLOW_TT)
     assert overflows >= 2
+
+
+#: The registry's long-running kernels (hidden from all_workloads()).
+LONG_KERNELS = ("xtea_stream", "fir_stream", "ipsum_stream")
+
+
+@pytest.mark.difftest
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LONG_KERNELS)
+def test_long_kernel_replayed_timing_matches(name):
+    """The timing column over the long kernels: each one's replayed
+    record equals the accurate engine's, byte for byte."""
+    workload = get(name)
+    problems = compare_timing(workload.image(), workload.max_instructions,
+                              ("stock",))
+    assert not problems, "\n".join(problems)

@@ -3,7 +3,7 @@
 The registry's promise to its consumers (difftest, sweep_matrix, CI):
 enough diverse workloads to make the per-class winner question
 meaningful, deterministic generation, and a self-check that passes on
-both execution engines — no golden files anywhere.
+both execution engines — no golden answer files.
 """
 
 from __future__ import annotations
