@@ -1,5 +1,5 @@
-"""Whole-program timing is pinned: the records of two fixed sweeps must
-hash to the committed digests in ``records.json``.
+"""Timing is pinned: the records of three fixed sweeps (two full-detail,
+one sampled) must hash to the committed digests in ``records.json``.
 
 A failure here means cycles, cache statistics, the instruction mix or
 the obs snapshot of some point moved.  If that was the intent,
@@ -19,3 +19,4 @@ def test_records_match_golden_digests():
     actual = digests()
     assert actual["fig8"] == expected["fig8"]
     assert actual["matrix"] == expected["matrix"]
+    assert actual["sampled"] == expected["sampled"]
