@@ -18,12 +18,14 @@ The three sweeps:
 * ``matrix`` — ``sweep_matrix`` over the short registry kernels x
   D-cache 1K/8K x multiplier iterative/16x16, one digest over the
   matrix's ``canonical_json()``;
-* ``sampled`` — a sampled sweep (:data:`SAMPLING_PLAN`) of ``crc32``
-  and of :data:`CONFLICT_SOURCE` over :func:`sampled_configs`: D-cache
-  1K and 4K direct-mapped, 1K 2-way under each replacement policy, and
-  the iterative multiplier; one digest per kernel and config label.
-  ``crc32`` never evicts a D-cache line, so the conflict kernel is
-  what makes the three replacement policies disagree inside a window.
+* ``sampled`` — a sampled sweep (:data:`SAMPLING_PLAN`) of ``crc32``,
+  ``ipcheck`` and :data:`CONFLICT_SOURCE` over :func:`sampled_configs`:
+  D-cache 1K and 4K direct-mapped, 1K 2-way D-cache and 512-byte 2-way
+  I-cache under each replacement policy, and the iterative multiplier;
+  one digest per kernel and config label.  ``crc32`` never evicts a
+  D-cache line, so the conflict kernel is what makes the three
+  policies disagree inside a D-cache window, and ``ipcheck`` inside an
+  I-cache window.
 """
 
 from __future__ import annotations
@@ -118,6 +120,8 @@ def sampled_configs() -> dict[str, ArchitectureConfig]:
     for policy in ("lru", "lrr", "random"):
         configs[f"dc1k-2w-{policy}"] = replace(base, dcache=CacheGeometry(
             size=1024, line_size=32, ways=2, replacement=policy))
+        configs[f"ic512-2w-{policy}"] = replace(base, icache=CacheGeometry(
+            size=512, line_size=32, ways=2, replacement=policy))
     configs["mul-iterative"] = replace(base, multiplier="iterative")
     return configs
 
@@ -136,6 +140,7 @@ def digests(runner: SweepRunner | None = None) -> dict:
     configs = sampled_configs()
     sampled = {}
     for kernel, image in (("crc32", get("crc32").image(0)),
+                          ("ipcheck", get("ipcheck").image(0)),
                           ("conflict",
                            driver.compile_c_program(CONFLICT_SOURCE))):
         outcome = runner.sweep(list(configs.values()), image,
