@@ -101,7 +101,6 @@ int main(void) {
         if (j == 384) {
             j = 0;
         }
-        lines[i & 7] = i;
     }
     return sum;
 }
