@@ -5,11 +5,12 @@ a configuration point by sampling must cost at most a tenth of the
 full-detail cycle-accurate run, with the full run's true cycle count
 inside the sampled 95% confidence interval.  The protocol matches how
 sampling is actually used: a serial sweep over one architectural
-family, where every point shares the memoised survey and checkpoint
+family, where every point shares the memoised survey and recording
 passes (they are architectural, hence config-independent) and pays
-only for its own cycle-accurate measure phase.  The full-detail
-baseline is the sweep engine's own full-detail evaluation — same
-simulator construction, same obs configuration.
+only for replaying its own ramps and windows from the recording.  The
+full-detail baseline is the accurate engine's whole-program run
+(``Simulator.run``) — same simulator construction, same obs
+configuration.
 """
 
 from __future__ import annotations

@@ -25,7 +25,18 @@ made exact:
   cache-line runs, and the fixed bus and memory costs.  ``dcache`` and
   ``icache`` are totals since the machine was built, boot included;
   ``cycles`` and ``obs`` cover the program window only — exactly as on
-  the accurate engine.
+  the accurate engine;
+* :meth:`Replayer.window` replays one slice of the stream instead: a
+  sampled window (:mod:`repro.core.sampling`) from its ramp start,
+  through the measured window's start, to its end.  ``record(...,
+  marks=...)`` stops the recording engine at every window boundary, so
+  no block straddles one, and notes where the stream stood there.
+  The slice starts from what the accurate engine restores and
+  normalizes at the ramp start (empty caches, seeded replacement
+  state, no load-use carry); at the window start the lines stay
+  resident while the replacement state and the counters go back to
+  power-on, and the interlock carry continues — exactly as
+  ``measure_window`` runs it.
 
 Replay refuses, raising :class:`ReplayUnsupported` with a cause from
 :data:`FALLBACK_CAUSES`, where it cannot be exact: a prefetching D-cache
@@ -40,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,8 +82,12 @@ from repro.obs.collect import (
 )
 from repro.toolchain.objfile import Image
 
-__all__ = ["FALLBACK_CAUSES", "Recorded", "Replayer", "ReplayUnsupported",
-           "record"]
+__all__ = ["FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
+           "ReplayUnsupported", "record"]
+
+#: How a replayed point or sampled run was measured when nothing fell
+#: back (else the path is the fallback cause).
+REPLAYED = "replayed"
 
 #: Why a point could not be replayed (``sweep.replay_fallbacks{cause}``):
 #: a prefetching D-cache, self-modifying code without the required
@@ -96,34 +111,52 @@ class Recorded:
 
     recording: Recording
     #: ``recording.mark()`` at the program's first instruction.
-    window: tuple[int, int]
+    window: tuple[int, int, int]
     instructions: int
     instruction_mix: dict
     result_word: int
     uart_output: bytes
     #: The recording machine: memory map, bus topology and device costs.
     machine: Simulator
+    #: Program step -> ``(*recording.mark(), instructions retired since
+    #: the program's first)`` there, for each step ``record`` stopped at.
+    marks: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
 
 
 def record(config: ArchitectureConfig, image: Image,
-           max_instructions: int) -> Recorded:
+           max_instructions: int, marks=()) -> Recorded:
     """Run *image* once on the recording engine, the way
     ``Simulator(config).run(image, max_instructions)`` would run it
     (same boot, dispatch and step budgets — a watchdog raises the same
-    :class:`~repro.cpu.traps.WatchdogExpired`)."""
+    :class:`~repro.cpu.traps.WatchdogExpired`).
+
+    *marks* are program steps (counted from the first instruction) to
+    stop at on the way, as the sampled windows' boundaries, none past
+    the program's return to the polling loop."""
     sim = Simulator(config, capture_memory_trace=False, obs=False)
+    poll = sim.rom_info.poll_address
     unit = sim._fast_unit(RecordingUnit)
+    recording = unit.recording
     sim._dispatch_on(unit, image)
-    window = unit.recording.mark()
+    window = recording.mark()
     start = unit.instret
+    stops: dict[int, tuple[int, int, int, int]] = {}
+    position = 0
     with MixRecorder(unit) as mix:
-        unit.run(max_instructions=max_instructions,
-                 until_pc=sim.rom_info.poll_address)
+        for step in sorted(marks):
+            position += unit.advance(step - position, stop_pc=poll)
+            if position < step:
+                raise RuntimeError(
+                    f"program finished at step {position}, before the "
+                    f"planned boundary {step}")
+            stops[step] = (*recording.mark(), unit.instret - start)
+        unit.run(max_instructions=max_instructions - position,
+                 until_pc=poll)
     return Recorded(
-        recording=unit.recording, window=window,
+        recording=recording, window=window,
         instructions=unit.instret - start, instruction_mix=mix.mix(),
         result_word=sim.sram.host_read_word(sim.memmap.result_addr),
-        uart_output=sim.uart.transmitted(), machine=sim)
+        uart_output=sim.uart.transmitted(), machine=sim, marks=stops)
 
 
 # Access kinds of a data reference or an instruction fetch: the flush
@@ -184,6 +217,15 @@ class _Tags:
     def invalidate(self) -> None:
         self.slots = [-1] * len(self.slots)
 
+    def restart(self) -> None:
+        """``reset_replacement_state``: the lines stay resident; the
+        clock, the use and fill stamps and the generator go back to
+        power-on."""
+        self.used = [0] * len(self.slots)
+        self.filled = [0] * len(self.slots)
+        self.clock = 0
+        self.rng = np.random.default_rng(REPLACEMENT_SEED)
+
 
 class _DirectTags(_Tags):
     """Direct-mapped special case: one way, so no victim choice (a
@@ -204,16 +246,59 @@ def _tags(geometry: CacheGeometry) -> _Tags:
     return (_DirectTags if geometry.ways == 1 else _Tags)(geometry)
 
 
-class Replayer:
-    """Every configuration's report from one :class:`Recorded` run.
+class _Span:
+    """A slice of the recording, replayed as two phases: its columns,
+    where the phases split, and the passes already run over it.
 
-    Config-independent work (decoding the columns, classifying every
-    address, the SMC check) happens once here.  Each pass counts events
-    per phase (boot and dispatch, then the program window) — the fetch
-    pass per I-cache geometry, the data pass per D-cache geometry, the
-    issue pass per :class:`TimingConfig`, each memoized — and
-    :meth:`report` prices the counts, so a D-cache sweep replays the
-    fetch and issue streams once and only the data stream per point.
+    The whole program's span splits at the program's first instruction
+    and ``restart`` is false: the split only switches counters.  A
+    sampled window's span runs from its ramp start to its end and
+    splits at the window start, where ``restart`` does what
+    ``reset_stats`` does there (the lines stay, the replacement state
+    goes back to power-on)."""
+
+    def __init__(self, replayer: "Replayer", lo: tuple, split: tuple,
+                 hi: tuple, restart: bool):
+        rec = replayer.recorded.recording
+        self.restart = restart
+        self.events = rec.events[lo[0]:hi[0]].tolist()
+        self.step_pcs = rec.step_pcs[lo[2]:hi[2]].tolist()
+        self.step_words = rec.step_words[lo[2]:hi[2]].tolist()
+        self.split = split[0] - lo[0]
+        self.split_step = split[2] - lo[2]
+        kinds = replayer._kinds[lo[1]:hi[1]]
+        self.kinds = kinds.tolist()
+        self.ref_addr = replayer._ref_addr[lo[1]:hi[1]]
+        self.ref_split = split[1] - lo[1]
+        #: Per phase, how many references of each kind (config-free).
+        self.ref_counts = tuple(
+            Counter({int(kind): int(count) for kind, count
+                     in zip(*np.unique(part, return_counts=True))})
+            for part in (kinds[:self.ref_split], kinds[self.ref_split:]))
+        #: I-cache flushes per event (the flush follows its fetches).
+        iflushes = rec.iflushes
+        self.flushes_after = Counter(
+            index - lo[0] for index in iflushes[
+                bisect_left(iflushes, lo[0]):bisect_left(iflushes, hi[0])])
+        self.issue: dict[TimingConfig, dict] = {}
+        self.fetch: dict[CacheGeometry, tuple] = {}
+        self.data: dict[CacheGeometry, tuple] = {}
+        self.mix: dict | None = None
+
+
+class Replayer:
+    """Every configuration's report from one :class:`Recorded` run, and
+    every configuration's observation of each sampled window in it.
+
+    Config-independent work (classifying every address, the SMC check)
+    happens once here, and each span's columns are decoded once.  Each
+    pass counts events per phase (boot and dispatch, then the program
+    window; or a window's ramp, then the window) — the fetch pass per
+    I-cache geometry, the data pass per D-cache geometry, the issue
+    pass per :class:`TimingConfig`, each memoized per span — and
+    :meth:`report` and :meth:`window` price the counts, so a D-cache
+    sweep replays the fetch and issue streams once and only the data
+    stream per point.
     """
 
     def __init__(self, recorded: Recorded):
@@ -249,26 +334,22 @@ class Replayer:
         self._ref_addr = refs >> np.uint64(4)
         self._fetch_kinds: dict[int, int] = {}
         try:
-            kinds = self._classify_refs(refs)
+            self._kinds = self._classify_refs(refs)
         except ReplayUnsupported as exc:
             self.unsupported = exc.cause
             return
         if _smc_hazard(rec, refs):
             self.unsupported = "smc"
-        window = recorded.window[1]
-        self._ref_kinds = kinds.tolist()
-        #: Per phase, how many references of each kind (config-free).
-        self._ref_counts = tuple(
-            Counter({int(kind): int(count) for kind, count
-                     in zip(*np.unique(part, return_counts=True))})
-            for part in (kinds[:window], kinds[window:]))
-        self._events = rec.events.tolist()
-        self._step_pcs = rec.step_pcs.tolist()
-        self._step_words = rec.step_words.tolist()
         self._decode = DecodeCache()
-        self._issue_memo: dict[TimingConfig, dict] = {}
-        self._fetch_memo: dict[CacheGeometry, tuple] = {}
-        self._data_memo: dict[CacheGeometry, tuple] = {}
+        self._spans: dict[tuple, _Span] = {}
+
+    def _span(self, lo: tuple, split: tuple, hi: tuple,
+              restart: bool) -> _Span:
+        key = (lo, split, hi, restart)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = _Span(self, lo, split, hi, restart)
+        return span
 
     # -- addresses ---------------------------------------------------------
 
@@ -311,22 +392,23 @@ class Replayer:
 
     # -- the three passes --------------------------------------------------
 
-    def _issue(self, timing: TimingConfig) -> dict:
-        """Pipeline counters of the program window: issue cycles (with
-        interlocks), retirements, taken CTIs, annulled slots, traps."""
-        memo = self._issue_memo.get(timing)
+    def _issue(self, timing: TimingConfig, span: _Span) -> dict:
+        """Pipeline counters of the span's second phase: issue cycles
+        (with interlocks), retirements, taken CTIs, annulled slots,
+        traps.  The load-use carry starts empty and crosses the split."""
+        memo = span.issue.get(timing)
         if memo is not None:
             return memo
         model = PipelineModel(timing)
         plan, lookup = model.plan, self._decode.lookup
         blocks = self.recorded.recording.blocks
         tables: dict[int, tuple] = {}
-        words, steps_seen = self._step_words, 0
+        words, steps_seen = span.step_words, 0
         issue = interlocks = instret = taken = annulled = traps = 0
         carry = None  # the previous instruction's load destination
-        window_event = self.recorded.window[0]
-        for index, code in enumerate(self._events):
-            if index == window_event:
+        split = span.split
+        for index, code in enumerate(span.events):
+            if index == split:
                 issue = interlocks = instret = taken = annulled = traps = 0
             if code >= 0:
                 block_id = code >> 16
@@ -368,33 +450,35 @@ class Replayer:
             else:  # STEP_TRAPPED
                 traps += 1
                 carry = None
-        if window_event == len(self._events):
+        if split == len(span.events):
             issue = interlocks = instret = taken = annulled = traps = 0
         counts = {"issue": issue, "interlocks": interlocks,
                   "instret": instret, "taken": taken, "annulled": annulled,
                   "traps": traps}
-        self._issue_memo[timing] = counts
+        span.issue[timing] = counts
         return counts
 
-    def _fetch(self, geometry: CacheGeometry) -> tuple[Counter, Counter]:
-        """The I-cache side's event counts: ``(boot, window)``."""
-        memo = self._fetch_memo.get(geometry)
+    def _fetch(self, geometry: CacheGeometry,
+               span: _Span) -> tuple[Counter, Counter]:
+        """The I-cache side's event counts, per phase of *span*."""
+        memo = span.fetch.get(geometry)
         if memo is not None:
             return memo
         tags = _tags(geometry)
-        recording = self.recorded.recording
-        blocks = recording.blocks
-        runs_memo: dict[int, list] = {}
-        flushes_after = Counter(recording.iflushes.tolist())
+        blocks = self.recorded.recording.blocks
         offset_bits = geometry.offset_bits
-        window_event = self.recorded.window[0]
-        pcs = self._step_pcs
+        runs_memo: dict[int, list] = {}
+        flushes_after = span.flushes_after
+        split = span.split
+        pcs = span.step_pcs
         steps_seen = 0
         phases = (Counter(), Counter())
         counts = phases[0]
-        for index, code in enumerate(self._events):
-            if index == window_event:
+        for index, code in enumerate(span.events):
+            if index == split:
                 counts = phases[1]
+                if span.restart:
+                    tags.restart()
             if code >= 0:
                 key = code >> 9  # block id and steps
                 runs = runs_memo.get(key)
@@ -420,7 +504,7 @@ class Replayer:
             if flushes:
                 tags.invalidate()
                 counts["flushes"] += flushes
-        self._fetch_memo[geometry] = phases
+        span.fetch[geometry] = phases
         return phases
 
     def _runs(self, block, steps: int, offset_bits: int) -> list:
@@ -438,23 +522,43 @@ class Replayer:
                 runs.append([kind, line, 1])
         return [tuple(run) for run in runs]
 
-    def _data(self, geometry: CacheGeometry) -> tuple[Counter, Counter]:
-        """The D-cache side's event counts: ``(boot, window)``."""
-        memo = self._data_memo.get(geometry)
+    def _data(self, geometry: CacheGeometry,
+              span: _Span) -> tuple[Counter, Counter]:
+        """The D-cache side's event counts, per phase of *span*."""
+        memo = span.data.get(geometry)
         if memo is not None:
             return memo
         tags = _tags(geometry)
-        lines = (self._ref_addr >> np.uint64(geometry.offset_bits)).tolist()
-        kinds = self._ref_kinds
-        window = self.recorded.window[1]
-        phases = tuple(_data_pass(tags, kinds, lines, lo, hi) + part
-                       for (lo, hi), part in zip(
-                           ((0, window), (window, len(kinds))),
-                           self._ref_counts))
+        lines = (span.ref_addr >> np.uint64(geometry.offset_bits)).tolist()
+        kinds, split = span.kinds, span.ref_split
+        first = _data_pass(tags, kinds, lines, 0, split)
+        if span.restart:
+            tags.restart()
+        second = _data_pass(tags, kinds, lines, split, len(kinds))
+        phases = (first + span.ref_counts[0], second + span.ref_counts[1])
         for counts in phases:
             counts["flushes"] = counts[_DFLUSH]
-        self._data_memo[geometry] = phases
+        span.data[geometry] = phases
         return phases
+
+    def _mix(self, span: _Span) -> dict:
+        """The instruction mix of the span's second phase."""
+        if span.mix is None:
+            recorder = MixRecorder(None)
+            blocks = self.recorded.recording.blocks
+            words, steps_seen = span.step_words, span.split_step
+            for code in span.events[span.split:]:
+                if code >= 0:
+                    retired = (code >> 2) & 127
+                    if retired:
+                        recorder.on_block(blocks[code >> 16], retired)
+                    continue
+                if code == STEP_RETIRED or code == STEP_TAKEN:
+                    recorder.on_retire(0, self._decode.lookup(
+                        words[steps_seen]))
+                steps_seen += 1
+            span.mix = recorder.mix()
+        return span.mix
 
     def _priced(self, counts: Counter, geometry: CacheGeometry) -> dict:
         """A cache side's controller, bus and memory counters and its
@@ -501,36 +605,58 @@ class Replayer:
 
     # -- the report ----------------------------------------------------------
 
-    def report(self, config: ArchitectureConfig) -> SimReport:
-        """``Simulator(config).run(image, max_instructions)``'s report,
-        from the recording (no memory trace, as a sweep captures none)."""
+    def _check(self, config: ArchitectureConfig) -> None:
+        """Raise :class:`ReplayUnsupported` where *config*'s replay
+        could not be exact."""
         if config.prefetch != "none":
             raise ReplayUnsupported("prefetch")
         if self.unsupported is not None:
             raise ReplayUnsupported(self.unsupported)
+
+    def _timed(self, config: ArchitectureConfig,
+               span: _Span) -> SimpleNamespace:
+        """*config*'s passes over *span*, priced for its second phase:
+        pipeline counts, both cache sides' event counts per phase and
+        priced counters, the memory stall and the total cycles."""
         timing = config.timing()
-        issue = self._issue(timing)
-        fetch_boot, fetch_window = self._fetch(config.icache)
-        data_boot, data_window = self._data(config.dcache)
-        fetch = self._priced(fetch_window, config.icache)
-        data = self._priced(data_window, config.dcache)
-
-        def both(name: str) -> int:
-            return fetch[name] + data[name]
-
+        issue = self._issue(timing, span)
+        fetch_phases = self._fetch(config.icache, span)
+        data_phases = self._data(config.dcache, span)
+        fetch = self._priced(fetch_phases[1], config.icache)
+        data = self._priced(data_phases[1], config.dcache)
         mem_stall = (data["extra"]
                      + data["flushes"] * _flush_cycles(config.dcache)
-                     + data_window[_IFLUSH] * _flush_cycles(config.icache))
+                     + data_phases[1][_IFLUSH] * _flush_cycles(config.icache))
         cycles = (issue["issue"] + fetch["extra"] + mem_stall
                   + issue["annulled"] * timing.annulled_slot_cycles
                   + issue["traps"] * timing.trap_entry_cycles
                   + issue["taken"] * timing.taken_cti_penalty)
+        return SimpleNamespace(
+            timing=timing, issue=issue, fetch_phases=fetch_phases,
+            data_phases=data_phases, fetch=fetch, data=data,
+            mem_stall=mem_stall, cycles=cycles)
+
+    def report(self, config: ArchitectureConfig) -> SimReport:
+        """``Simulator(config).run(image, max_instructions)``'s report,
+        from the recording (no memory trace, as a sweep captures none)."""
+        self._check(config)
+        recorded = self.recorded
+        timed = self._timed(config, self._span(
+            (0, 0, 0), recorded.window, recorded.recording.mark(),
+            restart=False))
+        issue, fetch, data = timed.issue, timed.fetch, timed.data
+
+        def both(name: str) -> int:
+            return fetch[name] + data[name]
+
         cpu = SimpleNamespace(
-            instret=issue["instret"], cycles=cycles,
+            instret=issue["instret"], cycles=timed.cycles,
             trap_count=issue["traps"], pipeline_flushes=issue["traps"],
-            fetch_stall_cycles=fetch["extra"], mem_stall_cycles=mem_stall,
+            fetch_stall_cycles=fetch["extra"],
+            mem_stall_cycles=timed.mem_stall,
             annulled_slots=issue["annulled"], taken_ctis=issue["taken"],
-            cti_penalty_cycles=issue["taken"] * timing.taken_cti_penalty,
+            cti_penalty_cycles=(issue["taken"]
+                                * timed.timing.taken_cti_penalty),
             pipeline=SimpleNamespace(interlock_stalls=issue["interlocks"]))
         window = SimpleNamespace(
             cpu=cpu,
@@ -545,13 +671,12 @@ class Replayer:
                                 penalty_cycles=self._apb_penalty),
             sram=SimpleNamespace(reads=both("sram_reads"),
                                  writes=both("sram_writes")))
-        recorded = self.recorded
-        totals = {name: self._priced(boot + window_counts, geometry)
-                  for name, geometry, boot, window_counts in (
-                      ("icache", config.icache, fetch_boot, fetch_window),
-                      ("dcache", config.dcache, data_boot, data_window))}
+        totals = {name: self._priced(boot + program, geometry)
+                  for name, geometry, (boot, program) in (
+                      ("icache", config.icache, timed.fetch_phases),
+                      ("dcache", config.dcache, timed.data_phases))}
         return SimReport(
-            cycles=cycles,
+            cycles=timed.cycles,
             instructions=recorded.instructions,
             instruction_mix=dict(recorded.instruction_mix),
             dcache=CacheController.stats_dict(
@@ -563,6 +688,34 @@ class Replayer:
             uart_output=recorded.uart_output,
             obs=point_snapshot(simulator_snapshot(window), {}),
         )
+
+    def window(self, config: ArchitectureConfig, ramp_start: int,
+               start: int, end: int) -> dict:
+        """What ``measure_window`` observes of the sampled window
+        ``[start, end)`` after its ramp from *ramp_start* (three of
+        ``record``'s marks) on *config*'s accurate engine: steps,
+        retirements, cycles, stalls, traps, the window's instruction mix
+        and its ``stats_dict()`` of each cache."""
+        self._check(config)
+        lo, split, hi = (self.recorded.marks[step]
+                         for step in (ramp_start, start, end))
+        span = self._span(lo[:3], split[:3], hi[:3], restart=True)
+        timed = self._timed(config, span)
+        return {
+            "steps": end - start,
+            "instructions": hi[3] - split[3],
+            "cycles": timed.cycles,
+            "fetch_stall_cycles": timed.fetch["extra"],
+            "mem_stall_cycles": timed.mem_stall,
+            "traps": timed.issue["traps"],
+            "ramp_steps": start - ramp_start,
+            "ramp_instructions": split[3] - lo[3],
+            "instruction_mix": self._mix(span),
+            "dcache": CacheController.stats_dict(
+                _controller("dcache", config.dcache, timed.data)),
+            "icache": CacheController.stats_dict(
+                _controller("icache", config.icache, timed.fetch)),
+        }
 
 
 def _data_pass(tags: _Tags, kinds: list[int], lines: list[int], lo: int,

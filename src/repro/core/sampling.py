@@ -1,16 +1,16 @@
 """Sampled cycle-accurate simulation (SMARTS-style).
 
 Whole-program cycle-accurate runs are the bottleneck of long-workload
-sweeps.  This module trades a full-detail run for *interleaved phases*:
+sweeps.  This module trades a full-detail run for *interleaved phases*
+(the sampling scheme of SMARTS, Wunderlich et al., ISCA 2003):
 
-* **fast-forward** — the block-translating engine executes the bulk of
-  the program (architecturally exact, no timing),
-* **ramp** — a short cycle-accurate leg that re-warms the caches and
-  pipeline after the handoff (the micro-architecture is not part of an
+* **fast-forward** — the bulk of the program, executed but not timed,
+* **ramp** — a short timed leg that re-warms the caches and pipeline
+  after the handoff (the micro-architecture is not part of an
   :class:`~repro.cpu.archstate.ArchState`, so every window starts from
   the canonical flushed state and climbs back to steady state),
-* **window** — a small cycle-accurate measured window contributing one
-  CPI / stall / miss observation.
+* **window** — a small timed measured window contributing one CPI /
+  stall / miss observation.
 
 The program's first ``window_length`` steps — the cold start, whose
 compulsory misses are *systematically* unlike steady state — are always
@@ -19,20 +19,29 @@ contribute bias-free cycles instead of skewing the window population.
 
 A :class:`SamplingPlan` places ``n_windows`` windows over the remaining
 tail in equal strides, each at an independent seeded random offset
-(stratified systematic sampling); :class:`SampledRunner` executes
-the plan via checkpoints captured on a translated pass, so every window
-is resumable in isolation and the whole run is a pure function of
-``(image, config, plan)`` — byte-identical serially, in parallel worker
-processes, and across :class:`~repro.core.sweep.ResultCache` reruns.
-Per-window observations are combined with CLT confidence intervals
-(mean ± z·s/√n per metric) into a whole-program cycle estimate whose
-claimed coverage is validated against ground-truth full-detail runs by
+(stratified systematic sampling).  :class:`SampledRunner` executes the
+plan with one recording pass per placement and architectural family:
+the translated engine records the program's step stream
+(:func:`~repro.core.replay.record`), stopping at every window boundary,
+and each ramp and window is then *replayed* from that stream for the
+point's configuration (:meth:`~repro.core.replay.Replayer.window`),
+giving exactly the observation the accurate engine's
+:func:`measure_window` gives from a restored checkpoint.  Where replay
+cannot be exact (a prefetching D-cache, self-modifying code without
+FLUSH, a faulting access) the run falls back to that oracle path: a
+checkpoint pass capturing an ArchState at every ramp start, and
+single-step accurate execution from each.  Either way the run is a pure
+function of ``(image, config, plan)`` — byte-identical serially, in
+parallel worker processes, and across
+:class:`~repro.core.sweep.ResultCache` reruns.  Per-window
+observations are combined with CLT confidence intervals (mean ±
+z·s/√n per metric) into a whole-program cycle estimate whose claimed
+coverage is validated against ground-truth full-detail runs by
 ``tests/core/test_sampling_stats.py``.
 
-Windows that hit IRQ/MMIO-dense code need no special casing: the ramp
-and window legs are plain single-step accurate execution, and the
-translated fast-forward legs already fall back to single-step dispatch
-on MMIO touches and trap entries.
+The ``sampling.checkpoints`` counter counts window start positions
+(distinct ramp starts), whichever path measured them; the replayed
+path captures no ArchState.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.core.config import ArchitectureConfig
+from repro.core.replay import REPLAYED, Replayer, ReplayUnsupported, record
 from repro.core.sim import MixRecorder, Simulator
 from repro.obs.collect import SAMPLING_SERIES
 from repro.toolchain.objfile import Image
@@ -60,6 +70,7 @@ __all__ = [
     "estimate_windows",
     "measure_window",
     "place_windows",
+    "replay_window",
 ]
 
 #: Layout version of :meth:`SampledRun.to_record` payloads.
@@ -488,34 +499,79 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     }
 
 
+def replay_window(replayer: Replayer, spec: WindowSpec,
+                  config: ArchitectureConfig) -> dict:
+    """:func:`measure_window`'s observation of *spec* on *config*,
+    replayed from a recording that stopped at the spec's boundaries
+    (:meth:`~repro.core.replay.Replayer.window`).  Raises
+    :class:`~repro.core.replay.ReplayUnsupported` where it could not
+    be exact."""
+    observed = replayer.window(config, spec.ramp_start, spec.start,
+                               spec.end)
+    return {
+        "index": spec.index,
+        "ramp_start": spec.ramp_start,
+        "start": spec.start,
+        "end": spec.end,
+        "planned_steps": spec.end - spec.start,
+        **observed,
+        "dcache": _cache_counters(observed["dcache"]),
+        "icache": _cache_counters(observed["icache"]),
+    }
+
+
+def _placement(specs: list[WindowSpec], total_steps: int) -> tuple:
+    return (total_steps,
+            tuple((s.ramp_start, s.start, s.end) for s in specs))
+
+
+def _boundaries(specs: list[WindowSpec], total_steps: int) -> list[int]:
+    """Every phase boundary of a placement, in program order."""
+    return sorted({0, total_steps} | {b for spec in specs
+                                      for b in (spec.ramp_start, spec.start,
+                                                spec.end)})
+
+
 class SampledRunner:
-    """Execute sampling plans: survey, checkpoint, measure, estimate.
+    """Execute sampling plans: survey, record, replay, estimate.
 
-    Every pass runs in a *fresh* :class:`Simulator` built from the same
-    config — no state leaks between passes or windows (a window's
-    decode/block caches never see another window's self-modifying
-    stores), which is what makes a sampled run a pure function of
-    ``(image, config, plan)`` and lets sweep workers rebuild it
-    bit-for-bit in parallel.
-
-    The survey and checkpoint passes run on the translated engine,
-    which has no timing model: their outputs (step totals, ArchStates,
-    phase boundaries) are purely architectural, identical for every
+    The survey pass runs the program on the translated engine for its
+    exact step and retirement totals and its outputs.  The recording
+    pass runs it again on the recording engine, stopping at every
+    window boundary the placement needs, and every ramp and window is
+    replayed from that one recording for the point's configuration.
+    Both passes run in a *fresh* :class:`Simulator` and have no timing
+    model: their outputs are purely architectural, identical for every
     configuration of one architectural family (``arch_key()``).  Both
-    passes are therefore memoised on the runner, and :meth:`run`
-    accepts a per-call ``config`` for the cycle-accurate measure phase
-    — a serial sweep reuses one runner per (image, family) and pays
-    for the survey and checkpoints once, not per point.
+    are therefore memoised on the runner, and :meth:`run` accepts a
+    per-call ``config`` for the measure phase — a serial sweep reuses
+    one runner per (image, family) and records once, not per point.
+
+    A configuration replay cannot time exactly (see
+    :data:`~repro.core.replay.FALLBACK_CAUSES`) falls back to the
+    accurate oracle: a checkpoint pass (built on first need, memoised
+    the same way) captures an ArchState at every ramp start, and each
+    ramp and window runs single-step on a fresh accurate
+    :class:`Simulator` restored from it (:func:`measure_window`).
+    :attr:`path` says which way the last run went.  Both ways give the
+    same observations, which is what makes a sampled run a pure
+    function of ``(image, config, plan)`` and lets sweep workers
+    rebuild it bit-for-bit in parallel.
     """
 
     def __init__(self, config: ArchitectureConfig | None = None):
         self.config = config or ArchitectureConfig()
         #: Cumulative accounting, keyed by the ``sampling.*`` series.
         self.counters = dict.fromkeys(SAMPLING_SERIES, 0)
+        #: How the last :meth:`run` measured its windows:
+        #: :data:`~repro.core.replay.REPLAYED`, or the fallback cause.
+        self.path: str | None = None
         self._survey_memo: tuple[Image, int, dict] | None = None
-        #: placement signature -> (image, states, boundary_retired);
-        #: hit by auto-mode rounds repeating a placement and by sweep
-        #: points sharing one plan across a config family.
+        #: placement signature -> (image, replayer) and -> (image,
+        #: states, boundary_retired); hit by auto-mode rounds repeating
+        #: a placement and by sweep points sharing one plan across a
+        #: config family.
+        self._recording_memo: dict[tuple, tuple] = {}
         self._checkpoint_memo: dict[tuple, tuple] = {}
 
     # -- passes --------------------------------------------------------
@@ -544,8 +600,23 @@ class SampledRunner:
             "uart_hex": sim.uart.transmitted().hex(),
         }
         self._survey_memo = (image, max_instructions, survey)
+        self._recording_memo.clear()
         self._checkpoint_memo.clear()
         return survey
+
+    def _recording_pass(self, image: Image, specs: list[WindowSpec],
+                        total_steps: int, max_instructions: int) -> Replayer:
+        """One recording pass over the program, stopping at every phase
+        boundary (no block straddles one), for replaying the windows.
+        Memoised per placement like the checkpoint pass."""
+        key = _placement(specs, total_steps)
+        memo = self._recording_memo.get(key)
+        if memo is not None and memo[0] is image:
+            return memo[1]
+        replayer = Replayer(record(self.config, image, max_instructions,
+                                   _boundaries(specs, total_steps)))
+        self._recording_memo[key] = (image, replayer)
+        return replayer
 
     def _checkpoint_pass(self, image: Image, specs: list[WindowSpec],
                          total_steps: int):
@@ -554,8 +625,7 @@ class SampledRunner:
         at every phase boundary.  Memoised per placement: the captured
         states are architectural, so repeat plans (auto-mode rounds, a
         sweep's config family) reuse them instead of re-traversing."""
-        key = (total_steps,
-               tuple((s.ramp_start, s.start, s.end) for s in specs))
+        key = _placement(specs, total_steps)
         memo = self._checkpoint_memo.get(key)
         if memo is not None and memo[0] is image:
             return memo[1], memo[2]
@@ -564,15 +634,13 @@ class SampledRunner:
         fast = sim._boot_and_dispatch(image, "translated")
         base = fast.instret
         ramp_starts = {spec.ramp_start for spec in specs}
-        marks = sorted({0, total_steps}
-                       | {b for spec in specs
-                          for b in (spec.ramp_start, spec.start, spec.end)})
+        marks = _boundaries(specs, total_steps)
         states: dict[int, object] = {}
         boundary_retired: dict[int, int] = {}
         position = 0
         for mark in marks:
             if mark > position:
-                executed = fast.fast_forward(mark - position, stop_pc=poll)
+                executed = fast.advance(mark - position, stop_pc=poll)
                 position += executed
                 if position < mark:
                     raise RuntimeError(
@@ -603,8 +671,8 @@ class SampledRunner:
         """The phase ledger: a partition of ``[0, total_steps)`` into
         head / fast-forward / ramp / window legs, each with its exact
         retired-instruction count.  Fast-forward counts come from the
-        translated pass, head/ramp/window counts from the accurate
-        engine — their sum equaling the survey total is the cross-engine
+        recording (or checkpoint) pass, head/ramp/window counts from the
+        measured windows — their sum equaling the survey total is the
         step-exactness property the hypothesis suite asserts."""
         phases: list[dict] = []
 
@@ -639,9 +707,9 @@ class SampledRunner:
         """Execute *plan* over *image*; returns the :class:`SampledRun`.
 
         *config*, when given, replaces the runner's config for the
-        cycle-accurate measure phase only.  It must belong to the same
-        architectural family (``arch_key()``) as the runner's config —
-        the memoised survey and checkpoints are architectural, so they
+        measure phase only.  It must belong to the same architectural
+        family (``arch_key()``) as the runner's config — the memoised
+        survey, recording and checkpoints are architectural, so they
         are valid for, and shared across, the whole family.
         """
         if config is not None and config.arch_key() != self.config.arch_key():
@@ -652,10 +720,24 @@ class SampledRunner:
         total_steps = survey["steps"]
         head = head_spec(total_steps, plan)
         offset, specs = place_windows(total_steps, plan, start=head.end)
-        states, boundary_retired = self._checkpoint_pass(
-            image, [head, *specs], total_steps)
-        measured = self._measure([head, *specs], states,
-                                 config or self.config)
+        config = config or self.config
+        measured_specs = [head, *specs]
+        try:
+            if config.prefetch != "none":
+                # Replay refuses it anyway: skip the recording.
+                raise ReplayUnsupported("prefetch")
+            replayer = self._recording_pass(image, measured_specs,
+                                            total_steps, max_instructions)
+            measured = [replay_window(replayer, spec, config)
+                        for spec in measured_specs]
+            boundary_retired = {step: mark[3] for step, mark
+                                in replayer.recorded.marks.items()}
+            self.path = REPLAYED
+        except ReplayUnsupported as exc:
+            states, boundary_retired = self._checkpoint_pass(
+                image, measured_specs, total_steps)
+            measured = self._measure(measured_specs, states, config)
+            self.path = exc.cause
         head_obs, windows = measured[0], measured[1:]
         phases = self._phases(head_obs, specs, windows, boundary_retired,
                               total_steps)
@@ -674,7 +756,8 @@ class SampledRunner:
         counters = self.counters
         counters["sampling.runs"] += 1
         counters["sampling.windows"] += len(windows)
-        counters["sampling.checkpoints"] += len(states)
+        counters["sampling.checkpoints"] += len(
+            {spec.ramp_start for spec in measured_specs})
         counters["sampling.survey_steps"] += total_steps
         counters["sampling.ff_steps"] += run.fast_forward_steps()
         counters["sampling.ramp_steps"] += run.ramp_steps()

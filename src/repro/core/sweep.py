@@ -15,6 +15,8 @@ analogue for the *evaluation* side of that loop:
   evaluated together: one recording run on the translated engine, then
   each point's record replayed from it (:mod:`repro.core.replay`),
   byte-identical to the accurate engine, with counted fallbacks;
+  sampled points (``sweep(sampling=...)``) replay their windows from
+  one recording per image and architecture the same way;
 * :class:`ResultCache` memoises finished points under
   ``(image digest, config fingerprint)`` with an in-memory layer and an
   optional on-disk JSON layer, so re-running a sweep skips
@@ -42,6 +44,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.config import ArchitectureConfig
 from repro.core.replay import (
     FALLBACK_CAUSES,
+    REPLAYED,
     Replayer,
     ReplayUnsupported,
 )
@@ -323,14 +326,16 @@ def _sampled_record(config: ArchitectureConfig, run, runner,
     }
 
 
-def _evaluate_sampled_shared(tasks) -> "Iterable[tuple[dict, float]]":
-    """Serial sampled evaluation: one :class:`SampledRunner` per
-    (image, architectural family), so every config point of a family
-    shares the memoised survey and checkpoint passes and pays only for
-    its own cycle-accurate measure phase.  Records stay byte-identical
-    to the parallel path (which rebuilds the passes per worker): the
-    shared passes are architectural, and obs counters are published as
-    per-run deltas."""
+def _evaluate_sampled(tasks) -> "Iterable[tuple[dict, float, str]]":
+    """Sampled evaluation: one :class:`SampledRunner` per (image,
+    architectural family), so every config point of a family shares the
+    memoised survey and recording passes and pays only for replaying
+    its own windows.  Yields ``(record, wall seconds, path)`` per task,
+    *path* being :data:`~repro.core.replay.REPLAYED` or the cause of
+    the point's fallback to the accurate engine.  Records stay
+    byte-identical to the parallel path (which rebuilds the passes per
+    worker): the shared passes are architectural, and obs counters are
+    published as per-run deltas."""
     runners: dict[tuple[int, str], SampledRunner] = {}
     for config, image, max_instructions, _, sampling in tasks:
         start = time.perf_counter()
@@ -345,7 +350,14 @@ def _evaluate_sampled_shared(tasks) -> "Iterable[tuple[dict, float]]":
         delta = {name: runner.counters[name] - before[name]
                  for name in before}
         record = _sampled_record(config, run, runner, delta, utilization)
-        yield record, time.perf_counter() - start
+        yield record, time.perf_counter() - start, runner.path
+
+
+def _evaluate_sampled_task(task) -> tuple[dict, float, str]:
+    """One sampled point on a fresh runner (the parallel path): the
+    whole sampled run is rebuilt in-process from ``(config, image,
+    plan)`` — nothing host-dependent ships to the worker."""
+    return next(_evaluate_sampled([task]))
 
 
 def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, int,
@@ -359,26 +371,12 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, int,
 
     A nonzero *fast_forward* warms the point itself on the translated
     engine and measures only the window after it
-    (``Simulator.run(fast_forward=...)``).
-
-    When *sampling* (a :class:`SamplingPlan`, frozen and picklable) is
-    present, the whole sampled run is rebuilt in-process from
-    ``(config, image, plan)`` — nothing host-dependent ships to the
-    worker, which is what makes serial and parallel sampled sweeps
-    byte-identical.  ``cycles`` becomes the rounded point estimate,
-    ``instructions`` stays exact (the survey pass measured it), and the
-    full estimate (CI, windows, phases) lands in the record's
-    ``sampled`` section.
+    (``Simulator.run(fast_forward=...)``).  Sampled points go through
+    :func:`_evaluate_sampled` instead.
     """
-    config, image, max_instructions, fast_forward, sampling = task
+    config, image, max_instructions, fast_forward, _ = task
     start = time.perf_counter()
     utilization = SynthesisModel().estimate(config)
-    if sampling is not None:
-        runner = SampledRunner(config)
-        run = runner.run(image, sampling, max_instructions=max_instructions)
-        record = _sampled_record(config, run, runner, runner.counters,
-                                 utilization)
-        return record, time.perf_counter() - start
     report = Simulator(config, capture_memory_trace=False).run(
         image, max_instructions=max_instructions, fast_forward=fast_forward)
     return (_report_record(config, report, utilization),
@@ -403,11 +401,6 @@ def _report_record(config: ArchitectureConfig, report: SimReport,
         "block_rams": utilization.block_rams,
         "obs": report.obs,
     }
-
-
-#: ``path`` of a point :func:`_evaluate_group` replayed; any other path
-#: it returns is the fallback cause (one of ``FALLBACK_CAUSES``).
-REPLAYED = "replayed"
 
 
 def _evaluate_group(tasks) -> list[tuple[dict, float, str]]:
@@ -661,8 +654,9 @@ class SweepRunner:
 
         ``sampling=`` (a :class:`~repro.core.sampling.SamplingPlan`)
         switches every point to *sampled* mode instead: cycle estimates
-        with confidence intervals from checkpointed measurement windows,
-        at a fraction of the full-detail cost.  Fingerprints gain the
+        with confidence intervals from measurement windows replayed
+        from one recording per image and architecture, at a fraction
+        of the full-detail cost.  Fingerprints gain the
         plan's token, so sampled records never collide with exact ones.
         The two modes are mutually exclusive — a sampled run does its
         own fast-forwarding.
@@ -673,7 +667,8 @@ class SweepRunner:
         recording (:mod:`repro.core.replay`), byte-identical to running
         it on the accurate engine.  ``sweep.replayed_points`` and
         ``sweep.replay_fallbacks{cause=...}`` in :attr:`obs` count what
-        was replayed and what fell back to the accurate engine.
+        was replayed and what fell back to the accurate engine, sampled
+        points included.
         """
         started = time.perf_counter()
         if fast_forward < 0:
@@ -829,21 +824,23 @@ class SweepRunner:
         """Yield ``(record, wall, path)`` per task, in task order.
 
         Full-detail tasks are evaluated in ``(image, arch_key)`` groups
-        (:func:`_evaluate_group`; *path* says whether the point was
-        replayed or why it fell back); windowed and sampled tasks one
-        by one (*path* is ``None``).  All tasks of one sweep share the
-        same ``fast_forward`` and sampling plan."""
+        (:func:`_evaluate_group`) and sampled tasks through
+        :func:`_evaluate_sampled` (*path* says whether the point was
+        replayed or why it fell back); windowed tasks one by one
+        (*path* is ``None``).  All tasks of one sweep share the same
+        ``fast_forward`` and sampling plan."""
         if not tasks:
             return iter(())
         _, _, _, fast_forward, sampling = tasks[0]
-        if sampling is not None or fast_forward:
-            if self.workers <= 1 and sampling is not None:
-                # The shared path amortizes survey/checkpoint passes
-                # across each (image, family) group.
-                results = _evaluate_sampled_shared(tasks)
-            else:
-                results = self._map(_evaluate_task, tasks)
-            return ((record, wall, None) for record, wall in results)
+        if sampling is not None:
+            if self.workers <= 1:
+                # The shared path amortizes the survey and recording
+                # passes across each (image, family) group.
+                return _evaluate_sampled(tasks)
+            return self._map(_evaluate_sampled_task, tasks)
+        if fast_forward:
+            return ((record, wall, None)
+                    for record, wall in self._map(_evaluate_task, tasks))
         groups: dict[tuple, list[int]] = {}
         for index, (config, image, max_instructions, _, _) in \
                 enumerate(tasks):

@@ -623,6 +623,10 @@ class TranslatedUnit(FunctionalUnit):
     #: The :class:`Recording` a :class:`RecordingUnit` fills; ``None``
     #: selects the plain (non-recording) block variant.
     recording = None
+    #: While :meth:`advance` runs: the step count past which no block is
+    #: translated.  A class default, so that units which never advance
+    #: gain no instance attribute.
+    _horizon = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -691,7 +695,10 @@ class TranslatedUnit(FunctionalUnit):
     def _translate(self, entry: int) -> TranslatedBlock | None:
         """Decode forward from *entry* to the next CTI (inclusive, with
         its delay slot) and compile; None if the entry cannot anchor a
-        block (non-RAM fetch, RETT/CPOP1 first, CTI in a delay slot)."""
+        block (non-RAM fetch, RETT/CPOP1 first, CTI in a delay slot) or
+        :meth:`advance` is within a block's length of its stop."""
+        if self._horizon is not None and self.cycles > self._horizon:
+            return None
         mem = self.mem
         lookup = self.decode_cache.lookup
         insts: list[DecodedInstruction] = []
@@ -794,6 +801,25 @@ class TranslatedUnit(FunctionalUnit):
         self._active_lo = self._active_hi = 0
         return executed
 
+    def advance(self, budget: int, stop_pc: int | None = None) -> int:
+        """:meth:`fast_forward` for stopping at an exact step boundary
+        (a sampled window's edge) and resuming there.  The plain loop
+        interprets the last steps before the stop and translates a new
+        block at each of them, and resumes by translating one more from
+        mid-block: blocks that never run again.  Here no block is
+        translated within a block's length of the stop, and a resume
+        interprets up to the next translated block's entry first."""
+        executed = 0
+        while (executed < budget and executed < MAX_BLOCK
+               and self.pc not in self._blocks and self.pc != stop_pc):
+            executed += self.step()
+        self._horizon = self.cycles + budget - executed - MAX_BLOCK
+        try:
+            executed += self.fast_forward(budget - executed, stop_pc)
+        finally:
+            self._horizon = None
+        return executed
+
     def run(self, max_instructions: int = 10_000_000,
             until_pc: int | None = None) -> int:
         """Same contract as :meth:`FunctionalUnit.run`, block-granular."""
@@ -831,7 +857,8 @@ class Recording:
       that moment, for the SMC check.
 
     :meth:`mark` snapshots the column lengths, so a consumer can split
-    the stream into phases (boot and dispatch vs the program window).
+    the stream into phases (boot and dispatch vs the program window, or
+    a sampled window's ramp and measured legs).
     """
 
     def __init__(self):
@@ -846,9 +873,9 @@ class Recording:
         self.code_hi = array("Q")
         self.code_at = array("Q")
 
-    def mark(self) -> tuple[int, int]:
-        """``(events, refs)`` recorded so far."""
-        return len(self.events), len(self.refs)
+    def mark(self) -> tuple[int, int, int]:
+        """``(events, refs, interpreted steps)`` recorded so far."""
+        return len(self.events), len(self.refs), len(self.step_pcs)
 
     def _code_read(self, lo: int, hi: int) -> None:
         self.code_lo.append(lo)

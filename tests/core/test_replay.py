@@ -1,6 +1,8 @@
 """Trace-driven replay in the sweep: full-detail points are recorded once
 per (image, architecture) and replayed, byte-identical to the accurate
 engine — and every point that cannot be replayed falls back visibly.
+Sampled points replay their windows the same way, and fall back the
+same way.
 
 Replay's exactness over many programs and configurations is the
 difftest's timing column (``tests/difftest/harness.py``); these tests
@@ -11,18 +13,23 @@ on.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cache.cache import CacheGeometry
 from repro.core import ArchitectureConfig, ConfigurationSpace, ResultCache
 from repro.core.replay import FALLBACK_CAUSES, Replayer, record
+from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import Simulator
 from repro.core.sweep import REPLAYED, SweepRunner, _evaluate_group, _evaluate_task
 from repro.cpu.blockcache import RecordingUnit
 from repro.cpu.traps import WatchdogExpired
 from repro.obs.metrics import MetricsRegistry
 from repro.toolchain.driver import compile_c_program
-from tests.difftest.harness import build
+from repro.workloads import get
+from tests.difftest.harness import OracleRunner, build
+from tests.golden.regen import CONFLICT_SOURCE
 
 KERNEL = r"""
 int table[512];
@@ -190,6 +197,16 @@ done:
     accurate, _ = _evaluate_task((config, program, 20_000_000, 0, None))
     assert outcome.points[0].cycles == accurate["cycles"]
     assert outcome.points[0].obs == accurate["obs"]
+    # A sampled point of it falls back too, to the accurate oracle.
+    plan = SamplingPlan(n_windows=2, window_length=6, ramp_length=4)
+    registry = MetricsRegistry()
+    outcome = SweepRunner(obs=registry).sweep([config], program,
+                                              sampling=plan)
+    assert _fallbacks(registry, "smc") == 1
+    assert _counters(registry)["sweep.replayed_points"] == 0
+    oracle = OracleRunner(config).run(program, plan)
+    assert _canonical(outcome.points[0].sampled) == \
+        _canonical(oracle.to_record())
 
 
 def test_bus_fault_falls_back():
@@ -231,6 +248,48 @@ done:
     assert _fallbacks(registry, "bus_error") == 1
     accurate, _ = _evaluate_task((config, program, 20_000_000, 0, None))
     assert outcome.points[0].obs == accurate["obs"]
+
+
+@pytest.mark.parametrize("policy", ["lru", "lrr", "random"])
+@pytest.mark.parametrize("kernel", ["ipcheck", "conflict"])
+def test_sampled_windows_replay_set_associative_caches(kernel, policy):
+    """At a window's start the accurate engine keeps the ramp's lines
+    but restarts the replacement state; replayed windows must do the
+    same on both cache sides to match it (``ipcheck`` evicts I-cache
+    lines inside windows, the conflict kernel D-cache lines)."""
+    image = (get(kernel).image(0) if kernel != "conflict"
+             else compile_c_program(CONFLICT_SOURCE))
+    config = replace(
+        ArchitectureConfig(),
+        icache=CacheGeometry(size=512, line_size=32, ways=2,
+                             replacement=policy),
+        dcache=CacheGeometry(size=1024, line_size=32, ways=2,
+                             replacement=policy))
+    plan = SamplingPlan(n_windows=3, window_length=400, ramp_length=256,
+                        seed=5)
+    runner = SampledRunner(config)
+    run = runner.run(image, plan)
+    assert runner.path == REPLAYED
+    assert run.canonical_json() == \
+        OracleRunner(config).run(image, plan).canonical_json()
+
+
+def test_sampled_prefetch_point_falls_back(image):
+    """A sampled point with a prefetching D-cache is measured on the
+    accurate oracle (checkpoints, then single-step windows) and counted
+    under its cause; the family's other point replays its windows.
+    Both records are the oracle's, byte for byte."""
+    plan = SamplingPlan(n_windows=3, window_length=300, ramp_length=200,
+                        seed=1)
+    stock = ArchitectureConfig()
+    configs = [stock, stock.with_prefetch("nextline")]
+    registry = MetricsRegistry()
+    outcome = SweepRunner(obs=registry).sweep(configs, image, sampling=plan)
+    assert _counters(registry)["sweep.replayed_points"] == 1
+    assert _fallbacks(registry, "prefetch") == 1
+    for point, config in zip(outcome.points, configs):
+        oracle = OracleRunner(config).run(image, plan)
+        assert _canonical(point.sampled) == _canonical(oracle.to_record())
 
 
 def test_watchdog_raises_as_on_the_accurate_engine(image):

@@ -380,8 +380,11 @@ def test_corrupt_disk_records_fuzz_to_misses(data):
                 st.integers().filter(lambda n: n != record["schema"]))
             record["sha256"] = _record_digest(record)
         elif mutation == "retype":
-            record[data.draw(st.sampled_from(sorted(record)))] = \
-                data.draw(JSON_VALUES)
+            # Another value, so that the record really changes.
+            key = data.draw(st.sampled_from(sorted(record)))
+            old = json.dumps(record[key], sort_keys=True)
+            record[key] = data.draw(JSON_VALUES.filter(
+                lambda value: json.dumps(value, sort_keys=True) != old))
         else:
             record = data.draw(JSON_VALUES)
         blob = json.dumps(record).encode()

@@ -18,6 +18,11 @@ full-detail sweep evaluates it — recorded once per architecture and
 replayed (:mod:`repro.core.replay`) — and the replayed record's whole
 canonical JSON (cycles, cache statistics, the ``obs`` snapshot) must
 equal the accurate engine's record for the same configuration.
+
+The sampled column (:func:`compare_sampled`) does the same for sampled
+runs: windows replayed from one recording must give the run the
+accurate oracle gives (an ArchState at every ramp start, then
+single-step ramps and windows), byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.cache.cache import CacheGeometry
 from repro.core.config import ArchitectureConfig
+from repro.core.replay import ReplayUnsupported
 from repro.core.rewriter import POPCOUNT_RECIPE
+from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import SimReport, Simulator
 from repro.core.sweep import (
     REPLAYED,
@@ -45,9 +52,10 @@ MAX_INSTRUCTIONS = 2_000_000
 STOCK = ArchitectureConfig()
 
 #: Timing configurations of the fourth column: small 2-way lrr and
-#: 4-way random caches (with the 16x16 multiplier), no load-use
-#: interlock, the deep pipeline (nonzero taken-CTI penalty) and a popc
-#: extension (another architecture, so another recording).
+#: 4-way random caches (with the 16x16 multiplier), 2-way lru caches
+#: with no load-use interlock, the deep pipeline (nonzero taken-CTI
+#: penalty) and a popc extension (another architecture, so another
+#: recording).
 TIMING_CONFIGS = {
     "stock": STOCK,
     "lrr2": replace(
@@ -62,13 +70,23 @@ TIMING_CONFIGS = {
                              replacement="random"),
         dcache=CacheGeometry(size=1024, line_size=32, ways=4,
                              replacement="random")),
-    "noilock": replace(STOCK, load_use_interlock=False),
+    "noilock-lru2": replace(
+        STOCK, load_use_interlock=False,
+        icache=CacheGeometry(size=512, line_size=32, ways=2,
+                             replacement="lru"),
+        dcache=CacheGeometry(size=1024, line_size=32, ways=2,
+                             replacement="lru")),
     "depth7": STOCK.with_pipeline_depth(7),
     "popc": POPCOUNT_RECIPE.apply_to_config(STOCK),
 }
 ALL_TIMING = tuple(TIMING_CONFIGS)
 #: Non-stock configurations, for rotating one per generated seed.
 EXTRA_TIMING = ALL_TIMING[1:]
+
+#: The sampled column's plan: generated programs run a few hundred
+#: steps, so short windows and ramps still place several of each.
+SAMPLED_PLAN = SamplingPlan(n_windows=3, window_length=24, ramp_length=16,
+                            seed=7)
 
 
 def build(asm_text: str):
@@ -158,6 +176,40 @@ def compare_timing(image, max_instructions: int, timing: tuple[str, ...],
                 accurate, _ = _evaluate_task(task)
             problems += _describe_record_diff(accurate, replayed, name)
     return problems
+
+
+class OracleRunner(SampledRunner):
+    """A sampled runner that measures every window on the accurate
+    oracle: the checkpoint pass and ``measure_window``, the path a
+    replay fallback takes."""
+
+    def _recording_pass(self, *args):
+        raise ReplayUnsupported("oracle")
+
+
+def compare_sampled(image, max_instructions: int, timing: tuple[str, ...],
+                    plan: SamplingPlan = SAMPLED_PLAN
+                    ) -> tuple[list[str], dict[str, str]]:
+    """The sampled column: under each named configuration, the sampled
+    run (windows replayed from one recording per architecture where
+    replay is exact) must equal the accurate oracle's run of the same
+    plan, byte for byte.  Returns the problems and each configuration's
+    path (``REPLAYED`` or its fallback cause)."""
+    problems, paths = [], {}
+    runners: dict[str, tuple[SampledRunner, SampledRunner]] = {}
+    for name in timing:
+        config = TIMING_CONFIGS[name]
+        family = config.arch_key()
+        if family not in runners:
+            runners[family] = (SampledRunner(config), OracleRunner(config))
+        runner, oracle_runner = runners[family]
+        sampled = runner.run(image, plan, max_instructions, config=config)
+        paths[name] = runner.path
+        oracle = oracle_runner.run(image, plan, max_instructions,
+                                   config=config)
+        problems += _describe_record_diff(
+            oracle.to_record(), sampled.to_record(), f"sampled {name}")
+    return problems, paths
 
 
 def _describe_record_diff(accurate: dict, replayed: dict,

@@ -6,6 +6,9 @@ retired/trap counts) and an identical UART byte stream on both engines,
 and its replayed timing record must equal the accurate engine's under
 the stock configuration plus one more (rotating through
 ``harness.EXTRA_TIMING`` by seed; the corpus runs all of them).
+Every eleventh seed also runs the sampled column: its sampled run,
+windows replayed, must equal the accurate oracle's run of the same
+plan under the same two configurations.
 A failing seed is delta-debugged down to a minimal block listing, which
 is written into ``corpus/`` — commit that file so the bug stays covered
 forever (``test_corpus_replays`` re-runs every committed listing).
@@ -23,13 +26,24 @@ import pathlib
 import pytest
 
 from tests.difftest import gen
-from tests.difftest.harness import ALL_TIMING, EXTRA_TIMING, compare_engines
+from repro.core.replay import REPLAYED
+from tests.difftest.harness import (
+    ALL_TIMING,
+    EXTRA_TIMING,
+    MAX_INSTRUCTIONS,
+    build,
+    compare_engines,
+    compare_sampled,
+)
 
 pytestmark = pytest.mark.difftest
 
 PROGRAMS = int(os.environ.get("DIFFTEST_PROGRAMS", "200"))
 CHUNKS = 20
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+#: The sampled column's seeds: a stride coprime to the rotation, so
+#: every extra timing configuration takes its turn.
+SAMPLED_SEEDS = range(3, PROGRAMS, 11)
 
 
 def _seeds_for(chunk: int) -> range:
@@ -75,6 +89,14 @@ def test_generated_programs_match(chunk):
                 + "\n  ".join(problems)
                 + f"\nshrunk listing written to {path} — commit it "
                 f"to the regression corpus")
+
+
+@pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+def test_sampled_windows_match_the_oracle(seed):
+    problems, paths = compare_sampled(build(gen.generate(seed)),
+                                      MAX_INSTRUCTIONS, _timing_for(seed))
+    assert not problems, f"seed {seed}:\n" + "\n".join(problems)
+    assert set(paths.values()) == {REPLAYED}
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,8 @@ byte-identical across all three engines (accurate, functional,
 translated) through the shared harness, and every program's replayed
 timing record must equal the accurate engine's — a store to code
 followed by the FLUSH V8 requires keeps the I-cache coherent, so replay
-stays exact.
+stays exact.  So must each pinned program's sampled run (the sampled
+column).
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from __future__ import annotations
 import pytest
 
 from tests.difftest import gen
-from tests.difftest.harness import ALL_TIMING, EXTRA_TIMING, compare_engines
+from tests.difftest.harness import (
+    ALL_TIMING,
+    EXTRA_TIMING,
+    MAX_INSTRUCTIONS,
+    build,
+    compare_engines,
+    compare_sampled,
+)
 
 pytestmark = pytest.mark.difftest
 
@@ -40,6 +48,8 @@ EPILOGUE = """
 def _check(body: str) -> None:
     problems = compare_engines(PROLOGUE + body + EPILOGUE,
                                timing=ALL_TIMING)
+    problems += compare_sampled(build(PROLOGUE + body + EPILOGUE),
+                                MAX_INSTRUCTIONS, ALL_TIMING)[0]
     assert not problems, "\n".join(problems)
 
 

@@ -21,9 +21,11 @@ from repro.cpu.archstate import ArchState
 from repro.cpu.traps import WatchdogExpired
 from tests.difftest.harness import (
     ALL_TIMING,
+    MAX_INSTRUCTIONS,
     STOCK,
     build,
     compare_engines,
+    compare_sampled,
 )
 
 pytestmark = pytest.mark.difftest
@@ -125,10 +127,11 @@ unwind:
     restore
 """
     problems = compare_engines(asm, timing=ALL_TIMING)
+    image = build(asm)
+    problems += compare_sampled(image, MAX_INSTRUCTIONS, ALL_TIMING)[0]
     assert not problems, "\n".join(problems)
 
     # prove the deep case actually trapped: run accurately and count
-    image = build(asm)
     sim = Simulator(capture_memory_trace=False, obs=False)
     sim.run(image)
     state = ArchState.capture(sim)
