@@ -232,7 +232,7 @@ class SetAssociativeCache:
         to its power-on state.  Only meaningful right after
         :meth:`invalidate_all` — with no valid lines the timestamps
         carry no information — so this is purely a canonicalization step
-        for the fast-forward handoff."""
+        for the start of a sampled window."""
         self._clock = 0
         self._rng = np.random.default_rng(self._seed)
         for ways in self._lines:

@@ -204,10 +204,10 @@ class CacheController:
     def reset_stats(self) -> None:
         """Zero all accounting and retrain the speculative machinery.
 
-        Used by the fast-forward handoff: after a flush, this puts the
-        controller in the same canonical state it has right after
-        construction, so a measured window reports identically no matter
-        which engine (or checkpoint) produced the warmed-up machine.
+        Used at the start of a sampled window: after a flush, this puts
+        the controller in the same canonical state it has right after
+        construction, so a measured window reports identically whether
+        the machine was restored from a checkpoint or stepped there.
         """
         self.cache.stats = CacheStats()
         self.cache.reset_replacement_state()

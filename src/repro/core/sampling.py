@@ -452,7 +452,8 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     engine and return the window observation dict.
 
     The machine must already be positioned at ``spec.ramp_start`` in the
-    canonical handoff state (:meth:`Simulator._normalize_window_start`).
+    canonical window-start state
+    (:meth:`Simulator._normalize_window_start`).
     Shared between the checkpoint-resumed path and the straight-through
     path so the two are equal by construction — the determinism tests
     hold them against each other.

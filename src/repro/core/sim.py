@@ -190,9 +190,10 @@ class SimReport:
     #: the same window the FPX cycle counter arms over.  Empty when the
     #: simulator was built with ``obs=False``.
     obs: dict = dataclass_field(default_factory=dict)
-    #: Two-speed provenance: how the machine reached the measured window
-    #: (warmup engine, fast-forwarded steps).  Empty for a cold whole-
-    #: program run; never part of the report's identity.
+    #: Fast-engine provenance (engine, steps, block-cache counters), set
+    #: only by :meth:`Simulator.run_functional` and
+    #: :meth:`Simulator.run_translated`; empty for an accurate run.
+    #: Never part of the report's identity.
     fastpath: dict = dataclass_field(default_factory=dict)
 
     @property
@@ -330,31 +331,16 @@ class Simulator:
                          "blocks_invalidated"):
                 counters[f"fastpath.{name}"] += getattr(fast, name)
 
-    @staticmethod
-    def _warmup(engine, budget: int, poll: int) -> int:
-        """Advance *engine* up to *budget* steps, stopping early if the
-        program finishes (returns to the boot ROM's polling loop).
-        Returns the steps actually executed.  Step-for-step identical on
-        every engine, so ``fast_forward=N`` lands on the same
-        architectural state no matter who executes the N steps."""
-        fast_forward = getattr(engine, "fast_forward", None)
-        if fast_forward is not None:
-            return fast_forward(budget, stop_pc=poll)
-        executed = 0
-        while executed < budget and engine.pc != poll:
-            engine.step()
-            executed += 1
-        return executed
-
     def _normalize_window_start(self) -> None:
-        """Put the micro-architecture into the canonical handoff state.
+        """Put the micro-architecture into the canonical window-start
+        state.
 
-        The architectural state at a handoff is exact; the caches,
-        prefetchers and pipeline are not warmed by functional execution,
-        so a measured window always begins from flushed-and-reset
-        machinery.  Applying the same normalization after an *accurate*
-        warmup (or a checkpoint restore) is what makes the measured
-        window's report byte-identical across warmup engines.
+        A restored checkpoint is architecturally exact; the caches,
+        prefetchers and pipeline are not part of it, so a measured
+        window always begins from flushed-and-reset machinery.  Applying
+        the same normalization on a machine that stepped straight
+        through on the accurate engine is what makes its windows
+        byte-identical to the checkpoint-resumed ones.
         """
         self.icache.flush()
         self.dcache.flush()
@@ -392,32 +378,31 @@ class Simulator:
         state.restore(self)
         self.counters["fastpath.checkpoint_restores"] += 1
 
-    def checkpoint(self, image: Image, fast_forward: int,
-                   warmup_engine: str = "translated") -> ArchState:
-        """Boot, dispatch *image*, execute *fast_forward* steps of the
-        program, and capture the state at the handoff point.
+    def checkpoint(self, image: Image, steps: int) -> ArchState:
+        """Boot, dispatch *image*, execute its first *steps* steps on
+        the translated engine (fewer if it finishes first), and capture
+        the state there.
 
         The returned :class:`ArchState` can be restored into any
         simulator whose configuration shares this one's *architectural*
         shape (:meth:`ArchitectureConfig.arch_key`) — timing dimensions
         like cache geometry are free to differ.
         """
-        poll = self.rom_info.poll_address
-        engine = self._boot_and_dispatch(image, warmup_engine)
-        self._warmup(engine, fast_forward, poll)
-        if isinstance(engine, FunctionalUnit):
-            self._sync_from_functional(engine)
+        fast = self._boot_and_dispatch(image, "translated")
+        fast.fast_forward(steps, stop_pc=self.rom_info.poll_address)
+        self._sync_from_functional(fast)
         return self.capture_state()
 
-    def _boot_and_dispatch(self, image: Image, warmup_engine: str):
+    def _boot_and_dispatch(self, image: Image, kind: str):
         """Boot to the polling loop, load *image*, run to its entry.
-        Returns the engine (functional or cycle-accurate) that did it,
-        positioned at the program's first instruction."""
-        if warmup_engine not in ("fast", "translated", "accurate"):
-            raise ValueError(f"unknown warmup engine '{warmup_engine}'")
-        if warmup_engine == "translated":
+        Returns the engine of *kind* (``"fast"``, ``"translated"`` or
+        ``"accurate"``) that did it, positioned at the program's first
+        instruction."""
+        if kind not in ("fast", "translated", "accurate"):
+            raise ValueError(f"unknown engine '{kind}'")
+        if kind == "translated":
             engine = self.translated_unit()
-        elif warmup_engine == "fast":
+        elif kind == "fast":
             engine = self.functional_unit()
         else:
             engine = self.cpu
@@ -441,57 +426,13 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def run(self, image: Image | None = None,
-            max_instructions: int = 50_000_000, *,
-            fast_forward: int = 0,
-            warmup_engine: str = "translated",
-            from_checkpoint: ArchState | None = None) -> SimReport:
-        """Boot, dispatch *image*, run it to completion, report.
-
-        Two-speed execution: with ``fast_forward=N``, the boot sequence
-        and the program's first N steps execute on the block-translating
-        fast path (``warmup_engine="fast"`` uses single-instruction
-        functional dispatch instead; ``"accurate"`` keeps them
-        cycle-accurate — the differential baseline), then the machine is
-        normalized
-        (caches flushed, statistics zeroed) and handed to the
-        cycle-accurate engine, whose *measured window* covers only the
-        rest of the program.  ``from_checkpoint`` skips warmup entirely
-        by restoring an :class:`~repro.cpu.archstate.ArchState` captured
-        by :meth:`checkpoint` — no ``image`` needed, it lives in the
-        checkpoint's memory.  All three warm starts produce
-        byte-identical reports for the same window.
-
-        The default (``fast_forward=0``, no checkpoint) measures the
-        whole program cycle-accurately, exactly as before.
-        """
-        if fast_forward < 0:
-            raise ValueError("fast_forward must be >= 0")
+    def run(self, image: Image,
+            max_instructions: int = 50_000_000) -> SimReport:
+        """Boot, dispatch *image*, run the whole program on the
+        cycle-accurate engine, report."""
         cpu = self.cpu
         poll = self.rom_info.poll_address
-
-        warmup_instructions = 0
-        if from_checkpoint is not None:
-            self.restore_state(from_checkpoint)
-            windowed = True
-            provenance = "checkpoint"
-        else:
-            if image is None:
-                raise ValueError(
-                    "run() needs an image unless from_checkpoint is given")
-            engine = self._boot_and_dispatch(image, warmup_engine
-                                             if fast_forward else "accurate")
-            if fast_forward:
-                warmup_instructions = self._warmup(engine, fast_forward, poll)
-            if isinstance(engine, FunctionalUnit):
-                self._sync_from_functional(engine)
-            windowed = fast_forward > 0
-            provenance = warmup_engine if windowed else "none"
-        if windowed:
-            self.counters["fastpath.handoffs"] += 1
-            self._normalize_window_start()
-            self.events.record(cpu.cycles, "handoff", engine=provenance,
-                               warmup_instructions=warmup_instructions)
+        self._dispatch_on(cpu, image)
 
         # Instrument the measured window only.
         if self.recorder is not None:
@@ -513,10 +454,6 @@ class Simulator:
 
         trace = (self.recorder.trace() if self.recorder is not None
                  else MemoryTrace.empty())
-        fastpath = ({"fast_forward": fast_forward,
-                     "warmup_engine": provenance,
-                     "warmup_instructions": warmup_instructions}
-                    if windowed else {})
         return SimReport(
             cycles=cpu.cycles - start_cycles,
             instructions=cpu.instret - start_instret,
@@ -527,16 +464,17 @@ class Simulator:
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
             obs=obs,
-            fastpath=fastpath,
         )
 
     def run_sampled(self, image: Image, plan,
                     max_instructions: int = 50_000_000):
         """SMARTS-style sampled run: execute *image* under *plan* (a
-        :class:`~repro.core.sampling.SamplingPlan`) — translated
-        fast-forward between checkpointed, cycle-accurate measurement
-        windows — and return the :class:`~repro.core.sampling.SampledRun`
-        carrying per-window observations and CLT confidence intervals.
+        :class:`~repro.core.sampling.SamplingPlan`) — measurement
+        windows replayed from one translated recording of the program,
+        run on the cycle-accurate engine only where replay falls back
+        (prefetch, self-modifying code, bus error) — and return the
+        :class:`~repro.core.sampling.SampledRun` carrying per-window
+        observations and CLT confidence intervals.
 
         The measurement itself runs in fresh simulators built from this
         one's config (a pure function of ``(image, config, plan)``);

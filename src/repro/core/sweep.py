@@ -337,7 +337,7 @@ def _evaluate_sampled(tasks) -> "Iterable[tuple[dict, float, str]]":
     worker): the shared passes are architectural, and obs counters are
     published as per-run deltas."""
     runners: dict[tuple[int, str], SampledRunner] = {}
-    for config, image, max_instructions, _, sampling in tasks:
+    for config, image, max_instructions, sampling in tasks:
         start = time.perf_counter()
         utilization = SynthesisModel().estimate(config)
         key = (id(image), config.arch_key())
@@ -360,32 +360,28 @@ def _evaluate_sampled_task(task) -> tuple[dict, float, str]:
     return next(_evaluate_sampled([task]))
 
 
-def _evaluate_task(task: tuple[ArchitectureConfig, Image, int, int,
+def _evaluate_task(task: tuple[ArchitectureConfig, Image, int,
                                SamplingPlan | None]
                    ) -> tuple[dict, float]:
     """Simulate one point; returns (cacheable record, wall seconds).
 
     The memory trace is deliberately not captured: sweep points must be
     small, picklable and JSON-serializable, and the exploration loop
-    only needs the aggregate report.
-
-    A nonzero *fast_forward* warms the point itself on the translated
-    engine and measures only the window after it
-    (``Simulator.run(fast_forward=...)``).  Sampled points go through
+    only needs the aggregate report.  Sampled points go through
     :func:`_evaluate_sampled` instead.
     """
-    config, image, max_instructions, fast_forward, _ = task
+    config, image, max_instructions, _ = task
     start = time.perf_counter()
     utilization = SynthesisModel().estimate(config)
     report = Simulator(config, capture_memory_trace=False).run(
-        image, max_instructions=max_instructions, fast_forward=fast_forward)
+        image, max_instructions=max_instructions)
     return (_report_record(config, report, utilization),
             time.perf_counter() - start)
 
 
 def _report_record(config: ArchitectureConfig, report: SimReport,
                    utilization) -> dict:
-    """The cacheable record of one full-detail (or windowed) point."""
+    """The cacheable record of one full-detail point."""
     return {
         "schema": SCHEMA_VERSION,
         "config_key": config.key(),
@@ -416,7 +412,7 @@ def _evaluate_group(tasks) -> list[tuple[dict, float, str]]:
     replayer, cause = None, "prefetch"  # the cause if nothing records
     replayable = [task for task in tasks if task[0].prefetch == "none"]
     if replayable:
-        config, image, max_instructions, _, _ = replayable[0]
+        config, image, max_instructions, _ = replayable[0]
         try:
             replayer = Replayer(record_program(config, image,
                                                 max_instructions))
@@ -639,29 +635,17 @@ class SweepRunner:
     def sweep(self, space: Iterable[ArchitectureConfig],
               images: Image | Sequence[Image],
               max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-              fast_forward: int = 0,
               sampling: SamplingPlan | None = None) -> SweepOutcome:
         """Evaluate every (image, config) pair; image-major order.
 
-        ``fast_forward > 0`` switches every point to two-speed mode:
-        each point runs its first N steps on the translated engine (no
-        timing model), then measures only the window after them on the
-        cycle-accurate engine.  Every point pays for its own warm-up;
-        long fast-forwards belong on ``sampling=``, which shares its
-        warm-up passes per family.  Fingerprints gain a ``-ff<N>``
-        suffix, so windowed results never collide with whole-program
-        records in the :class:`ResultCache`.
-
         ``sampling=`` (a :class:`~repro.core.sampling.SamplingPlan`)
-        switches every point to *sampled* mode instead: cycle estimates
-        with confidence intervals from measurement windows replayed
-        from one recording per image and architecture, at a fraction
-        of the full-detail cost.  Fingerprints gain the
-        plan's token, so sampled records never collide with exact ones.
-        The two modes are mutually exclusive — a sampled run does its
-        own fast-forwarding.
+        switches every point to *sampled* mode: cycle estimates with
+        confidence intervals from measurement windows replayed from one
+        recording per image and architecture, at a fraction of the
+        full-detail cost.  Fingerprints gain the plan's token, so
+        sampled records never collide with exact ones.
 
-        Full-detail points (neither mode) are replayed: each group of
+        Full-detail points (the default) are replayed: each group of
         points sharing an image and an architecture runs once on the
         recording engine and every point's record is computed from that
         recording (:mod:`repro.core.replay`), byte-identical to running
@@ -671,11 +655,6 @@ class SweepRunner:
         points included.
         """
         started = time.perf_counter()
-        if fast_forward < 0:
-            raise ValueError("fast_forward must be >= 0")
-        if sampling is not None and fast_forward:
-            raise ValueError(
-                "sampling and fast_forward are mutually exclusive")
         configs = list(space)
         if isinstance(images, Image):
             images = [images]
@@ -685,10 +664,8 @@ class SweepRunner:
             raise ValueError("sweep needs at least one config and one image")
 
         # Deterministic work list: (index, image, digest, config, fp).
-        if sampling is not None:
-            suffix = f"-{sampling.fingerprint_token()}"
-        else:
-            suffix = f"-ff{fast_forward}" if fast_forward else ""
+        suffix = (f"-{sampling.fingerprint_token()}"
+                  if sampling is not None else "")
         entries = []
         for image in images:
             digest = image_digest(image)
@@ -705,7 +682,7 @@ class SweepRunner:
                     cached[index] = hit
 
         stats = SweepStats(points=len(entries))
-        tasks = [(config, image, max_instructions, fast_forward, sampling)
+        tasks = [(config, image, max_instructions, sampling)
                  for index, image, _, config, _ in entries
                  if index not in cached]
 
@@ -723,7 +700,7 @@ class SweepRunner:
                 record, wall, path = next(fresh)
                 if path == REPLAYED:
                     self.obs.counter("sweep.replayed_points").inc()
-                elif path is not None:
+                else:
                     self.obs.counter("sweep.replay_fallbacks",
                                      cause=path).inc()
                 stats.simulated += 1
@@ -746,7 +723,6 @@ class SweepRunner:
     def sweep_matrix(self, workloads: Sequence, space,
                      max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                      seed: int = 0,
-                     fast_forward: int = 0,
                      sampling: SamplingPlan | None = None,
                      analyze: bool = False) -> MatrixOutcome:
         """Evaluate every (workload, config) pair of the matrix.
@@ -788,7 +764,6 @@ class SweepRunner:
                 collect_analysis(diag, self.obs)
             outcome = self.sweep(configs, workload.image(seed),
                                  max_instructions=max_instructions,
-                                 fast_forward=fast_forward,
                                  sampling=sampling)
             for point in outcome.points:
                 cells.append(MatrixCell(
@@ -825,25 +800,20 @@ class SweepRunner:
 
         Full-detail tasks are evaluated in ``(image, arch_key)`` groups
         (:func:`_evaluate_group`) and sampled tasks through
-        :func:`_evaluate_sampled` (*path* says whether the point was
-        replayed or why it fell back); windowed tasks one by one
-        (*path* is ``None``).  All tasks of one sweep share the same
-        ``fast_forward`` and sampling plan."""
+        :func:`_evaluate_sampled`; *path* says whether the point was
+        replayed or why it fell back.  All tasks of one sweep share the
+        same sampling plan."""
         if not tasks:
             return iter(())
-        _, _, _, fast_forward, sampling = tasks[0]
+        sampling = tasks[0][3]
         if sampling is not None:
             if self.workers <= 1:
                 # The shared path amortizes the survey and recording
                 # passes across each (image, family) group.
                 return _evaluate_sampled(tasks)
             return self._map(_evaluate_sampled_task, tasks)
-        if fast_forward:
-            return ((record, wall, None)
-                    for record, wall in self._map(_evaluate_task, tasks))
         groups: dict[tuple, list[int]] = {}
-        for index, (config, image, max_instructions, _, _) in \
-                enumerate(tasks):
+        for index, (config, image, max_instructions, _) in enumerate(tasks):
             groups.setdefault((id(image), config.arch_key(),
                                max_instructions), []).append(index)
         members = list(groups.values())

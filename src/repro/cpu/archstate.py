@@ -9,10 +9,9 @@ so a restored run replays the original bit-for-bit.
 
 Capture from one simulator, restore into another (with the same
 architectural shape), and execution continues exactly where it left
-off — that is how ``Simulator.run(from_checkpoint=...)`` resumes a
-warmed program on the cycle-accurate engine, and how
-:class:`~repro.core.sampling.SampledRunner` starts every measurement
-window of a sampled run from its own checkpoint.
+off — that is how :class:`~repro.core.sampling.SampledRunner`, where
+a window cannot be replayed, starts it on the cycle-accurate engine
+from its own checkpoint.
 
 Equality compares only *architectural* fields — the clock and the RNG
 cursors are timing machinery, excluded via ``compare=False`` — so the

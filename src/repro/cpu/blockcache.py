@@ -28,9 +28,9 @@ obeys (see ``FunctionalUnit.data_write``/``flush_icache``):
 
 Step accounting is identical to the other engines — one step is one
 retired instruction, one annulled delay slot or one trap entry — so
-``fast_forward=N`` lands on the same architectural state no matter
-which engine executes the N steps.  The randomized differential suite
-in ``tests/difftest`` runs in translated mode to prove it.
+N steps land on the same architectural state no matter which engine
+executes them.  The randomized differential suite in
+``tests/difftest`` runs in translated mode to prove it.
 """
 
 from __future__ import annotations

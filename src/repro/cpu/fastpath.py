@@ -185,8 +185,8 @@ class FunctionalUnit:
     The register file, control registers, decode cache, extension table
     and ASR file may be shared **by reference** with a cycle-accurate
     unit — that is how :meth:`repro.core.sim.Simulator.functional_unit`
-    builds the fast path over the live machine, so a handoff needs no
-    architectural copying at all.
+    builds the fast path over the live machine, so switching engines
+    needs no architectural copying at all.
     """
 
     #: Shared stateless stand-in for the pipeline the trap-entry code
@@ -301,8 +301,8 @@ class FunctionalUnit:
         Mirrors :meth:`IntegerUnit.step` exactly — same interrupt check,
         same fetch-fault ordering, same annul handling — minus all cycle
         accounting.  One call is one step on either engine, which is
-        what lets ``fast_forward=N`` mean the same machine state no
-        matter which engine executes the N steps.
+        what lets N steps mean the same machine state no matter which
+        engine executes them.
         """
         if self.halted:
             raise traps.ErrorMode(self.error_tt or 0, self.pc)
@@ -368,8 +368,8 @@ class FunctionalUnit:
         """Execute up to *budget* steps, stopping early when the PC
         reaches *stop_pc* (checked before each step, like ``run``).
         Returns the steps actually executed.  One step here is one step
-        on any engine, which is what lets ``fast_forward=N`` mean the
-        same machine state no matter who executes the N steps — the
+        on any engine, which is what lets N steps mean the same machine
+        state no matter who executes them — the
         block-translating subclass overrides this with a block-granular
         loop that preserves exactly that contract."""
         executed = 0

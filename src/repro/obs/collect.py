@@ -98,10 +98,12 @@ def collect_cache(controller, registry: MetricsRegistry) -> None:
 
 
 #: Two-speed execution series: steps executed on the fast engines,
-#: fast->accurate handoffs, checkpoint captures/restores and the block
-#: cache's translations, executions and invalidations.  A
-#: :class:`~repro.core.sim.Simulator` counts them in ``sim.counters``
-#: under exactly these names.
+#: checkpoint captures/restores and the block cache's translations,
+#: executions and invalidations.  A :class:`~repro.core.sim.Simulator`
+#: counts them in ``sim.counters`` under exactly these names.
+#: Nothing increments ``fastpath.handoffs`` any more; it stays (always
+#: 0) because every full-detail record's ``obs`` carries it, until the
+#: next record-schema bump drops it.
 FASTPATH_SERIES = (
     "fastpath.instructions", "fastpath.handoffs",
     "fastpath.checkpoint_captures", "fastpath.checkpoint_restores",

@@ -87,7 +87,7 @@ def test_sweep_replays_every_exact_point(image):
     assert counters["sweep.replayed_points"] == 2
     assert all(_fallbacks(registry, cause) == 0 for cause in FALLBACK_CAUSES)
     for point in outcome.points:
-        task = (point.config, image, 20_000_000, 0, None)
+        task = (point.config, image, 20_000_000, None)
         accurate, _ = _evaluate_task(task)
         assert point.cycles == accurate["cycles"]
         assert point.obs == accurate["obs"]
@@ -113,7 +113,7 @@ def test_prefetch_point_falls_back_and_is_counted(image):
     outcome = SweepRunner(obs=registry).sweep([base, prefetching], image)
     assert _counters(registry)["sweep.replayed_points"] == 1
     assert _fallbacks(registry, "prefetch") == 1
-    accurate, _ = _evaluate_task((prefetching, image, 20_000_000, 0, None))
+    accurate, _ = _evaluate_task((prefetching, image, 20_000_000, None))
     assert "prefetch" in accurate["dcache"]
     point = outcome.points[1]
     assert point.dcache == accurate["dcache"]
@@ -194,7 +194,7 @@ done:
     registry = MetricsRegistry()
     outcome = SweepRunner(obs=registry).sweep([config], program)
     assert _fallbacks(registry, "smc") == 1
-    accurate, _ = _evaluate_task((config, program, 20_000_000, 0, None))
+    accurate, _ = _evaluate_task((config, program, 20_000_000, None))
     assert outcome.points[0].cycles == accurate["cycles"]
     assert outcome.points[0].obs == accurate["obs"]
     # A sampled point of it falls back too, to the accurate oracle.
@@ -246,7 +246,7 @@ done:
     outcome = SweepRunner(obs=registry).sweep([config], program)
     assert outcome.points[0].result_word == 7
     assert _fallbacks(registry, "bus_error") == 1
-    accurate, _ = _evaluate_task((config, program, 20_000_000, 0, None))
+    accurate, _ = _evaluate_task((config, program, 20_000_000, None))
     assert outcome.points[0].obs == accurate["obs"]
 
 
@@ -293,7 +293,7 @@ def test_sampled_prefetch_point_falls_back(image):
 
 
 def test_watchdog_raises_as_on_the_accurate_engine(image):
-    task = (ArchitectureConfig(), image, 2_000, 0, None)
+    task = (ArchitectureConfig(), image, 2_000, None)
     with pytest.raises(WatchdogExpired) as accurate:
         _evaluate_task(task)
     with pytest.raises(WatchdogExpired) as replayed:
@@ -305,7 +305,7 @@ def test_group_replays_each_point_from_one_recording(image):
     configs = list(_space()) + [
         ArchitectureConfig(multiplier="iterative"),
         ArchitectureConfig().with_pipeline_depth(7)]
-    tasks = [(config, image, 20_000_000, 0, None) for config in configs]
+    tasks = [(config, image, 20_000_000, None) for config in configs]
     results = _evaluate_group(tasks)
     assert [path for _, _, path in results] == [REPLAYED] * len(tasks)
     for task, (replayed, _, _) in zip(tasks, results):
@@ -372,5 +372,5 @@ loop:
     assert len(recorded.recording.events) > 400
     assert len(recorded.recording.blocks) < 40
     config = ArchitectureConfig()
-    accurate, _ = _evaluate_task((config, program, 20_000_000, 0, None))
+    accurate, _ = _evaluate_task((config, program, 20_000_000, None))
     assert Replayer(recorded).report(config).cycles == accurate["cycles"]

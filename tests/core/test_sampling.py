@@ -1,10 +1,11 @@
 """Unit surface of :mod:`repro.core.sampling`: plan validation, window
 placement, the CLT estimator on synthetic observations (degenerate
-cases included), record round-trips, and one end-to-end conservation
-check on a registry kernel.
+cases included), record round-trips, one end-to-end conservation
+check on a registry kernel, the checkpoint counters, and (marked slow)
+sampled sweeps and checkpoint-resumed windows.
 
 The statistical *coverage* claims live in ``test_sampling_stats.py``
-(slow, marked ``sampling``); this module stays fast.
+(slow, marked ``sampling``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.config import ArchitectureConfig
 from repro.core.sampling import (
     HEAD_INDEX,
     METRICS,
@@ -20,11 +22,27 @@ from repro.core.sampling import (
     SamplingPlan,
     estimate_windows,
     head_spec,
+    measure_window,
     place_windows,
     z_score,
 )
 from repro.core.sim import Simulator
+from repro.core.sweep import ResultCache, SweepRunner
+from repro.obs.collect import FASTPATH_SERIES
+from repro.toolchain.driver import compile_c_program
 from repro.workloads import all_workloads, get
+
+#: A loop retiring ~43k instructions: long enough for several windows
+#: and for a checkpoint WARMUP steps in to land mid-program.
+LOOP = """
+unsigned data[256];
+int main(void) {
+    unsigned i, sum = 0;
+    for (i = 0; i < 1200; i++) { sum += data[i & 255] + i; data[i & 255] = sum; }
+    return (int)sum;
+}
+"""
+WARMUP = 3_000
 
 
 def synthetic_window(index: int, cycles: int, instructions: int = 1000,
@@ -256,3 +274,113 @@ class TestLongRunningRegistry:
             workload = get(name)
             assert workload.long_running
             assert workload.max_instructions >= 4_000_000
+
+
+@pytest.fixture(scope="module")
+def loop_image():
+    return compile_c_program(LOOP)
+
+
+class TestCheckpointCounters:
+    def test_checkpoint_counts_its_translated_warmup(self, loop_image):
+        sim = Simulator(capture_memory_trace=False)
+        sim.checkpoint(loop_image, WARMUP)
+        counters = sim.counters
+        assert counters["fastpath.instructions"] > 0
+        assert counters["fastpath.blocks_translated"] > 0
+        assert counters["fastpath.blocks_executed"] > 0
+        assert counters["fastpath.checkpoint_captures"] == 1
+
+    def test_run_obs_carries_the_fastpath_series(self, loop_image):
+        report = Simulator(capture_memory_trace=False).run(loop_image)
+        assert set(FASTPATH_SERIES) <= set(report.obs["counters"])
+
+
+@pytest.mark.slow
+class TestSweepSampling:
+    """Satellite determinism contract: identical (image, plan, seed)
+    must yield byte-identical sampled records serially, in parallel
+    workers, and on a ResultCache re-run."""
+
+    CONFIGS = [ArchitectureConfig().with_dcache_size(size)
+               for size in (1024, 4096)]
+    PLAN = SamplingPlan(n_windows=3, window_length=400, ramp_length=256,
+                        seed=5)
+
+    def test_serial_parallel_and_rerun_are_byte_identical(
+            self, loop_image, tmp_path):
+        cache = ResultCache(tmp_path)
+        runner = SweepRunner(cache=cache)
+        serial = runner.sweep(self.CONFIGS, loop_image, sampling=self.PLAN)
+        parallel = SweepRunner(workers=2).sweep(
+            self.CONFIGS, loop_image, sampling=self.PLAN)
+        rerun = SweepRunner(cache=ResultCache(tmp_path)).sweep(
+            self.CONFIGS, loop_image, sampling=self.PLAN)
+        assert rerun.stats.simulated == 0  # served entirely from disk
+        for a, b, c in zip(serial.points, parallel.points, rerun.points):
+            assert a.canonical_json() == b.canonical_json()
+            assert a.canonical_json() == c.canonical_json()
+            assert a.sampled is not None
+            assert a.sampled == b.sampled == c.sampled
+
+    def test_sampled_points_match_direct_runs(self, loop_image):
+        outcome = SweepRunner().sweep([self.CONFIGS[0]], loop_image,
+                                      sampling=self.PLAN)
+        point = outcome.points[0]
+        direct = Simulator(self.CONFIGS[0],
+                           capture_memory_trace=False).run_sampled(
+            loop_image, self.PLAN)
+        assert point.sampled["estimated_cycles"] == direct.estimated_cycles
+        assert point.cycles == int(round(direct.estimated_cycles))
+        assert point.instructions == direct.total_instructions
+        assert point.fingerprint.endswith(
+            f"-{self.PLAN.fingerprint_token()}")
+        assert "sampling.runs" in point.obs["counters"]
+
+    def test_full_detail_and_sampled_never_collide(self, loop_image,
+                                                   tmp_path):
+        cache = ResultCache(tmp_path)
+        runner = SweepRunner(cache=cache)
+        sampled = runner.sweep([self.CONFIGS[0]], loop_image,
+                               sampling=self.PLAN)
+        whole = runner.sweep([self.CONFIGS[0]], loop_image)
+        assert whole.stats.simulated == 1
+        assert (sampled.points[0].fingerprint
+                != whole.points[0].fingerprint)
+        assert whole.points[0].sampled is None
+
+
+@pytest.mark.slow
+class TestCheckpointResumedWindows:
+    """A window measured from a restored mid-program ArchState must be
+    byte-identical to the same window reached by stepping straight
+    through on the accurate engine — the checkpoint carries everything
+    architectural, and the canonical window-start state covers the
+    rest."""
+
+    def test_resumed_equals_straight_through(self, loop_image):
+        plan = SamplingPlan(n_windows=2, window_length=400,
+                            ramp_length=256, seed=2)
+        runner = SampledRunner()
+        run = runner.run(loop_image, plan)
+        assert run.windows, "plan must place at least one window"
+
+        survey = runner._survey(loop_image, 50_000_000)
+        head = head_spec(survey["steps"], plan)
+        _, specs = place_windows(survey["steps"], plan, start=head.end)
+
+        sim = Simulator(capture_memory_trace=False, obs=False)
+        cpu = sim._boot_and_dispatch(loop_image, "accurate")
+        poll = sim.rom_info.poll_address
+        position = 0
+        for spec, resumed in zip(specs, run.windows):
+            budget = spec.ramp_start - position
+            steps = 0
+            while steps < budget and cpu.pc != poll:
+                cpu.step()
+                steps += 1
+            position = spec.ramp_start
+            sim._normalize_window_start()
+            straight = measure_window(sim, spec, poll)
+            position = spec.end
+            assert straight == resumed

@@ -5,7 +5,7 @@ architectural registers, the :class:`IntegerUnit`).  Every program runs
 on a fresh interpreter and a fresh :class:`TranslatedUnit` over
 identical memory; registers, control state, step counters and the full
 RAM image must match exactly — the step-count contract is what makes
-``fast_forward=N`` engine-independent.
+``fast_forward(N)`` engine-independent.
 """
 
 from __future__ import annotations

@@ -162,7 +162,7 @@ def compare_timing(image, max_instructions: int, timing: tuple[str, ...],
         groups.setdefault(config.arch_key(), []).append(name)
     problems = []
     for names in groups.values():
-        tasks = [(TIMING_CONFIGS[name], image, max_instructions, 0, None)
+        tasks = [(TIMING_CONFIGS[name], image, max_instructions, None)
                  for name in names]
         for name, task, (replayed, _, path) in zip(
                 names, tasks, _evaluate_group(tasks)):

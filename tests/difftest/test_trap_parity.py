@@ -94,7 +94,7 @@ def test_unhandled_trap_timing_parity(body, expected_tt):
     error_state, it hits the watchdog on the accurate engine — and the
     replay path (recording pass, then its fallback) raises exactly the
     same."""
-    task = (STOCK, build(PROLOGUE + body + "\n" + EPILOGUE), 5_000, 0, None)
+    task = (STOCK, build(PROLOGUE + body + "\n" + EPILOGUE), 5_000, None)
     with pytest.raises(WatchdogExpired) as accurate:
         _evaluate_task(task)
     with pytest.raises(WatchdogExpired) as replayed:
