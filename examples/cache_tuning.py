@@ -48,10 +48,16 @@ def main() -> None:
 
     # --- 2. Trace analysis ---------------------------------------------
     analyzer = TraceAnalyzer(candidate_sizes=[1024, 2048, 4096, 8192, 16384])
-    report = analyzer.analyze(recorder.trace())
+    trace = recorder.trace()
+    report = analyzer.analyze(trace, poor.dcache)
     print("\ntrace analyzer report:")
     for line in report.summary_lines():
         print(" ", line)
+    # The analyzer models the cache it measured: at the captured size,
+    # its curve counts exactly the read misses the machine had.
+    [captured] = [point for point in report.miss_curve
+                  if point.cache_bytes == poor.dcache.size]
+    assert captured.misses == int((~trace.reads.hit).sum())
 
     # --- 3. Reconfigure and rerun through the server ---------------------
     tuned_config = analyzer.pick_config(poor, report)

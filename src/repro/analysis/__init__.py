@@ -2,7 +2,7 @@
 
 Two halves share this package:
 
-* **dynamic**: memory-trace capture and vectorized reductions
+* **dynamic**: memory-trace capture and reductions
   (:mod:`~repro.analysis.trace`, :mod:`~repro.analysis.stats`);
 * **static**: CFG recovery, dataflow, the machine-code verifier and
   the rewriter legality checker over linked SPARC images

@@ -1,10 +1,10 @@
-"""Vectorized trace reductions used by the Trace Analyzer.
+"""Trace reductions used by the Trace Analyzer.
 
-Everything here is NumPy array code over :class:`MemoryTrace` columns —
-the analysis side is where the data is large (millions of references),
-so this module follows the HPC guide's advice: no Python-level loops
-over references, work on whole columns, and reuse views instead of
-copies.
+The histograms and profiles are NumPy array code over
+:class:`MemoryTrace` columns: work on whole columns and reuse views
+instead of copies.  The miss curve walks the references one by one
+through the machine's tag store instead, because which line a fill
+evicts is defined there and nowhere else.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.trace import MemoryTrace
+from repro.cache.cache import CacheGeometry, tag_store
 
 
 def working_set_bytes(trace: MemoryTrace, line_size: int = 32) -> int:
@@ -86,73 +87,35 @@ class MissCurvePoint:
     references: int
 
 
-def simulate_miss_curve(trace: MemoryTrace, cache_sizes: list[int],
-                        line_size: int = 32, ways: int = 1
+def simulate_miss_curve(trace: MemoryTrace,
+                        geometries: list[CacheGeometry]
                         ) -> list[MissCurvePoint]:
-    """Offline cache simulation of the trace at several sizes.
+    """Offline cache simulation of the trace under each geometry.
 
     This is the Trace Analyzer's core trick: one captured trace answers
     "what would the miss rate be at size S?" for every S, *without*
     re-running the program — exactly the loop the paper's Figure 1 draws
     from the FPX back into the Architecture Generator.
 
-    Direct-mapped simulation is fully vectorized over the trace; the
-    set-associative path falls back to a dict-based LRU walk.
+    Each geometry walks the trace through the machine's own
+    :class:`~repro.cache.cache.TagStore`, so a curve point at the
+    captured geometry counts the misses the machine had: reads look up
+    and fill on a miss, writes only look up (write-through,
+    no-allocate).  Misses are read misses; the rate divides them by all
+    references.
     """
+    writes = trace.is_write.tolist()
+    references = len(trace)
     points = []
-    for size in cache_sizes:
-        if ways == 1:
-            misses = _direct_mapped_misses(trace, size, line_size)
-        else:
-            misses = _assoc_misses(trace, size, line_size, ways)
-        references = len(trace)
+    for geometry in geometries:
+        tags = tag_store(geometry)
+        lookup, fill = tags.lookup, tags.fill
+        misses = 0
+        lines = (trace.addresses >> np.uint64(geometry.offset_bits)).tolist()
+        for line, write in zip(lines, writes):
+            if not lookup(line) and not write:
+                misses += 1
+                fill(line)
         rate = misses / references if references else 0.0
-        points.append(MissCurvePoint(size, rate, misses, references))
+        points.append(MissCurvePoint(geometry.size, rate, misses, references))
     return points
-
-
-def _direct_mapped_misses(trace: MemoryTrace, size: int,
-                          line_size: int) -> int:
-    """Vectorized direct-mapped miss count (write-through/no-allocate:
-    writes never fill, so misses are counted over reads; writes update
-    nothing in the tag store)."""
-    reads = ~trace.is_write
-    lines = (trace.addresses[reads] // np.uint64(line_size)).astype(np.int64)
-    if len(lines) == 0:
-        return 0
-    sets = size // line_size
-    indices = lines % sets
-    # A read misses when the previous occupant of its set differs.
-    # Group by set: stable sort by index, then compare neighbours.
-    order = np.argsort(indices, kind="stable")
-    sorted_index = indices[order]
-    sorted_line = lines[order]
-    same_set = np.empty(len(lines), dtype=bool)
-    same_set[0] = False
-    same_set[1:] = sorted_index[1:] == sorted_index[:-1]
-    same_line = np.empty(len(lines), dtype=bool)
-    same_line[0] = False
-    same_line[1:] = sorted_line[1:] == sorted_line[:-1]
-    hits = same_set & same_line
-    return int(len(lines) - hits.sum())
-
-
-def _assoc_misses(trace: MemoryTrace, size: int, line_size: int,
-                  ways: int) -> int:
-    reads = ~trace.is_write
-    lines = (trace.addresses[reads] // np.uint64(line_size)).astype(np.int64)
-    sets = size // (line_size * ways)
-    state: dict[int, list[int]] = {}
-    misses = 0
-    for line in lines.tolist():
-        index = line % sets
-        resident = state.setdefault(index, [])
-        if line in resident:
-            resident.remove(line)
-            resident.append(line)  # LRU refresh
-        else:
-            misses += 1
-            resident.append(line)
-            if len(resident) > ways:
-                resident.pop(0)
-    return misses

@@ -7,14 +7,19 @@ size.  The LEON2 defaults are direct-mapped with LRR replacement for
 multi-way configurations; we support LRU/LRR/random (random is seeded and
 deterministic, as a hardware LFSR would be).
 
-The cache stores actual line data, so it can sit transparently between
-the CPU and the AHB (the controller in
+The replacement decision lives in :class:`TagStore` alone: the
+machine's caches, the timing replayer (:mod:`repro.core.replay`) and
+the Trace Analyzer's miss curves
+(:func:`repro.analysis.stats.simulate_miss_curve`) share it, so they
+cannot disagree about which line a fill evicts.
+:class:`SetAssociativeCache` adds the resident lines' data, so it can
+sit transparently between the CPU and the AHB (the controller in
 :mod:`repro.cache.controller` handles timing and write policy).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,61 +112,134 @@ class CacheStats:
         }
 
 
-@dataclass
-class _Line:
-    valid: bool = False
-    tag: int = 0
-    data: bytearray = field(default_factory=bytearray)
-    last_use: int = 0     # LRU timestamp
-    fill_order: int = 0   # LRR round counter
+class TagStore:
+    """Which lines of one cache are resident, and the victim choice: the
+    first invalid way, else lru (least recently used), lrr (least
+    recently filled) or random (a generator seeded with *seed*, drawn
+    once per eviction).  The machine's caches, the timing replayer and
+    the Trace Analyzer's miss curves all keep their tags here.
+
+    Lines are line numbers (``address >> offset_bits``); a set's ways are
+    consecutive slots, ``-1`` when invalid.  Only :meth:`invalidate`
+    empties slots, and it empties them all, so a set's valid ways always
+    come before its invalid ones."""
+
+    def __init__(self, geometry: CacheGeometry,
+                 seed: int = REPLACEMENT_SEED):
+        self.ways = geometry.ways
+        self.mask = geometry.sets - 1
+        self.policy = geometry.replacement
+        self.seed = seed
+        self.slots = [-1] * (geometry.sets * geometry.ways)
+        self.evictions = 0
+        self.restart()
+
+    def lookup(self, line: int) -> bool:
+        """Hit test; a hit counts as a use (lru)."""
+        first = (line & self.mask) * self.ways
+        slots = self.slots
+        for slot in range(first, first + self.ways):
+            if slots[slot] == line:
+                self.clock += 1
+                self.used[slot] = self.clock
+                return True
+        return False
+
+    def fill(self, line: int) -> int:
+        """Install *line*; return the line it evicted, or -1.  Filling a
+        resident line refills its own way and evicts nothing."""
+        first = (line & self.mask) * self.ways
+        ways = range(first, first + self.ways)
+        slots = self.slots
+        evicted = -1
+        for slot in ways:
+            if slots[slot] < 0 or slots[slot] == line:
+                break
+        else:
+            self.evictions += 1
+            if self.policy == "lru":
+                slot = min(ways, key=self.used.__getitem__)
+            elif self.policy == "lrr":
+                slot = min(ways, key=self.filled.__getitem__)
+            else:
+                slot = first + int(self.rng.integers(self.ways))
+            evicted = slots[slot]
+        slots[slot] = line
+        self.clock += 1
+        self.used[slot] = self.filled[slot] = self.clock
+        return evicted
+
+    def invalidate(self) -> None:
+        self.slots = [-1] * len(self.slots)
+
+    def restart(self) -> None:
+        """Power-on replacement state: the lines stay resident; the
+        clock, the use and fill stamps and the generator start over."""
+        self.used = [0] * len(self.slots)
+        self.filled = [0] * len(self.slots)
+        self.clock = 0
+        self.rng = np.random.default_rng(self.seed)
+
+
+class DirectTagStore(TagStore):
+    """Direct-mapped special case: one way, so no victim choice (a
+    one-way ``random`` cache would draw ``integers(1)``, which leaves
+    the generator where it was)."""
+
+    def lookup(self, line: int) -> bool:
+        return self.slots[line & self.mask] == line
+
+    def fill(self, line: int) -> int:
+        slot = line & self.mask
+        evicted = self.slots[slot]
+        self.slots[slot] = line
+        if evicted < 0 or evicted == line:
+            return -1
+        self.evictions += 1
+        return evicted
+
+
+def tag_store(geometry: CacheGeometry,
+              seed: int = REPLACEMENT_SEED) -> TagStore:
+    """An empty tag store for *geometry*."""
+    store = DirectTagStore if geometry.ways == 1 else TagStore
+    return store(geometry, seed)
 
 
 class SetAssociativeCache:
-    """Tag + data store.  Timing lives in the controller, not here."""
+    """A :class:`TagStore` plus the resident lines' data.  Timing lives
+    in the controller, not here."""
 
     def __init__(self, geometry: CacheGeometry,
                  seed: int = REPLACEMENT_SEED):
         self.geometry = geometry
         self.stats = CacheStats()
-        self._lines = [
-            [_Line(data=bytearray(geometry.line_size))
-             for _ in range(geometry.ways)]
-            for _ in range(geometry.sets)
-        ]
-        self._clock = 0
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-        # The geometry's address split as plain ints, derived once: the
-        # access paths below run on every simulated fetch and load.
+        self.tags = tag_store(geometry, seed)
+        self._lookup = self.tags.lookup
+        #: Line number -> data, for exactly the lines resident in
+        #: ``tags``: a miss needs no tag scan, a hit still tells the tag
+        #: store of the use.
+        self._data: dict[int, bytearray] = {}
         self._offset_mask = geometry.line_size - 1
         self._offset_shift = geometry.offset_bits
-        self._index_mask = geometry.sets - 1
-        self._tag_shift = geometry.offset_bits + geometry.index_bits
 
     # -- lookup -------------------------------------------------------------
 
-    def probe(self, address: int) -> _Line | None:
-        """Return the valid line holding *address*, or None.  No stats."""
-        tag = address >> self._tag_shift
-        for line in self._lines[(address >> self._offset_shift)
-                                & self._index_mask]:
-            if line.valid and line.tag == tag:
-                return line
-        return None
+    def probe(self, address: int) -> bool:
+        """Whether *address* is resident.  No stats, no replacement use."""
+        return address >> self._offset_shift in self._data
 
     def read(self, address: int, size: int) -> int | None:
         """Read *size* bytes if cached, else None (recording hit/miss)."""
-        self._clock += 1
-        tag = address >> self._tag_shift
-        for line in self._lines[(address >> self._offset_shift)
-                                & self._index_mask]:
-            if line.valid and line.tag == tag:
-                self.stats.read_hits += 1
-                line.last_use = self._clock
-                offset = address & self._offset_mask
-                return int.from_bytes(line.data[offset:offset + size], "big")
-        self.stats.read_misses += 1
-        return None
+        line = address >> self._offset_shift
+        data = self._data.get(line)
+        if data is None:
+            self.stats.read_misses += 1
+            return None
+        self._lookup(line)  # the hit is a use (lru)
+        self.stats.read_hits += 1
+        offset = address & self._offset_mask
+        return int.from_bytes(data[offset:offset + size], "big")
 
     def write(self, address: int, size: int, value: int) -> bool:
         """Update the cached copy if present (write-through, no-allocate).
@@ -169,53 +247,34 @@ class SetAssociativeCache:
         Returns True on write hit.  The controller always forwards the
         write to memory regardless.
         """
-        self._clock += 1
-        tag = address >> self._tag_shift
-        for line in self._lines[(address >> self._offset_shift)
-                                & self._index_mask]:
-            if line.valid and line.tag == tag:
-                self.stats.write_hits += 1
-                line.last_use = self._clock
-                offset = address & self._offset_mask
-                line.data[offset:offset + size] = \
-                    (value & ((1 << (8 * size)) - 1)).to_bytes(size, "big")
-                return True
-        self.stats.write_misses += 1
-        return False
+        line = address >> self._offset_shift
+        data = self._data.get(line)
+        if data is None:
+            self.stats.write_misses += 1
+            return False
+        self._lookup(line)
+        self.stats.write_hits += 1
+        offset = address & self._offset_mask
+        data[offset:offset + size] = \
+            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "big")
+        return True
 
     # -- fill / eviction -----------------------------------------------------
 
     def fill(self, line_base: int, data: bytes) -> int | None:
         """Install a full line; return the evicted line's base address (or
-        None if an invalid way was used)."""
+        None if nothing was evicted).  Refilling a resident line
+        replaces its data in place."""
         if len(data) != self.geometry.line_size:
             raise ValueError("fill data must be exactly one line")
-        index = (line_base >> self._offset_shift) & self._index_mask
-        ways = self._lines[index]
-        victim = self._choose_victim(ways)
-        evicted = None
-        if victim.valid:
-            self.stats.evictions += 1
-            evicted = (victim.tag << self._tag_shift) \
-                | (index << self._offset_shift)
-        self._clock += 1
-        victim.valid = True
-        victim.tag = line_base >> self._tag_shift
-        victim.data[:] = data
-        victim.last_use = self._clock
-        victim.fill_order = self._clock
-        return evicted
-
-    def _choose_victim(self, ways: list[_Line]) -> _Line:
-        for line in ways:
-            if not line.valid:
-                return line
-        policy = self.geometry.replacement
-        if policy == "lru":
-            return min(ways, key=lambda line: line.last_use)
-        if policy == "lrr":
-            return min(ways, key=lambda line: line.fill_order)
-        return ways[int(self._rng.integers(len(ways)))]
+        line = line_base >> self._offset_shift
+        evicted = self.tags.fill(line)
+        self._data[line] = bytearray(data)
+        if evicted < 0:
+            return None
+        self.stats.evictions += 1
+        del self._data[evicted]
+        return evicted << self._offset_shift
 
     # -- maintenance ---------------------------------------------------------
 
@@ -223,9 +282,8 @@ class SetAssociativeCache:
         """FLUSH semantics: every line becomes invalid (write-through cache
         has no dirty data to write back)."""
         self.stats.flushes += 1
-        for ways in self._lines:
-            for line in ways:
-                line.valid = False
+        self.tags.invalidate()
+        self._data.clear()
 
     def reset_replacement_state(self) -> None:
         """Return the replacement machinery (LRU/LRR clock, seeded RNG)
@@ -233,33 +291,28 @@ class SetAssociativeCache:
         :meth:`invalidate_all` — with no valid lines the timestamps
         carry no information — so this is purely a canonicalization step
         for the start of a sampled window."""
-        self._clock = 0
-        self._rng = np.random.default_rng(self._seed)
-        for ways in self._lines:
-            for line in ways:
-                line.last_use = 0
-                line.fill_order = 0
+        self.tags.restart()
 
     def rng_state(self) -> dict:
         """Deterministic-RNG cursor (ArchState checkpointing)."""
-        return self._rng.bit_generator.state
+        return self.tags.rng.bit_generator.state
 
     def load_rng_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state
-
-    def invalidate_line(self, address: int) -> None:
-        line = self.probe(address)
-        if line is not None:
-            line.valid = False
+        self.tags.rng.bit_generator.state = state
 
     @property
     def valid_lines(self) -> int:
-        return sum(line.valid for ways in self._lines for line in ways)
+        return len(self._data)
 
     def contents_summary(self) -> dict[int, list[int]]:
         """Map set index -> list of resident tags (tests / debugging)."""
-        return {
-            index: [line.tag for line in ways if line.valid]
-            for index, ways in enumerate(self._lines)
-            if any(line.valid for line in ways)
-        }
+        ways, index_bits = self.tags.ways, self.geometry.index_bits
+        slots = self.tags.slots
+        summary = {}
+        for index in range(self.geometry.sets):
+            tags = [line >> index_bits
+                    for line in slots[index * ways:(index + 1) * ways]
+                    if line >= 0]
+            if tags:
+                summary[index] = tags
+        return summary

@@ -154,7 +154,7 @@ class CacheController:
         if prediction is None:
             return 0
         base = self.geometry.line_base(prediction)
-        if not self.cacheable(base) or self.cache.probe(base) is not None:
+        if not self.cacheable(base) or self.cache.probe(base):
             return 0
         try:
             background = self._fill_line(base)
@@ -182,8 +182,7 @@ class CacheController:
         if target is None:
             return
         next_base = self.geometry.line_base(target)
-        if not self.cacheable(next_base) or \
-                self.cache.probe(next_base) is not None:
+        if not self.cacheable(next_base) or self.cache.probe(next_base):
             return
         try:
             background = self._fill_line(next_base)

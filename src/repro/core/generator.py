@@ -106,7 +106,8 @@ class ArchitectureGenerator:
                      shortlist: int = 2,
                      max_instructions: int = 50_000_000) -> ExplorationResult:
         """Capture one trace under the base config, rank the space's
-        dcache sizes by the offline miss curve, and measure only the
+        dcache sizes by the offline miss curve of the base D-cache's
+        shape (ways, line size, replacement), and measure only the
         most promising *shortlist* points (plus the base)."""
         result = ExplorationResult()
         configs = space.points()
@@ -130,8 +131,7 @@ class ArchitectureGenerator:
         analyzer = TraceAnalyzer(candidate_sizes=sizes,
                                  miss_rate_target=self.analyzer.miss_rate_target,
                                  stride_threshold=self.analyzer.stride_threshold)
-        report = analyzer.analyze(trace,
-                                  line_size=base_config.dcache.line_size)
+        report = analyzer.analyze(trace, base_config.dcache)
         result.trace_report = report
 
         # 3. Shortlist: configs whose dcache size ranks best on the curve.

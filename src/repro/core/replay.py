@@ -18,8 +18,9 @@ made exact:
   ``Simulator.run``'s step budgets;
 * :meth:`Replayer.report` turns that stream into the
   :class:`~repro.core.sim.SimReport` ``Simulator.run`` returns for one
-  configuration: a tag-only twin of each cache (same victim choice,
-  same seeded RNG call order), each block's static issue cost per
+  configuration: each cache as the machine's own tag store
+  (:class:`~repro.cache.cache.TagStore`, the same victim choice and
+  seeded generator, without the data), each block's static issue cost per
   :class:`~repro.cpu.pipeline.TimingConfig` with the load-use interlock
   carried across blocks and reset by traps, I-fetches collapsed to
   cache-line runs, and the fixed bus and memory costs.  ``dcache`` and
@@ -58,7 +59,7 @@ import numpy as np
 
 from repro.analysis.trace import MemoryTrace
 from repro.cache import CacheController
-from repro.cache.cache import REPLACEMENT_SEED, CacheGeometry, CacheStats
+from repro.cache.cache import CacheGeometry, CacheStats, TagStore, tag_store
 from repro.core.config import ArchitectureConfig
 from repro.core.sim import MixRecorder, SimReport, Simulator
 from repro.cpu.blockcache import (
@@ -160,90 +161,10 @@ def record(config: ArchitectureConfig, image: Image,
 
 
 # Access kinds of a data reference or an instruction fetch: the flush
-# markers, the cached kinds (through the tag model) and the uncached
+# markers, the cached kinds (through the tag store) and the uncached
 # single transfers (fixed costs, Replayer._single).
 (_DFLUSH, _IFLUSH, _READ_SRAM, _READ_PROM, _WRITE_SRAM, _SRAM_READ,
  _SRAM_WRITE, _APB) = range(8)
-
-
-class _Tags:
-    """Tag-only twin of :class:`~repro.cache.cache.SetAssociativeCache`:
-    which lines are resident, with the same victim choice — the first
-    invalid way, else lru / lrr / random (the same seeded generator,
-    called in the same order) — and no data.  Lines are kept as line
-    numbers (``address >> offset_bits``)."""
-
-    def __init__(self, geometry: CacheGeometry):
-        self.ways = geometry.ways
-        self.mask = geometry.sets - 1
-        self.policy = geometry.replacement
-        self.slots = [-1] * (geometry.sets * geometry.ways)
-        self.used = [0] * len(self.slots)
-        self.filled = [0] * len(self.slots)
-        self.clock = 0
-        self.rng = np.random.default_rng(REPLACEMENT_SEED)
-        self.evictions = 0
-
-    def lookup(self, line: int) -> bool:
-        """Hit test; a hit counts as a use (lru)."""
-        first = (line & self.mask) * self.ways
-        slots = self.slots
-        for slot in range(first, first + self.ways):
-            if slots[slot] == line:
-                self.clock += 1
-                self.used[slot] = self.clock
-                return True
-        return False
-
-    def fill(self, line: int) -> None:
-        first = (line & self.mask) * self.ways
-        ways = range(first, first + self.ways)
-        slots = self.slots
-        for slot in ways:
-            if slots[slot] < 0:
-                break
-        else:
-            self.evictions += 1
-            if self.policy == "lru":
-                slot = min(ways, key=self.used.__getitem__)
-            elif self.policy == "lrr":
-                slot = min(ways, key=self.filled.__getitem__)
-            else:
-                slot = first + int(self.rng.integers(self.ways))
-        slots[slot] = line
-        self.clock += 1
-        self.used[slot] = self.filled[slot] = self.clock
-
-    def invalidate(self) -> None:
-        self.slots = [-1] * len(self.slots)
-
-    def restart(self) -> None:
-        """``reset_replacement_state``: the lines stay resident; the
-        clock, the use and fill stamps and the generator go back to
-        power-on."""
-        self.used = [0] * len(self.slots)
-        self.filled = [0] * len(self.slots)
-        self.clock = 0
-        self.rng = np.random.default_rng(REPLACEMENT_SEED)
-
-
-class _DirectTags(_Tags):
-    """Direct-mapped special case: one way, so no victim choice (a
-    one-way ``random`` cache draws from its generator, but every draw
-    picks way 0)."""
-
-    def lookup(self, line: int) -> bool:
-        return self.slots[line & self.mask] == line
-
-    def fill(self, line: int) -> None:
-        slot = line & self.mask
-        if self.slots[slot] >= 0:
-            self.evictions += 1
-        self.slots[slot] = line
-
-
-def _tags(geometry: CacheGeometry) -> _Tags:
-    return (_DirectTags if geometry.ways == 1 else _Tags)(geometry)
 
 
 class _Span:
@@ -464,7 +385,7 @@ class Replayer:
         memo = span.fetch.get(geometry)
         if memo is not None:
             return memo
-        tags = _tags(geometry)
+        tags = tag_store(geometry)
         blocks = self.recorded.recording.blocks
         offset_bits = geometry.offset_bits
         runs_memo: dict[int, list] = {}
@@ -528,7 +449,7 @@ class Replayer:
         memo = span.data.get(geometry)
         if memo is not None:
             return memo
-        tags = _tags(geometry)
+        tags = tag_store(geometry)
         lines = (span.ref_addr >> np.uint64(geometry.offset_bits)).tolist()
         kinds, split = span.kinds, span.ref_split
         first = _data_pass(tags, kinds, lines, 0, split)
@@ -718,7 +639,7 @@ class Replayer:
         }
 
 
-def _data_pass(tags: _Tags, kinds: list[int], lines: list[int], lo: int,
+def _data_pass(tags: TagStore, kinds: list[int], lines: list[int], lo: int,
                hi: int) -> Counter:
     """The tag-dependent events of references ``lo:hi``: read hits,
     misses per kind, write hits, evictions."""

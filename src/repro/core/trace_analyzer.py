@@ -15,7 +15,7 @@ captured on the FPX (via the D-cache controller's hook) and produces an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.stats import (
     MissCurvePoint,
@@ -25,6 +25,7 @@ from repro.analysis.stats import (
     working_set_bytes,
 )
 from repro.analysis.trace import MemoryTrace
+from repro.cache.cache import CacheGeometry
 from repro.core.config import ArchitectureConfig
 
 DEFAULT_CANDIDATE_SIZES = [1024, 2048, 4096, 8192, 16384, 32768]
@@ -84,8 +85,12 @@ class TraceAnalyzer:
         self.stride_threshold = stride_threshold
 
     def analyze(self, trace: MemoryTrace,
-                line_size: int = 32) -> AnalysisReport:
-        curve = simulate_miss_curve(trace, self.candidate_sizes, line_size)
+                geometry: CacheGeometry = CacheGeometry()) -> AnalysisReport:
+        """Analyze *trace*; the miss curve varies only the size of
+        *geometry*, the D-cache the trace was captured under."""
+        curve = simulate_miss_curve(
+            trace, [replace(geometry, size=size)
+                    for size in self.candidate_sizes])
         # Stride detection over the *miss* stream when one exists: hits
         # (loop counters, stack slots) pollute the full reference stream,
         # but a hardware stride prefetcher trains on misses — and so does
@@ -96,7 +101,7 @@ class TraceAnalyzer:
         write_fraction = float(trace.is_write.mean()) if len(trace) else 0.0
         report = AnalysisReport(
             references=len(trace),
-            working_set=working_set_bytes(trace, line_size),
+            working_set=working_set_bytes(trace, geometry.line_size),
             observed_miss_rate=observed_miss_rate(trace),
             miss_curve=curve,
             dominant_strides=strides,

@@ -1,4 +1,6 @@
-"""Trace capture and vectorized analysis tests."""
+"""Trace capture and analysis tests."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,12 @@ from repro.analysis import (
     stride_profile,
     working_set_bytes,
 )
+from repro.cache.cache import CacheGeometry
+from repro.core import ArchitectureConfig
+from repro.core.sim import Simulator
+from repro.toolchain import driver
+from repro.workloads import get
+from tests.golden.regen import CONFLICT_SOURCE
 
 
 def make_trace(addresses, writes=None, hits=None) -> MemoryTrace:
@@ -127,8 +135,8 @@ class TestMissCurve:
         for _ in range(5):
             addresses.extend(range(0x4000_0000, 0x4000_0000 + 4096, 128))
         trace = make_trace(addresses)
-        curve = simulate_miss_curve(trace, [1024, 2048, 4096, 8192],
-                                    line_size=32)
+        curve = simulate_miss_curve(
+            trace, [CacheGeometry(size) for size in (1024, 2048, 4096, 8192)])
         by_size = {p.cache_bytes: p for p in curve}
         assert by_size[1024].miss_rate == 1.0
         assert by_size[2048].miss_rate == 1.0
@@ -137,7 +145,7 @@ class TestMissCurve:
 
     def test_writes_do_not_allocate_in_simulation(self):
         trace = make_trace([0, 0], writes=[True, False])
-        curve = simulate_miss_curve(trace, [1024], line_size=32)
+        curve = simulate_miss_curve(trace, [CacheGeometry(1024)])
         # The read still misses: the preceding write didn't fill the line.
         assert curve[0].misses == 1
         assert curve[0].references == 2
@@ -146,8 +154,9 @@ class TestMissCurve:
         rng = np.random.default_rng(3)
         addresses = (rng.integers(0, 1 << 14, size=2000) * 4).tolist()
         trace = make_trace(addresses)
-        curve = simulate_miss_curve(trace, [512, 1024, 2048, 4096, 8192,
-                                            16384, 65536], line_size=32)
+        curve = simulate_miss_curve(
+            trace, [CacheGeometry(size) for size in (512, 1024, 2048, 4096,
+                                                     8192, 16384, 65536)])
         # Direct-mapped caches aren't strictly monotone in general, but a
         # cache covering the whole address range must be best.
         assert curve[-1].misses == min(p.misses for p in curve)
@@ -155,17 +164,17 @@ class TestMissCurve:
     def test_associative_curve_matches_reference_on_small_case(self):
         addresses = [0, 512, 1024, 0, 512, 1024] * 3
         trace = make_trace([0x4000_0000 + a for a in addresses])
-        direct = simulate_miss_curve(trace, [1024], line_size=32, ways=1)
-        assoc = simulate_miss_curve(trace, [1024], line_size=32, ways=4)
+        direct = simulate_miss_curve(trace, [CacheGeometry(1024, 32, ways=1)])
+        assoc = simulate_miss_curve(trace, [CacheGeometry(1024, 32, ways=4)])
         assert assoc[0].misses < direct[0].misses
 
     @given(addresses=st.lists(st.integers(0, 1 << 16), min_size=1,
                               max_size=300))
     @settings(max_examples=30, deadline=None)
-    def test_direct_mapped_vectorized_matches_naive(self, addresses):
-        """The vectorized sort-based simulation equals a dict walk."""
+    def test_direct_mapped_matches_naive(self, addresses):
+        """The tag-store walk equals a dict walk."""
         trace = make_trace([a * 4 for a in addresses])
-        [point] = simulate_miss_curve(trace, [1024], line_size=32)
+        [point] = simulate_miss_curve(trace, [CacheGeometry(1024)])
         # naive reference
         sets = 1024 // 32
         state = {}
@@ -177,3 +186,25 @@ class TestMissCurve:
                 misses += 1
                 state[index] = line
         assert point.misses == misses
+
+
+@pytest.mark.parametrize("kernel, geometry", [
+    ("conflict", CacheGeometry(1024, 32, ways=2, replacement="lrr")),
+    ("conflict", CacheGeometry(1024, 32, ways=2, replacement="random")),
+    ("qsort_rec", CacheGeometry(1024, 32, ways=4, replacement="lru")),
+])
+def test_curve_at_captured_geometry_counts_the_machines_misses(
+        kernel, geometry):
+    """The Trace Analyzer models the cache it measured: at the geometry
+    a trace was captured under, the curve's misses are the read misses
+    the machine saw — write hits count as uses, and lrr / random choose
+    the machine's victims."""
+    image = (driver.compile_c_program(CONFLICT_SOURCE)
+             if kernel == "conflict" else get(kernel).image())
+    config = replace(ArchitectureConfig(), dcache=geometry)
+    trace = Simulator(config, capture_memory_trace=True).run(image) \
+        .memory_trace
+    observed = int((~trace.reads.hit).sum())
+    [point] = simulate_miss_curve(trace, [geometry])
+    assert observed > 0
+    assert point.misses == observed

@@ -138,13 +138,6 @@ class TestLookupAndFill:
         assert cache.valid_lines == 0
         assert cache.read(0x4000_0000, 4) is None
 
-    def test_invalidate_single_line(self):
-        cache, _ = self._filled()
-        cache.fill(0x4000_0020, bytes(32))
-        cache.invalidate_line(0x4000_0000)
-        assert cache.read(0x4000_0000, 4) is None
-        assert cache.read(0x4000_0020, 4) is not None
-
     def test_stats_miss_rate(self):
         cache, _ = self._filled()
         cache.read(0x4000_0000, 4)

@@ -84,9 +84,11 @@ class TestTraceAnalyzer:
 
     def test_summary_lines_render(self):
         report = TraceAnalyzer().analyze(strided_trace())
-        text = "\n".join(report.summary_lines())
+        lines = report.summary_lines()
+        text = "\n".join(lines)
         assert "working set" in text
         assert "recommend dcache_size" in text
+        assert sum(line.startswith("references") for line in lines) == 1
 
 
 class TestReconfigurationServer:
