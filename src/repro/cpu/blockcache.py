@@ -3,11 +3,14 @@
 :class:`~repro.cpu.fastpath.FunctionalUnit` still interprets one
 instruction per dispatch — a dict probe, a handler call, and half a
 dozen attribute touches per step.  :class:`TranslatedUnit` removes the
-per-instruction dispatch entirely: the first time a PC is executed it
+per-instruction dispatch entirely: the second time a PC is entered it
 decodes *forward* to the next control-transfer instruction (CALL, Bicc,
 JMPL — delayed-branch and annul semantics included), pre-resolves every
 instruction's handler and register slots, and compiles the whole block
-into one specialized Python function cached per entry PC.  Hot ALU,
+into one specialized Python function cached per entry PC.  The first
+entry is interpreted: compiling a block costs as much as interpreting
+it dozens of times, and boot, crt0 and set-up code run once (see
+:data:`HOT_ENTRY`).  Hot ALU,
 load/store and branch instructions become straight-line Python operating
 on the register file's raw lists; everything rare (SAVE/RESTORE, mul/
 div, traps, alternate-space accesses) calls the *shared* execute
@@ -45,12 +48,17 @@ from repro.cpu.iu import IntegerUnit
 from repro.utils import u32
 
 __all__ = ["TranslatedUnit", "TranslatedBlock", "MAX_BLOCK", "MAX_BLOCKS",
-           "Recording", "RecordingUnit"]
+           "HOT_ENTRY", "Recording", "RecordingUnit"]
 
 #: Longest block, in instructions (CTI + delay slot included).
 MAX_BLOCK = 64
 #: Block-cache capacity; reaching it clears the cache wholesale.
 MAX_BLOCKS = 4096
+#: A PC's block is compiled on this entry to it; the entries before it
+#: are interpreted, since code that runs once (boot, crt0, set-up) costs
+#: less to interpret than to compile.  The entry counts are cleared with
+#: the block cache at MAX_BLOCKS.
+HOT_ENTRY = 2
 #: Granularity of the code-page invalidation map (bytes = 1 << shift).
 PAGE_SHIFT = 8
 
@@ -587,6 +595,9 @@ def _compile_block(unit, entry: int, insts: list, cti: int | None
         namespace["_D"] = recording.refs.append
         namespace["_EV"] = recording.events.append
     exec(compile(source, f"<block 0x{entry:08x}>", "exec"), namespace)
+    # The function's globals are the namespace: leaving the function in
+    # it would make a cycle that pins the unit's memory until a full GC.
+    code = namespace.pop("_block")
     length = len(insts)
     pages = tuple(range(entry >> PAGE_SHIFT,
                         ((entry + 4 * length - 1) >> PAGE_SHIFT) + 1))
@@ -594,7 +605,7 @@ def _compile_block(unit, entry: int, insts: list, cti: int | None
         (inst.op == isa.OP_MEM and inst.op3 not in _PURE_LOADS)
         or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH)
         for inst in insts)
-    block = TranslatedBlock(entry, length, namespace["_block"],
+    block = TranslatedBlock(entry, length, code,
                             tuple(insts), pages, source, writes)
     if block_id is not None and block_id == len(recording.blocks):
         recording.blocks.append(block)
@@ -610,7 +621,10 @@ class TranslatedUnit(FunctionalUnit):
     translated blocks and fall back to single interpreted steps for
     anything a block cannot carry: annulled entry states, MMIO fetches,
     RETT/CPOP1, a pending ``until_pc`` inside the block, or interrupt
-    delivery.
+    delivery.  A PC's first entry is interpreted too, and its block is
+    compiled on the next (:data:`HOT_ENTRY`), so code that runs once is
+    never compiled.  A FLUSH or a store that drops a block does not make
+    its PC cold again: the next entry retranslates it.
 
     Retirement hooks split along the same line: ``on_block(block,
     retired)`` fires once per block execution, for which
@@ -638,6 +652,9 @@ class TranslatedUnit(FunctionalUnit):
         #: instructions executed inside blocks.
         self.on_block = None
         self._blocks: dict[int, TranslatedBlock] = {}
+        #: Interpreted entries per PC, up to HOT_ENTRY - 1; a dropped
+        #: block leaves its count, so its PC stays hot.
+        self._entries: dict[int, int] = {}
         self._code_pages: dict[int, set[int]] = {}
         self._code_dirty = False
         self._active_lo = 0
@@ -730,6 +747,7 @@ class TranslatedUnit(FunctionalUnit):
             self.blocks_invalidated += len(self._blocks)
             self._blocks.clear()
             self._code_pages.clear()
+            self._entries.clear()
         block = _compile_block(self, entry, insts, cti)
         self.blocks_translated += 1
         self._blocks[entry] = block
@@ -749,6 +767,7 @@ class TranslatedUnit(FunctionalUnit):
         ``on_retire`` fires only for the steps interpreted here."""
         executed = 0
         blocks = self._blocks
+        entries = self._entries
         step = self.step
         on_block = self.on_block
         block_count = 0
@@ -767,6 +786,11 @@ class TranslatedUnit(FunctionalUnit):
                 continue
             block = blocks.get(pc)
             if block is None:
+                nth = entries.get(pc, 0) + 1
+                if nth < HOT_ENTRY:
+                    entries[pc] = nth
+                    executed += step()
+                    continue
                 block = self._translate(pc)
                 if block is None:
                     executed += step()

@@ -16,6 +16,15 @@ CODE_BASE = 0x4000_1000
 STACK_TOP = RAM_BASE + RAM_SIZE - 0x100
 
 
+@pytest.fixture
+def translate_on_first_entry(monkeypatch):
+    """Compile a PC's block on its first entry instead of its second, so
+    a program that runs once still executes generated code."""
+    from repro.cpu import blockcache
+
+    monkeypatch.setattr(blockcache, "HOT_ENTRY", 1)
+
+
 def build(source: str, text_base: int = CODE_BASE):
     """Assemble + link a standalone test program."""
     return link([assemble(source)], MemoryMapScript.default(text_base))

@@ -12,7 +12,9 @@ on.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -313,6 +315,7 @@ def test_group_replays_each_point_from_one_recording(image):
         assert _canonical(replayed) == _canonical(accurate)
 
 
+@pytest.mark.usefixtures("translate_on_first_entry")
 def test_recording_is_a_separate_block_variant(image):
     """Plain translated blocks carry no recording code (so the
     architectural fast path keeps its speed); recording blocks log."""
@@ -325,6 +328,24 @@ def test_recording_is_a_separate_block_variant(image):
     sources = [block.source for block in recorded.recording.blocks]
     assert all("_EV(" in source for source in sources)
     assert any("_D(" in source for source in sources)
+
+
+def test_a_recording_is_freed_by_refcount(image):
+    """Translated blocks hold no reference cycle, so a recording's
+    columns are freed with its last reference, not at whatever later
+    collection happens to find the cycle."""
+    config = ArchitectureConfig()
+    gc.disable()
+    try:
+        recorded = record(config, image, 20_000_000)
+        Replayer(recorded).report(config)
+        recording = recorded.recording
+        refs = [weakref.ref(recording), weakref.ref(recording.events),
+                weakref.ref(recording.refs)]
+        del recorded, recording
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_replay_reports_totals_since_construction(image):

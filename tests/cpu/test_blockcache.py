@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cpu import IntegerUnit
+from repro.cpu import IntegerUnit, blockcache
 from repro.cpu.blockcache import MAX_BLOCK, TranslatedUnit
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.traps import ErrorMode, WatchdogExpired
@@ -68,6 +68,7 @@ def _run_pair(source: str, max_instructions: int = 10_000,
 
 
 class TestBlockParity:
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_small_program(self):
         tu = _run_pair(SMALL_PROGRAM)
         assert tu.blocks_translated > 0
@@ -219,6 +220,7 @@ done:
 
 
 class TestCoherence:
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_store_into_translated_block(self):
         """The SMC patch loop from the fastpath suite, now with block
         invalidation in the mix."""
@@ -244,6 +246,7 @@ patch:
 """)
         assert tu.blocks_invalidated > 0
 
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_store_into_active_block_bails_out(self):
         """A block that patches its *own* later instructions must
         observe the new code the first time through."""
@@ -298,6 +301,7 @@ patch:
     add %g5, 3, %g5
 """)
 
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_flush_clears_block_cache(self):
         src = """
     .text
@@ -395,6 +399,7 @@ done:
         with pytest.raises(WatchdogExpired):
             tu.run(max_instructions=50, until_pc=image.symbols["done"])
 
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_max_block_bound(self):
         """A long straight-line run is split into MAX_BLOCK-bounded
         blocks and still matches the interpreter."""
@@ -411,6 +416,103 @@ done:
         assert tu.blocks_translated >= 3
         assert all(b.length <= MAX_BLOCK
                    for b in tu._blocks.values())
+
+
+LOOP_PROGRAM = """
+    .text
+    .global _start
+_start:
+    set 10, %l0
+loop:
+    deccc %l0
+    bne loop
+    add %g2, 1, %g2
+done:
+    nop
+"""
+
+
+class TestSecondEntryTranslation:
+    """A PC's first entry is interpreted; its block is compiled on the
+    second (HOT_ENTRY), so code that runs once is never compiled."""
+
+    def test_run_once_program_translates_nothing(self):
+        body = "\n".join(f"    add %g1, {i % 7 + 1}, %g1"
+                         for i in range(2 * MAX_BLOCK))
+        tu = _run_pair(f"""
+    .text
+    .global _start
+_start:
+{body}
+    call leaf
+    nop
+    ba done
+    nop
+leaf:
+    retl
+    add %g2, 1, %g2
+done:
+    nop
+""")
+        assert tu.blocks_translated == 0
+        assert tu.blocks_executed == 0
+
+    def test_loop_runs_from_its_block_after_the_first_iteration(self):
+        tu = _run_pair(LOOP_PROGRAM)
+        assert tu.blocks_translated == 1
+        assert tu.blocks_executed == 10 - 1
+
+    def test_boot_and_dispatch_compile_nothing(self):
+        """Boot walks the PROM to the polling loop, a stop PC inside the
+        PROM's first block: translating on first entry compiled a block
+        at every step of that walk, none of which ran."""
+        from repro.core.sim import Simulator
+
+        image = build(SMALL_PROGRAM)
+        sim = Simulator(capture_memory_trace=False, obs=False)
+        unit = sim._boot_and_dispatch(image, "translated")
+        assert unit.pc == image.entry and unit.instret > 0
+        assert unit.blocks_translated == 0
+
+    @pytest.mark.parametrize("invalidate, blocks_per_iteration", [
+        # Drops every block: the FLUSH bails out of the loop block, and
+        # the rest of the body runs as a second block.
+        ("flush [%o0]", 2),
+        # Drops the blocks on the stored page, the running one included.
+        ("st %g0, [%o0]", 1),
+    ])
+    def test_invalidation_keeps_a_pc_hot(self, invalidate,
+                                         blocks_per_iteration):
+        """A loop whose body invalidates its own translation is
+        retranslated on its next entry, not interpreted again."""
+        tu = _run_pair(f"""
+    .text
+    .global _start
+_start:
+    set scratch, %o0
+    set 10, %l0
+loop:
+    {invalidate}
+    deccc %l0
+    bne loop
+    add %g2, 1, %g2
+done:
+    nop
+scratch:
+    nop
+""")
+        assert tu.blocks_invalidated > 0
+        assert tu.blocks_executed == blocks_per_iteration * (10 - 1)
+        assert tu.blocks_translated == tu.blocks_executed
+
+    def test_entry_counts_clear_with_the_block_cache(self, monkeypatch):
+        tu, _, image = _make(LOOP_PROGRAM, TranslatedUnit)
+        tu.run(max_instructions=1_000, until_pc=image.symbols["done"])
+        assert len(tu._blocks) == 1 and tu._entries
+        monkeypatch.setattr(blockcache, "MAX_BLOCKS", 1)
+        tu._translate(image.symbols["_start"])
+        assert list(tu._blocks) == [image.symbols["_start"]]
+        assert tu._entries == {}
 
 
 class TestSimulatorIntegration:
@@ -472,6 +574,7 @@ def _mix_pair(source: str, max_instructions: int = 10_000,
 
 
 class TestRetirementHooks:
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_on_block_replaces_on_retire_inside_blocks(self):
         tu, _, image = _make(SMALL_PROGRAM, TranslatedUnit)
         stepped, executed = [], []
@@ -480,6 +583,7 @@ class TestRetirementHooks:
         tu.run(max_instructions=10_000, until_pc=image.symbols["done"])
         assert executed and len(stepped) + sum(executed) == tu.instret
 
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_trap_cut_block_counts_retired_prefix(self):
         """A misaligned load mid-block enters error mode: only the three
         instructions before it (set = sethi + or, add, add) retired."""
@@ -501,6 +605,7 @@ done:
         assert [(len(block.insts) > retired, retired)
                 for block, retired in calls] == [(True, 4)]
 
+    @pytest.mark.usefixtures("translate_on_first_entry")
     def test_smc_bail_counts_retired_prefix(self):
         """A block that patches its own later instructions bails after
         the store; the patched instruction counts under its new class."""

@@ -23,6 +23,14 @@ The sampled column (:func:`compare_sampled`) does the same for sampled
 runs: windows replayed from one recording must give the run the
 accurate oracle gives (an ArchState at every ramp start, then
 single-step ramps and windows), byte for byte.
+
+The translated engine compiles a PC's block on its second entry
+(:data:`~repro.cpu.blockcache.HOT_ENTRY`), and generated programs are
+mostly straight-line code that runs once, so :func:`compare_generated`
+runs them with translation on first entry: their translated and timing
+columns then execute generated code, where the default would mostly
+interpret.  Everything else runs at the default, so both the block path
+and the interpreted path stay checked against the accurate engine.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from repro.core.sweep import (
     _report_record,
 )
 from repro.core.synthesis import SynthesisModel
+from repro.cpu import blockcache
 from repro.cpu.archstate import ArchState
 from repro.toolchain.driver import SourceFile, build_image
 
@@ -148,6 +157,17 @@ def compare_engines(asm_text: str,
                     timing: tuple[str, ...] = ("stock",)) -> list[str]:
     """Run on every engine; return mismatch descriptions (empty = pass)."""
     return compare_image(build(asm_text), timing=timing).problems
+
+
+def compare_generated(asm_text: str,
+                      timing: tuple[str, ...] = ("stock",)) -> DiffResult:
+    """:func:`compare_image` for a generated program, translating each
+    block on its first entry (see the module docstring)."""
+    saved, blockcache.HOT_ENTRY = blockcache.HOT_ENTRY, 1
+    try:
+        return compare_image(build(asm_text), timing=timing)
+    finally:
+        blockcache.HOT_ENTRY = saved
 
 
 def compare_timing(image, max_instructions: int, timing: tuple[str, ...],

@@ -9,6 +9,9 @@ the stock configuration plus one more (rotating through
 Every eleventh seed also runs the sampled column: its sampled run,
 windows replayed, must equal the accurate oracle's run of the same
 plan under the same two configurations.
+Seeded programs mostly run once, so they translate each block on its
+first entry (``harness.compare_generated``), and each must run
+translated code.
 A failing seed is delta-debugged down to a minimal block listing, which
 is written into ``corpus/`` — commit that file so the bug stays covered
 forever (``test_corpus_replays`` re-runs every committed listing).
@@ -33,6 +36,7 @@ from tests.difftest.harness import (
     MAX_INSTRUCTIONS,
     build,
     compare_engines,
+    compare_generated,
     compare_sampled,
 )
 
@@ -60,8 +64,8 @@ def _shrink_and_record(seed: int, problems: list[str]) -> str:
     blocks = gen.generate_blocks(seed)
 
     def still_fails(candidate):
-        return bool(compare_engines(gen.render(candidate, seed),
-                                    timing=_timing_for(seed)))
+        return bool(compare_generated(gen.render(candidate, seed),
+                                      timing=_timing_for(seed)).problems)
 
     minimal = gen.shrink(blocks, still_fails)
     listing = gen.render(minimal, seed)
@@ -80,8 +84,9 @@ def _shrink_and_record(seed: int, problems: list[str]) -> str:
 @pytest.mark.parametrize("chunk", range(CHUNKS))
 def test_generated_programs_match(chunk):
     for seed in _seeds_for(chunk):
-        problems = compare_engines(gen.generate(seed),
+        result = compare_generated(gen.generate(seed),
                                    timing=_timing_for(seed))
+        problems = result.problems
         if problems:
             path = _shrink_and_record(seed, problems)
             pytest.fail(
@@ -89,6 +94,8 @@ def test_generated_programs_match(chunk):
                 + "\n  ".join(problems)
                 + f"\nshrunk listing written to {path} — commit it "
                 f"to the regression corpus")
+        # The translated column must have compiled blocks.
+        assert result.translated.fastpath["blocks_translated"] > 0, seed
 
 
 @pytest.mark.parametrize("seed", SAMPLED_SEEDS)
