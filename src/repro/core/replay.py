@@ -472,7 +472,7 @@ class Replayer:
                 if code >= 0:
                     retired = (code >> 2) & 127
                     if retired:
-                        recorder.on_block(blocks[code >> 16], retired)
+                        recorder.on_block(blocks[code >> 16], retired, 1)
                     continue
                 if code == STEP_RETIRED or code == STEP_TAKEN:
                     recorder.on_retire(0, self._decode.lookup(

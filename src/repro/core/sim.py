@@ -96,8 +96,8 @@ class MixRecorder:
     * single steps (accurate, functional, or a translated engine's
       interpreted fallbacks) arrive through ``on_retire`` and are
       counted by instruction word;
-    * translated block executions arrive through ``on_block`` and are
-      counted by ``(block, retired)``.  The key is the block *object*,
+    * translated block executions arrive through ``on_block``, batched
+      per trace call, and are counted by ``(block, retired)``.  The key is the block *object*,
       so a block re-translated after self-modifying code counts under
       its new instructions, and only the retired prefix is classified —
       exact for traps, annulled delay slots and mid-block bails.
@@ -137,16 +137,17 @@ class MixRecorder:
         word = inst.word
         words[word] = words.get(word, 0) + 1
 
-    def on_block(self, block: TranslatedBlock, retired: int) -> None:
+    def on_block(self, block: TranslatedBlock, retired: int,
+                 count: int) -> None:
         blocks = self._blocks
         key = (block, retired)
-        count = blocks.get(key)
-        if count is None:
+        seen = blocks.get(key)
+        if seen is None:
             if len(blocks) >= self.FOLD_AT:
                 self._fold()
-            blocks[key] = 1
+            blocks[key] = count
         else:
-            blocks[key] = count + 1
+            blocks[key] = seen + count
 
     def _fold(self) -> None:
         """Move the block counts into the word counts."""
@@ -532,6 +533,7 @@ class Simulator:
             fastpath["blocks_translated"] = fast.blocks_translated
             fastpath["blocks_executed"] = fast.blocks_executed
             fastpath["blocks_invalidated"] = fast.blocks_invalidated
+            fastpath["traces_translated"] = fast.traces_translated
         return SimReport(
             cycles=window,
             instructions=retired,

@@ -47,8 +47,9 @@ from repro.cpu.isa import Cond, Op3, Op3Mem
 from repro.cpu.iu import IntegerUnit
 from repro.utils import u32
 
-__all__ = ["TranslatedUnit", "TranslatedBlock", "MAX_BLOCK", "MAX_BLOCKS",
-           "HOT_ENTRY", "Recording", "RecordingUnit"]
+__all__ = ["TranslatedUnit", "TranslatedBlock", "Trace", "MAX_BLOCK",
+           "MAX_BLOCKS", "HOT_ENTRY", "MAX_TRACE", "Recording",
+           "RecordingUnit"]
 
 #: Longest block, in instructions (CTI + delay slot included).
 MAX_BLOCK = 64
@@ -59,6 +60,8 @@ MAX_BLOCKS = 4096
 #: less to interpret than to compile.  The entry counts are cleared with
 #: the block cache at MAX_BLOCKS.
 HOT_ENTRY = 2
+#: Most blocks one trace chains (see :class:`Trace`).
+MAX_TRACE = 8
 #: Granularity of the code-page invalidation map (bytes = 1 << shift).
 PAGE_SHIFT = 8
 
@@ -124,6 +127,10 @@ _LOADS = {Op3Mem.LD: (4, False), Op3Mem.LDUB: (1, False),
           Op3Mem.LDSH: (2, True)}
 _STORES = {Op3Mem.ST: 4, Op3Mem.STB: 1, Op3Mem.STH: 2}
 
+#: op3 -> (signed, cc) for the inline multiplies.
+_MULS = {Op3.UMUL: (False, False), Op3.UMULCC: (False, True),
+         Op3.SMUL: (True, False), Op3.SMULCC: (True, True)}
+
 #: Generic ARITH handlers after which CWP may have moved (the generated
 #: window base must be recomputed).
 _CWP_OPS = {Op3.SAVE, Op3.RESTORE, Op3.WRPSR}
@@ -149,33 +156,116 @@ def _kind(inst: DecodedInstruction) -> int:
 
 
 class TranslatedBlock:
-    """One compiled basic block: entry PC, decoded instructions, pages
-    it spans (for store invalidation) and the generated step function.
+    """One compiled basic block: entry PC, decoded instructions (``cti``
+    indexes the block-ending control transfer, if any), pages it spans
+    (for store invalidation) and the generated step function.
 
-    Calling ``code(unit)`` executes the block and returns the number of
-    steps consumed (= retired instructions + annulled slot + trap
-    entry); the unit's pc/npc/counters are left exactly as if the
-    interpreter had stepped the same instructions."""
+    Calling ``code(unit, left)`` executes the block and returns the
+    number of steps consumed (= retired instructions + annulled slot +
+    trap entry); the unit's pc/npc/counters are left exactly as if the
+    interpreter had stepped the same instructions.  ``succ`` is the PC
+    the block last exited to, from which the dispatch loop finds hot
+    cycles (see :class:`Trace`)."""
 
-    __slots__ = ("entry", "length", "code", "insts", "pages", "source",
-                 "writes")
+    __slots__ = ("entry", "length", "code", "insts", "cti", "pages",
+                 "source", "writes", "lo", "hi", "succ", "unchained")
 
-    def __init__(self, entry, length, code, insts, pages, source, writes):
+    #: A block is a trace of one: nothing smaller to fall back to.
+    fallback = None
+
+    def __init__(self, entry, length, code, insts, cti, pages, source,
+                 writes):
         self.entry = entry
         self.length = length
         self.code = code
         self.insts = insts
+        self.cti = cti
         self.pages = pages
         self.source = source
         self.writes = writes
+        #: The code's address range.
+        self.lo, self.hi = entry, entry + 4 * length
+        self.succ = None
+        #: Set when the blocks that last ran from here led to no trace
+        #: (another trace's head, a cycle not through here, too many
+        #: blocks); the walk is not tried again from this block.
+        self.unchained = False
+
+    def report(self, on_block, retired: int, exit: int) -> None:
+        on_block(self, retired, 1)
 
     def __repr__(self):
         return (f"TranslatedBlock(entry=0x{self.entry:08x}, "
                 f"length={self.length})")
 
 
+class Trace:
+    """A hot cycle of translated blocks (its *members*, head first)
+    compiled into one generated function that loops.
+
+    One iteration runs each member's body in turn; control leaves the
+    function only at a member exit that does not lead to the next member,
+    at the back edge when ``left`` steps cannot cover another full
+    iteration, on a trap, on an SMC bail, or after a write-capable
+    member when a store or FLUSH dropped any member's translation.  The
+    exit leaves ``unit._exit`` = completed iterations x members + the
+    index of the member that exited, from which :meth:`report` and the
+    dispatch loop's ``blocks_executed`` recover every member body.
+
+    ``length`` is the steps of one full iteration: the dispatch loop
+    enters a trace only with at least that much budget and with no stop
+    PC between ``lo`` and ``hi`` (the members' address hull), else runs
+    its head block alone (``fallback``).  Either way each member exit
+    is the same step sequence and the same recorded event."""
+
+    __slots__ = ("entry", "length", "code", "members", "entries",
+                 "pages", "source", "lo", "hi", "retired", "alive", "succ")
+
+    def __init__(self, members, code, source, retired, alive):
+        head = members[0]
+        self.entry = head.entry
+        self.length = sum(block.length for block in members)
+        self.code = code
+        self.members = tuple(members)
+        self.entries = frozenset(block.entry for block in members)
+        self.pages = head.pages
+        self.source = source
+        self.lo = min(block.lo for block in members)
+        self.hi = max(block.hi for block in members)
+        #: Instructions each member retires on its way to the next one.
+        self.retired = retired
+        #: ``[False]`` once a member's translation is dropped; the
+        #: generated code reads it after each write-capable member.
+        self.alive = alive
+        self.succ = None
+
+    @property
+    def fallback(self) -> TranslatedBlock:
+        return self.members[0]
+
+    def report(self, on_block, retired: int, exit: int) -> None:
+        """Report the member bodies of the call that ended at *exit*
+        and retired *retired* instructions: one ``on_block(block,
+        retired, count)`` per distinct (member, retired prefix)."""
+        laps, last = divmod(exit, len(self.members))
+        tail = (retired - laps * sum(self.retired)
+                - sum(self.retired[:last]))
+        for index, (block, full) in enumerate(zip(self.members,
+                                                  self.retired)):
+            count = laps + (index < last)
+            if count:
+                on_block(block, full, count)
+        on_block(self.members[last], tail, 1)
+
+    def __repr__(self):
+        return (f"Trace(entry=0x{self.entry:08x}, members="
+                f"{[hex(block.entry) for block in self.members]})")
+
+
 class _Codegen:
-    """Emit one block's Python source.
+    """Emit the Python source of one generated function: a block, or a
+    trace of member blocks that loops (a block is a trace of one that
+    does not).
 
     Register reads/writes address the register file's raw lists through
     per-register index locals unpacked from a per-CWP row table
@@ -185,37 +275,70 @@ class _Codegen:
     the slow path (MMIO, faults, coherence) delegated to the unit's own
     ``data_read``/``data_write``.
 
-    A recording unit's blocks are a separate variant: the inline RAM
-    paths also log their data reference (``_D``) and every exit logs
-    its exit code (``_EV``); ``tk`` tracks whether the block's CTI was
-    taken, for a trap in its delay slot."""
+    In a trace, each member's exit towards the next member falls through
+    into the next member's code instead of returning; the last member's
+    is the back edge.  Step, retirement and annulled-slot counts are
+    static per exit, so an exit adds ``it`` (completed iterations) times
+    the per-iteration count plus a constant.
 
-    def __init__(self, unit, entry, insts, cti, block_id=None):
-        self.entry = entry
-        self.insts = insts
-        self.cti = cti
-        #: The recording's id for this code, or None (plain variant).
-        self.block_id = block_id
-        self.recording = block_id is not None
+    A recording unit's functions are a separate variant: the inline RAM
+    paths also log their data reference (``_D``) and every member exit
+    logs its exit code (``_EV``); ``tk`` tracks whether the member's CTI
+    was taken, for a trap in its delay slot."""
+
+    def __init__(self, unit, members, loop, block_ids=None):
+        #: Per member: ``(entry, insts, cti)``.
+        self.members = members
+        self.loop = loop
+        #: The recording's id for each member's code, or None (plain
+        #: variant).
+        self.block_ids = block_ids
+        self.recording = block_ids is not None
         ram = unit._ram
         self.has_ram = ram is not None
         if self.has_ram:
             self.ram_base, self.ram_limit = ram[0], ram[1]
         self.lines: list[str] = []
-        # Windowed registers the block touches: their in-file indices
+        # Windowed registers the function touches: their in-file indices
         # are hoisted into locals once (and recomputed after any CWP
         # move) so the hot path never repeats the modulo arithmetic.
         used: set[int] = set()
-        for inst in insts:
-            if inst.op == isa.OP_CALL:  # format 1: no register fields
-                continue
-            if inst.rs1 >= 8:
-                used.add(inst.rs1)
-            if inst.rd >= 8:
-                used.add(inst.rd)
-            if not inst.imm and inst.rs2 >= 8:
-                used.add(inst.rs2)
+        for _, insts, _ in members:
+            for inst in insts:
+                if inst.op == isa.OP_CALL:  # format 1: no register fields
+                    continue
+                if inst.rs1 >= 8:
+                    used.add(inst.rs1)
+                if inst.rd >= 8:
+                    used.add(inst.rd)
+                if not inst.imm and inst.rs2 >= 8:
+                    used.add(inst.rs2)
         self.window_regs = sorted(used)
+        self.writes = [any(_writes(inst) for inst in insts)
+                       for _, insts, _ in members]
+        # What each member adds on its way to the next: steps, retired
+        # instructions, annulled slots; prefix sums locate an exit
+        # inside an iteration.
+        self.lap = []
+        if loop:
+            for (entry, insts, cti), following in zip(
+                    members, members[1:] + members[:1]):
+                annulled = _annuls_into(entry, insts, cti, following[0])
+                self.lap.append((len(insts), len(insts) - annulled,
+                                 annulled))
+        self.per_lap = [sum(lap[i] for lap in self.lap) for i in range(3)]
+
+    def _enter(self, j: int) -> None:
+        """Make member *j* the one being emitted."""
+        self.j = j
+        self.entry, self.insts, self.cti = self.members[j]
+        self.base = sum(len(insts) for _, insts, _ in self.members[:j])
+        self.block_id = self.block_ids[j] if self.recording else None
+        following = j + 1
+        if following == len(self.members):
+            following = 0 if self.loop else None
+        self.next_entry = (None if following is None
+                           else self.members[following][0])
 
     # -- low-level helpers ------------------------------------------------
 
@@ -240,9 +363,9 @@ class _Codegen:
             self.emit(ind, f"W[w{rd}] = {expr}")
 
     def _emit_window_bases(self, ind: int) -> None:
-        """Load the in-file indices of every windowed register the block
-        touches from the per-CWP row table — one tuple unpack instead of
-        an add+modulo per register access."""
+        """Load the in-file indices of every windowed register the
+        function touches from the per-CWP row table — one tuple unpack
+        instead of an add+modulo per register access."""
         if not self.window_regs:
             return
         names = ", ".join(f"w{reg}" for reg in self.window_regs)
@@ -256,29 +379,96 @@ class _Codegen:
 
     def _guard(self, ind: int, k: int, pc: int, npc: str) -> None:
         """Before any instruction that can trap: pin pc/npc (consumed by
-        ``_enter_trap``) and the retired-so-far count ``n``."""
+        ``_enter_trap``) and the member's retired-so-far count ``n``."""
         self.emit(ind, f"u.pc = {pc}")
         self.emit(ind, f"u.npc = {npc}")
         self.emit(ind, f"n = {k}")
 
     def _record_exit(self, ind: int, steps: int, retired: int,
                      taken: bool, annulled: bool = False) -> None:
-        """Recording variant: log this (static) exit's code."""
+        """Recording variant: log this (static) member exit's code."""
         if self.recording:
             code = (self.block_id << 16 | steps << 9 | retired << 2
                     | (EXIT_TAKEN if taken else 0)
                     | (EXIT_ANNULLED if annulled else 0))
             self.emit(ind, f"_EV({code})")
 
+    def _add(self, ind: int, name: str, per_lap: int, const: str | int
+             ) -> None:
+        """``u.<name> += it * per_lap + const``, folded where static."""
+        terms = [f"it * {per_lap}"] if self.loop and per_lap else []
+        if const != 0:
+            terms.append(str(const))
+        if terms:
+            self.emit(ind, f"u.{name} += {' + '.join(terms)}")
+
+    def _count(self, ind: int, steps, retired, annulled,
+               member=None) -> None:
+        """Add an exit of the current member, after *steps* / *retired*
+        / *annulled* of its own, to the unit's counters; in a trace, set
+        ``vs`` to the steps of the whole call.  With *member* (an
+        expression for the member's index) the three are expressions
+        that already include the members before it."""
+        if self.loop:
+            if member is None:
+                member = self.j
+                steps += sum(lap[0] for lap in self.lap[:member])
+                retired += sum(lap[1] for lap in self.lap[:member])
+                annulled += sum(lap[2] for lap in self.lap[:member])
+            per_lap = self.per_lap
+            self.emit(ind, f"vs = it * {per_lap[0]} + {steps}")
+            self.emit(ind, "u.cycles += vs")
+            self._add(ind, "instret", per_lap[1], retired)
+            self._add(ind, "annulled_slots", per_lap[2], annulled)
+            self.emit(ind, f"u._exit = it * {len(self.members)} + {member}")
+        else:
+            self._add(ind, "annulled_slots", 0, annulled)
+            self._add(ind, "cycles", 0, steps)
+            self._add(ind, "instret", 0, retired)
+            self.emit(ind, "u._exit = 0")
+
+    def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
+                  taken, annulled=False) -> None:
+        """Leave the function through this member exit."""
+        self._record_exit(ind, steps, retired, taken, annulled)
+        self.emit(ind, f"u.pc = {pc_expr}")
+        self.emit(ind, f"u.npc = {npc_expr}")
+        self._count(ind, steps, retired, int(annulled))
+        self.emit(ind, f"return {'vs' if self.loop else steps}")
+
     def _bail(self, ind: int, k: int, pc: int) -> None:
-        """Leave the block after instruction *k* retired (its decoded
-        successors may be stale): straight-line continuation."""
-        self._record_exit(ind, k + 1, k + 1, False)
-        self.emit(ind, f"u.pc = {(pc + 4) & _M32}")
-        self.emit(ind, f"u.npc = {(pc + 8) & _M32}")
-        self.emit(ind, f"u.cycles += {k + 1}")
-        self.emit(ind, f"u.instret += {k + 1}")
-        self.emit(ind, f"return {k + 1}")
+        """Leave after instruction *k* retired (its decoded successors
+        may be stale): straight-line continuation."""
+        self._epilogue(ind, (pc + 4) & _M32, (pc + 8) & _M32, k + 1, k + 1,
+                       False)
+
+    def _transition(self, ind, steps, retired, taken,
+                    annulled=False) -> None:
+        """Member exit towards the next member: fall through into its
+        code, unless the trace must stop here."""
+        target = self.next_entry
+        back_edge = self.j == len(self.members) - 1
+        stops = ["it == lim"] if back_edge else []
+        if self.writes[self.j]:
+            stops.append("not _alive[0]")
+        if stops:
+            self.emit(ind, f"if {' or '.join(stops)}:")
+            self._epilogue(ind + 1, target, (target + 4) & _M32, steps,
+                           retired, taken, annulled)
+        self._record_exit(ind, steps, retired, taken, annulled)
+        if back_edge:
+            self.emit(ind, "it += 1")
+        if len(self.members) > 1:
+            self.emit(ind, f"m = {(self.j + 1) % len(self.members)}")
+        if self.recording:
+            self.emit(ind, "tk = 0")
+
+    def _leave(self, ind, pc, npc, steps, retired, taken,
+               annulled=False, on_trace=False) -> None:
+        if on_trace:
+            self._transition(ind, steps, retired, taken, annulled)
+        else:
+            self._epilogue(ind, pc, npc, steps, retired, taken, annulled)
 
     # -- per-instruction emitters -----------------------------------------
 
@@ -300,6 +490,9 @@ class _Codegen:
             if op3 in (Op3.SLL, Op3.SRL, Op3.SRA):
                 self._emit_shift(ind, inst)
                 return
+            if op3 in _MULS:
+                self._emit_mul(ind, inst)
+                return
         elif op == isa.OP_MEM:
             op3 = inst.op3
             if op3 in _LOADS:
@@ -318,6 +511,10 @@ class _Codegen:
             return
         self.emit(ind, f"vr = {expr}")
         self._write(ind, inst.rd, "vr")
+        self._emit_nz(ind)
+
+    def _emit_nz(self, ind) -> None:
+        """icc from ``vr``: N and Z set by the result, V and C cleared."""
         self.emit(ind, "ctrl.psr = (ctrl.psr & 0xFF0FFFFF)"
                        " | ((vr >> 8) & 0x800000)"
                        " | (0x400000 if vr == 0 else 0)")
@@ -363,6 +560,27 @@ class _Codegen:
                 f"((va | 0xFFFFFFFF00000000) >> {count}) & 0xFFFFFFFF"
                 f" if va & 0x80000000 else va >> {count}")
 
+    def _emit_mul(self, ind, inst) -> None:
+        """UMUL/SMUL(cc), as ``execute._mul``: the 64-bit product's high
+        word goes to Y; the cc forms set N/Z from the low word and clear
+        V/C."""
+        signed, cc = _MULS[inst.op3]
+        a, b = self._read(inst.rs1), self._op2(inst)
+        if signed:
+            a = f"(({a} ^ 0x80000000) - 0x80000000)"
+            b = (str(inst.simm13) if inst.imm
+                 else f"(({b} ^ 0x80000000) - 0x80000000)")
+            self.emit(ind, f"vt = ({a} * {b}) & 0xFFFFFFFFFFFFFFFF")
+        else:
+            self.emit(ind, f"vt = {a} * {b}")
+        self.emit(ind, "ctrl.y = vt >> 32")
+        if not cc:
+            self._write(ind, inst.rd, "vt & 0xFFFFFFFF")
+            return
+        self.emit(ind, "vr = vt & 0xFFFFFFFF")
+        self._write(ind, inst.rd, "vr")
+        self._emit_nz(ind)
+
     def _effective_address(self, ind, inst) -> None:
         off = (str(inst.simm13) if inst.imm else self._read(inst.rs2))
         self.emit(ind, f"ea = ({self._read(inst.rs1)} + {off}) & 0xFFFFFFFF")
@@ -403,6 +621,21 @@ class _Codegen:
             self.emit(ind, f"vr = u.data_read(ea, {size}, signed={signed})")
         self._write(ind, inst.rd, "vr")
 
+    def _emit_write(self, ind, k, pc, call, in_slot) -> None:
+        """A call that may write memory or flush: tell ``data_write``
+        which member is running, and bail out if the call made the rest
+        of it stale."""
+        if in_slot:
+            self.emit(ind, call)
+            return
+        lo, hi = self.entry, self.entry + 4 * len(self.insts)
+        self.emit(ind, f"u._active_lo = {lo}")
+        self.emit(ind, f"u._active_hi = {hi}")
+        self.emit(ind, "u._code_dirty = False")
+        self.emit(ind, call)
+        self.emit(ind, "if u._code_dirty:")
+        self._bail(ind + 1, k, pc)
+
     def _emit_store(self, ind, k, pc, npc, inst, in_slot) -> None:
         size = _STORES[inst.op3]
         self._effective_address(ind, inst)
@@ -436,56 +669,46 @@ class _Codegen:
             self.emit(ind, "else:")
             slow_ind = ind + 1
         self._guard(slow_ind, k, pc, npc)
-        self.emit(slow_ind, f"u.data_write(ea, {size}, vv)")
-        if not in_slot:
-            self.emit(slow_ind, "if u._code_dirty:")
-            self._bail(slow_ind + 1, k, pc)
+        self._emit_write(slow_ind, k, pc, f"u.data_write(ea, {size}, vv)",
+                         in_slot)
 
     def _emit_generic(self, ind, k, pc, npc, inst, in_slot) -> None:
         """Anything rare runs through the shared execute handlers (or
         the shared dispatch, for instructions that always trap)."""
         self._guard(ind, k, pc, npc)
-        self.emit(ind, f"_H[{k}](u, _I[{k}])")
+        call = f"_H[{self.base + k}](u, _I[{self.base + k}])"
+        if inst.op == isa.OP_MEM or (inst.op == isa.OP_ARITH
+                                     and inst.op3 == Op3.FLUSH):
+            self._emit_write(ind, k, pc, call, in_slot)
+        else:
+            self.emit(ind, call)
         if inst.op == isa.OP_ARITH and inst.op3 in _CWP_OPS:
             self._emit_window_bases(ind)
-        dirty = (inst.op == isa.OP_MEM
-                 or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH))
-        if dirty and not in_slot:
-            self.emit(ind, "if u._code_dirty:")
-            self._bail(ind + 1, k, pc)
 
-    # -- block endings -----------------------------------------------------
-
-    def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
-                  taken, annulled=False) -> None:
-        self._record_exit(ind, steps, retired, taken, annulled)
-        self.emit(ind, f"u.pc = {pc_expr}")
-        self.emit(ind, f"u.npc = {npc_expr}")
-        if annulled:
-            self.emit(ind, "u.annulled_slots += 1")
-        self.emit(ind, f"u.cycles += {steps}")
-        self.emit(ind, f"u.instret += {retired}")
-        self.emit(ind, f"return {steps}")
+    # -- member endings ----------------------------------------------------
 
     def _emit_taken_arm(self, ind, c, target_pc, target_npc, annul) -> None:
+        on = target_pc == self.next_entry
         if annul:
-            self._epilogue(ind, target_pc, target_npc, c + 2, c + 1, True,
-                           annulled=True)
+            self._leave(ind, target_pc, target_npc, c + 2, c + 1, True,
+                        annulled=True, on_trace=on)
         else:
             if self.recording:
                 self.emit(ind, f"tk = {EXIT_TAKEN}")
             self.emit_inst(ind, c + 1, target_pc, in_slot=True)
-            self._epilogue(ind, target_pc, target_npc, c + 2, c + 2, True)
+            self._leave(ind, target_pc, target_npc, c + 2, c + 2, True,
+                        on_trace=on)
 
     def _emit_untaken_arm(self, ind, c, pc_c, annul) -> None:
         cont = (pc_c + 8) & _M32
+        on = cont == self.next_entry
         if annul:
-            self._epilogue(ind, cont, (pc_c + 12) & _M32, c + 2, c + 1,
-                           False, annulled=True)
+            self._leave(ind, cont, (pc_c + 12) & _M32, c + 2, c + 1,
+                        False, annulled=True, on_trace=on)
         else:
             self.emit_inst(ind, c + 1, str(cont), in_slot=True)
-            self._epilogue(ind, cont, (pc_c + 12) & _M32, c + 2, c + 2,
-                           False)
+            self._leave(ind, cont, (pc_c + 12) & _M32, c + 2, c + 2,
+                        False, on_trace=on)
 
     def _emit_cti(self, ind: int) -> None:
         c = self.cti
@@ -501,76 +724,135 @@ class _Codegen:
             elif cond == Cond.N:
                 self._emit_untaken_arm(ind, c, pc_c, annul)
             else:
+                # A taken conditional branch never annuls its slot.  The
+                # arm that stays in the trace comes last, unindented.
                 self.emit(ind, "vp = ctrl.psr")
-                self.emit(ind, f"if {_COND_EXPR[cond]}:")
-                # A taken conditional branch never annuls its slot.
-                self._emit_taken_arm(ind + 1, c, target, t_npc, False)
-                self.emit(ind, "else:")
-                self._emit_untaken_arm(ind + 1, c, pc_c, annul)
+                if target == self.next_entry:
+                    self.emit(ind, f"if not ({_COND_EXPR[cond]}):")
+                    self._emit_untaken_arm(ind + 1, c, pc_c, annul)
+                    self._emit_taken_arm(ind, c, target, t_npc, False)
+                elif (pc_c + 8) & _M32 == self.next_entry:
+                    self.emit(ind, f"if {_COND_EXPR[cond]}:")
+                    self._emit_taken_arm(ind + 1, c, target, t_npc, False)
+                    self._emit_untaken_arm(ind, c, pc_c, annul)
+                else:
+                    self.emit(ind, f"if {_COND_EXPR[cond]}:")
+                    self._emit_taken_arm(ind + 1, c, target, t_npc, False)
+                    self.emit(ind, "else:")
+                    self._emit_untaken_arm(ind + 1, c, pc_c, annul)
             return
         # CALL / JMPL: run the shared handler, read the delayed target.
         self._guard(ind, c, pc_c, str((pc_c + 4) & _M32))
         self.emit(ind, "u._transfer_target = None")
-        self.emit(ind, f"_H[{c}](u, _I[{c}])")
+        self.emit(ind, f"_H[{self.base + c}](u, _I[{self.base + c}])")
         self.emit(ind, "tgt = u._transfer_target")
         if self.recording:
             self.emit(ind, f"tk = {EXIT_TAKEN}")
         self.emit_inst(ind, c + 1, "tgt", in_slot=True)
-        self._epilogue(ind, "tgt", "(tgt + 4) & 0xFFFFFFFF", c + 2, c + 2,
-                       True)
+        if self.next_entry is not None:
+            self.emit(ind, f"if tgt != {self.next_entry}:")
+            self._epilogue(ind + 1, "tgt", "(tgt + 4) & 0xFFFFFFFF", c + 2,
+                           c + 2, True)
+            self._transition(ind, c + 2, c + 2, True)
+        else:
+            self._epilogue(ind, "tgt", "(tgt + 4) & 0xFFFFFFFF", c + 2,
+                           c + 2, True)
+
+    def _emit_member(self, ind: int) -> None:
+        straight = self.cti if self.cti is not None else len(self.insts)
+        for k in range(straight):
+            pc = (self.entry + 4 * k) & _M32
+            self.emit_inst(ind, k, str((pc + 4) & _M32), in_slot=False)
+        if self.cti is not None:
+            self._emit_cti(ind)
+            return
+        end = (self.entry + 4 * straight) & _M32
+        self._leave(ind, end, (end + 4) & _M32, straight, straight, False,
+                    on_trace=end == self.next_entry)
 
     # -- whole function ----------------------------------------------------
 
     def source(self) -> str:
         e = self.emit
-        # ctrl/G/W are bound as defaults at compile time (blocks are
+        # ctrl/G/W are bound as defaults at compile time (functions are
         # per-unit, and the unit shares these objects for its lifetime)
         # so the prologue is two statements, not six.
+        extra = ", _alive=_alive" if self.loop else ""
         if self.recording:
-            e(0, "def _block(u, ctrl=_ctrl, G=_G, W=_W, _RT=_RT, _D=_D,"
-                 " _EV=_EV):")
-        else:
-            e(0, "def _block(u, ctrl=_ctrl, G=_G, W=_W, _RT=_RT):")
+            extra += ", _D=_D, _EV=_EV"
+        e(0, f"def _block(u, left, ctrl=_ctrl, G=_G, W=_W, _RT=_RT{extra}):")
         self._emit_window_bases(1)
         e(1, "n = 0")
         if self.recording:
             e(1, "tk = 0")
+        body = 2
+        if self.loop:
+            iteration = sum(len(insts) for _, insts, _ in self.members)
+            e(1, "it = 0")
+            e(1, f"lim = left // {iteration} - 1")
+            e(1, "m = 0")
         e(1, "try:")
-        straight = self.cti if self.cti is not None else len(self.insts)
-        for k in range(straight):
-            pc = (self.entry + 4 * k) & _M32
-            self.emit_inst(2, k, str((pc + 4) & _M32), in_slot=False)
-        if self.cti is not None:
-            self._emit_cti(2)
-        else:
-            end = (self.entry + 4 * straight) & _M32
-            self._epilogue(2, end, (end + 4) & _M32, straight, straight,
-                           False)
+        if self.loop:
+            e(2, "while True:")
+            body = 3
+        for j in range(len(self.members)):
+            self._enter(j)
+            self._emit_member(body)
         e(1, "except _Trap as trap:")
-        if self.recording:
-            e(2, f"_EV({self.block_id << 16} | (n + 1) << 9 | n << 2 | tk)")
-        e(2, "u.cycles += n")
-        e(2, "u.instret += n")
+        if self.loop:
+            if self.recording:
+                e(2, "_EV(_IDS[m] << 16 | (n + 1) << 9 | n << 2 | tk)")
+            self._count(2, "_PS[m] + n", "_PR[m] + n",
+                        "_PA[m]" if self.per_lap[2] else 0, member="m")
+        else:
+            if self.recording:
+                e(2, f"_EV({self.block_ids[0] << 16} | (n + 1) << 9"
+                     " | n << 2 | tk)")
+            e(2, "u.cycles += n")
+            e(2, "u.instret += n")
+            e(2, "u._exit = 0")
         e(2, "u._enter_trap(trap)")
         e(2, "u.cycles += 1")
-        e(2, "return n + 1")
+        e(2, f"return {'vs' if self.loop else 'n'} + 1")
         return "\n".join(self.lines) + "\n"
 
+    def prefixes(self) -> dict[str, tuple]:
+        """Per member, the steps / retired instructions / annulled slots
+        of the members before it in an iteration (for the trap exit)."""
+        out = {}
+        for i, name in enumerate(("_PS", "_PR", "_PA")):
+            total, sums = 0, []
+            for lap in self.lap:
+                sums.append(total)
+                total += lap[i]
+            out[name] = tuple(sums)
+        return out
 
-#: OP_MEM op3s that cannot write memory (the rest, plus FLUSH, mark the
-#: block as write-capable so the dispatch loop tracks the active range).
+
+#: OP_MEM op3s that cannot write memory (the rest, plus FLUSH, make a
+#: block write-capable).
 _PURE_LOADS = frozenset(_LOADS) | {Op3Mem.LDD}
 
 
-def _compile_block(unit, entry: int, insts: list, cti: int | None
-                   ) -> TranslatedBlock:
+def _writes(inst) -> bool:
+    return ((inst.op == isa.OP_MEM and inst.op3 not in _PURE_LOADS)
+            or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH))
+
+
+def _compile(unit, members, loop: bool):
+    """Generate and compile the function for *members* (``(entry,
+    insts, cti)`` each); returns ``(code, source, codegen, alive
+    flag)``."""
     recording = unit.recording
-    block_id = None
+    block_ids = None
     if recording is not None:
-        block_id = recording._ids.setdefault(
-            (entry, tuple(inst.word for inst in insts)), len(recording._ids))
-    gen = _Codegen(unit, entry, insts, cti, block_id)
+        block_ids = [recording._ids.setdefault(
+                         (entry, tuple(inst.word for inst in insts)),
+                         len(recording._ids))
+                     for entry, insts, _ in members]
+    gen = _Codegen(unit, members, loop, block_ids)
     source = gen.source()
+    insts = [inst for _, member_insts, _ in members for inst in member_insts]
     handlers = tuple(_resolve_handler(inst) or IntegerUnit._dispatch
                      for inst in insts)
     size = unit.regs._size
@@ -590,26 +872,76 @@ def _compile_block(unit, entry: int, insts: list, cti: int | None
         "_G": unit.regs._globals,
         "_W": unit.regs._window_regs,
         "_RT": row_table,
+        "_alive": [True],
+        "_IDS": block_ids,
+        **gen.prefixes(),
     }
     if recording is not None:
         namespace["_D"] = recording.refs.append
         namespace["_EV"] = recording.events.append
-    exec(compile(source, f"<block 0x{entry:08x}>", "exec"), namespace)
+    entry = members[0][0]
+    # Each trace gets its own file name, so that a profile keeps its
+    # time apart from its head block's and from earlier traces there.
+    label = f"<block 0x{entry:08x}"
+    if loop:
+        label += f" trace {unit.traces_translated}"
+    exec(compile(source, label + ">", "exec"), namespace)
     # The function's globals are the namespace: leaving the function in
     # it would make a cycle that pins the unit's memory until a full GC.
     code = namespace.pop("_block")
+    return code, source, gen, namespace["_alive"]
+
+
+def _compile_block(unit, entry: int, insts: list, cti: int | None
+                   ) -> TranslatedBlock:
+    code, source, gen, _ = _compile(unit, [(entry, insts, cti)], False)
     length = len(insts)
     pages = tuple(range(entry >> PAGE_SHIFT,
                         ((entry + 4 * length - 1) >> PAGE_SHIFT) + 1))
-    writes = any(
-        (inst.op == isa.OP_MEM and inst.op3 not in _PURE_LOADS)
-        or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH)
-        for inst in insts)
-    block = TranslatedBlock(entry, length, code,
-                            tuple(insts), pages, source, writes)
-    if block_id is not None and block_id == len(recording.blocks):
+    block = TranslatedBlock(entry, length, code, tuple(insts), cti, pages,
+                            source, gen.writes[0])
+    recording = unit.recording
+    if recording is not None and gen.block_ids[0] == len(recording.blocks):
         recording.blocks.append(block)
     return block
+
+
+def _compile_trace(unit, members: list) -> Trace | None:
+    """Compile *members* (blocks whose exits lead each to the next, the
+    last back to the first) into one :class:`Trace`; None if some
+    member has no exit to its successor."""
+    for block, following in zip(members, members[1:] + members[:1]):
+        if _annuls_into(block.entry, block.insts, block.cti,
+                        following.entry) is None:
+            return None
+    code, source, gen, alive = _compile(
+        unit, [(block.entry, block.insts, block.cti) for block in members],
+        True)
+    return Trace(members, code, source,
+                 tuple(lap[1] for lap in gen.lap), alive)
+
+
+def _annuls_into(entry: int, insts, cti: int | None, target: int
+                 ) -> int | None:
+    """The delay slots (0 or 1) a block's exit towards *target* annuls,
+    or None if no exit of the block leads there.  A CALL or JMPL always
+    may: generated code compares its target at run time."""
+    if cti is None:
+        return 0 if entry + 4 * len(insts) == target else None
+    inst = insts[cti]
+    if inst.op != isa.OP_BRANCH_SETHI:
+        return 0
+    pc_c = entry + 4 * cti
+    taken = (pc_c + (inst.disp22 << 2)) & _M32
+    untaken = (pc_c + 8) & _M32
+    if inst.cond == Cond.A:
+        return int(inst.annul) if taken == target else None
+    if inst.cond == Cond.N:
+        return int(inst.annul) if untaken == target else None
+    # The generated code prefers the taken arm, which never annuls.
+    if taken == target:
+        return 0
+    return int(inst.annul) if untaken == target else None
 
 
 class TranslatedUnit(FunctionalUnit):
@@ -624,11 +956,16 @@ class TranslatedUnit(FunctionalUnit):
     delivery.  A PC's first entry is interpreted too, and its block is
     compiled on the next (:data:`HOT_ENTRY`), so code that runs once is
     never compiled.  A FLUSH or a store that drops a block does not make
-    its PC cold again: the next entry retranslates it.
+    its PC cold again: the next entry retranslates it.  When a block
+    exits backwards to a translated PC, the blocks last executed from
+    there are followed (``succ``); if they lead back to it, the cycle is
+    compiled into a :class:`Trace` that the dispatch loop enters at its
+    head instead of the head's block.
 
     Retirement hooks split along the same line: ``on_block(block,
-    retired)`` fires once per block execution, for which
-    ``block.insts[:retired]`` retired, and ``on_retire`` sees only the
+    retired, count)`` reports *count* executions of a block for each of
+    which ``block.insts[:retired]`` retired (once per block execution,
+    or batched per trace call), and ``on_retire`` sees only the
     interpreted single steps — an instruction executed inside a block
     never reaches it.  Set both to observe every retirement (see
     :class:`~repro.core.sim.MixRecorder`).
@@ -647,11 +984,18 @@ class TranslatedUnit(FunctionalUnit):
         self.blocks_translated = 0
         self.blocks_executed = 0
         self.blocks_invalidated = 0
-        #: Optional block-retirement hook: ``on_block(block, retired)``
-        #: after each block execution; it replaces ``on_retire`` for the
-        #: instructions executed inside blocks.
+        self.traces_translated = 0
+        #: Optional block-retirement hook: ``on_block(block, retired,
+        #: count)`` after each block or trace execution; it replaces
+        #: ``on_retire`` for the instructions executed inside blocks.
         self.on_block = None
-        self._blocks: dict[int, TranslatedBlock] = {}
+        #: Per entry PC, its block, or the trace headed there.
+        self._blocks: dict[int, TranslatedBlock | Trace] = {}
+        #: The live traces by head PC.
+        self._traces: dict[int, Trace] = {}
+        #: Set by every generated function's exit: the index of the
+        #: member body that exited, counted over the call.
+        self._exit = 0
         #: Interpreted entries per PC, up to HOT_ENTRY - 1; a dropped
         #: block leaves its count, so its PC stays hot.
         self._entries: dict[int, int] = {}
@@ -690,10 +1034,16 @@ class TranslatedUnit(FunctionalUnit):
     def flush_icache(self) -> None:
         super().flush_icache()
         if self._blocks:
-            self.blocks_invalidated += len(self._blocks)
-            self._blocks.clear()
-            self._code_pages.clear()
+            self._clear_blocks()
         self._code_dirty = True
+
+    def _clear_blocks(self) -> None:
+        self.blocks_invalidated += len(self._blocks)
+        self._blocks.clear()
+        self._code_pages.clear()
+        for trace in self._traces.values():
+            trace.alive[0] = False
+        self._traces.clear()
 
     def _invalidate(self, entry: int) -> None:
         block = self._blocks.pop(entry, None)
@@ -706,6 +1056,14 @@ class TranslatedUnit(FunctionalUnit):
                 entries.discard(entry)
                 if not entries:
                     del self._code_pages[page]
+        for head, trace in tuple(self._traces.items()):
+            if entry in trace.entries:
+                # A running trace stops before it re-enters the member;
+                # the head keeps its own block unless that was dropped.
+                trace.alive[0] = False
+                del self._traces[head]
+                if self._blocks.get(head) is trace:
+                    self._blocks[head] = trace.fallback
 
     # -- translation -------------------------------------------------------
 
@@ -744,9 +1102,7 @@ class TranslatedUnit(FunctionalUnit):
         if not insts:
             return None
         if len(self._blocks) >= MAX_BLOCKS:
-            self.blocks_invalidated += len(self._blocks)
-            self._blocks.clear()
-            self._code_pages.clear()
+            self._clear_blocks()
             self._entries.clear()
         block = _compile_block(self, entry, insts, cti)
         self.blocks_translated += 1
@@ -755,16 +1111,43 @@ class TranslatedUnit(FunctionalUnit):
             self._code_pages.setdefault(page, set()).add(entry)
         return block
 
+    def _chain(self, head: int) -> None:
+        """Compile the cycle of blocks that last ran from *head* back to
+        it, if there is one of at most MAX_TRACE blocks and none of them
+        heads a trace already.  A walk cut short by a PC with no block
+        (not translated yet) is tried again on a later entry."""
+        blocks = self._blocks
+        first = blocks.get(head)
+        if (type(first) is not TranslatedBlock or first.unchained
+                or (self._horizon is not None
+                    and self.cycles > self._horizon)):
+            return
+        block, members = first, []
+        while (type(block) is TranslatedBlock and block not in members
+               and len(members) < MAX_TRACE):
+            members.append(block)
+            if block.succ == head:
+                trace = _compile_trace(self, members)
+                if trace is not None:
+                    self.traces_translated += 1
+                    blocks[head] = self._traces[head] = trace
+                    return
+                break
+            block = blocks.get(block.succ)
+        if block is not None:
+            first.unchained = True
+
     # -- execution ---------------------------------------------------------
 
     def fast_forward(self, budget: int, stop_pc: int | None = None) -> int:
         """Advance up to *budget* steps, stopping early when the PC
-        reaches *stop_pc*.  Blockwise where possible.  Each block
-        execution calls ``on_block(block, retired)``, if set, once — the
-        retired instructions are always a prefix of ``block.insts``
-        (branch arms, traps and SMC bails only cut it short) and the
-        machine state it observes is the block's *exit* state.
-        ``on_retire`` fires only for the steps interpreted here."""
+        reaches *stop_pc*.  Blockwise where possible.  Each block or
+        trace execution calls ``on_block(block, retired, count)``, if
+        set — the retired instructions are always a prefix of
+        ``block.insts`` (branch arms, traps and SMC bails only cut it
+        short) and the machine state it observes is the *exit* state of
+        the block or trace.  ``on_retire`` fires only for the steps
+        interpreted here."""
         executed = 0
         blocks = self._blocks
         entries = self._entries
@@ -795,34 +1178,37 @@ class TranslatedUnit(FunctionalUnit):
                 if block is None:
                     executed += step()
                     continue
-            length = block.length
-            if (budget - executed < length
-                    or (stop_pc is not None
-                        and pc < stop_pc < pc + 4 * length)):
-                # Not enough budget for a worst-case full block, or the
-                # stop PC lies inside it: keep the step-exact contract
-                # by interpreting.
+            left = budget - executed
+            while (left < block.length
+                   or (stop_pc is not None
+                       and block.lo <= stop_pc < block.hi)):
+                # Not enough budget for a worst-case full pass, or the
+                # stop PC may lie inside: keep the step-exact contract
+                # by running a trace's head block alone, or a block's
+                # steps one at a time.
+                block = block.fallback
+                if block is None:
+                    break
+            if block is None:
                 executed += step()
                 continue
-            if block.writes:
-                # Only write-capable blocks can reach data_write, the
-                # sole reader of the active range / dirty flag.
-                self._active_lo = pc
-                self._active_hi = pc + 4 * length
-                self._code_dirty = False
-            block_count += 1
             if on_block is None:
-                executed += block.code(self)
+                executed += block.code(self, left)
             else:
                 before = self.instret
                 try:
-                    executed += block.code(self)
+                    executed += block.code(self, left)
                 finally:
                     # Also when a trap in error mode escapes the block:
                     # the prefix it retired is still reported.
-                    on_block(block, self.instret - before)
+                    block.report(on_block, self.instret - before,
+                                 self._exit)
+            block_count += self._exit + 1
+            nxt = self.pc
+            block.succ = nxt
+            if nxt <= pc:
+                self._chain(nxt)
         self.blocks_executed += block_count
-        self._active_lo = self._active_hi = 0
         return executed
 
     def advance(self, budget: int, stop_pc: int | None = None) -> int:

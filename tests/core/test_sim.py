@@ -177,10 +177,10 @@ class TestMixRecorder:
                      decode(encoder.st_imm(1, 2, 0))]
 
         recorder = MixRecorder(engine=None)
-        recorder.on_block(Block(), 0)
+        recorder.on_block(Block(), 0, 1)
         assert recorder.mix() == {}
-        recorder.on_block(Block(), 1)
-        assert recorder.mix() == {"load": 1}
+        recorder.on_block(Block(), 1, 2)
+        assert recorder.mix() == {"load": 2}
 
     def test_fold_bound_keeps_counts_exact(self, kernel_image, monkeypatch):
         """Folding block counts into word counts early (as a program

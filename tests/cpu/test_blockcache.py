@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu import IntegerUnit, blockcache
-from repro.cpu.blockcache import MAX_BLOCK, TranslatedUnit
+from repro.cpu.blockcache import (MAX_BLOCK, RecordingUnit, Trace,
+                                  TranslatedUnit)
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.traps import ErrorMode, WatchdogExpired
 from repro.mem.interface import FlatMemory
@@ -132,6 +133,37 @@ leaf:
     retl
     add %o0, 1, %g2
 """)
+
+    @pytest.mark.usefixtures("translate_on_first_entry")
+    @pytest.mark.parametrize("op", ["umul", "smul", "umulcc", "smulcc"])
+    def test_inline_multiply(self, op):
+        """The multiplies run inline, not through the shared handler,
+        with the product's high word in Y and, for the cc forms, N/Z
+        from the low word and V/C cleared (set beforehand)."""
+        tu = _run_pair(f"""
+    .text
+    .global _start
+_start:
+    set -7, %o0
+    set 0x9E3779B9, %o1
+    set 0x7FFFFFFF, %l5
+    addcc %l5, %l5, %g0     ! sets N and V
+    {op} %o0, %o1, %o2      ! negative x large
+    rd %y, %o3
+    addcc %o0, %o0, %g0     ! sets N and C
+    {op} %o1, -3, %o4       ! negative immediate
+    rd %y, %o5
+    {op} %o0, %g0, %l0      ! zero product: Z
+    rd %y, %l1
+    {op} %o1, %o1, %l2
+    rd %y, %l3
+    ba done
+    nop
+done:
+    nop
+""")
+        (block,) = tu._blocks.values()
+        assert block.source.count("ctrl.y = vt >> 32") == 4
 
     def test_save_restore_window_rotation(self):
         """SAVE/RESTORE run as generic handlers mid-block; the generated
@@ -515,6 +547,258 @@ scratch:
         assert tu._entries == {}
 
 
+#: A loop whose body is three blocks — A (the exit test), B (load,
+#: store) and C (the back edge) — like the streaming kernels' inner
+#: loops; its data sits on a page of its own.
+TRACE_LOOP = """
+    .text
+    .global _start
+_start:
+    set 8, %l0
+    set buf, %o0
+loop:
+    deccc %l0               ! A
+    be done
+    add %g1, 1, %g1
+    ld [%o0], %g2           ! B
+inside:
+    add %g2, %g1, %g2
+    ba third
+    st %g2, [%o0]
+    nop
+third:
+    umul %g2, 3, %g3        ! C
+    add %g4, %g3, %g4
+    ba loop
+    nop
+done:
+    nop
+    .data
+    .skip 256
+buf:
+    .word 5
+"""
+
+
+def _smc_loop(target: str, source: str) -> str:
+    """TRACE_LOOP's shape, with B storing a word every iteration: to a
+    scratch word, except once (the fourth iteration) to *target*, with
+    the word at *source*."""
+    targets = ", ".join(target if i == 4 else "scratch" for i in range(8))
+    sources = ", ".join(source if i == 4 else "scratch" for i in range(8))
+    return f"""
+    .text
+    .global _start
+_start:
+    set 7, %l0
+    set targets, %o5
+    set sources, %l1
+loop:
+    deccc %l0               ! A
+    be done
+    sll %l0, 2, %o4
+    ld [%o5 + %o4], %o3     ! B
+    ld [%l1 + %o4], %o2
+    ld [%o2], %o2
+    st %o2, [%o3]
+    ba third
+slot:
+    add %g1, 1, %g1
+third:
+    add %g4, 1, %g4         ! C
+    ba loop
+    nop
+done:
+    nop
+patch:
+    add %g4, 100, %g4
+    .data
+    .skip 256
+targets:
+    .word {targets}
+sources:
+    .word {sources}
+scratch:
+    .word 0
+"""
+
+
+def _run_recorded(source: str, chunk: int | None = None):
+    """Run *source* to ``done`` on a RecordingUnit, in *chunk*-step
+    budgets if given; returns the unit."""
+    unit, _, image = _make(source, RecordingUnit)
+    done = image.symbols["done"]
+    if chunk is None:
+        unit.run(max_instructions=10_000, until_pc=done)
+    else:
+        while unit.pc != done:
+            unit.fast_forward(chunk, stop_pc=done)
+    return unit
+
+
+def _recorded_stream(unit) -> dict:
+    rec = unit.recording
+    columns = {name: getattr(rec, name).tolist() for name in (
+        "events", "refs", "step_pcs", "step_words", "iflushes",
+        "code_lo", "code_hi", "code_at")}
+    columns["blocks"] = [(b.entry, [i.word for i in b.insts])
+                         for b in rec.blocks]
+    columns["counts"] = (unit.blocks_translated, unit.blocks_executed,
+                         unit.blocks_invalidated)
+    return columns
+
+
+def _assert_traces_record_like_blocks(source: str, monkeypatch,
+                                      chunk: int | None = None) -> None:
+    """With traces, the recording (every column) and the block counters
+    equal those of a run whose blocks never chain."""
+    traced = _run_recorded(source, chunk)
+    assert traced.traces_translated > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(blockcache, "MAX_TRACE", 0)
+        plain = _run_recorded(source, chunk)
+    assert plain.traces_translated == 0
+    assert _recorded_stream(traced) == _recorded_stream(plain)
+
+
+class TestTraces:
+    """A hot cycle of blocks runs as one generated function that loops;
+    everything observable stays what the blocks one by one would do."""
+
+    def test_three_block_loop_becomes_one_trace(self):
+        tu = _run_pair(TRACE_LOOP)
+        image = build(TRACE_LOOP)
+        trace = tu._blocks[image.symbols["loop"]]
+        assert isinstance(trace, Trace)
+        assert [b.entry for b in trace.members] == [
+            image.symbols["loop"], image.symbols["loop"] + 12,
+            image.symbols["third"]]
+        assert tu.traces_translated == 1
+        # Member bodies still count: iterations 2-8 through A, 2-7
+        # through B and C (the first iteration is interpreted).
+        assert tu.blocks_executed == 7 + 6 + 6
+
+    def test_fast_forward_every_budget_across_the_trace(self):
+        """fast_forward(N) lands on the interpreter's state for every N
+        through the traced iterations, and so does running the loop in
+        N-step pieces."""
+        probe, _, image = _make(TRACE_LOOP, FunctionalUnit)
+        done = image.symbols["done"]
+        total = probe.fast_forward(10_000, stop_pc=done)
+        for budget in range(1, total + 1):
+            fu, fu_ram, _ = _make(TRACE_LOOP, FunctionalUnit)
+            tu, tu_ram, _ = _make(TRACE_LOOP, TranslatedUnit)
+            assert fu.fast_forward(budget) == tu.fast_forward(budget)
+            _assert_same_state(tu, fu, tu_ram, fu_ram)
+        assert tu.traces_translated == 1
+        for chunk in (3, 10, 11, 12, 23):
+            fu, fu_ram, _ = _make(TRACE_LOOP, FunctionalUnit)
+            tu, tu_ram, _ = _make(TRACE_LOOP, TranslatedUnit)
+            while fu.pc != done:
+                assert (fu.fast_forward(chunk, stop_pc=done)
+                        == tu.fast_forward(chunk, stop_pc=done))
+                _assert_same_state(tu, fu, tu_ram, fu_ram)
+
+    @pytest.mark.parametrize("chunk", [None, 10, 23, 37])
+    def test_recording_is_the_blocks_recording(self, chunk, monkeypatch):
+        _assert_traces_record_like_blocks(TRACE_LOOP, monkeypatch, chunk)
+
+    @pytest.mark.parametrize("label", ["third", "inside"])
+    def test_stop_pc_inside_a_member_keeps_the_trace_out(self, label):
+        fu, fu_ram, image = _make(TRACE_LOOP, FunctionalUnit)
+        tu, tu_ram, _ = _make(TRACE_LOOP, TranslatedUnit)
+        fu.fast_forward(40)
+        tu.fast_forward(40)
+        trace = tu._traces[image.symbols["loop"]]
+        entered = []
+        code = trace.code
+        trace.code = lambda unit, left: entered.append(left) or code(unit,
+                                                                     left)
+        stop = image.symbols[label]
+        fu.fast_forward(1_000, stop_pc=stop)
+        tu.fast_forward(1_000, stop_pc=stop)
+        assert tu.pc == stop and not entered
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+        done = image.symbols["done"]
+        fu.fast_forward(1_000, stop_pc=done)
+        tu.fast_forward(1_000, stop_pc=done)
+        assert entered
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+
+    @pytest.mark.parametrize("target, source", [
+        ("third", "patch"),   # a later member: C runs its new code
+        ("slot", "slot"),     # the running member: B bails
+        ("loop", "loop"),     # the head
+    ])
+    def test_store_into_a_member(self, target, source, monkeypatch):
+        program = _smc_loop(target, source)
+        tu = _run_pair(program)
+        assert tu.blocks_invalidated > 0
+        if target == "third":
+            # C ran twice before the patch (l0 = 6, 5), then four
+            # times patched, from the iteration that stored it on.
+            assert tu.regs.read(4) == 2 + 4 * 100
+        _assert_traces_record_like_blocks(program, monkeypatch)
+
+    def test_trap_in_a_middle_member_reports_its_prefix(self):
+        """A misaligned load in B (sixth iteration) enters error mode
+        from inside the trace: the calls before it batch whole
+        iterations, and B's cut body reports the two instructions
+        before the load."""
+        source = """
+    .text
+    .global _start
+_start:
+    set 7, %l0
+    set offsets, %o5
+    set buf, %o0
+loop:
+    deccc %l0               ! A
+    be done
+    sll %l0, 2, %o4
+    ld [%o5 + %o4], %o3     ! B
+    add %g1, 1, %g1
+    ld [%o0 + %o3], %g2     ! misaligned when the offset is 1
+    ba third
+    nop
+third:
+    add %g4, %g2, %g4       ! C
+    ba loop
+    nop
+done:
+    nop
+    .data
+    .skip 256
+offsets:
+    .word 0, 1, 0, 0, 0, 0, 0, 0
+buf:
+    .word 5
+"""
+        translated, interpreted, calls = _mix_pair(
+            source, max_instructions=1_000, raises=ErrorMode)
+        assert translated == interpreted
+        block, retired, count = calls[-1]
+        assert block.entry == build(source).symbols["loop"] + 12
+        assert (retired, count) == (2, 1)
+        assert any(count > 1 for _, _, count in calls)
+
+    def test_max_blocks_clear_drops_traces(self, monkeypatch):
+        fu, fu_ram, image = _make(TRACE_LOOP, FunctionalUnit)
+        tu, tu_ram, _ = _make(TRACE_LOOP, TranslatedUnit)
+        fu.fast_forward(40)
+        tu.fast_forward(40)
+        trace = tu._traces[image.symbols["loop"]]
+        monkeypatch.setattr(blockcache, "MAX_BLOCKS", 1)
+        third = image.symbols["third"]
+        tu._translate(third)
+        assert list(tu._blocks) == [third]
+        assert tu._traces == {} and trace.alive == [False]
+        done = image.symbols["done"]
+        fu.fast_forward(1_000, stop_pc=done)
+        tu.fast_forward(1_000, stop_pc=done)
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+
+
 class TestSimulatorIntegration:
     def test_translated_unit_shares_architectural_state(self):
         from repro.core.sim import Simulator
@@ -549,7 +833,7 @@ def _mix_pair(source: str, max_instructions: int = 10_000,
               raises: type[Exception] | None = None):
     """Run *source* under a :class:`MixRecorder` on the interpreter and
     on the translator; return (translated mix, interpreter mix, every
-    ``on_block`` call as (block, retired))."""
+    ``on_block`` call as (block, retired, count))."""
     from repro.core.sim import MixRecorder
 
     mixes, calls = [], []
@@ -558,9 +842,9 @@ def _mix_pair(source: str, max_instructions: int = 10_000,
         done = image.symbols["done"]
         with MixRecorder(unit) as recorder:
             if cls is TranslatedUnit:
-                def spy(block, retired, forward=recorder.on_block):
-                    calls.append((block, retired))
-                    forward(block, retired)
+                def spy(block, retired, count, forward=recorder.on_block):
+                    calls.append((block, retired, count))
+                    forward(block, retired, count)
                 unit.on_block = spy
             if raises is None:
                 unit.run(max_instructions=max_instructions, until_pc=done)
@@ -579,7 +863,8 @@ class TestRetirementHooks:
         tu, _, image = _make(SMALL_PROGRAM, TranslatedUnit)
         stepped, executed = [], []
         tu.on_retire = lambda pc, inst: stepped.append(pc)
-        tu.on_block = lambda block, retired: executed.append(retired)
+        tu.on_block = lambda block, retired, count: executed.append(
+            retired * count)
         tu.run(max_instructions=10_000, until_pc=image.symbols["done"])
         assert executed and len(stepped) + sum(executed) == tu.instret
 
@@ -602,8 +887,8 @@ done:
     nop
 """, max_instructions=100, raises=ErrorMode)
         assert translated == interpreted == {"alu": 3, "sethi": 1}
-        assert [(len(block.insts) > retired, retired)
-                for block, retired in calls] == [(True, 4)]
+        assert [(len(block.insts) > retired, retired, count)
+                for block, retired, count in calls] == [(True, 4, 1)]
 
     @pytest.mark.usefixtures("translate_on_first_entry")
     def test_smc_bail_counts_retired_prefix(self):
@@ -666,7 +951,7 @@ patch:
         translated, interpreted, calls = _mix_pair(source)
         assert translated == interpreted
         loop = build(source).symbols["loop"]
-        loop_blocks = {id(block): block for block, _ in calls
+        loop_blocks = {id(block): block for block, _, _ in calls
                        if block.entry == loop}
         assert len(loop_blocks) == 2
         first, second = (block.insts[1].word

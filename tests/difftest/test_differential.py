@@ -11,7 +11,7 @@ windows replayed, must equal the accurate oracle's run of the same
 plan under the same two configurations.
 Seeded programs mostly run once, so they translate each block on its
 first entry (``harness.compare_generated``), and each must run
-translated code.
+translated code; each with a hot counted loop must compile a trace.
 A failing seed is delta-debugged down to a minimal block listing, which
 is written into ``corpus/`` — commit that file so the bug stays covered
 forever (``test_corpus_replays`` re-runs every committed listing).
@@ -94,8 +94,29 @@ def test_generated_programs_match(chunk):
                 + "\n  ".join(problems)
                 + f"\nshrunk listing written to {path} — commit it "
                 f"to the regression corpus")
-        # The translated column must have compiled blocks.
-        assert result.translated.fastpath["blocks_translated"] > 0, seed
+        # The translated column must have compiled blocks, and a hot
+        # counted loop must have run as a trace.
+        fastpath = result.translated.fastpath
+        assert fastpath["blocks_translated"] > 0, seed
+        if _hot_loops(seed):
+            assert fastpath["traces_translated"] > 0, seed
+
+
+def _hot_loops(seed: int) -> int:
+    """The seed's counted loops (``_block_loop``) of three or more
+    iterations: the first runs inside the block that falls into the
+    loop, the second in the loop's own block, whose exit back to itself
+    compiles the trace.  (A ``_block_smc`` loop FLUSHes every
+    iteration, which drops every translation, so it never forms one.)"""
+    return sum(1 for block in gen.generate_blocks(seed)
+               if len(block.body) > 1 and block.body[1].endswith("_top:")
+               and int(block.body[0].split()[1].rstrip(",")) >= 3)
+
+
+def test_most_seeds_run_a_hot_loop():
+    """The trace assertion above is not vacuous."""
+    assert sum(1 for seed in range(PROGRAMS) if _hot_loops(seed)) > (
+        PROGRAMS // 2)
 
 
 @pytest.mark.parametrize("seed", SAMPLED_SEEDS)

@@ -42,6 +42,8 @@ def test_workload_engines_agree_and_self_check(workload):
     # result.ok already proved functional == accurate, so the reference
     # check transfers; assert anyway so a failure names both engines.
     assert u32(result.functional.result_word) == expected
+    # Every kernel's hot loops ran as traces in the translated column.
+    assert result.translated.fastpath["traces_translated"] > 0
 
 
 @pytest.mark.difftest
