@@ -10,24 +10,38 @@ instruction's handler and register slots, and compiles the whole block
 into one specialized Python function cached per entry PC.  The first
 entry is interpreted: compiling a block costs as much as interpreting
 it dozens of times, and boot, crt0 and set-up code run once (see
-:data:`HOT_ENTRY`).  Hot ALU,
+:data:`HOT_ENTRY`).  Hot ALU, multiply,
 load/store and branch instructions become straight-line Python operating
-on the register file's raw lists; everything rare (SAVE/RESTORE, mul/
-div, traps, alternate-space accesses) calls the *shared* execute
+on the register file's raw lists; everything rare (SAVE/RESTORE,
+divide, traps, alternate-space accesses) calls the *shared* execute
 handlers, so the semantics cannot drift from the interpreters'.
+
+A hot loop is a cycle of two or three blocks, not one block branching
+to itself.  Once control has returned to a block from another block
+:data:`HOT_TRACE` times, the blocks that last ran from it back to it are
+compiled into a :class:`Trace`: one function that loops over the
+blocks' code, so the dispatch loop's per-block work (state checks, the
+cache probe, the budget and stop-PC tests, the call and the register
+window unpack) happens once per call instead.  A block is a trace of
+one that does not loop; both come from one code generator and run
+through one dispatch loop.
 
 Coherence piggybacks on the contract the per-PC decode memo already
 obeys (see ``FunctionalUnit.data_write``/``flush_icache``):
 
 * every store that could touch translated code goes through
   :meth:`TranslatedUnit.data_write`, which drops the blocks whose pages
-  the write overlaps — a page map keeps that check O(pages written);
+  the write overlaps — a page map keeps that check O(pages written) —
+  and the traces they belong to;
 * a store into the *currently executing* block (or a FLUSH from inside
   one) raises the ``_code_dirty`` flag; generated code checks it after
   every memory-writing site and bails out of the block with exact
   step/retire accounting, so self-modifying code observes its own
   writes with the interpreters' timing;
-* FLUSH drops every block, exactly as it clears the decode memo.
+* a trace checks after each block that can write whether any of its
+  blocks was dropped, and if so returns before running it again;
+* FLUSH drops every block and trace, exactly as it clears the decode
+  memo.
 
 Step accounting is identical to the other engines — one step is one
 retired instruction, one annulled delay slot or one trap entry — so
@@ -48,7 +62,7 @@ from repro.cpu.iu import IntegerUnit
 from repro.utils import u32
 
 __all__ = ["TranslatedUnit", "TranslatedBlock", "Trace", "MAX_BLOCK",
-           "MAX_BLOCKS", "HOT_ENTRY", "MAX_TRACE", "Recording",
+           "MAX_BLOCKS", "HOT_ENTRY", "HOT_TRACE", "Recording",
            "RecordingUnit"]
 
 #: Longest block, in instructions (CTI + delay slot included).
@@ -60,8 +74,13 @@ MAX_BLOCKS = 4096
 #: less to interpret than to compile.  The entry counts are cleared with
 #: the block cache at MAX_BLOCKS.
 HOT_ENTRY = 2
-#: Most blocks one trace chains (see :class:`Trace`).
-MAX_TRACE = 8
+#: A cycle of blocks is compiled into a :class:`Trace` when control
+#: returns to its head from a block for this many times.  A trace costs
+#: about as much to compile as its blocks did and saves about a
+#: microsecond per block per iteration, so only a loop that runs about
+#: a thousand times repays it.  The counts are kept when a trace is
+#: dropped, and cleared with the block cache at MAX_BLOCKS.
+HOT_TRACE = 1024
 #: Granularity of the code-page invalidation map (bytes = 1 << shift).
 PAGE_SHIFT = 8
 
@@ -186,13 +205,9 @@ class TranslatedBlock:
         #: The code's address range.
         self.lo, self.hi = entry, entry + 4 * length
         self.succ = None
-        #: Set when the blocks that last ran from here led to no trace
-        #: (another trace's head, a cycle not through here, too many
-        #: blocks); the walk is not tried again from this block.
+        #: Set when the blocks that last ran from here led into another
+        #: trace's head; the walk is not tried again from this block.
         self.unchained = False
-
-    def report(self, on_block, retired: int, exit: int) -> None:
-        on_block(self, retired, 1)
 
     def __repr__(self):
         return (f"TranslatedBlock(entry=0x{self.entry:08x}, "
@@ -219,7 +234,7 @@ class Trace:
     is the same step sequence and the same recorded event."""
 
     __slots__ = ("entry", "length", "code", "members", "entries",
-                 "pages", "source", "lo", "hi", "retired", "alive", "succ")
+                 "pages", "source", "lo", "hi", "retired", "alive")
 
     def __init__(self, members, code, source, retired, alive):
         head = members[0]
@@ -237,16 +252,16 @@ class Trace:
         #: ``[False]`` once a member's translation is dropped; the
         #: generated code reads it after each write-capable member.
         self.alive = alive
-        self.succ = None
 
     @property
     def fallback(self) -> TranslatedBlock:
         return self.members[0]
 
     def report(self, on_block, retired: int, exit: int) -> None:
-        """Report the member bodies of the call that ended at *exit*
-        and retired *retired* instructions: one ``on_block(block,
-        retired, count)`` per distinct (member, retired prefix)."""
+        """Report the member bodies of a call that retired *retired*
+        instructions and left at *exit* (``unit._exit``): one
+        ``on_block(block, retired, count)`` per distinct (member,
+        retired prefix)."""
         laps, last = divmod(exit, len(self.members))
         tail = (retired - laps * sum(self.retired)
                 - sum(self.retired[:last]))
@@ -425,7 +440,6 @@ class _Codegen:
             self._add(ind, "annulled_slots", 0, annulled)
             self._add(ind, "cycles", 0, steps)
             self._add(ind, "instret", 0, retired)
-            self.emit(ind, "u._exit = 0")
 
     def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
                   taken, annulled=False) -> None:
@@ -621,19 +635,14 @@ class _Codegen:
             self.emit(ind, f"vr = u.data_read(ea, {size}, signed={signed})")
         self._write(ind, inst.rd, "vr")
 
-    def _emit_write(self, ind, k, pc, call, in_slot) -> None:
-        """A call that may write memory or flush: tell ``data_write``
-        which member is running, and bail out if the call made the rest
-        of it stale."""
+    def _emit_write(self, ind, k, pc, call, args, in_slot) -> None:
+        """``call(args)`` may write memory or flush: bail out if it made
+        the rest of the running member stale (see :func:`_stale`)."""
         if in_slot:
-            self.emit(ind, call)
+            self.emit(ind, f"{call}({args})")
             return
         lo, hi = self.entry, self.entry + 4 * len(self.insts)
-        self.emit(ind, f"u._active_lo = {lo}")
-        self.emit(ind, f"u._active_hi = {hi}")
-        self.emit(ind, "u._code_dirty = False")
-        self.emit(ind, call)
-        self.emit(ind, "if u._code_dirty:")
+        self.emit(ind, f"if _stale(u, {lo}, {hi}, {call}, {args}):")
         self._bail(ind + 1, k, pc)
 
     def _emit_store(self, ind, k, pc, npc, inst, in_slot) -> None:
@@ -669,19 +678,18 @@ class _Codegen:
             self.emit(ind, "else:")
             slow_ind = ind + 1
         self._guard(slow_ind, k, pc, npc)
-        self._emit_write(slow_ind, k, pc, f"u.data_write(ea, {size}, vv)",
+        self._emit_write(slow_ind, k, pc, "u.data_write", f"ea, {size}, vv",
                          in_slot)
 
     def _emit_generic(self, ind, k, pc, npc, inst, in_slot) -> None:
         """Anything rare runs through the shared execute handlers (or
         the shared dispatch, for instructions that always trap)."""
         self._guard(ind, k, pc, npc)
-        call = f"_H[{self.base + k}](u, _I[{self.base + k}])"
-        if inst.op == isa.OP_MEM or (inst.op == isa.OP_ARITH
-                                     and inst.op3 == Op3.FLUSH):
-            self._emit_write(ind, k, pc, call, in_slot)
+        call, args = f"_H[{self.base + k}]", f"u, _I[{self.base + k}]"
+        if _writes(inst):
+            self._emit_write(ind, k, pc, call, args, in_slot)
         else:
-            self.emit(ind, call)
+            self.emit(ind, f"{call}({args})")
         if inst.op == isa.OP_ARITH and inst.op3 in _CWP_OPS:
             self._emit_window_bases(ind)
 
@@ -810,7 +818,6 @@ class _Codegen:
                      " | n << 2 | tk)")
             e(2, "u.cycles += n")
             e(2, "u.instret += n")
-            e(2, "u._exit = 0")
         e(2, "u._enter_trap(trap)")
         e(2, "u.cycles += 1")
         e(2, f"return {'vs' if self.loop else 'n'} + 1")
@@ -839,9 +846,19 @@ def _writes(inst) -> bool:
             or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH))
 
 
+def _stale(unit, lo: int, hi: int, write, *args) -> bool:
+    """Run ``write(*args)`` (a store or FLUSH) from generated code whose
+    running member spans ``[lo, hi)``: whether it made that code stale
+    (see :meth:`TranslatedUnit.data_write`)."""
+    unit._active_lo, unit._active_hi = lo, hi
+    unit._code_dirty = False
+    write(*args)
+    return unit._code_dirty
+
+
 def _compile(unit, members, loop: bool):
     """Generate and compile the function for *members* (``(entry,
-    insts, cti)`` each); returns ``(code, source, codegen, alive
+    insts, cti)`` each); returns ``(function, source, codegen, alive
     flag)``."""
     recording = unit.recording
     block_ids = None
@@ -872,6 +889,7 @@ def _compile(unit, members, loop: bool):
         "_G": unit.regs._globals,
         "_W": unit.regs._window_regs,
         "_RT": row_table,
+        "_stale": _stale,
         "_alive": [True],
         "_IDS": block_ids,
         **gen.prefixes(),
@@ -879,17 +897,21 @@ def _compile(unit, members, loop: bool):
     if recording is not None:
         namespace["_D"] = recording.refs.append
         namespace["_EV"] = recording.events.append
-    entry = members[0][0]
-    # Each trace gets its own file name, so that a profile keeps its
-    # time apart from its head block's and from earlier traces there.
-    label = f"<block 0x{entry:08x}"
-    if loop:
-        label += f" trace {unit.traces_translated}"
-    exec(compile(source, label + ">", "exec"), namespace)
+    # A trace's file name lists its members, so that a profile keeps
+    # its time apart from its head block's.
+    label = "<block {}>".format(" ".join(f"0x{entry:08x}"
+                                         for entry, _, _ in members))
+    memo = unit._code
+    code = memo.get((label, source))
+    if code is None:
+        if len(memo) >= MAX_BLOCKS:
+            memo.clear()
+        code = memo[label, source] = compile(source, label, "exec")
+    exec(code, namespace)
     # The function's globals are the namespace: leaving the function in
     # it would make a cycle that pins the unit's memory until a full GC.
-    code = namespace.pop("_block")
-    return code, source, gen, namespace["_alive"]
+    function = namespace.pop("_block")
+    return function, source, gen, namespace["_alive"]
 
 
 def _compile_block(unit, entry: int, insts: list, cti: int | None
@@ -957,10 +979,10 @@ class TranslatedUnit(FunctionalUnit):
     compiled on the next (:data:`HOT_ENTRY`), so code that runs once is
     never compiled.  A FLUSH or a store that drops a block does not make
     its PC cold again: the next entry retranslates it.  When a block
-    exits backwards to a translated PC, the blocks last executed from
-    there are followed (``succ``); if they lead back to it, the cycle is
-    compiled into a :class:`Trace` that the dispatch loop enters at its
-    head instead of the head's block.
+    exits backwards to a translated PC for the :data:`HOT_TRACE`-th time,
+    the blocks last executed from there are followed (``succ``); if they
+    lead back to it, the cycle is compiled into a :class:`Trace` that
+    the dispatch loop enters at its head instead of the head's block.
 
     Retirement hooks split along the same line: ``on_block(block,
     retired, count)`` reports *count* executions of a block for each of
@@ -993,12 +1015,19 @@ class TranslatedUnit(FunctionalUnit):
         self._blocks: dict[int, TranslatedBlock | Trace] = {}
         #: The live traces by head PC.
         self._traces: dict[int, Trace] = {}
-        #: Set by every generated function's exit: the index of the
-        #: member body that exited, counted over the call.
+        #: Set by a trace's exit: the index of the member body that
+        #: exited, counted over the call.
         self._exit = 0
         #: Interpreted entries per PC, up to HOT_ENTRY - 1; a dropped
         #: block leaves its count, so its PC stays hot.
         self._entries: dict[int, int] = {}
+        #: Returns to each PC from a block, up to HOT_TRACE - 1; kept,
+        #: like the entry counts, when the PC's trace is dropped.
+        self._closings: dict[int, int] = {}
+        #: Compiled code by (file name, source): a block or trace
+        #: translated again with the same instructions is not compiled
+        #: again.
+        self._code: dict[tuple[str, str], object] = {}
         self._code_pages: dict[int, set[int]] = {}
         self._code_dirty = False
         self._active_lo = 0
@@ -1104,6 +1133,8 @@ class TranslatedUnit(FunctionalUnit):
         if len(self._blocks) >= MAX_BLOCKS:
             self._clear_blocks()
             self._entries.clear()
+            self._closings.clear()
+            self._code.clear()
         block = _compile_block(self, entry, insts, cti)
         self.blocks_translated += 1
         self._blocks[entry] = block
@@ -1112,30 +1143,41 @@ class TranslatedUnit(FunctionalUnit):
         return block
 
     def _chain(self, head: int) -> None:
-        """Compile the cycle of blocks that last ran from *head* back to
-        it, if there is one of at most MAX_TRACE blocks and none of them
-        heads a trace already.  A walk cut short by a PC with no block
-        (not translated yet) is tried again on a later entry."""
+        """Control came back to *head* from a block: from the
+        HOT_TRACE-th time on, compile the blocks that last ran from
+        *head* into a trace if each led forward to the next and the last
+        back to *head* (a loop's current path, as it just closed).  A
+        path that leaves the loop first, or not yet through translated
+        blocks, is tried again on a later return; one that runs into
+        another trace's head (an outer loop's) is not."""
         blocks = self._blocks
         first = blocks.get(head)
-        if (type(first) is not TranslatedBlock or first.unchained
-                or (self._horizon is not None
-                    and self.cycles > self._horizon)):
+        if type(first) is not TranslatedBlock or first.unchained:
+            return
+        closings = self._closings.get(head, 0) + 1
+        if closings < HOT_TRACE:
+            self._closings[head] = closings
+            return
+        if self._horizon is not None and self.cycles > self._horizon:
             return
         block, members = first, []
-        while (type(block) is TranslatedBlock and block not in members
-               and len(members) < MAX_TRACE):
+        while True:
             members.append(block)
-            if block.succ == head:
+            succ = block.succ
+            if succ == head:
                 trace = _compile_trace(self, members)
-                if trace is not None:
-                    self.traces_translated += 1
-                    blocks[head] = self._traces[head] = trace
+                if trace is None:
+                    first.unchained = True
                     return
-                break
-            block = blocks.get(block.succ)
-        if block is not None:
-            first.unchained = True
+                self.traces_translated += 1
+                blocks[head] = self._traces[head] = trace
+                return
+            if succ is None or succ <= block.entry:
+                return
+            block = blocks.get(succ)
+            if type(block) is not TranslatedBlock:
+                first.unchained = block is not None
+                return
 
     # -- execution ---------------------------------------------------------
 
@@ -1201,13 +1243,18 @@ class TranslatedUnit(FunctionalUnit):
                 finally:
                     # Also when a trap in error mode escapes the block:
                     # the prefix it retired is still reported.
-                    block.report(on_block, self.instret - before,
-                                 self._exit)
-            block_count += self._exit + 1
-            nxt = self.pc
-            block.succ = nxt
-            if nxt <= pc:
-                self._chain(nxt)
+                    retired = self.instret - before
+                    if block.fallback is None:
+                        on_block(block, retired, 1)
+                    else:
+                        block.report(on_block, retired, self._exit)
+            if block.fallback is None:
+                block_count += 1
+                nxt = block.succ = self.pc
+                if nxt <= pc:
+                    self._chain(nxt)
+            else:
+                block_count += self._exit + 1
         self.blocks_executed += block_count
         return executed
 

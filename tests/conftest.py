@@ -25,6 +25,15 @@ def translate_on_first_entry(monkeypatch):
     monkeypatch.setattr(blockcache, "HOT_ENTRY", 1)
 
 
+@pytest.fixture
+def chain_on_first_return(monkeypatch):
+    """Compile a hot cycle of blocks into a trace the first time control
+    returns to its head, so a loop of a few iterations runs traced."""
+    from repro.cpu import blockcache
+
+    monkeypatch.setattr(blockcache, "HOT_TRACE", 1)
+
+
 def build(source: str, text_base: int = CODE_BASE):
     """Assemble + link a standalone test program."""
     return link([assemble(source)], MemoryMapScript.default(text_base))

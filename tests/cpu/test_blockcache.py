@@ -537,6 +537,42 @@ scratch:
         assert tu.blocks_executed == blocks_per_iteration * (10 - 1)
         assert tu.blocks_translated == tu.blocks_executed
 
+    def test_retranslation_reuses_the_compiled_code(self):
+        """A loop whose store drops its own block every iteration
+        translates it again each time, from the code compiled the
+        first time."""
+        tu = _run_pair("""
+    .text
+    .global _start
+_start:
+    set scratch, %o0
+    set 10, %l0
+loop:
+    st %g0, [%o0]
+    deccc %l0
+    bne loop
+    add %g2, 1, %g2
+done:
+    nop
+scratch:
+    nop
+""")
+        assert tu.blocks_translated == 9
+        assert len(tu._code) == 1
+
+    def test_a_loop_becomes_a_trace_on_the_hot_trace_th_return(
+            self, monkeypatch):
+        monkeypatch.setattr(blockcache, "HOT_TRACE", 4)
+        spans = []
+        for iterations in (5, 6):
+            tu = _run_pair(LOOP_PROGRAM.replace("set 10,",
+                                                f"set {iterations},"))
+            spans.append(tu.traces_translated)
+            # Iteration 1 is interpreted, 2-5 return to the block from
+            # itself; the fourth return compiles the trace.
+            assert tu.blocks_executed == iterations - 1
+        assert spans == [0, 1]
+
     def test_entry_counts_clear_with_the_block_cache(self, monkeypatch):
         tu, _, image = _make(LOOP_PROGRAM, TranslatedUnit)
         tu.run(max_instructions=1_000, until_pc=image.symbols["done"])
@@ -655,12 +691,13 @@ def _assert_traces_record_like_blocks(source: str, monkeypatch,
     traced = _run_recorded(source, chunk)
     assert traced.traces_translated > 0
     with monkeypatch.context() as patch:
-        patch.setattr(blockcache, "MAX_TRACE", 0)
+        patch.setattr(blockcache, "HOT_TRACE", 1 << 62)
         plain = _run_recorded(source, chunk)
     assert plain.traces_translated == 0
     assert _recorded_stream(traced) == _recorded_stream(plain)
 
 
+@pytest.mark.usefixtures("chain_on_first_return")
 class TestTraces:
     """A hot cycle of blocks runs as one generated function that loops;
     everything observable stays what the blocks one by one would do."""
@@ -781,6 +818,27 @@ buf:
         assert block.entry == build(source).symbols["loop"] + 12
         assert (retired, count) == (2, 1)
         assert any(count > 1 for _, _, count in calls)
+
+    def test_a_dropped_trace_forms_again_on_the_next_return(
+            self, monkeypatch):
+        """The return counts survive the trace: after a member is
+        dropped, the next return to the head compiles the cycle again,
+        not the HOT_TRACE-th one after it."""
+        monkeypatch.setattr(blockcache, "HOT_TRACE", 3)
+        fu, fu_ram, image = _make(TRACE_LOOP, FunctionalUnit)
+        tu, tu_ram, _ = _make(TRACE_LOOP, TranslatedUnit)
+        loop, third = image.symbols["loop"], image.symbols["third"]
+        fu.fast_forward(60)
+        tu.fast_forward(60)
+        trace = tu._traces[loop]
+        tu._invalidate(third)
+        assert tu._traces == {} and trace.alive == [False]
+        assert tu._blocks[loop] is trace.fallback
+        done = image.symbols["done"]
+        fu.fast_forward(1_000, stop_pc=done)
+        tu.fast_forward(1_000, stop_pc=done)
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+        assert tu.traces_translated == 2
 
     def test_max_blocks_clear_drops_traces(self, monkeypatch):
         fu, fu_ram, image = _make(TRACE_LOOP, FunctionalUnit)

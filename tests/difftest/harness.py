@@ -29,13 +29,18 @@ The translated engine compiles a PC's block on its second entry
 mostly straight-line code that runs once, so :func:`compare_generated`
 runs them with translation on first entry: their translated and timing
 columns then execute generated code, where the default would mostly
-interpret.  Everything else runs at the default, so both the block path
-and the interpreted path stay checked against the accurate engine.
+interpret.  A hot loop becomes a trace only after about a thousand
+iterations (:data:`~repro.cpu.blockcache.HOT_TRACE`), so generated
+programs, and the registry kernels through :func:`compare_traced`,
+chain a trace on the first return to a loop's head.  Everything else
+runs at the default, so the block, trace and interpreted paths all stay
+checked against the accurate engine.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.cache.cache import CacheGeometry
@@ -162,12 +167,32 @@ def compare_engines(asm_text: str,
 def compare_generated(asm_text: str,
                       timing: tuple[str, ...] = ("stock",)) -> DiffResult:
     """:func:`compare_image` for a generated program, translating each
-    block on its first entry (see the module docstring)."""
-    saved, blockcache.HOT_ENTRY = blockcache.HOT_ENTRY, 1
-    try:
+    block on its first entry and chaining a trace on the first return
+    to its head (see the module docstring)."""
+    with _eager(entry=1, trace=1):
         return compare_image(build(asm_text), timing=timing)
+
+
+def compare_traced(image, max_instructions: int = MAX_INSTRUCTIONS,
+                   timing: tuple[str, ...] = ("stock",)) -> DiffResult:
+    """:func:`compare_image` chaining a trace on the first return to its
+    head, so that every hot loop, however short, runs traced."""
+    with _eager(trace=1):
+        return compare_image(image, max_instructions, timing)
+
+
+@contextmanager
+def _eager(entry: int | None = None, trace: int | None = None):
+    """Lower the translator's ``HOT_ENTRY``/``HOT_TRACE`` for a run."""
+    saved = blockcache.HOT_ENTRY, blockcache.HOT_TRACE
+    if entry is not None:
+        blockcache.HOT_ENTRY = entry
+    if trace is not None:
+        blockcache.HOT_TRACE = trace
+    try:
+        yield
     finally:
-        blockcache.HOT_ENTRY = saved
+        blockcache.HOT_ENTRY, blockcache.HOT_TRACE = saved
 
 
 def compare_timing(image, max_instructions: int, timing: tuple[str, ...],

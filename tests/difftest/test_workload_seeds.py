@@ -16,7 +16,12 @@ import pytest
 
 from repro.utils import u32
 from repro.workloads import all_workloads, get
-from tests.difftest.harness import ALL_TIMING, compare_image, compare_timing
+from tests.difftest.harness import (
+    ALL_TIMING,
+    compare_image,
+    compare_timing,
+    compare_traced,
+)
 
 WINDOW_OVERFLOW_TT = 0x05
 WINDOW_UNDERFLOW_TT = 0x06
@@ -29,9 +34,9 @@ def _ids():
 @pytest.mark.difftest
 @pytest.mark.parametrize("workload", all_workloads(), ids=_ids())
 def test_workload_engines_agree_and_self_check(workload):
-    result = compare_image(workload.image(),
-                           max_instructions=workload.max_instructions,
-                           timing=ALL_TIMING)
+    result = compare_traced(workload.image(),
+                            max_instructions=workload.max_instructions,
+                            timing=ALL_TIMING)
     assert result.ok, (
         f"{workload.name}: engines diverged:\n" + "\n".join(result.problems))
     expected = workload.expected()
@@ -42,7 +47,7 @@ def test_workload_engines_agree_and_self_check(workload):
     # result.ok already proved functional == accurate, so the reference
     # check transfers; assert anyway so a failure names both engines.
     assert u32(result.functional.result_word) == expected
-    # Every kernel's hot loops ran as traces in the translated column.
+    # Every kernel's loops ran as traces in the translated column.
     assert result.translated.fastpath["traces_translated"] > 0
 
 
