@@ -332,8 +332,9 @@ class _Codegen:
         self.writes = [any(_writes(inst) for inst in insts)
                        for _, insts, _ in members]
         # What each member adds on its way to the next: steps, retired
-        # instructions, annulled slots; prefix sums locate an exit
-        # inside an iteration.
+        # instructions, annulled slots.  An exit adds those of the
+        # members before it in the iteration (its prefix) and, per
+        # completed iteration, those of all of them.
         self.lap = []
         if loop:
             for (entry, insts, cti), following in zip(
@@ -341,6 +342,9 @@ class _Codegen:
                 annulled = _annuls_into(entry, insts, cti, following[0])
                 self.lap.append((len(insts), len(insts) - annulled,
                                  annulled))
+        self.prefix = [tuple(sum(lap[i] for lap in self.lap[:j])
+                             for i in range(3))
+                       for j in range(len(self.lap))]
         self.per_lap = [sum(lap[i] for lap in self.lap) for i in range(3)]
 
     def _enter(self, j: int) -> None:
@@ -427,9 +431,10 @@ class _Codegen:
         if self.loop:
             if member is None:
                 member = self.j
-                steps += sum(lap[0] for lap in self.lap[:member])
-                retired += sum(lap[1] for lap in self.lap[:member])
-                annulled += sum(lap[2] for lap in self.lap[:member])
+                before = self.prefix[member]
+                steps += before[0]
+                retired += before[1]
+                annulled += before[2]
             per_lap = self.per_lap
             self.emit(ind, f"vs = it * {per_lap[0]} + {steps}")
             self.emit(ind, "u.cycles += vs")
@@ -824,16 +829,10 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
     def prefixes(self) -> dict[str, tuple]:
-        """Per member, the steps / retired instructions / annulled slots
-        of the members before it in an iteration (for the trap exit)."""
-        out = {}
-        for i, name in enumerate(("_PS", "_PR", "_PA")):
-            total, sums = 0, []
-            for lap in self.lap:
-                sums.append(total)
-                total += lap[i]
-            out[name] = tuple(sums)
-        return out
+        """The trap exit's tables: per member, the steps / retired
+        instructions / annulled slots of the members before it."""
+        return {name: tuple(before[i] for before in self.prefix)
+                for i, name in enumerate(("_PS", "_PR", "_PA"))}
 
 
 #: OP_MEM op3s that cannot write memory (the rest, plus FLUSH, make a
