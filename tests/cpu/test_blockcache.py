@@ -516,7 +516,8 @@ done:
     def test_invalidation_keeps_a_pc_hot(self, invalidate,
                                          blocks_per_iteration):
         """A loop whose body invalidates its own translation is
-        retranslated on its next entry, not interpreted again."""
+        retranslated on its next entry, not interpreted again, and from
+        the code compiled the first time."""
         tu = _run_pair(f"""
     .text
     .global _start
@@ -536,42 +537,20 @@ scratch:
         assert tu.blocks_invalidated > 0
         assert tu.blocks_executed == blocks_per_iteration * (10 - 1)
         assert tu.blocks_translated == tu.blocks_executed
-
-    def test_retranslation_reuses_the_compiled_code(self):
-        """A loop whose store drops its own block every iteration
-        translates it again each time, from the code compiled the
-        first time."""
-        tu = _run_pair("""
-    .text
-    .global _start
-_start:
-    set scratch, %o0
-    set 10, %l0
-loop:
-    st %g0, [%o0]
-    deccc %l0
-    bne loop
-    add %g2, 1, %g2
-done:
-    nop
-scratch:
-    nop
-""")
-        assert tu.blocks_translated == 9
-        assert len(tu._code) == 1
+        assert len(tu._code) == blocks_per_iteration
 
     def test_a_loop_becomes_a_trace_on_the_hot_trace_th_return(
             self, monkeypatch):
         monkeypatch.setattr(blockcache, "HOT_TRACE", 4)
-        spans = []
+        traces = []
         for iterations in (5, 6):
             tu = _run_pair(LOOP_PROGRAM.replace("set 10,",
                                                 f"set {iterations},"))
-            spans.append(tu.traces_translated)
-            # Iteration 1 is interpreted, 2-5 return to the block from
-            # itself; the fourth return compiles the trace.
+            traces.append(tu.traces_translated)
+            # Iteration 1 is interpreted; from iteration 2 on the block
+            # returns to itself, and the fourth return compiles it.
             assert tu.blocks_executed == iterations - 1
-        assert spans == [0, 1]
+        assert traces == [0, 1]
 
     def test_entry_counts_clear_with_the_block_cache(self, monkeypatch):
         tu, _, image = _make(LOOP_PROGRAM, TranslatedUnit)
