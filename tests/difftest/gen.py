@@ -13,7 +13,9 @@ The generated mix covers what the two execution engines must agree on:
   forced odd so division by zero stays a *trap-parity* concern, tested
   separately in ``test_trap_parity``);
 * control transfers — every Bicc condition, with and without the annul
-  bit, plus bounded counted loops;
+  bit, plus bounded counted loops whose bodies branch forward (to the
+  word after the delay slot, too) and load and store, so that they
+  translate into one to three blocks;
 * register windows — leaf calls (``save``/``restore``) and bounded
   recursion deep enough to take window overflow *and* underflow traps
   through the boot ROM's handlers;
@@ -128,26 +130,60 @@ def _block_div(rng: random.Random, uid: str) -> Block:
     return Block(body)
 
 
-def _block_branch(rng: random.Random, uid: str) -> Block:
+def _branch(rng: random.Random, uid: str, pool=REG_POOL,
+            least_skipped: int = 1) -> list[str]:
+    """A compare and a conditional forward branch over 1-3 (or, with
+    *least_skipped* 0, 0-3) instructions."""
     cond = rng.choice(BRANCHES)
     annul = ",a" if rng.random() < 0.4 else ""
     label = f"L{uid}_skip"
     body = [
-        f"    cmp {rng.choice(REG_POOL)}, {rng.choice(REG_POOL)}",
+        f"    cmp {rng.choice(pool)}, {rng.choice(pool)}",
         f"    {cond}{annul} {label}",
-        _alu_op(rng),  # delay slot (annulled when the branch says so)
+        _alu_op(rng, pool),  # delay slot (annulled when the branch says so)
     ]
-    body += [_alu_op(rng) for _ in range(rng.randint(1, 3))]
+    body += [_alu_op(rng, pool)
+             for _ in range(rng.randint(least_skipped, 3))]
     body.append(f"{label}:")
-    return Block(body)
+    return body
+
+
+def _block_branch(rng: random.Random, uid: str) -> Block:
+    return Block(_branch(rng, uid))
+
+
+def _mem_op(rng: random.Random, pool=REG_POOL) -> str:
+    """One naturally aligned load or store in the scratch area."""
+    if rng.random() < 0.5:
+        op = rng.choice(STORES)
+        size = {"st": 4, "sth": 2, "stb": 1}[op]
+        offset = rng.randrange(0, DATA_SIZE - size, size)
+        return f"    {op} {rng.choice(pool)}, [%g6 + {offset}]"
+    op = rng.choice(LOADS)
+    size = {"ld": 4, "lduh": 2, "ldsh": 2, "ldub": 1, "ldsb": 1}[op]
+    offset = rng.randrange(0, DATA_SIZE - size, size)
+    return f"    {op} [%g6 + {offset}], {rng.choice(pool)}"
 
 
 def _block_loop(rng: random.Random, uid: str) -> Block:
+    """A counted loop (1-8 iterations) over ALU ops, loads and stores
+    and up to two forward branches, each of which splits the loop into
+    one more block: a hot loop of one to three blocks."""
     counter = rng.choice(REG_POOL)
     inner_pool = [r for r in REG_POOL if r != counter]
     label = f"L{uid}_top"
     body = [f"    set {rng.randint(1, 8)}, {counter}", f"{label}:"]
-    body += [_alu_op(rng, inner_pool) for _ in range(rng.randint(1, 3))]
+    branches = 0
+    for piece in range(rng.randint(1, 3)):
+        pick = rng.random()
+        if pick < 0.35 and branches < 2:
+            body += _branch(rng, f"{uid}_{piece}", inner_pool,
+                            least_skipped=0)
+            branches += 1
+        elif pick < 0.55:
+            body.append(_mem_op(rng, inner_pool))
+        else:
+            body.append(_alu_op(rng, inner_pool))
     body += [f"    deccc {counter}", f"    bg {label}", "    nop"]
     return Block(body)
 
@@ -164,16 +200,7 @@ def _block_mem(rng: random.Random, uid: str) -> Block:
             else:
                 body.append(f"    ldd [%g6 + {offset}], {reg}")
             continue
-        if rng.random() < 0.5:
-            op = rng.choice(STORES)
-            size = {"st": 4, "sth": 2, "stb": 1}[op]
-            offset = rng.randrange(0, DATA_SIZE - size, size)
-            body.append(f"    {op} {rng.choice(REG_POOL)}, [%g6 + {offset}]")
-        else:
-            op = rng.choice(LOADS)
-            size = {"ld": 4, "lduh": 2, "ldsh": 2, "ldub": 1, "ldsb": 1}[op]
-            offset = rng.randrange(0, DATA_SIZE - size, size)
-            body.append(f"    {op} [%g6 + {offset}], {rng.choice(REG_POOL)}")
+        body.append(_mem_op(rng))
     return Block(body)
 
 

@@ -102,21 +102,38 @@ def test_generated_programs_match(chunk):
             assert fastpath["traces_translated"] > 0, seed
 
 
-def _hot_loops(seed: int) -> int:
-    """The seed's counted loops (``_block_loop``) of three or more
-    iterations: the first runs inside the block that falls into the
-    loop, the second in the loop's own block, whose exit back to itself
-    compiles the trace.  (A ``_block_smc`` loop FLUSHes every
+def _hot_loops(seed: int) -> list[list[str]]:
+    """The bodies of the seed's counted loops (``_block_loop``) of three
+    or more iterations: the first runs inside the block that falls into
+    the loop, the second in the loop's own blocks, whose exit back to
+    the head compiles the trace.  (A ``_block_smc`` loop FLUSHes every
     iteration, which drops every translation, so it never forms one.)"""
-    return sum(1 for block in gen.generate_blocks(seed)
-               if len(block.body) > 1 and block.body[1].endswith("_top:")
-               and int(block.body[0].split()[1].rstrip(",")) >= 3)
+    return [block.body for block in gen.generate_blocks(seed)
+            if len(block.body) > 1 and block.body[1].endswith("_top:")
+            and int(block.body[0].split()[1].rstrip(",")) >= 3]
 
 
 def test_most_seeds_run_a_hot_loop():
     """The trace assertion above is not vacuous."""
     assert sum(1 for seed in range(PROGRAMS) if _hot_loops(seed)) > (
         PROGRAMS // 2)
+
+
+def test_hot_loops_span_blocks():
+    """Hot loops with zero, one and two forward branches in their body
+    (traces of one, two and three members) occur, and so do branches to
+    the word after their delay slot, annulled and not, whose two arms
+    lead to the same member."""
+    shapes = set()
+    for body in (body for seed in range(PROGRAMS)
+                 for body in _hot_loops(seed)):
+        branches = [i for i, line in enumerate(body)
+                    if line.endswith("_skip")]
+        shapes.add(len(branches))
+        for i in branches:
+            if body[i + 2].endswith("_skip:"):
+                shapes.add(".+8,a" if ",a " in body[i] else ".+8")
+    assert shapes == {0, 1, 2, ".+8", ".+8,a"}
 
 
 @pytest.mark.parametrize("seed", SAMPLED_SEEDS)
