@@ -52,6 +52,7 @@ executes them.  The randomized differential suite in
 
 from __future__ import annotations
 
+import itertools
 from array import array
 
 from repro.cpu import isa, traps
@@ -182,9 +183,10 @@ class TranslatedBlock:
     Calling ``code(unit, left)`` executes the block and returns the
     number of steps consumed (= retired instructions + annulled slot +
     trap entry); the unit's pc/npc/counters are left exactly as if the
-    interpreter had stepped the same instructions.  ``succ`` is the PC
-    the block last exited to, from which the dispatch loop finds hot
-    cycles (see :class:`Trace`)."""
+    interpreter had stepped the same instructions, and ``unit._exit`` is
+    0, as a :class:`Trace` of this one member would leave it.  ``succ``
+    is the PC the block last exited to, from which the dispatch loop
+    finds hot cycles."""
 
     __slots__ = ("entry", "length", "code", "insts", "cti", "pages",
                  "source", "writes", "lo", "hi", "succ", "unchained")
@@ -209,6 +211,11 @@ class TranslatedBlock:
         #: trace's head; the walk is not tried again from this block.
         self.unchained = False
 
+    def report(self, on_block, retired: int, exit: int) -> None:
+        """Report a call that retired *retired* instructions: one
+        execution of the block (*exit*, ``unit._exit``, is 0)."""
+        on_block(self, retired, 1)
+
     def __repr__(self):
         return (f"TranslatedBlock(entry=0x{self.entry:08x}, "
                 f"length={self.length})")
@@ -226,6 +233,8 @@ class Trace:
     exit leaves ``unit._exit`` = completed iterations x members + the
     index of the member that exited, from which :meth:`report` and the
     dispatch loop's ``blocks_executed`` recover every member body.
+    ``succ`` is the PC the trace last exited to, kept as a block's is;
+    nothing reads it.
 
     ``length`` is the steps of one full iteration: the dispatch loop
     enters a trace only with at least that much budget and with no stop
@@ -234,7 +243,7 @@ class Trace:
     is the same step sequence and the same recorded event."""
 
     __slots__ = ("entry", "length", "code", "members", "entries",
-                 "pages", "source", "lo", "hi", "retired", "alive")
+                 "pages", "source", "lo", "hi", "retired", "alive", "succ")
 
     def __init__(self, members, code, source, retired, alive):
         head = members[0]
@@ -252,6 +261,7 @@ class Trace:
         #: ``[False]`` once a member's translation is dropped; the
         #: generated code reads it after each write-capable member.
         self.alive = alive
+        self.succ = None
 
     @property
     def fallback(self) -> TranslatedBlock:
@@ -445,6 +455,7 @@ class _Codegen:
             self._add(ind, "annulled_slots", 0, annulled)
             self._add(ind, "cycles", 0, steps)
             self._add(ind, "instret", 0, retired)
+            self.emit(ind, "u._exit = 0")
 
     def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
                   taken, annulled=False) -> None:
@@ -700,8 +711,8 @@ class _Codegen:
 
     # -- member endings ----------------------------------------------------
 
-    def _emit_taken_arm(self, ind, c, target_pc, target_npc, annul) -> None:
-        on = target_pc == self.next_entry
+    def _emit_taken_arm(self, ind, c, target_pc, target_npc, annul,
+                        on) -> None:
         if annul:
             self._leave(ind, target_pc, target_npc, c + 2, c + 1, True,
                         annulled=True, on_trace=on)
@@ -712,9 +723,8 @@ class _Codegen:
             self._leave(ind, target_pc, target_npc, c + 2, c + 2, True,
                         on_trace=on)
 
-    def _emit_untaken_arm(self, ind, c, pc_c, annul) -> None:
+    def _emit_untaken_arm(self, ind, c, pc_c, annul, on) -> None:
         cont = (pc_c + 8) & _M32
-        on = cont == self.next_entry
         if annul:
             self._leave(ind, cont, (pc_c + 12) & _M32, c + 2, c + 1,
                         False, annulled=True, on_trace=on)
@@ -733,26 +743,33 @@ class _Codegen:
             t_npc = (target + 4) & _M32
             if cond == Cond.A:
                 # BA,a annuls its delay slot unconditionally.
-                self._emit_taken_arm(ind, c, target, t_npc, annul)
+                self._emit_taken_arm(ind, c, target, t_npc, annul,
+                                     target == self.next_entry)
             elif cond == Cond.N:
-                self._emit_untaken_arm(ind, c, pc_c, annul)
+                self._emit_untaken_arm(ind, c, pc_c, annul,
+                                       (pc_c + 8) & _M32 == self.next_entry)
             else:
-                # A taken conditional branch never annuls its slot.  The
-                # arm that stays in the trace comes last, unindented.
+                # A taken conditional branch never annuls its slot.  At
+                # most one arm stays in the trace, the taken one if both
+                # lead to the next member (a branch to the word after its
+                # slot), as the per-iteration counts assume (see
+                # _annuls_into); it comes last, unindented.
                 self.emit(ind, "vp = ctrl.psr")
                 if target == self.next_entry:
                     self.emit(ind, f"if not ({_COND_EXPR[cond]}):")
-                    self._emit_untaken_arm(ind + 1, c, pc_c, annul)
-                    self._emit_taken_arm(ind, c, target, t_npc, False)
+                    self._emit_untaken_arm(ind + 1, c, pc_c, annul, False)
+                    self._emit_taken_arm(ind, c, target, t_npc, False, True)
                 elif (pc_c + 8) & _M32 == self.next_entry:
                     self.emit(ind, f"if {_COND_EXPR[cond]}:")
-                    self._emit_taken_arm(ind + 1, c, target, t_npc, False)
-                    self._emit_untaken_arm(ind, c, pc_c, annul)
+                    self._emit_taken_arm(ind + 1, c, target, t_npc, False,
+                                         False)
+                    self._emit_untaken_arm(ind, c, pc_c, annul, True)
                 else:
                     self.emit(ind, f"if {_COND_EXPR[cond]}:")
-                    self._emit_taken_arm(ind + 1, c, target, t_npc, False)
+                    self._emit_taken_arm(ind + 1, c, target, t_npc, False,
+                                         False)
                     self.emit(ind, "else:")
-                    self._emit_untaken_arm(ind + 1, c, pc_c, annul)
+                    self._emit_untaken_arm(ind + 1, c, pc_c, annul, False)
             return
         # CALL / JMPL: run the shared handler, read the delayed target.
         self._guard(ind, c, pc_c, str((pc_c + 4) & _M32))
@@ -821,8 +838,7 @@ class _Codegen:
             if self.recording:
                 e(2, f"_EV({self.block_ids[0] << 16} | (n + 1) << 9"
                      " | n << 2 | tk)")
-            e(2, "u.cycles += n")
-            e(2, "u.instret += n")
+            self._count(2, "n", "n", 0)
         e(2, "u._enter_trap(trap)")
         e(2, "u.cycles += 1")
         e(2, f"return {'vs' if self.loop else 'n'} + 1")
@@ -853,6 +869,9 @@ def _stale(unit, lo: int, hi: int, write, *args) -> bool:
     unit._code_dirty = False
     write(*args)
     return unit._code_dirty
+
+
+_compiles = itertools.count()
 
 
 def _compile(unit, members, loop: bool):
@@ -896,17 +915,13 @@ def _compile(unit, members, loop: bool):
     if recording is not None:
         namespace["_D"] = recording.refs.append
         namespace["_EV"] = recording.events.append
-    # A trace's file name lists its members, so that a profile keeps
-    # its time apart from its head block's.
-    label = "<block {}>".format(" ".join(f"0x{entry:08x}"
-                                         for entry, _, _ in members))
-    memo = unit._code
-    code = memo.get((label, source))
-    if code is None:
-        if len(memo) >= MAX_BLOCKS:
-            memo.clear()
-        code = memo[label, source] = compile(source, label, "exec")
-    exec(code, namespace)
+    # The file name lists the members and numbers the compile: a
+    # profile keys functions by file name, and must keep a trace apart
+    # from its head block and a retranslation from the code it replaces.
+    label = "<block {} #{}>".format(
+        " ".join(f"0x{entry:08x}" for entry, _, _ in members),
+        next(_compiles))
+    exec(compile(source, label, "exec"), namespace)
     # The function's globals are the namespace: leaving the function in
     # it would make a cycle that pins the unit's memory until a full GC.
     function = namespace.pop("_block")
@@ -1023,10 +1038,6 @@ class TranslatedUnit(FunctionalUnit):
         #: Returns to each PC from a block, up to HOT_TRACE - 1; kept,
         #: like the entry counts, when the PC's trace is dropped.
         self._closings: dict[int, int] = {}
-        #: Compiled code by (file name, source): a block or trace
-        #: translated again with the same instructions is not compiled
-        #: again.
-        self._code: dict[tuple[str, str], object] = {}
         self._code_pages: dict[int, set[int]] = {}
         self._code_dirty = False
         self._active_lo = 0
@@ -1133,7 +1144,6 @@ class TranslatedUnit(FunctionalUnit):
             self._clear_blocks()
             self._entries.clear()
             self._closings.clear()
-            self._code.clear()
         block = _compile_block(self, entry, insts, cti)
         self.blocks_translated += 1
         self._blocks[entry] = block
@@ -1242,18 +1252,12 @@ class TranslatedUnit(FunctionalUnit):
                 finally:
                     # Also when a trap in error mode escapes the block:
                     # the prefix it retired is still reported.
-                    retired = self.instret - before
-                    if block.fallback is None:
-                        on_block(block, retired, 1)
-                    else:
-                        block.report(on_block, retired, self._exit)
-            if block.fallback is None:
-                block_count += 1
-                nxt = block.succ = self.pc
-                if nxt <= pc:
-                    self._chain(nxt)
-            else:
-                block_count += self._exit + 1
+                    block.report(on_block, self.instret - before,
+                                 self._exit)
+            block_count += self._exit + 1
+            nxt = block.succ = self.pc
+            if nxt <= pc:
+                self._chain(nxt)
         self.blocks_executed += block_count
         return executed
 
