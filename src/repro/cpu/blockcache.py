@@ -17,7 +17,7 @@ divide, traps, alternate-space accesses) calls the *shared* execute
 handlers, so the semantics cannot drift from the interpreters'.
 
 A hot loop is a cycle of two or three blocks, not one block branching
-to itself.  Once control has returned to a block from another block
+to itself.  Once generated code has exited back to a block
 :data:`HOT_TRACE` times, the blocks that last ran from it back to it are
 compiled into a :class:`Trace`: one function that loops over the
 blocks' code, so the dispatch loop's per-block work (state checks, the
@@ -76,7 +76,7 @@ MAX_BLOCKS = 4096
 #: the block cache at MAX_BLOCKS.
 HOT_ENTRY = 2
 #: A cycle of blocks is compiled into a :class:`Trace` when control
-#: returns to its head from a block for this many times.  A trace costs
+#: returns to its head from generated code this many times.  A trace costs
 #: about as much to compile as its blocks did and saves about a
 #: microsecond per block per iteration, so only a loop that runs about
 #: a thousand times repays it.  The counts are kept when a trace is
@@ -183,10 +183,10 @@ class TranslatedBlock:
     Calling ``code(unit, left)`` executes the block and returns the
     number of steps consumed (= retired instructions + annulled slot +
     trap entry); the unit's pc/npc/counters are left exactly as if the
-    interpreter had stepped the same instructions, and ``unit._exit`` is
-    0, as a :class:`Trace` of this one member would leave it.  ``succ``
-    is the PC the block last exited to, from which the dispatch loop
-    finds hot cycles."""
+    interpreter had stepped the same instructions.  It leaves
+    ``unit._exit`` as the dispatch loop set it, 0, as a :class:`Trace`
+    of this one member would.  ``succ`` is the PC the block last exited
+    to, from which the dispatch loop finds hot cycles."""
 
     __slots__ = ("entry", "length", "code", "insts", "cti", "pages",
                  "source", "writes", "lo", "hi", "succ", "unchained")
@@ -455,7 +455,6 @@ class _Codegen:
             self._add(ind, "annulled_slots", 0, annulled)
             self._add(ind, "cycles", 0, steps)
             self._add(ind, "instret", 0, retired)
-            self.emit(ind, "u._exit = 0")
 
     def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
                   taken, annulled=False) -> None:
@@ -992,8 +991,8 @@ class TranslatedUnit(FunctionalUnit):
     delivery.  A PC's first entry is interpreted too, and its block is
     compiled on the next (:data:`HOT_ENTRY`), so code that runs once is
     never compiled.  A FLUSH or a store that drops a block does not make
-    its PC cold again: the next entry retranslates it.  When a block
-    exits backwards to a translated PC for the :data:`HOT_TRACE`-th time,
+    its PC cold again: the next entry retranslates it.  When a block or
+    trace exits backwards to a translated PC for the :data:`HOT_TRACE`-th time,
     the blocks last executed from there are followed (``succ``); if they
     lead back to it, the cycle is compiled into a :class:`Trace` that
     the dispatch loop enters at its head instead of the head's block.
@@ -1152,7 +1151,7 @@ class TranslatedUnit(FunctionalUnit):
         return block
 
     def _chain(self, head: int) -> None:
-        """Control came back to *head* from a block: from the
+        """Control came back to *head* from a block or trace: from the
         HOT_TRACE-th time on, compile the blocks that last ran from
         *head* into a trace if each led forward to the next and the last
         back to *head* (a loop's current path, as it just closed).  A
@@ -1243,6 +1242,7 @@ class TranslatedUnit(FunctionalUnit):
             if block is None:
                 executed += step()
                 continue
+            self._exit = 0
             if on_block is None:
                 executed += block.code(self, left)
             else:
