@@ -150,8 +150,13 @@ def test_sampled_windows_match_the_oracle(seed):
     [pytest.param(None, marks=pytest.mark.skip(reason="corpus empty"))],
     ids=lambda p: p.name if p else "empty")
 def test_corpus_replays(listing):
-    """Every committed corpus listing stays engine-identical."""
-    problems = compare_engines(listing.read_text(), timing=ALL_TIMING)
+    """Every committed corpus listing stays engine-identical, at the
+    translator's default thresholds and at the eager ones its seed was
+    run and shrunk with (``harness.compare_generated``): a listing of a
+    trace bug loops too few times to form a trace at the default."""
+    source = listing.read_text()
+    problems = (compare_engines(source, timing=ALL_TIMING)
+                + compare_generated(source, timing=ALL_TIMING).problems)
     assert not problems, (
         f"{listing.name} diverged again:\n  " + "\n  ".join(problems))
 
