@@ -191,7 +191,8 @@ class SimReport:
     #: the same window the FPX cycle counter arms over.  Empty when the
     #: simulator was built with ``obs=False``.
     obs: dict = dataclass_field(default_factory=dict)
-    #: Fast-engine provenance (engine, steps, block-cache counters), set
+    #: Fast-engine provenance (engine, steps, block-cache counters and
+    #: ``source_chars``, the characters of generated source), set
     #: only by :meth:`Simulator.run_functional` and
     #: :meth:`Simulator.run_translated`; empty for an accurate run.
     #: Never part of the report's identity.
@@ -509,7 +510,8 @@ class Simulator:
         """Like :meth:`run_functional`, on the block-translating engine:
         byte-identical architectural results (the differential suite
         holds both against the accurate engine), several times faster,
-        with the block-cache counters in the report's ``fastpath``
+        with the block-cache counters and the size of the code it
+        generated (``source_chars``) in the report's ``fastpath``
         section."""
         return self._run_fast(image, max_instructions, "translated")
 
@@ -534,6 +536,7 @@ class Simulator:
             fastpath["blocks_executed"] = fast.blocks_executed
             fastpath["blocks_invalidated"] = fast.blocks_invalidated
             fastpath["traces_translated"] = fast.traces_translated
+            fastpath["source_chars"] = fast.source_chars
         return SimReport(
             cycles=window,
             instructions=retired,

@@ -34,8 +34,8 @@ obeys (see ``FunctionalUnit.data_write``/``flush_icache``):
   the write overlaps — a page map keeps that check O(pages written) —
   and the traces they belong to;
 * a store into the *currently executing* block (or a FLUSH from inside
-  one) raises the ``_code_dirty`` flag; generated code checks it after
-  every memory-writing site and bails out of the block with exact
+  one) raises the ``_code_dirty`` flag; the helper that ran the write
+  from generated code checks it and bails out of the block with exact
   step/retire accounting, so self-modifying code observes its own
   writes with the interpreters' timing;
 * a trace checks after each block that can write whether any of its
@@ -53,6 +53,7 @@ executes them.  The randomized differential suite in
 from __future__ import annotations
 
 import itertools
+import struct
 from array import array
 
 from repro.cpu import isa, traps
@@ -86,6 +87,8 @@ HOT_TRACE = 1024
 PAGE_SHIFT = 8
 
 _M32 = 0xFFFFFFFF
+#: A big-endian word: the inline RAM paths load and store words with it.
+_WORD = struct.Struct(">I")
 
 # Recording-mode encodings (see :class:`Recording`).  A block exit is
 # ``block id << 16 | steps << 9 | retired << 2 | taken << 1 | annulled``;
@@ -146,6 +149,8 @@ _LOADS = {Op3Mem.LD: (4, False), Op3Mem.LDUB: (1, False),
           Op3Mem.LDUH: (2, False), Op3Mem.LDSB: (1, True),
           Op3Mem.LDSH: (2, True)}
 _STORES = {Op3Mem.ST: 4, Op3Mem.STB: 1, Op3Mem.STH: 2}
+
+_SHIFTS = {Op3.SLL, Op3.SRL, Op3.SRA}
 
 #: op3 -> (signed, cc) for the inline multiplies.
 _MULS = {Op3.UMUL: (False, False), Op3.UMULCC: (False, True),
@@ -294,11 +299,22 @@ class _Codegen:
 
     Register reads/writes address the register file's raw lists through
     per-register index locals unpacked from a per-CWP row table
-    (recomputed after any handler that can move CWP);
-    condition codes are bit operations on ``ctrl.psr``; loads and stores
-    carry an inline fast path over the largest writable RAM region with
-    the slow path (MMIO, faults, coherence) delegated to the unit's own
-    ``data_read``/``data_write``.
+    (recomputed after any handler that can move CWP); condition codes
+    are bit operations on ``ctrl.psr``.
+
+    Only the paths that run on every execution are inline.  A load or
+    store makes one test, alignment and RAM range together (for a store
+    also the decode memo ``_ic`` and the code pages ``_pages``), then
+    runs its inline RAM access; anything else is one call to a module
+    helper, :func:`_ld` or :func:`_st`, which pins pc/npc, raises the
+    misaligned trap or runs the unit's own ``data_read``/``data_write``
+    (MMIO, faults, coherence).  Other handler calls pin pc/npc inline
+    first.  The two rare exits are each one ``except`` arm calling
+    :meth:`_RareExits.leave`: a trap, and a write that made the rest of
+    the running member stale (:class:`_Stale`).  Whatever raised pinned
+    ``u.pc`` to its instruction, so the exit finds ``n``, the running
+    member's retired instructions, from ``u.pc`` and that member's
+    entry (member ``m`` in a trace); no per-instruction count is kept.
 
     In a trace, each member's exit towards the next member falls through
     into the next member's code instead of returning; the last member's
@@ -406,12 +422,20 @@ class _Codegen:
         """Second ALU operand, as the handlers compute it."""
         return str(u32(inst.simm13)) if inst.imm else _Codegen._read(inst.rs2)
 
-    def _guard(self, ind: int, k: int, pc: int, npc: str) -> None:
-        """Before any instruction that can trap: pin pc/npc (consumed by
-        ``_enter_trap``) and the member's retired-so-far count ``n``."""
+    def _guard(self, ind: int, pc: int, npc: str) -> None:
+        """Before a handler call: pin pc/npc, which the handler and
+        ``_enter_trap`` read, and from which the trap arm counts the
+        member's retired instructions."""
         self.emit(ind, f"u.pc = {pc}")
         self.emit(ind, f"u.npc = {npc}")
-        self.emit(ind, f"n = {k}")
+
+    @staticmethod
+    def _pc_args(pc: int, npc: str) -> str:
+        """The pc (and npc, unless it is pc + 4) a slow-path helper
+        pins."""
+        if npc == str((pc + 4) & _M32):
+            return str(pc)
+        return f"{pc}, npc={npc}"
 
     def _record_exit(self, ind: int, steps: int, retired: int,
                      taken: bool, annulled: bool = False) -> None:
@@ -431,45 +455,39 @@ class _Codegen:
         if terms:
             self.emit(ind, f"u.{name} += {' + '.join(terms)}")
 
-    def _count(self, ind: int, steps, retired, annulled,
-               member=None) -> None:
+    def _count(self, ind: int, steps: int, retired: int, annulled: int
+               ) -> None:
         """Add an exit of the current member, after *steps* / *retired*
         / *annulled* of its own, to the unit's counters; in a trace, set
-        ``vs`` to the steps of the whole call.  With *member* (an
-        expression for the member's index) the three are expressions
-        that already include the members before it."""
+        ``vs`` to the steps of the whole call."""
         if self.loop:
-            if member is None:
-                member = self.j
-                before = self.prefix[member]
-                steps += before[0]
-                retired += before[1]
-                annulled += before[2]
+            before = self.prefix[self.j]
             per_lap = self.per_lap
-            self.emit(ind, f"vs = it * {per_lap[0]} + {steps}")
+            self.emit(ind, f"vs = it * {per_lap[0]} + {steps + before[0]}")
             self.emit(ind, "u.cycles += vs")
-            self._add(ind, "instret", per_lap[1], retired)
-            self._add(ind, "annulled_slots", per_lap[2], annulled)
-            self.emit(ind, f"u._exit = it * {len(self.members)} + {member}")
+            self._add(ind, "instret", per_lap[1], retired + before[1])
+            self._add(ind, "annulled_slots", per_lap[2],
+                      annulled + before[2])
+            self.emit(ind, f"u._exit = it * {len(self.members)} + {self.j}")
         else:
             self._add(ind, "annulled_slots", 0, annulled)
             self._add(ind, "cycles", 0, steps)
             self._add(ind, "instret", 0, retired)
 
     def _epilogue(self, ind, pc_expr, npc_expr, steps, retired,
-                  taken, annulled=False) -> None:
-        """Leave the function through this member exit."""
+                  taken, annulled=False, tail=True) -> None:
+        """Leave the function through this member exit; without *tail*
+        the caller emits the count and return, shared with another
+        exit."""
         self._record_exit(ind, steps, retired, taken, annulled)
         self.emit(ind, f"u.pc = {pc_expr}")
         self.emit(ind, f"u.npc = {npc_expr}")
-        self._count(ind, steps, retired, int(annulled))
-        self.emit(ind, f"return {'vs' if self.loop else steps}")
+        if tail:
+            self._tail(ind, steps, retired, int(annulled))
 
-    def _bail(self, ind: int, k: int, pc: int) -> None:
-        """Leave after instruction *k* retired (its decoded successors
-        may be stale): straight-line continuation."""
-        self._epilogue(ind, (pc + 4) & _M32, (pc + 8) & _M32, k + 1, k + 1,
-                       False)
+    def _tail(self, ind, steps, retired, annulled) -> None:
+        self._count(ind, steps, retired, annulled)
+        self.emit(ind, f"return {'vs' if self.loop else steps}")
 
     def _transition(self, ind, steps, retired, taken,
                     annulled=False) -> None:
@@ -489,15 +507,29 @@ class _Codegen:
             self.emit(ind, "it += 1")
         if len(self.members) > 1:
             self.emit(ind, f"m = {(self.j + 1) % len(self.members)}")
-        if self.recording:
+        if taken and self._slot_sets_tk():
             self.emit(ind, "tk = 0")
 
     def _leave(self, ind, pc, npc, steps, retired, taken,
-               annulled=False, on_trace=False) -> None:
+               annulled=False, on_trace=False, tail=True) -> None:
         if on_trace:
             self._transition(ind, steps, retired, taken, annulled)
         else:
-            self._epilogue(ind, pc, npc, steps, retired, taken, annulled)
+            self._epilogue(ind, pc, npc, steps, retired, taken, annulled,
+                           tail)
+
+    def _slot_sets_tk(self, j: int | None = None) -> bool:
+        """Whether member *j* (default: the current one) sets ``tk``
+        before its CTI's delay slot: only a recording tracks it, and
+        only for a slot that can trap."""
+        if not self.recording:
+            return False
+        _, insts, cti = self.members[self.j if j is None else j]
+        return cti is not None and _can_trap(insts[cti + 1])
+
+    def _set_tk(self, ind) -> None:
+        if self._slot_sets_tk():
+            self.emit(ind, f"tk = {EXIT_TAKEN}")
 
     # -- per-instruction emitters -----------------------------------------
 
@@ -516,7 +548,7 @@ class _Codegen:
             if op3 in _ADDSUB:
                 self._emit_addsub(ind, inst)
                 return
-            if op3 in (Op3.SLL, Op3.SRL, Op3.SRA):
+            if op3 in _SHIFTS:
                 self._emit_shift(ind, inst)
                 return
             if op3 in _MULS:
@@ -525,14 +557,18 @@ class _Codegen:
         elif op == isa.OP_MEM:
             op3 = inst.op3
             if op3 in _LOADS:
-                self._emit_load(ind, k, pc, npc, inst)
+                self._emit_load(ind, pc, npc, inst)
                 return
             if op3 in _STORES:
-                self._emit_store(ind, k, pc, npc, inst, in_slot)
+                self._emit_store(ind, pc, npc, inst, in_slot)
                 return
         self._emit_generic(ind, k, pc, npc, inst, in_slot)
 
     def _emit_logic(self, ind, inst) -> None:
+        if inst.rs1 == 0 and inst.op3 in (Op3.OR, Op3.XOR):
+            # ``mov``: the second operand is already 32-bit.
+            self._write(ind, inst.rd, self._op2(inst))
+            return
         expr = _LOGIC_EXPR[inst.op3].format(a=self._read(inst.rs1),
                                             b=self._op2(inst))
         if inst.op3 not in _LOGIC_CC:
@@ -611,98 +647,94 @@ class _Codegen:
         self._emit_nz(ind)
 
     def _effective_address(self, ind, inst) -> None:
-        off = (str(inst.simm13) if inst.imm else self._read(inst.rs2))
-        self.emit(ind, f"ea = ({self._read(inst.rs1)} + {off}) & 0xFFFFFFFF")
+        """``ea``, and with a RAM region ``of``, its offset into RAM."""
+        base = self._read(inst.rs1)
+        if inst.imm and inst.simm13 == 0:
+            self.emit(ind, f"ea = {base}")  # registers hold 32-bit values
+        else:
+            off = self._read(inst.rs2) if not inst.imm else inst.simm13
+            self.emit(ind, f"ea = ({base} + {off}) & 0xFFFFFFFF")
+        if self.has_ram:
+            self.emit(ind, f"of = ea - {self.ram_base}")
 
-    def _emit_load(self, ind, k, pc, npc, inst) -> None:
+    def _ram_miss(self, size: int) -> str:
+        """The one test that sends an access of *size* bytes at ``ea``
+        to its slow path: misaligned, or not wholly inside RAM.  Over a
+        power-of-two region at an aligned base, both are one mask of
+        ``of`` (a negative ``of`` has high bits set)."""
+        span = self.ram_limit - self.ram_base
+        if span & (span - 1) == 0 and self.ram_base % 4 == 0:
+            return f"of & 0x{(-span | (size - 1)) & _M32:X}"
+        test = f"not 0 <= of <= {span - size}"
+        return f"{test} or ea & {size - 1}" if size > 1 else test
+
+    def _emit_load(self, ind, pc, npc, inst) -> None:
         size, signed = _LOADS[inst.op3]
         self._effective_address(ind, inst)
-        # Trap guards live inside the branches that can actually trap,
-        # keeping the in-RAM aligned path guard-free.
-        if size > 1:
-            self.emit(ind, f"if ea & {size - 1}:")
-            self._guard(ind + 1, k, pc, npc)
-            self.emit(ind + 1, "raise _misaligned(ea)")
+        # Unless a sign extension follows, both paths write rd directly.
+        dest = "vr"
+        if inst.rd != 0 and (size == 4 or not signed):
+            dest = self._read(inst.rd)
+        slow = (f"{dest} = _ld(u, ea, {size}, {int(signed)}, "
+                f"{self._pc_args(pc, npc)})")
         if self.has_ram:
-            self.emit(ind, f"of = ea - {self.ram_base}")
-            self.emit(ind, f"if 0 <= of <= {self.ram_limit - self.ram_base - size}:")
-            if size == 4:
-                self.emit(ind + 1, "vr = (_B[of] << 24) | (_B[of + 1] << 16)"
-                                   " | (_B[of + 2] << 8) | _B[of + 3]")
-            elif size == 2:
-                self.emit(ind + 1, "vr = (_B[of] << 8) | _B[of + 1]")
-                if signed:
-                    self.emit(ind + 1, "if vr & 0x8000:")
-                    self.emit(ind + 2, "vr |= 0xFFFF0000")
-            else:
-                self.emit(ind + 1, "vr = _B[of]")
-                if signed:
-                    self.emit(ind + 1, "if vr & 0x80:")
-                    self.emit(ind + 2, "vr |= 0xFFFFFF00")
+            self.emit(ind, f"if {self._ram_miss(size)}:")
+            self.emit(ind + 1, slow)
+            self.emit(ind, "else:")
+            fast = {4: "_LW(_B, of)[0]", 2: "(_B[of] << 8) | _B[of + 1]",
+                    1: "_B[of]"}[size]
+            self.emit(ind + 1, f"{dest} = {fast}")
+            if signed:
+                bit = 0x80 << 8 * (size - 1)
+                self.emit(ind + 1, f"if vr & {bit:#x}:")
+                self.emit(ind + 2, f"vr |= {_M32 ^ (2 * bit - 1):#x}")
             if self.recording:
                 self.emit(ind + 1, f"_D(ea << 4 | {size << 1})")
-            self.emit(ind, "else:")
-            self._guard(ind + 1, k, pc, npc)
-            self.emit(ind + 1,
-                      f"vr = u.data_read(ea, {size}, signed={signed})")
         else:
-            self._guard(ind, k, pc, npc)
-            self.emit(ind, f"vr = u.data_read(ea, {size}, signed={signed})")
-        self._write(ind, inst.rd, "vr")
+            self.emit(ind, slow)
+        if dest == "vr":
+            self._write(ind, inst.rd, "vr")
 
-    def _emit_write(self, ind, k, pc, call, args, in_slot) -> None:
-        """``call(args)`` may write memory or flush: bail out if it made
-        the rest of the running member stale (see :func:`_stale`)."""
-        if in_slot:
-            self.emit(ind, f"{call}({args})")
-            return
-        lo, hi = self.entry, self.entry + 4 * len(self.insts)
-        self.emit(ind, f"if _stale(u, {lo}, {hi}, {call}, {args}):")
-        self._bail(ind + 1, k, pc)
+    def _span(self, in_slot: bool) -> str:
+        """The running member's address range, for a write that may
+        make the rest of it stale (see :func:`_stale`); None in a delay
+        slot, after which the member ends anyway."""
+        return "None" if in_slot else f"_SPAN[{self.j}]"
 
-    def _emit_store(self, ind, k, pc, npc, inst, in_slot) -> None:
+    def _emit_store(self, ind, pc, npc, inst, in_slot) -> None:
         size = _STORES[inst.op3]
         self._effective_address(ind, inst)
-        if size > 1:
-            self.emit(ind, f"if ea & {size - 1}:")
-            self._guard(ind + 1, k, pc, npc)
-            self.emit(ind + 1, "raise _misaligned(ea)")
-        self.emit(ind, f"vv = {self._read(inst.rd)}")
-        slow_ind = ind
-        if self.has_ram:
-            # The inline path must preserve both coherence contracts:
-            # skip it when the stored word is memoized (_ic) or lands on
-            # a page holding translated code (_pages).
-            self.emit(ind, f"of = ea - {self.ram_base}")
-            self.emit(ind,
-                      f"if (0 <= of <= {self.ram_limit - self.ram_base - size}"
-                      " and (ea & 0xFFFFFFFC) not in _ic"
-                      f" and (ea >> {PAGE_SHIFT}) not in _pages):")
-            if size == 4:
-                self.emit(ind + 1, "_B[of] = vv >> 24")
-                self.emit(ind + 1, "_B[of + 1] = (vv >> 16) & 255")
-                self.emit(ind + 1, "_B[of + 2] = (vv >> 8) & 255")
-                self.emit(ind + 1, "_B[of + 3] = vv & 255")
-            elif size == 2:
-                self.emit(ind + 1, "_B[of] = (vv >> 8) & 255")
-                self.emit(ind + 1, "_B[of + 1] = vv & 255")
-            else:
-                self.emit(ind + 1, "_B[of] = vv & 255")
-            if self.recording:
-                self.emit(ind + 1, f"_D(ea << 4 | {size << 1 | REF_WRITE})")
-            self.emit(ind, "else:")
-            slow_ind = ind + 1
-        self._guard(slow_ind, k, pc, npc)
-        self._emit_write(slow_ind, k, pc, "u.data_write", f"ea, {size}, vv",
-                         in_slot)
+        value = self._read(inst.rd)
+        slow = (f"_st(u, ea, {size}, {value}, {self._span(in_slot)}, "
+                f"{self._pc_args(pc, npc)})")
+        if not self.has_ram:
+            self.emit(ind, slow)
+            return
+        # The inline path must preserve both coherence contracts: skip
+        # it when the stored word is memoized (_ic) or lands on a page
+        # holding translated code (_pages).
+        word = "ea" if size == 4 else "ea & -4"
+        self.emit(ind, f"if {self._ram_miss(size)} or {word} in _ic"
+                       f" or ea >> {PAGE_SHIFT} in _pages:")
+        self.emit(ind + 1, slow)
+        self.emit(ind, "else:")
+        if size == 4:
+            self.emit(ind + 1, f"_SW(_B, of, {value})")
+        elif size == 2:
+            self.emit(ind + 1, f"_B[of] = ({value} >> 8) & 255")
+            self.emit(ind + 1, f"_B[of + 1] = {value} & 255")
+        else:
+            self.emit(ind + 1, f"_B[of] = {value} & 255")
+        if self.recording:
+            self.emit(ind + 1, f"_D(ea << 4 | {size << 1 | REF_WRITE})")
 
     def _emit_generic(self, ind, k, pc, npc, inst, in_slot) -> None:
         """Anything rare runs through the shared execute handlers (or
         the shared dispatch, for instructions that always trap)."""
-        self._guard(ind, k, pc, npc)
+        self._guard(ind, pc, npc)
         call, args = f"_H[{self.base + k}]", f"u, _I[{self.base + k}]"
-        if _writes(inst):
-            self._emit_write(ind, k, pc, call, args, in_slot)
+        if _writes(inst) and not in_slot:
+            self.emit(ind, f"_stale(u, {self._span(False)}, {call}, {args})")
         else:
             self.emit(ind, f"{call}({args})")
         if inst.op == isa.OP_ARITH and inst.op3 in _CWP_OPS:
@@ -711,26 +743,26 @@ class _Codegen:
     # -- member endings ----------------------------------------------------
 
     def _emit_taken_arm(self, ind, c, target_pc, target_npc, annul,
-                        on) -> None:
+                        on, tail=True) -> None:
         if annul:
             self._leave(ind, target_pc, target_npc, c + 2, c + 1, True,
-                        annulled=True, on_trace=on)
+                        annulled=True, on_trace=on, tail=tail)
         else:
-            if self.recording:
-                self.emit(ind, f"tk = {EXIT_TAKEN}")
-            self.emit_inst(ind, c + 1, target_pc, in_slot=True)
+            self._set_tk(ind)
+            self.emit_inst(ind, c + 1, str(target_pc), in_slot=True)
             self._leave(ind, target_pc, target_npc, c + 2, c + 2, True,
-                        on_trace=on)
+                        on_trace=on, tail=tail)
 
-    def _emit_untaken_arm(self, ind, c, pc_c, annul, on) -> None:
+    def _emit_untaken_arm(self, ind, c, pc_c, annul, on, tail=True
+                          ) -> None:
         cont = (pc_c + 8) & _M32
         if annul:
             self._leave(ind, cont, (pc_c + 12) & _M32, c + 2, c + 1,
-                        False, annulled=True, on_trace=on)
+                        False, annulled=True, on_trace=on, tail=tail)
         else:
             self.emit_inst(ind, c + 1, str(cont), in_slot=True)
             self._leave(ind, cont, (pc_c + 12) & _M32, c + 2, c + 2,
-                        False, on_trace=on)
+                        False, on_trace=on, tail=tail)
 
     def _emit_cti(self, ind: int) -> None:
         c = self.cti
@@ -753,30 +785,38 @@ class _Codegen:
                 # lead to the next member (a branch to the word after its
                 # slot), as the per-iteration counts assume (see
                 # _annuls_into); it comes last, unindented.
-                self.emit(ind, "vp = ctrl.psr")
+                test = _COND_EXPR[cond]
+                if test.count("vp") == 1:
+                    test = test.replace("vp", "ctrl.psr")
+                else:
+                    self.emit(ind, "vp = ctrl.psr")
                 if target == self.next_entry:
-                    self.emit(ind, f"if not ({_COND_EXPR[cond]}):")
+                    self.emit(ind, f"if not ({test}):")
                     self._emit_untaken_arm(ind + 1, c, pc_c, annul, False)
                     self._emit_taken_arm(ind, c, target, t_npc, False, True)
                 elif (pc_c + 8) & _M32 == self.next_entry:
-                    self.emit(ind, f"if {_COND_EXPR[cond]}:")
+                    self.emit(ind, f"if {test}:")
                     self._emit_taken_arm(ind + 1, c, target, t_npc, False,
                                          False)
                     self._emit_untaken_arm(ind, c, pc_c, annul, True)
                 else:
-                    self.emit(ind, f"if {_COND_EXPR[cond]}:")
+                    # Both arms leave; unless the untaken one annuls its
+                    # slot they count alike and share the count.
+                    self.emit(ind, f"if {test}:")
                     self._emit_taken_arm(ind + 1, c, target, t_npc, False,
-                                         False)
+                                         False, tail=annul)
                     self.emit(ind, "else:")
-                    self._emit_untaken_arm(ind + 1, c, pc_c, annul, False)
+                    self._emit_untaken_arm(ind + 1, c, pc_c, annul, False,
+                                           tail=annul)
+                    if not annul:
+                        self._tail(ind, c + 2, c + 2, 0)
             return
         # CALL / JMPL: run the shared handler, read the delayed target.
-        self._guard(ind, c, pc_c, str((pc_c + 4) & _M32))
+        self._guard(ind, pc_c, str((pc_c + 4) & _M32))
         self.emit(ind, "u._transfer_target = None")
         self.emit(ind, f"_H[{self.base + c}](u, _I[{self.base + c}])")
         self.emit(ind, "tgt = u._transfer_target")
-        if self.recording:
-            self.emit(ind, f"tk = {EXIT_TAKEN}")
+        self._set_tk(ind)
         self.emit_inst(ind, c + 1, "tgt", in_slot=True)
         if self.next_entry is not None:
             self.emit(ind, f"if tgt != {self.next_entry}:")
@@ -811,8 +851,9 @@ class _Codegen:
             extra += ", _D=_D, _EV=_EV"
         e(0, f"def _block(u, left, ctrl=_ctrl, G=_G, W=_W, _RT=_RT{extra}):")
         self._emit_window_bases(1)
-        e(1, "n = 0")
-        if self.recording:
+        tracks_taken = any(self._slot_sets_tk(j)
+                           for j in range(len(self.members)))
+        if tracks_taken:
             e(1, "tk = 0")
         body = 2
         if self.loop:
@@ -827,27 +868,65 @@ class _Codegen:
         for j in range(len(self.members)):
             self._enter(j)
             self._emit_member(body)
+        # The rare exits, a trap and a stale-code bail, run out of line.
+        where = "it, m" if self.loop else "0, 0"
+        tk = "tk" if tracks_taken else "0"
         e(1, "except _Trap as trap:")
-        if self.loop:
-            if self.recording:
-                e(2, "_EV(_IDS[m] << 16 | (n + 1) << 9 | n << 2 | tk)")
-            self._count(2, "_PS[m] + n", "_PR[m] + n",
-                        "_PA[m]" if self.per_lap[2] else 0, member="m")
-        else:
-            if self.recording:
-                e(2, f"_EV({self.block_ids[0] << 16} | (n + 1) << 9"
-                     " | n << 2 | tk)")
-            self._count(2, "n", "n", 0)
-        e(2, "u._enter_trap(trap)")
-        e(2, "u.cycles += 1")
-        e(2, f"return {'vs' if self.loop else 'n'} + 1")
+        e(2, f"return _X.leave(u, {where}, {tk}, trap)")
+        if any(self.writes):
+            e(1, "except _Stale:")
+            e(2, f"return _X.leave(u, {where}, {tk})")
         return "\n".join(self.lines) + "\n"
 
-    def prefixes(self) -> dict[str, tuple]:
-        """The trap exit's tables: per member, the steps / retired
-        instructions / annulled slots of the members before it."""
-        return {name: tuple(before[i] for before in self.prefix)
-                for i, name in enumerate(("_PS", "_PR", "_PA"))}
+
+class _RareExits:
+    """The rare exits of one generated function, out of line: a trap,
+    and a write that made the rest of the running member stale (a
+    *bail*: the write retired, and execution continues after it).
+
+    The function's ``except`` arms pass the completed iterations ``it``,
+    the running member ``m`` (both 0 in a block) and ``tk``, the
+    recording's taken flag of the member's CTI, for a trap in its delay
+    slot.  Whatever raised pinned ``unit.pc`` to its instruction, so the
+    member's retired instructions follow from the member's entry."""
+
+    __slots__ = ("entries", "ids", "prefix", "per_lap", "members",
+                 "events")
+
+    def __init__(self, gen: _Codegen, events):
+        self.entries = tuple(entry for entry, _, _ in gen.members)
+        self.ids = gen.block_ids
+        #: Per member: the steps / retired instructions / annulled slots
+        #: of the members before it in an iteration.
+        self.prefix = gen.prefix if gen.loop else [(0, 0, 0)]
+        self.per_lap = gen.per_lap
+        self.members = len(gen.members)
+        #: The recording's event log, or None.
+        self.events = events
+
+    def leave(self, unit, it: int, m: int, tk: int, trap=None) -> int:
+        """Count and log the exit; on a trap, enter it.  Returns the
+        steps of the whole call."""
+        n = (unit.pc - self.entries[m]) >> 2
+        if trap is None:
+            n += 1
+        if self.events is not None:
+            self.events(self.ids[m] << 16 | (n + (trap is not None)) << 9
+                        | n << 2 | tk)
+        steps, retired, annulled = self.prefix[m]
+        per_lap = self.per_lap
+        steps += it * per_lap[0] + n
+        unit.cycles += steps
+        unit.instret += it * per_lap[1] + retired + n
+        unit.annulled_slots += it * per_lap[2] + annulled
+        unit._exit = it * self.members + m
+        if trap is None:
+            unit.pc = (unit.pc + 4) & _M32
+            unit.npc = (unit.pc + 4) & _M32
+            return steps
+        unit._enter_trap(trap)
+        unit.cycles += 1
+        return steps + 1
 
 
 #: OP_MEM op3s that cannot write memory (the rest, plus FLUSH, make a
@@ -855,19 +934,64 @@ class _Codegen:
 _PURE_LOADS = frozenset(_LOADS) | {Op3Mem.LDD}
 
 
+def _can_trap(inst) -> bool:
+    """Whether *inst* may trap: all but the inline ALU operations."""
+    if inst.op == isa.OP_BRANCH_SETHI:
+        return inst.op2 != isa.OP2_SETHI
+    return not (inst.op == isa.OP_ARITH
+                and (inst.op3 in _LOGIC_EXPR or inst.op3 in _ADDSUB
+                     or inst.op3 in _SHIFTS or inst.op3 in _MULS))
+
+
 def _writes(inst) -> bool:
     return ((inst.op == isa.OP_MEM and inst.op3 not in _PURE_LOADS)
             or (inst.op == isa.OP_ARITH and inst.op3 == Op3.FLUSH))
 
 
-def _stale(unit, lo: int, hi: int, write, *args) -> bool:
+class _Stale(Exception):
+    """A write from generated code made the rest of its running member
+    stale; the function's ``except _Stale`` arm leaves after it."""
+
+
+def _stale(unit, span, write, *args) -> None:
     """Run ``write(*args)`` (a store or FLUSH) from generated code whose
-    running member spans ``[lo, hi)``: whether it made that code stale
-    (see :meth:`TranslatedUnit.data_write`)."""
-    unit._active_lo, unit._active_hi = lo, hi
+    running member spans ``span = (lo, hi)``; raise :class:`_Stale` if
+    that made the member stale (see :meth:`TranslatedUnit.data_write`)."""
+    unit._active_lo, unit._active_hi = span
     unit._code_dirty = False
     write(*args)
-    return unit._code_dirty
+    if unit._code_dirty:
+        raise _Stale
+
+
+def _pin(unit, address: int, size: int, pc: int, npc: int | None) -> None:
+    """Pin pc/npc for a trap (*npc* None: pc + 4) and raise the
+    misaligned-address trap if *address* needs it."""
+    unit.pc = pc
+    unit.npc = (pc + 4) & _M32 if npc is None else npc
+    if address & (size - 1):
+        raise traps.mem_address_not_aligned(address)
+
+
+def _ld(unit, address: int, size: int, signed: int, pc: int,
+        npc: int | None = None) -> int:
+    """Slow path of an inline load at *pc*: misaligned, MMIO, a fault
+    or any address outside the inline RAM region."""
+    _pin(unit, address, size, pc, npc)
+    return unit.data_read(address, size, signed=bool(signed))
+
+
+def _st(unit, address: int, size: int, value: int, span, pc: int,
+        npc: int | None = None) -> None:
+    """Slow path of an inline store at *pc*: as :func:`_ld`, plus a
+    store to a memoized word or a page holding translated code.  With a
+    running member's *span*, raises :class:`_Stale` as :func:`_stale`
+    does; None in a delay slot."""
+    _pin(unit, address, size, pc, npc)
+    if span is None:
+        unit.data_write(address, size, value)
+    else:
+        _stale(unit, span, unit.data_write, address, size, value)
 
 
 _compiles = itertools.count()
@@ -886,6 +1010,7 @@ def _compile(unit, members, loop: bool):
                      for entry, insts, _ in members]
     gen = _Codegen(unit, members, loop, block_ids)
     source = gen.source()
+    unit.source_chars += len(source)
     insts = [inst for _, member_insts, _ in members for inst in member_insts]
     handlers = tuple(_resolve_handler(inst) or IntegerUnit._dispatch
                      for inst in insts)
@@ -896,10 +1021,11 @@ def _compile(unit, members, loop: bool):
         for cwp in range(32))
     namespace = {
         "_Trap": traps.TrapException,
-        "_misaligned": traps.mem_address_not_aligned,
         "_I": tuple(insts),
         "_H": handlers,
         "_B": unit._ram[2] if unit._ram is not None else None,
+        "_LW": _WORD.unpack_from,
+        "_SW": _WORD.pack_into,
         "_ic": unit._inst_cache,
         "_pages": unit._code_pages,
         "_ctrl": unit.ctrl,
@@ -907,9 +1033,14 @@ def _compile(unit, members, loop: bool):
         "_W": unit.regs._window_regs,
         "_RT": row_table,
         "_stale": _stale,
+        "_Stale": _Stale,
+        "_ld": _ld,
+        "_st": _st,
+        "_SPAN": tuple((entry, entry + 4 * len(member_insts))
+                       for entry, member_insts, _ in members),
         "_alive": [True],
-        "_IDS": block_ids,
-        **gen.prefixes(),
+        "_X": _RareExits(gen, None if recording is None
+                         else recording.events.append),
     }
     if recording is not None:
         namespace["_D"] = recording.refs.append
@@ -1020,6 +1151,8 @@ class TranslatedUnit(FunctionalUnit):
         self.blocks_executed = 0
         self.blocks_invalidated = 0
         self.traces_translated = 0
+        #: Characters of generated source compiled, blocks and traces.
+        self.source_chars = 0
         #: Optional block-retirement hook: ``on_block(block, retired,
         #: count)`` after each block or trace execution; it replaces
         #: ``on_retire`` for the instructions executed inside blocks.

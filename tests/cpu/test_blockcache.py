@@ -14,7 +14,7 @@ import pytest
 
 from repro.cpu import IntegerUnit, blockcache
 from repro.cpu.blockcache import (MAX_BLOCK, RecordingUnit, Trace,
-                                  TranslatedUnit)
+                                  TranslatedUnit, _Codegen)
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.traps import ErrorMode, WatchdogExpired
 from repro.mem.interface import FlatMemory
@@ -22,11 +22,11 @@ from tests.conftest import RAM_BASE, RAM_SIZE, STACK_TOP, build
 from tests.cpu.test_fastpath import SMALL_PROGRAM, _RecordingPort
 
 
-def _make(source: str, cls, mmio_port=None):
+def _make(source: str, cls, mmio_port=None, ram_size: int = RAM_SIZE):
     """A fresh engine of *cls* loaded with *source*; returns (unit, ram,
     image)."""
     image = build(source)
-    buf = bytearray(RAM_SIZE)
+    buf = bytearray(ram_size)
     for base, blob in image.segments.items():
         buf[base - RAM_BASE:base - RAM_BASE + len(blob)] = blob
     mem = FastMemory()
@@ -225,6 +225,41 @@ done:
                          until_pc=image.symbols["done"])
         _assert_same_state(tu, fu, tu_ram, fu_ram)
 
+    @pytest.mark.usefixtures("translate_on_first_entry")
+    def test_ram_of_any_size(self):
+        """Over a RAM region whose size is not a power of two, the inline
+        paths test its bounds instead of one mask: accesses of each size
+        up to its last bytes stay inline, and a word that runs past its
+        end faults as on the interpreter."""
+        size = RAM_SIZE + 12
+        src = f"""
+    .text
+    .global _start
+_start:
+    set {RAM_BASE + size - 4:#x}, %o0
+    set 0x80c1e2f3, %o1
+    st %o1, [%o0]
+    ld [%o0], %o2
+    sth %o1, [%o0 + 2]
+    ldsh [%o0 + 2], %o3
+    lduh [%o0], %o4
+    stb %o1, [%o0 + 3]
+    ldsb [%o0 + 3], %o5
+    ldub [%o0 + 1], %l0
+    ld [%o0 + 4], %l1       ! past the end: data access trap
+done:
+    nop
+"""
+        fu, fu_ram, image = _make(src, FunctionalUnit, ram_size=size)
+        tu, tu_ram, _ = _make(src, TranslatedUnit, ram_size=size)
+        assert "0 <= of <=" in _Codegen(tu, [], False)._ram_miss(4)
+        for unit in (fu, tu):
+            with pytest.raises(ErrorMode):
+                unit.run(max_instructions=100,
+                         until_pc=image.symbols["done"])
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+        assert tu.blocks_translated > 0 and tu.regs.read(10) == 0x80c1e2f3
+
     def test_mmio_load_store_inside_block(self):
         """Device accesses inside a translated block take the slow path
         and reach the port exactly once each."""
@@ -332,6 +367,31 @@ done:
 patch:
     add %g5, 3, %g5
 """)
+
+    @pytest.mark.usefixtures("translate_on_first_entry")
+    def test_store_in_a_delay_slot_into_its_own_block(self):
+        """A delay-slot store that patches the running block does not
+        bail: the branch still goes to its target, and the next pass
+        runs the patched code."""
+        tu = _run_pair("""
+    .text
+    .global _start
+_start:
+    set patch, %o0
+    ld [%o0], %o1
+    set loop, %o2
+    set 3, %l1
+loop:
+    add %g5, 1, %g5         ! patched by the slot's store
+    deccc %l1
+    bg loop
+    st %o1, [%o2]
+done:
+    nop
+patch:
+    add %g5, 3, %g5
+""")
+        assert tu.regs.read(5) == 1 + 3 + 3
 
     @pytest.mark.usefixtures("translate_on_first_entry")
     def test_flush_clears_block_cache(self):
@@ -863,6 +923,94 @@ buf:
         _assert_same_state(tu, fu, tu_ram, fu_ram)
 
 
+    @pytest.mark.parametrize("branch", ["ba", "bg"])
+    def test_trap_in_a_taken_branchs_delay_slot(self, branch, monkeypatch):
+        """A load in the delay slot of B's taken branch to C misses its
+        alignment on odd counts; the handler resumes at C.  The trap
+        exit records the taken branch (``tk``) in a trace as in a
+        block."""
+        source = _handled_trap_loop(f"""
+    {branch} third
+    ld [%o2], %g2           ! misaligned on odd counts
+""")
+        self._assert_handled_traps(source, monkeypatch, taken=True)
+
+    @pytest.mark.parametrize("store", ["st", "sth"])
+    def test_misaligned_store_inside_a_member(self, store, monkeypatch):
+        """A store in the middle of B misses its alignment on odd
+        counts; the handler resumes after it."""
+        source = _handled_trap_loop(f"""
+    {store} %l0, [%o2]      ! misaligned on odd counts
+    add %g3, 1, %g3
+    ba third
+    nop
+""")
+        self._assert_handled_traps(source, monkeypatch, taken=False)
+
+    @staticmethod
+    def _assert_handled_traps(source, monkeypatch, taken: bool) -> None:
+        tu = _run_pair(source)
+        assert tu.trap_count == tu.regs.read(5) == 4
+        assert tu.traces_translated > 0
+        translated, interpreted, _ = _mix_pair(source)
+        assert translated == interpreted
+        _assert_traces_record_like_blocks(source, monkeypatch)
+        # The recording holds block exits cut by a trap (steps one more
+        # than retired, no annulled slot), with the taken bit when the
+        # slot trapped.
+        trapped = [event for event in _run_recorded(source).recording.events
+                   if event >= 0 and not event & 1
+                   and (event >> 9 & 0x7F) == (event >> 2 & 0x7F) + 1]
+        assert len(trapped) == 4
+        assert all(bool(event & 2) == taken for event in trapped)
+
+
+def _handled_trap_loop(b_tail: str) -> str:
+    """TRACE_LOOP's shape with traps enabled: B points %o2 one byte past
+    an aligned word on odd counts, then runs *b_tail*, which must take a
+    misaligned-address trap there and end by branching to C.  The
+    handler counts traps in %g5 and resumes at the trapped npc.  A's
+    annulled slot makes a trap's count depend on the iterations the
+    trace completed."""
+    return f"""
+    .text
+    .global _start
+_start:
+    set table, %g1
+    wr %g1, 0, %tbr
+    wr %g0, 0xe0, %psr      ! S, PS, ET
+    nop
+    nop
+    nop
+    set 9, %l0
+    set buf, %o0
+loop:
+    deccc %l0               ! A
+    be,a done               ! annuls its slot on every pass through
+    nop
+    and %l0, 1, %o1         ! B
+    add %o0, %o1, %o2
+{b_tail}
+    add %g6, 1, %g6         ! never runs: B branches past it
+third:
+    add %g4, %g2, %g4       ! C
+    ba loop
+    nop
+done:
+    nop
+    .align 4096
+table:
+    .skip 0x70
+    add %g5, 1, %g5         ! tt 0x07: mem_address_not_aligned
+    jmpl %l2, %g0
+    rett %l2 + 4
+    .data
+    .skip 256
+buf:
+    .word 5, 7
+"""
+
+
 class TestSimulatorIntegration:
     def test_translated_unit_shares_architectural_state(self):
         from repro.core.sim import Simulator
@@ -1021,3 +1169,39 @@ patch:
         first, second = (block.insts[1].word
                          for block in loop_blocks.values())
         assert first != second
+
+
+class TestGeneratedSource:
+    #: Characters of generated source per translated instruction over
+    #: the registry kernels' recordings and a ``fir_stream`` translated
+    #: run: 265.6 while every load and store carried its own trap guards
+    #: and slow path, 133.8 with the rare paths out of line.  The ceiling
+    #: is the latter plus 10%.
+    CEILING = 147
+
+    def test_source_per_instruction_stays_under_its_ceiling(
+            self, monkeypatch):
+        from repro.core import ArchitectureConfig
+        from repro.core.replay import record
+        from repro.core.sim import Simulator
+        from repro.workloads import all_workloads, get
+
+        compiled = []
+        real = blockcache._compile
+
+        def counting(unit, members, loop):
+            compiled.append((unit, sum(len(insts) for _, insts, _ in members)))
+            return real(unit, members, loop)
+
+        monkeypatch.setattr(blockcache, "_compile", counting)
+        for kernel in all_workloads():
+            record(ArchitectureConfig(), kernel.image(), 50_000_000)
+        recorded = {id(unit): unit for unit, _ in compiled}
+        report = Simulator().run_translated(get("fir_stream").image())
+        (fir,) = {id(unit): unit for unit, _ in compiled
+                  if id(unit) not in recorded}.values()
+        assert report.fastpath["source_chars"] == fir.source_chars > 0
+        chars = sum(unit.source_chars for unit in recorded.values())
+        chars += fir.source_chars
+        instructions = sum(count for _, count in compiled)
+        assert chars / instructions < self.CEILING

@@ -52,7 +52,7 @@ def _run_to_error(asm_text: str, engine_kind: str):
                until_pc=sim.rom_info.error_address)
     if engine is not sim.cpu:
         sim._sync_from_functional(engine)
-    return ArchState.capture(sim)
+    return ArchState.capture(sim), engine
 
 
 #: (name, trapping body, expected 8-bit trap type).
@@ -69,14 +69,33 @@ ERROR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("body,expected_tt",
-                         [case[1:] for case in ERROR_CASES],
-                         ids=[case[0] for case in ERROR_CASES])
+ERROR_PARAMS = pytest.mark.parametrize(
+    "body,expected_tt", [case[1:] for case in ERROR_CASES],
+    ids=[case[0] for case in ERROR_CASES])
+
+
+@ERROR_PARAMS
 def test_unhandled_trap_parity(body, expected_tt):
+    _assert_unhandled_trap_parity(body, expected_tt)
+
+
+@ERROR_PARAMS
+@pytest.mark.usefixtures("translate_on_first_entry")
+def test_unhandled_trap_parity_in_generated_code(body, expected_tt):
+    """At the default threshold the run-once body is interpreted; here
+    its block is compiled on its first entry, so the translated engine
+    takes the trap in generated code."""
+    unit = _assert_unhandled_trap_parity(body, expected_tt)
+    assert unit.blocks_translated > 0
+
+
+def _assert_unhandled_trap_parity(body, expected_tt):
+    """Compare the three engines parked at error_state; returns the
+    translated engine."""
     asm = PROLOGUE + body + "\n" + EPILOGUE
-    accurate = _run_to_error(asm, "accurate")
-    functional = _run_to_error(asm, "fast")
-    translated = _run_to_error(asm, "translated")
+    accurate, _ = _run_to_error(asm, "accurate")
+    functional, _ = _run_to_error(asm, "fast")
+    translated, unit = _run_to_error(asm, "translated")
     assert (accurate.tbr >> 4) & 0xFF == expected_tt
     assert accurate == functional
     assert accurate == translated
@@ -84,16 +103,27 @@ def test_unhandled_trap_parity(body, expected_tt):
     assert accurate.pc == functional.pc == translated.pc
     # trap entry disabled further traps and stayed there
     assert not accurate.psr & (1 << 5)  # PSR.ET
+    return unit
 
 
-@pytest.mark.parametrize("body,expected_tt",
-                         [case[1:] for case in ERROR_CASES],
-                         ids=[case[0] for case in ERROR_CASES])
+@ERROR_PARAMS
 def test_unhandled_trap_timing_parity(body, expected_tt):
     """The timing column of a program that never finishes: parked in
     error_state, it hits the watchdog on the accurate engine — and the
     replay path (recording pass, then its fallback) raises exactly the
     same."""
+    _assert_unhandled_trap_timing_parity(body)
+
+
+@ERROR_PARAMS
+@pytest.mark.usefixtures("translate_on_first_entry")
+def test_unhandled_trap_timing_parity_in_generated_code(body, expected_tt):
+    """The same, with the recording pass compiling each block on its
+    first entry: the trap exit is logged by generated code."""
+    _assert_unhandled_trap_timing_parity(body)
+
+
+def _assert_unhandled_trap_timing_parity(body):
     task = (STOCK, build(PROLOGUE + body + "\n" + EPILOGUE), 5_000, None)
     with pytest.raises(WatchdogExpired) as accurate:
         _evaluate_task(task)
