@@ -150,8 +150,6 @@ _LOADS = {Op3Mem.LD: (4, False), Op3Mem.LDUB: (1, False),
           Op3Mem.LDSH: (2, True)}
 _STORES = {Op3Mem.ST: 4, Op3Mem.STB: 1, Op3Mem.STH: 2}
 
-_SHIFTS = {Op3.SLL, Op3.SRL, Op3.SRA}
-
 #: op3 -> (signed, cc) for the inline multiplies.
 _MULS = {Op3.UMUL: (False, False), Op3.UMULCC: (False, True),
          Op3.SMUL: (True, False), Op3.SMULCC: (True, True)}
@@ -507,7 +505,7 @@ class _Codegen:
             self.emit(ind, "it += 1")
         if len(self.members) > 1:
             self.emit(ind, f"m = {(self.j + 1) % len(self.members)}")
-        if taken and self._slot_sets_tk():
+        if self.recording:
             self.emit(ind, "tk = 0")
 
     def _leave(self, ind, pc, npc, steps, retired, taken,
@@ -517,19 +515,6 @@ class _Codegen:
         else:
             self._epilogue(ind, pc, npc, steps, retired, taken, annulled,
                            tail)
-
-    def _slot_sets_tk(self, j: int | None = None) -> bool:
-        """Whether member *j* (default: the current one) sets ``tk``
-        before its CTI's delay slot: only a recording tracks it, and
-        only for a slot that can trap."""
-        if not self.recording:
-            return False
-        _, insts, cti = self.members[self.j if j is None else j]
-        return cti is not None and _can_trap(insts[cti + 1])
-
-    def _set_tk(self, ind) -> None:
-        if self._slot_sets_tk():
-            self.emit(ind, f"tk = {EXIT_TAKEN}")
 
     # -- per-instruction emitters -----------------------------------------
 
@@ -548,7 +533,7 @@ class _Codegen:
             if op3 in _ADDSUB:
                 self._emit_addsub(ind, inst)
                 return
-            if op3 in _SHIFTS:
+            if op3 in (Op3.SLL, Op3.SRL, Op3.SRA):
                 self._emit_shift(ind, inst)
                 return
             if op3 in _MULS:
@@ -565,10 +550,6 @@ class _Codegen:
         self._emit_generic(ind, k, pc, npc, inst, in_slot)
 
     def _emit_logic(self, ind, inst) -> None:
-        if inst.rs1 == 0 and inst.op3 in (Op3.OR, Op3.XOR):
-            # ``mov``: the second operand is already 32-bit.
-            self._write(ind, inst.rd, self._op2(inst))
-            return
         expr = _LOGIC_EXPR[inst.op3].format(a=self._read(inst.rs1),
                                             b=self._op2(inst))
         if inst.op3 not in _LOGIC_CC:
@@ -748,7 +729,8 @@ class _Codegen:
             self._leave(ind, target_pc, target_npc, c + 2, c + 1, True,
                         annulled=True, on_trace=on, tail=tail)
         else:
-            self._set_tk(ind)
+            if self.recording:
+                self.emit(ind, f"tk = {EXIT_TAKEN}")
             self.emit_inst(ind, c + 1, str(target_pc), in_slot=True)
             self._leave(ind, target_pc, target_npc, c + 2, c + 2, True,
                         on_trace=on, tail=tail)
@@ -785,11 +767,8 @@ class _Codegen:
                 # lead to the next member (a branch to the word after its
                 # slot), as the per-iteration counts assume (see
                 # _annuls_into); it comes last, unindented.
+                self.emit(ind, "vp = ctrl.psr")
                 test = _COND_EXPR[cond]
-                if test.count("vp") == 1:
-                    test = test.replace("vp", "ctrl.psr")
-                else:
-                    self.emit(ind, "vp = ctrl.psr")
                 if target == self.next_entry:
                     self.emit(ind, f"if not ({test}):")
                     self._emit_untaken_arm(ind + 1, c, pc_c, annul, False)
@@ -816,7 +795,8 @@ class _Codegen:
         self.emit(ind, "u._transfer_target = None")
         self.emit(ind, f"_H[{self.base + c}](u, _I[{self.base + c}])")
         self.emit(ind, "tgt = u._transfer_target")
-        self._set_tk(ind)
+        if self.recording:
+            self.emit(ind, f"tk = {EXIT_TAKEN}")
         self.emit_inst(ind, c + 1, "tgt", in_slot=True)
         if self.next_entry is not None:
             self.emit(ind, f"if tgt != {self.next_entry}:")
@@ -851,9 +831,7 @@ class _Codegen:
             extra += ", _D=_D, _EV=_EV"
         e(0, f"def _block(u, left, ctrl=_ctrl, G=_G, W=_W, _RT=_RT{extra}):")
         self._emit_window_bases(1)
-        tracks_taken = any(self._slot_sets_tk(j)
-                           for j in range(len(self.members)))
-        if tracks_taken:
+        if self.recording:
             e(1, "tk = 0")
         body = 2
         if self.loop:
@@ -870,7 +848,7 @@ class _Codegen:
             self._emit_member(body)
         # The rare exits, a trap and a stale-code bail, run out of line.
         where = "it, m" if self.loop else "0, 0"
-        tk = "tk" if tracks_taken else "0"
+        tk = "tk" if self.recording else "0"
         e(1, "except _Trap as trap:")
         e(2, f"return _X.leave(u, {where}, {tk}, trap)")
         if any(self.writes):
@@ -932,15 +910,6 @@ class _RareExits:
 #: OP_MEM op3s that cannot write memory (the rest, plus FLUSH, make a
 #: block write-capable).
 _PURE_LOADS = frozenset(_LOADS) | {Op3Mem.LDD}
-
-
-def _can_trap(inst) -> bool:
-    """Whether *inst* may trap: all but the inline ALU operations."""
-    if inst.op == isa.OP_BRANCH_SETHI:
-        return inst.op2 != isa.OP2_SETHI
-    return not (inst.op == isa.OP_ARITH
-                and (inst.op3 in _LOGIC_EXPR or inst.op3 in _ADDSUB
-                     or inst.op3 in _SHIFTS or inst.op3 in _MULS))
 
 
 def _writes(inst) -> bool:

@@ -1175,9 +1175,9 @@ class TestGeneratedSource:
     #: Characters of generated source per translated instruction over
     #: the registry kernels' recordings and a ``fir_stream`` translated
     #: run: 265.6 while every load and store carried its own trap guards
-    #: and slow path, 133.8 with the rare paths out of line.  The ceiling
+    #: and slow path, 136.2 with the rare paths out of line.  The ceiling
     #: is the latter plus 10%.
-    CEILING = 147
+    CEILING = 149.8
 
     def test_source_per_instruction_stays_under_its_ceiling(
             self, monkeypatch):
