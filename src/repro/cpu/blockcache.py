@@ -444,8 +444,7 @@ class _Codegen:
                     | (EXIT_ANNULLED if annulled else 0))
             self.emit(ind, f"_EV({code})")
 
-    def _add(self, ind: int, name: str, per_lap: int, const: str | int
-             ) -> None:
+    def _add(self, ind: int, name: str, per_lap: int, const: int) -> None:
         """``u.<name> += it * per_lap + const``, folded where static."""
         terms = [f"it * {per_lap}"] if self.loop and per_lap else []
         if const != 0:
@@ -947,7 +946,7 @@ def _ld(unit, address: int, size: int, signed: int, pc: int,
     """Slow path of an inline load at *pc*: misaligned, MMIO, a fault
     or any address outside the inline RAM region."""
     _pin(unit, address, size, pc, npc)
-    return unit.data_read(address, size, signed=bool(signed))
+    return unit.data_read(address, size, signed=signed)
 
 
 def _st(unit, address: int, size: int, value: int, span, pc: int,
