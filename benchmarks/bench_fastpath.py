@@ -34,7 +34,7 @@ ROUNDS = 3
 def _accurate_rate(image) -> tuple[float, int]:
     best, instructions = 0.0, 0
     for _ in range(ROUNDS):
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         start = time.perf_counter()
         report = sim.run(image)
         elapsed = time.perf_counter() - start
@@ -46,7 +46,7 @@ def _accurate_rate(image) -> tuple[float, int]:
 def _functional_rate(image) -> tuple[float, int]:
     best, steps = 0.0, 0
     for _ in range(ROUNDS):
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         start = time.perf_counter()
         # A checkpoint warmed on the single-instruction functional path
         # (Simulator.checkpoint uses the translated engine).
@@ -67,7 +67,7 @@ def _steady_rate(image, engine: str) -> float:
     ratio is free of boot/checkpoint overhead."""
     best = 0.0
     for _ in range(ROUNDS):
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         eng = sim._boot_and_dispatch(image, engine)
         poll = sim.rom_info.poll_address
         eng.fast_forward(2_000, stop_pc=poll)
@@ -123,12 +123,12 @@ def _whole_program_seconds(image) -> tuple[float, float]:
     alternate round by round so host-speed drift hits both alike."""
     quiet = hooked = float("inf")
     for _ in range(ROUNDS):
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         start = time.perf_counter()
         engine = sim._boot_and_dispatch(image, "translated")
         engine.fast_forward(50_000_000, stop_pc=sim.rom_info.poll_address)
         quiet = min(quiet, time.perf_counter() - start)
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         start = time.perf_counter()
         sim.run_translated(image)
         hooked = min(hooked, time.perf_counter() - start)

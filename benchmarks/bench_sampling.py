@@ -52,7 +52,7 @@ def test_sampled_point_speedup_and_coverage(benchmark, name):
     base = ArchitectureConfig()
 
     start = time.perf_counter()
-    report = Simulator(base, capture_memory_trace=False).run(
+    report = Simulator(base).run(
         image, max_instructions=workload.max_instructions)
     full_seconds = time.perf_counter() - start
     truth = report.cycles

@@ -14,8 +14,13 @@ wins — the developer-facing side of the exploration loop.
     python examples/instruction_profiling.py
 """
 
-from repro.analysis import stride_profile
-from repro.core import ArchitectureConfig, Simulator, TraceAnalyzer
+from repro.analysis import TraceRecorder, stride_profile
+from repro.core import (
+    ArchitectureConfig,
+    LiquidProcessorSystem,
+    Simulator,
+    TraceAnalyzer,
+)
 from repro.toolchain.driver import compile_c_program
 
 SOURCE = """
@@ -41,9 +46,15 @@ int main(void) {
 
 
 def report_for(config: ArchitectureConfig, image):
-    simulator = Simulator(config)
-    report = simulator.run(image)
-    return report
+    return Simulator(config).run(image)
+
+
+def memory_trace(config: ArchitectureConfig, image):
+    """The D-cache's reference stream, recorded on a booted FPX node."""
+    system = LiquidProcessorSystem(config)
+    recorder = TraceRecorder().attach(system.platform.dcache)
+    system.run_image(image)
+    return recorder.trace()
 
 
 def main() -> None:
@@ -60,10 +71,11 @@ def main() -> None:
     print("  UART said:", baseline.uart_output.decode())
 
     # What the trace tells the analyzer:
-    misses = baseline.memory_trace.filter(~baseline.memory_trace.hit)
+    trace = memory_trace(small, image)
+    misses = trace.filter(~trace.hit)
     print(f"\n  demand misses: {len(misses)}; dominant miss strides:",
           stride_profile(misses)[:3])
-    report = TraceAnalyzer().analyze(baseline.memory_trace)
+    report = TraceAnalyzer().analyze(trace)
     for rec in report.recommendations:
         print(f"  analyzer: {rec.dimension} = {rec.value} ({rec.reason})")
 

@@ -3,7 +3,7 @@
 The paper's endgame is an internet-accessible liquid-architecture lab:
 web form → servlet → UDP → FPX node.  One
 :class:`~repro.core.recon_server.ReconfigurationServer` owns one node
-and drives its queue serially; this module scales that into a fleet
+and runs one job at a time; this module scales that into a fleet
 service with the client-API / scheduler / device-runtime layering of
 high-level RC platform frameworks:
 
@@ -20,8 +20,7 @@ high-level RC platform frameworks:
   keeps jobs whose architecture is already on its RAD, so a fleet
   avoids the ~seconds-scale reconfiguration churn that round-robin
   placement alone would cause.
-* **Supervision** — the restart-and-retry of
-  ``ReconfigurationServer._retry_job``, generalized: a failed job is
+* **Supervision** — the lab's one failure policy: a failed job is
   requeued (never lost) while its device is invalidated, charged
   exponential backoff in model time, and quarantined after repeated
   consecutive failures; a quarantined device rejoins after a probation

@@ -4,9 +4,10 @@ The paper's §1 lists the dimensions a liquid architecture makes fluid:
 "modifiable pipeline depth, variable instruction/data cache size,
 specialized hardware to accelerate frequently used instructions or
 instruction sequences, new instructions to the SPARC base instruction
-set".  This dataclass names exactly those knobs, converts to the
-platform's wiring parameters, and provides a canonical key used by the
-reconfiguration cache and the synthesis model.
+set".  This dataclass names exactly those knobs, derives the wiring
+parameters the Liquid core (:mod:`repro.machine`) is built from, and
+provides a canonical key used by the reconfiguration cache and the
+synthesis model.
 """
 
 from __future__ import annotations
@@ -117,15 +118,7 @@ class ArchitectureConfig:
         architecture (keyword overrides pass through, e.g. device_ip)."""
         from repro.fpx.platform import PlatformConfig
 
-        return PlatformConfig(
-            icache=self.icache,
-            dcache=self.dcache,
-            nwindows=self.nwindows,
-            timing=self.timing(),
-            adapter=self.adapter(),
-            dcache_prefetch=self.prefetch,
-            **overrides,
-        )
+        return PlatformConfig(arch=self, **overrides)
 
     # ------------------------------------------------------------------
     # Identity

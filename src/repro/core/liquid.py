@@ -8,10 +8,10 @@ core, plus the toolchain and control client bound to it.  Most users
     result = system.run_c(source)
     print(result.cycles)
 
-It also installs custom-instruction semantics for any extensions named
-by the configuration, so a config with the ``mac`` extension *just
-works* end to end: the rewriter's recipe supplies the simulator
-semantics and the synthesis model charges its area.
+A config with the ``mac`` extension *just works* end to end: the
+Liquid core installs the rewriter's recipe as the simulator semantics
+(as it does for every machine built from a config), and the synthesis
+model charges its area.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.control.client import LiquidClient, RunResult
 from repro.control.listener import ResponseListener
 from repro.control.transport import DirectTransport, LossyTransport
 from repro.core.config import ArchitectureConfig
-from repro.core.rewriter import BUILTIN_RECIPES, install_recipes
 from repro.core.synthesis import Bitfile, SynthesisModel
 from repro.fpx.platform import FPXPlatform
 from repro.mem.memmap import DEFAULT_MAP
@@ -50,12 +49,9 @@ class LiquidProcessorSystem:
     """A configured Liquid node + toolchain + control client."""
 
     def __init__(self, config: ArchitectureConfig | None = None,
-                 channel: ChannelConfig | None = None, seed: int = 7,
-                 recipes=None):
+                 channel: ChannelConfig | None = None, seed: int = 7):
         self.config = config or ArchitectureConfig()
         self.platform = FPXPlatform(self.config.platform_config())
-        install_recipes(self.platform.cpu, self.config,
-                        recipes or BUILTIN_RECIPES)
         self.bitfile: Bitfile = SynthesisModel().synthesize(self.config)
         self.platform.rad.program(self.platform, self.bitfile.name,
                                   self.bitfile.size_bytes)
@@ -80,11 +76,11 @@ class LiquidProcessorSystem:
         sources = [SourceFile(source, "c", "app.c")]
         if extra_asm:
             sources.append(SourceFile(extra_asm, "asm", "app_extra.s"))
-        return build_image(sources, self.platform.config.memmap)
+        return build_image(sources, self.platform.memmap)
 
     def compile_asm(self, source: str, with_crt0: bool = False) -> Image:
         return build_image([SourceFile(source, "asm", "app.s")],
-                           self.platform.config.memmap,
+                           self.platform.memmap,
                            with_crt0=with_crt0)
 
     def run_image(self, image: Image,

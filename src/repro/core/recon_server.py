@@ -9,11 +9,16 @@ one FPX node, a reconfiguration cache (possibly shared fleet-wide, see
   reconfiguration-cache lookup (miss → synthesis time), then SelectMap
   programming time, then re-instantiating the platform model (our
   software analogue of loading a new bitfile);
-* :meth:`submit` / :meth:`run_job` — queued load-and-execute jobs, each
-  returning the measured cycle count;
+* :meth:`run_job` — one load-and-execute job, returning the measured
+  cycle count;
 * :meth:`invalidate` — forget the loaded bitfile/platform/client so the
   next configure rebuilds the node from scratch (the supervisor's hard
   restart after a wedged run).
+
+Failure supervision — retrying a job on a rebuilt node, recording one
+that keeps failing — belongs to :mod:`repro.control.fleet`; a
+one-device :class:`~repro.control.fleet.FleetScheduler` is the
+single-node lab.
 
 Model time is wall-clock *in the model* (synthesis hours, programming
 milliseconds, program cycles at the bitfile's clock rate) — the currency
@@ -28,11 +33,10 @@ them separately, and the ledger counts no-ops in ``configs_noop``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from repro.control.client import ControlTimeout, DeviceError, LiquidClient
+from repro.control.client import LiquidClient
 from repro.control.transport import DirectTransport
 from repro.core.config import ArchitectureConfig
 from repro.core.recon_cache import ReconfigurationCache
@@ -83,12 +87,12 @@ class JobResult:
     #: True when the right bitfile was already on the RAD: no cache
     #: lookup, no programming — distinct from a cache hit.
     already_loaded: bool = False
-    #: False when the job was recorded as failed (control-plane timeout
-    #: or device error that survived the restart-and-retry).
+    #: False when the fleet recorded the job as failed (control-plane
+    #: timeouts or device errors on every attempt it was allowed).
     ok: bool = True
     #: Human-readable failure cause when ``ok`` is False.
     error: str | None = None
-    #: Times the job was attempted (2 = failed once, retried).
+    #: Times the job was attempted.
     attempts: int = 1
 
     @property
@@ -116,10 +120,6 @@ class ReconfigurationServer:
         self.model_seconds = 0.0
         self.reconfigurations = 0
         self.noop_configs = 0
-        self.jobs_failed = 0
-        self.jobs_retried = 0
-        self._queue: deque[Job] = deque()
-        self.results: list[JobResult] = []
 
     @staticmethod
     def _default_client(platform: FPXPlatform) -> LiquidClient:
@@ -173,56 +173,6 @@ class ReconfigurationServer:
     # Job execution
     # ------------------------------------------------------------------
 
-    def submit(self, job: Job) -> None:
-        self._queue.append(job)
-
-    def run_queue(self) -> list[JobResult]:
-        """Run all queued jobs, degrading gracefully: a job that fails
-        with a control-plane timeout or device error is retried once
-        after a device rebuild; a second failure is recorded as a failed
-        :class:`JobResult` instead of aborting the rest of the queue."""
-        results = []
-        while self._queue:
-            job = self._queue.popleft()
-            try:
-                result = self.run_job(job)
-            except (ControlTimeout, DeviceError) as first_error:
-                result = self._retry_job(job, first_error)
-            results.append(result)
-        return results
-
-    def _retry_job(self, job: Job, first_error: Exception) -> JobResult:
-        """Second (and last) chance for a failed job: invalidate the
-        wedged platform so the retry reconfigures from scratch (fresh
-        platform, fresh client), rerun, and on repeat failure record the
-        job as failed."""
-        self.jobs_retried += 1
-        self.invalidate()
-        try:
-            result = self.run_job(job)
-        except (ControlTimeout, DeviceError) as exc:
-            self.jobs_failed += 1
-            result = JobResult(
-                name=job.name,
-                config_key=job.config.key(),
-                state=LeonState.ERROR,
-                cycles=0,
-                result_word=None,
-                seconds_synthesis=0.0,
-                seconds_programming=0.0,
-                seconds_execution=0.0,
-                cache_hit=False,
-                ok=False,
-                error=f"{type(exc).__name__}: {exc} "
-                      f"(first failure: {type(first_error).__name__}: "
-                      f"{first_error})",
-                attempts=2,
-            )
-            self.results.append(result)
-            return result
-        result.attempts = 2
-        return result
-
     def run_job(self, job: Job) -> JobResult:
         outcome = self.configure(job.config)
         platform, client = self.platform, self.client
@@ -231,7 +181,7 @@ class ReconfigurationServer:
         frequency_hz = self.current_bitfile.utilization.frequency_mhz * 1e6
         execution_s = run.cycles / frequency_hz
         self.model_seconds += execution_s
-        result = JobResult(
+        return JobResult(
             name=job.name,
             config_key=job.config.key(),
             state=platform.leon_ctrl.state,
@@ -243,8 +193,6 @@ class ReconfigurationServer:
             cache_hit=outcome.cache_hit,
             already_loaded=outcome.already_loaded,
         )
-        self.results.append(result)
-        return result
 
     # ------------------------------------------------------------------
     # Reporting
@@ -256,8 +204,6 @@ class ReconfigurationServer:
             "model_seconds": round(self.model_seconds, 3),
             "reconfigurations": self.reconfigurations,
             "configs_noop": self.noop_configs,
-            "jobs_retried": self.jobs_retried,
-            "jobs_failed": self.jobs_failed,
             "cache": {
                 "entries": len(self.cache),
                 "hits": cache_stats.hits,

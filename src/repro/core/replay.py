@@ -57,7 +57,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.analysis.trace import MemoryTrace
 from repro.cache import CacheController
 from repro.cache.cache import CacheGeometry, CacheStats, TagStore, tag_store
 from repro.core.config import ArchitectureConfig
@@ -134,7 +133,7 @@ def record(config: ArchitectureConfig, image: Image,
     *marks* are program steps (counted from the first instruction) to
     stop at on the way, as the sampled windows' boundaries, none past
     the program's return to the polling loop."""
-    sim = Simulator(config, capture_memory_trace=False, obs=False)
+    sim = Simulator(config, obs=False)
     poll = sim.rom_info.poll_address
     unit = sim._fast_unit(RecordingUnit)
     recording = unit.recording
@@ -604,7 +603,6 @@ class Replayer:
                 _controller("dcache", config.dcache, totals["dcache"])),
             icache=CacheController.stats_dict(
                 _controller("icache", config.icache, totals["icache"])),
-            memory_trace=MemoryTrace.empty(),
             result_word=recorded.result_word,
             uart_output=recorded.uart_output,
             obs=point_snapshot(simulator_snapshot(window), {}),

@@ -225,19 +225,16 @@ BUILTIN_RECIPES = {
 }
 
 
-def install_recipes(iu: IntegerUnit,
-                    config: ArchitectureConfig,
-                    recipes: dict[str, RewriteRecipe] | None = None) -> int:
+def install_recipes(iu: IntegerUnit, config: ArchitectureConfig) -> int:
     """Register simulator semantics for every extension in *config*.
 
     Returns the number of extensions installed.  Unknown extension names
     raise — a config that names an accelerator nobody implemented is the
     hardware equivalent of an unresolved symbol.
     """
-    recipes = recipes or BUILTIN_RECIPES
     installed = 0
     for ext in config.extensions:
-        recipe = recipes.get(ext.name)
+        recipe = BUILTIN_RECIPES.get(ext.name)
         if recipe is None:
             raise KeyError(f"no rewrite recipe implements extension "
                            f"'{ext.name}'")

@@ -589,7 +589,7 @@ class SampledRunner:
         # installs a per-instruction mix callback that knocks the
         # engine off its quiet blockwise path (~10x slower), and the
         # survey only needs totals and the architectural outputs.
-        sim = Simulator(self.config, capture_memory_trace=False, obs=False)
+        sim = Simulator(self.config, obs=False)
         fast = sim._boot_and_dispatch(image, "translated")
         start_steps, start_instret = fast.cycles, fast.instret
         fast.run(max_instructions=max_instructions,
@@ -630,7 +630,7 @@ class SampledRunner:
         memo = self._checkpoint_memo.get(key)
         if memo is not None and memo[0] is image:
             return memo[1], memo[2]
-        sim = Simulator(self.config, capture_memory_trace=False, obs=False)
+        sim = Simulator(self.config, obs=False)
         poll = sim.rom_info.poll_address
         fast = sim._boot_and_dispatch(image, "translated")
         base = fast.instret
@@ -657,8 +657,7 @@ class SampledRunner:
                  config: ArchitectureConfig) -> list[dict]:
         windows = []
         for spec in specs:
-            sim = Simulator(config, capture_memory_trace=False,
-                            obs=False)
+            sim = Simulator(config, obs=False)
             sim.restore_state(states[spec.ramp_start])
             sim._normalize_window_start()
             windows.append(measure_window(sim, spec,

@@ -5,13 +5,15 @@ application, simulation can provide additional instruction traces to
 assist the developer in evaluating the effectiveness of the current
 configuration."
 
-:class:`Simulator` runs an image on a standalone Liquid processor
-system — same CPU, caches, buses, boot ROM and memory as the FPX node,
-but with no network stack and no leon_ctrl, so it is the fast inner
-loop of architecture exploration and it can capture *instruction*
-traces (the FPX streams only memory traces off the board).  A
-:class:`SimReport` carries cycles, CPI, per-class instruction mix,
-cache statistics, and the raw traces for the Trace Analyzer.
+:class:`Simulator` runs an image on the same
+:class:`~repro.machine.LiquidCore` the FPX node is built from — same
+CPU, caches, buses, boot ROM and memory — but with no network stack and
+no leon_ctrl: it writes the mailbox itself.  That makes it the fast
+inner loop of architecture exploration, and it sees every retired
+instruction (the FPX streams only memory traces off the board).  A
+:class:`SimReport` carries cycles, CPI, per-class instruction mix and
+cache statistics; a memory trace for the Trace Analyzer comes from a
+:class:`~repro.analysis.trace.TraceRecorder` attached to a D-cache.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
-from repro.analysis.trace import MemoryTrace, TraceRecorder
-from repro.bus.ahb import AhbBus
-from repro.bus.apb import ApbBridge
-from repro.cache import CacheController
 from repro.core.config import ArchitectureConfig
-from repro.core.rewriter import BUILTIN_RECIPES, install_recipes
-from repro.cpu import IntegerUnit
 from repro.cpu.archstate import ArchState
 from repro.cpu.blockcache import MAX_BLOCKS, TranslatedBlock, TranslatedUnit
 from repro.cpu.decode import decode
@@ -39,14 +35,7 @@ from repro.cpu.isa import (
     Op3,
     Op3Mem,
 )
-from repro.mem.bootrom import BootRom, build_boot_rom
-from repro.mem.memmap import (
-    CYCLE_COUNTER_OFFSET,
-    IOPORT_OFFSET,
-    UART_OFFSET,
-    MemoryMap,
-)
-from repro.mem.sram import SramBank
+from repro.machine import LiquidCore
 from repro.obs.collect import (
     FASTPATH_SERIES,
     SAMPLING_SERIES,
@@ -54,7 +43,6 @@ from repro.obs.collect import (
     simulator_snapshot,
 )
 from repro.obs.events import EventTrace
-from repro.peripherals import Clock, CycleCounter, LedPort, Uart
 from repro.toolchain.objfile import Image
 
 _LOAD_OPS = {Op3Mem.LD, Op3Mem.LDUB, Op3Mem.LDUH, Op3Mem.LDSB, Op3Mem.LDSH,
@@ -183,13 +171,12 @@ class SimReport:
     instruction_mix: dict[str, int]
     dcache: dict
     icache: dict
-    memory_trace: MemoryTrace
     result_word: int | None
     uart_output: bytes
     #: Program-window metrics snapshot (repro.obs schema: counters /
-    #: gauges / histograms), covering exactly the measured execution —
-    #: the same window the FPX cycle counter arms over.  Empty when the
-    #: simulator was built with ``obs=False``.
+    #: gauges / histograms), covering exactly the measured execution,
+    #: from the program's entry to its return to the polling loop.
+    #: Empty when the simulator was built with ``obs=False``.
     obs: dict = dataclass_field(default_factory=dict)
     #: Fast-engine provenance (engine, steps, block-cache counters and
     #: ``source_chars``, the characters of generated source), set
@@ -218,51 +205,14 @@ class SimReport:
         return lines
 
 
-class Simulator:
-    """Standalone Liquid processor system (no network, no leon_ctrl)."""
+class Simulator(LiquidCore):
+    """The Liquid core plus mailbox dispatch: no network, no leon_ctrl,
+    no timer, IRQ controller or SDRAM."""
 
     def __init__(self, config: ArchitectureConfig | None = None,
-                 capture_memory_trace: bool = True, recipes=None,
                  obs: bool = True):
         self.config = config or ArchitectureConfig()
-        cfg = self.config
-        self.memmap = MemoryMap()
-        memmap = self.memmap
-
-        rom_info = build_boot_rom(memmap, cfg.nwindows, modified=True)
-        self.rom_info = rom_info
-        self.clock = Clock()
-        self.uart = Uart()
-        self.leds = LedPort(self.clock)
-        self.cycle_counter = CycleCounter(self.clock)
-
-        self.bus = AhbBus()
-        self.prom = BootRom(memmap.prom_base, memmap.prom_size,
-                            rom_info.image)
-        self.bus.attach(self.prom, memmap.prom_base, memmap.prom_size,
-                        "prom")
-        self.sram = SramBank(memmap.sram_base, memmap.sram_size)
-        self.bus.attach(self.sram, memmap.sram_base, memmap.sram_size,
-                        "sram")
-        self.apb = apb = ApbBridge(memmap.apb_base)
-        apb.attach(self.uart, UART_OFFSET, 0x10, "uart")
-        apb.attach(self.leds, IOPORT_OFFSET, 0x10, "ioport")
-        apb.attach(self.cycle_counter, CYCLE_COUNTER_OFFSET, 0x10,
-                   "cycle_counter")
-        self.bus.attach(apb, memmap.apb_base, memmap.apb_size, "apb")
-
-        self.icache = CacheController(cfg.icache, self.bus, memmap.cacheable,
-                                      name="icache")
-        self.dcache = CacheController(cfg.dcache, self.bus, memmap.cacheable,
-                                      name="dcache", prefetch=cfg.prefetch)
-        self.cpu = IntegerUnit(self.icache, self.dcache,
-                               nwindows=cfg.nwindows, timing=cfg.timing(),
-                               reset_pc=memmap.prom_base)
-        install_recipes(self.cpu, cfg, recipes or BUILTIN_RECIPES)
-
-        self.recorder = TraceRecorder() if capture_memory_trace else None
-        if self.recorder is not None:
-            self.recorder.attach(self.dcache)
+        super().__init__(self.config)
 
         # Two-speed and sampled-simulation accounting, keyed by the
         # fastpath.* / sampling.* series names it is published under.
@@ -436,10 +386,6 @@ class Simulator:
         poll = self.rom_info.poll_address
         self._dispatch_on(cpu, image)
 
-        # Instrument the measured window only.
-        if self.recorder is not None:
-            self.recorder.clear()
-
         start_cycles, start_instret = cpu.cycles, cpu.instret
         before = simulator_snapshot(self) if self.obs_enabled else None
         self.events.record(cpu.cycles, "dispatch", entry=cpu.pc)
@@ -454,15 +400,12 @@ class Simulator:
         # re-dispatching (leon_ctrl's job on the real platform).
         self.sram.host_write_word(self.memmap.mailbox_start, 0)
 
-        trace = (self.recorder.trace() if self.recorder is not None
-                 else MemoryTrace.empty())
         return SimReport(
             cycles=cpu.cycles - start_cycles,
             instructions=cpu.instret - start_instret,
             instruction_mix=mix_recorder.mix(),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
-            memory_trace=trace,
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
             obs=obs,
@@ -543,7 +486,6 @@ class Simulator:
             instruction_mix=mix_recorder.mix(),
             dcache=self.dcache.stats_dict(),
             icache=self.icache.stats_dict(),
-            memory_trace=MemoryTrace.empty(),
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
             obs={},

@@ -373,7 +373,7 @@ def _evaluate_task(task: tuple[ArchitectureConfig, Image, int,
     config, image, max_instructions, _ = task
     start = time.perf_counter()
     utilization = SynthesisModel().estimate(config)
-    report = Simulator(config, capture_memory_trace=False).run(
+    report = Simulator(config).run(
         image, max_instructions=max_instructions)
     return (_report_record(config, report, utilization),
             time.perf_counter() - start)

@@ -2,8 +2,11 @@
 
 One object wires together everything on the board:
 
-* the Liquid processor system on the RAD — LEON IU, I/D caches, AHB,
-  APB peripherals, boot PROM, gated SRAM, SDRAM behind the §3.2 adapter;
+* the Liquid processor system on the RAD — the
+  :class:`~repro.machine.LiquidCore` the Sim box also runs (LEON IU,
+  I/D caches, AHB, APB peripherals, boot PROM, SRAM), with the SRAM
+  behind leon_ctrl's gate, plus the SDRAM behind the §3.2 adapter and
+  the timer and IRQ controller;
 * leon_ctrl + packet generator + control packet processor;
 * the layered protocol wrappers and the NID's four-port switch.
 
@@ -17,12 +20,8 @@ benchmarks control time explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.bus.ahb import AhbBus, AhbConfig
-from repro.bus.apb import ApbBridge
-from repro.cache import CacheController, CacheGeometry
-from repro.cpu import IntegerUnit, TimingConfig
 from repro.cpu.traps import ErrorMode
 from repro.fpx.cpp import ControlPacketProcessor
 from repro.fpx.leon_ctrl import GatedSram, LeonController
@@ -30,49 +29,39 @@ from repro.fpx.nid import FourPortSwitch
 from repro.fpx.packet_gen import PacketGenerator
 from repro.fpx.rad import Rad
 from repro.fpx.wrappers import LayeredProtocolWrappers
-from repro.mem.adapter import AdapterConfig, AhbSdramAdapter
-from repro.mem.bootrom import BootRom, build_boot_rom
-from repro.mem.memmap import (
-    CYCLE_COUNTER_OFFSET,
-    IOPORT_OFFSET,
-    IRQCTRL_OFFSET,
-    TIMER_OFFSET,
-    UART_OFFSET,
-    MemoryMap,
-)
-from repro.mem.sdram import FpxSdramController, SdramTiming
+from repro.machine import LiquidCore
+from repro.mem.adapter import AhbSdramAdapter
+from repro.mem.memmap import IRQCTRL_OFFSET, TIMER_OFFSET
+from repro.mem.sdram import FpxSdramController
 from repro.mem.sram import SramBank
 from repro.net import protocol
 from repro.net.protocol import LeonState
-from repro.peripherals import (
-    Clock,
-    CycleCounter,
-    IrqController,
-    LedPort,
-    Timer,
-    Uart,
-)
+from repro.peripherals import IrqController, Timer
+
+if TYPE_CHECKING:
+    from repro.core.config import ArchitectureConfig
 
 DEFAULT_DEVICE_IP = "128.252.153.2"  # a wustl.edu address, as in the lab
 DEFAULT_CONTROL_PORT = 2000
 
 
+def _stock_arch():
+    # Imported here: repro.core's package init imports this module.
+    from repro.core.config import ArchitectureConfig
+
+    return ArchitectureConfig()
+
+
 @dataclass(frozen=True)
 class PlatformConfig:
-    """Everything tunable about one instantiation of the Liquid system.
+    """One instantiation of the Liquid system: the architecture on the
+    RAD plus what only the board has.
 
-    The paper's evaluation (Figure 8) holds ``icache`` at 1 KB / 32 B
-    lines and sweeps ``dcache.size`` from 1 KB to 16 KB.
+    The paper's evaluation (Figure 8) holds ``arch.icache`` at 1 KB /
+    32 B lines and sweeps ``arch.dcache.size`` from 1 KB to 16 KB.
     """
 
-    icache: CacheGeometry = CacheGeometry(size=1024, line_size=32)
-    dcache: CacheGeometry = CacheGeometry(size=4096, line_size=32)
-    nwindows: int = 8
-    timing: TimingConfig = field(default_factory=TimingConfig)
-    adapter: AdapterConfig = field(default_factory=AdapterConfig)
-    sdram_timing: SdramTiming = field(default_factory=SdramTiming)
-    memmap: MemoryMap = field(default_factory=MemoryMap)
-    dcache_prefetch: str = "none"
+    arch: ArchitectureConfig = field(default_factory=_stock_arch)
     # Background network DMA on the SDRAM's second arbiter port: one
     # 8-beat burst every N retired instructions (0 = quiet network).
     # Models "simultaneous use by both the LEON processor and the
@@ -81,77 +70,46 @@ class PlatformConfig:
     # Attach a trace recorder to the D-cache so the instrumented trace
     # can be streamed off the board with READ_TRACE (Figure 1).
     capture_trace: bool = False
-    frequency_hz: int = 30_000_000
     device_ip: str = DEFAULT_DEVICE_IP
     control_port: int = DEFAULT_CONTROL_PORT
 
 
-class FPXPlatform:
-    """The reconfigurable node, ready to receive control packets."""
+class FPXPlatform(LiquidCore):
+    """The reconfigurable node, ready to receive control packets: the
+    Liquid core plus the board."""
 
     def __init__(self, config: PlatformConfig | None = None):
         self.config = config or PlatformConfig()
         cfg = self.config
-        memmap = cfg.memmap
+        super().__init__(cfg.arch)
+        memmap = self.memmap
 
-        self.clock = Clock(cfg.frequency_hz)
-
-        # ---- memory system -------------------------------------------------
-        rom_info = build_boot_rom(memmap, cfg.nwindows, modified=True)
-        self.rom_info = rom_info
-        self.rom = BootRom(memmap.prom_base, memmap.prom_size, rom_info.image)
-        self.sram = SramBank(memmap.sram_base, memmap.sram_size)
-        self.gate = GatedSram(self.sram)
-        self.sdram = FpxSdramController(memmap.sdram_base, memmap.sdram_size,
-                                        cfg.sdram_timing)
+        # ---- SDRAM behind the §3.2 adapter ---------------------------------
+        self.sdram = FpxSdramController(memmap.sdram_base, memmap.sdram_size)
         # FPX SDRAM arbitration supports three modules: LEON plus the
         # network components (paper §2.4).
         self.sdram_cpu_port = self.sdram.connect("leon")
         self.sdram_net_port = self.sdram.connect("network")
         self.sdram_adapter = AhbSdramAdapter(self.sdram_cpu_port,
                                              memmap.sdram_base,
-                                             memmap.sdram_size, cfg.adapter)
+                                             memmap.sdram_size,
+                                             cfg.arch.adapter())
+        self.bus.attach(self.sdram_adapter, memmap.sdram_base,
+                        memmap.sdram_size, "sdram")
 
-        # ---- peripherals ---------------------------------------------------
-        self.uart = Uart()
+        # ---- timer + interrupt controller ------------------------------------
         self.timer = Timer(self.clock)
         self.irqctrl = IrqController()
-        self.leds = LedPort(self.clock)
-        self.cycle_counter = CycleCounter(self.clock)
-
-        self.apb = ApbBridge(memmap.apb_base)
         self.apb.attach(self.timer, TIMER_OFFSET, 0x10, "timer")
-        self.apb.attach(self.uart, UART_OFFSET, 0x10, "uart")
         self.apb.attach(self.irqctrl, IRQCTRL_OFFSET, 0x10, "irqctrl")
-        self.apb.attach(self.leds, IOPORT_OFFSET, 0x10, "ioport")
-        self.apb.attach(self.cycle_counter, CYCLE_COUNTER_OFFSET, 0x10,
-                        "cycle_counter")
-
-        # ---- AHB ------------------------------------------------------------
-        self.ahb = AhbBus(AhbConfig())
-        self.ahb.attach(self.rom, memmap.prom_base, memmap.prom_size, "prom")
-        self.ahb.attach(self.gate, memmap.sram_base, memmap.sram_size, "sram")
-        self.ahb.attach(self.sdram_adapter, memmap.sdram_base,
-                        memmap.sdram_size, "sdram")
-        self.ahb.attach(self.apb, memmap.apb_base, memmap.apb_size, "apb")
-
-        # ---- caches + CPU -----------------------------------------------------
-        self.icache = CacheController(cfg.icache, self.ahb, memmap.cacheable,
-                                      name="icache")
-        self.dcache = CacheController(cfg.dcache, self.ahb, memmap.cacheable,
-                                      name="dcache",
-                                      prefetch=cfg.dcache_prefetch)
-        self.cpu = IntegerUnit(self.icache, self.dcache,
-                               nwindows=cfg.nwindows, timing=cfg.timing,
-                               reset_pc=memmap.prom_base)
         self.cpu.interrupt_source = self.irqctrl.pending_level
 
         # ---- leon_ctrl ---------------------------------------------------------
         self.leon_ctrl = LeonController(
             gate=self.gate,
             cycle_counter=self.cycle_counter,
-            poll_address=rom_info.poll_address,
-            error_address=rom_info.error_address,
+            poll_address=self.rom_info.poll_address,
+            error_address=self.rom_info.error_address,
             mailbox_address=memmap.mailbox_start,
             flush_caches=self._flush_caches,
             # Loads/reads addressed to SDRAM go through the controller's
@@ -185,6 +143,12 @@ class FPXPlatform:
         self.instructions_retired = 0
         self._net_dma_countdown = cfg.net_dma_period
         self._net_dma_cursor = memmap.sdram_base
+
+    def _sram_port(self, sram: SramBank) -> GatedSram:
+        """The Figure 6 mux: leon_ctrl cuts LEON off the SRAM while the
+        host loads a program."""
+        self.gate = GatedSram(sram)
+        return self.gate
 
     # ------------------------------------------------------------------
     # Network path
@@ -265,7 +229,7 @@ class FPXPlatform:
         overlap with packet processing; what LEON feels is the arbiter:
         the next CPU access pays the port-switch grant and usually a row
         miss, exactly the FPX controller's sharing cost."""
-        memmap = self.config.memmap
+        memmap = self.memmap
         self.sdram_net_port.read_burst(self._net_dma_cursor, 8)
         self._net_dma_cursor += 64
         if self._net_dma_cursor >= memmap.sdram_base + (1 << 16):

@@ -118,7 +118,7 @@ class Workload:
 
         if engine not in ("accurate", "functional", "translated"):
             raise ValueError(f"unknown engine '{engine}'")
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         runner = {"accurate": sim.run, "functional": sim.run_functional,
                   "translated": sim.run_translated}[engine]
         report = runner(self.image(seed),

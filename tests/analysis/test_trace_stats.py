@@ -18,8 +18,7 @@ from repro.analysis import (
     working_set_bytes,
 )
 from repro.cache.cache import CacheGeometry
-from repro.core import ArchitectureConfig
-from repro.core.sim import Simulator
+from repro.core import ArchitectureConfig, LiquidProcessorSystem
 from repro.toolchain import driver
 from repro.workloads import get
 from tests.golden.regen import CONFLICT_SOURCE
@@ -201,9 +200,11 @@ def test_curve_at_captured_geometry_counts_the_machines_misses(
     the machine's victims."""
     image = (driver.compile_c_program(CONFLICT_SOURCE)
              if kernel == "conflict" else get(kernel).image())
-    config = replace(ArchitectureConfig(), dcache=geometry)
-    trace = Simulator(config, capture_memory_trace=True).run(image) \
-        .memory_trace
+    system = LiquidProcessorSystem(
+        replace(ArchitectureConfig(), dcache=geometry))
+    recorder = TraceRecorder().attach(system.platform.dcache)
+    system.run_image(image)
+    trace = recorder.trace()
     observed = int((~trace.reads.hit).sum())
     [point] = simulate_miss_curve(trace, [geometry])
     assert observed > 0

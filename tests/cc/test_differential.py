@@ -181,7 +181,7 @@ def _to_c_with_nz(node: Node) -> str:
 
 
 # A single simulator reused across examples (programs reload cleanly).
-_SIMULATOR = Simulator(capture_memory_trace=False)
+_SIMULATOR = Simulator()
 
 
 def run_expression(expr_c: str) -> int:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.trace import MemoryTrace
+from repro.control.fleet import FleetScheduler
 from repro.core import (
     ArchitectureConfig,
     ConfigurationSpace,
@@ -127,10 +128,10 @@ class TestReconfigurationServer:
     def test_queue_processing(self):
         server = ReconfigurationServer()
         image = compile_c_program("int main(void) { return 1; }")
-        for index in range(3):
-            server.submit(Job(image=image, config=ArchitectureConfig(),
-                              name=f"job{index}"))
-        results = server.run_queue()
+        results = [server.run_job(Job(image=image,
+                                      config=ArchitectureConfig(),
+                                      name=f"job{index}"))
+                   for index in range(3)]
         assert [r.name for r in results] == ["job0", "job1", "job2"]
         # One synthesis, then cached.
         assert results[0].seconds_synthesis > 0
@@ -177,83 +178,86 @@ def flaky_client_factory(failing_calls, error="timeout"):
     return factory
 
 
+def one_device_fleet(failing_calls, error="timeout"):
+    """The single-node lab: one device whose client fails the given
+    run_image calls, each job allowed two attempts."""
+    return FleetScheduler(
+        devices=1, max_job_attempts=2,
+        client_factories={"fpx00": flaky_client_factory(failing_calls,
+                                                        error)})
+
+
+def run_in_order(fleet, image, names):
+    for name in names:
+        fleet.submit("lab", Job(image=image, config=ArchitectureConfig(),
+                                name=name))
+    return fleet.drain()
+
+
 class TestRunQueueDegradation:
-    """Regression: one failed job used to abort the whole queue; now it
-    is retried once after a device restart, then recorded as failed."""
+    """A failed job on the lab path is retried once on a rebuilt device,
+    then recorded as failed without stopping the jobs behind it — the
+    fleet's supervision policy, on one device."""
 
     def test_transient_failure_is_retried_and_succeeds(self):
-        server = ReconfigurationServer(
-            client_factory=flaky_client_factory({0}))
+        fleet = one_device_fleet({0})
         image = compile_c_program("int main(void) { return 5; }")
-        server.submit(Job(image=image, config=ArchitectureConfig(),
-                          name="flaky"))
-        [result] = server.run_queue()
-        assert result.ok
-        assert result.attempts == 2
-        assert result.result_word == 5
-        assert server.jobs_retried == 1
-        assert server.jobs_failed == 0
+        [done] = run_in_order(fleet, image, ["flaky"])
+        assert done.result.ok
+        assert done.attempts == 2
+        assert done.result.result_word == 5
+        assert fleet.jobs_requeued == 1
+        assert fleet.jobs_failed == 0
 
     def test_persistent_failure_recorded_queue_continues(self):
         # Call 0 = job0, calls 1+2 = job1's two attempts, call 3 = job2.
-        server = ReconfigurationServer(
-            client_factory=flaky_client_factory({1, 2}))
+        fleet = one_device_fleet({1, 2})
         image = compile_c_program("int main(void) { return 7; }")
-        for index in range(3):
-            server.submit(Job(image=image, config=ArchitectureConfig(),
-                              name=f"job{index}"))
-        results = server.run_queue()
-        assert [r.name for r in results] == ["job0", "job1", "job2"]
-        assert results[0].ok and results[2].ok
+        results = run_in_order(fleet, image, ["job0", "job1", "job2"])
+        assert [r.result.name for r in results] == ["job0", "job1", "job2"]
+        assert results[0].result.ok and results[2].result.ok
         failed = results[1]
-        assert not failed.ok
-        assert failed.state.name == "ERROR"
-        assert failed.attempts == 2
-        assert "ControlTimeout" in failed.error
-        assert server.jobs_failed == 1
-        assert server.jobs_retried == 1
-        assert len(server.results) == 3
+        assert not failed.result.ok
+        assert failed.result.state.name == "ERROR"
+        assert failed.attempts == failed.result.attempts == 2
+        assert "ControlTimeout" in failed.result.error
+        assert fleet.jobs_failed == 1
+        assert fleet.jobs_requeued == 1
 
     def test_device_error_degrades_the_same_way(self):
-        server = ReconfigurationServer(
-            client_factory=flaky_client_factory({0, 1}, error="device"))
+        fleet = one_device_fleet({0, 1}, error="device")
         image = compile_c_program("int main(void) { return 1; }")
-        server.submit(Job(image=image, config=ArchitectureConfig(),
-                          name="doomed"))
-        [result] = server.run_queue()
-        assert not result.ok
-        assert "DeviceError" in result.error
-        assert server.ledger()["jobs_failed"] == 1
+        [done] = run_in_order(fleet, image, ["doomed"])
+        assert not done.result.ok
+        assert "DeviceError" in done.result.error
+        assert fleet.ledger()["jobs"]["failed"] == 1
 
     def test_ledger_reports_degradation_counters(self):
-        server = ReconfigurationServer()
-        ledger = server.ledger()
-        assert ledger["jobs_retried"] == 0
-        assert ledger["jobs_failed"] == 0
+        jobs = FleetScheduler(devices=1).ledger()["jobs"]
+        assert jobs["requeued"] == 0
+        assert jobs["failed"] == 0
 
     def test_retry_rebuilds_the_platform_from_scratch(self):
-        """Regression: the retry used to go through the *old* client's
-        restart() — trusting the very control path that just failed and
-        keeping the possibly-wedged platform.  It must invalidate and
-        reconfigure instead."""
-        server = ReconfigurationServer(
-            client_factory=flaky_client_factory({0}))
+        """The retry must not go through the old client's restart() —
+        that trusts the very control path that just failed and keeps
+        the possibly-wedged platform.  The device is invalidated and
+        reconfigured instead."""
+        fleet = one_device_fleet({0})
+        runtime = fleet.devices[0].runtime
         image = compile_c_program("int main(void) { return 9; }")
-        first = server.configure(ArchitectureConfig())
+        first = runtime.configure(ArchitectureConfig())
         assert not first.cache_hit
-        wedged_platform = server.platform
-        wedged_client = server.client
-        server.submit(Job(image=image, config=ArchitectureConfig(),
-                          name="wedged"))
-        [result] = server.run_queue()
-        assert result.ok and result.attempts == 2
+        wedged_platform = runtime.platform
+        wedged_client = runtime.client
+        [done] = run_in_order(fleet, image, ["wedged"])
+        assert done.result.ok and done.attempts == 2
         # A full rebuild: new platform, new client, second
         # reconfiguration charged (as a cache hit, not a resynthesis).
-        assert server.platform is not wedged_platform
-        assert server.client is not wedged_client
-        assert server.reconfigurations == 2
-        assert result.cache_hit
-        assert result.seconds_synthesis == 0.0
+        assert runtime.platform is not wedged_platform
+        assert runtime.client is not wedged_client
+        assert runtime.reconfigurations == 2
+        assert done.result.cache_hit
+        assert done.result.seconds_synthesis == 0.0
 
     def test_invalidate_forgets_the_node(self):
         server = ReconfigurationServer()
@@ -273,15 +277,13 @@ class TestRunQueueDegradation:
         cache was never consulted."""
         server = ReconfigurationServer()
         image = compile_c_program("int main(void) { return 2; }")
-        for name in ("first", "warm"):
-            server.submit(Job(image=image, config=ArchitectureConfig(),
-                              name=name))
-        server.submit(Job(image=image,
-                          config=ArchitectureConfig().with_dcache_size(8192),
-                          name="other"))
-        server.submit(Job(image=image, config=ArchitectureConfig(),
-                          name="back"))
-        first, warm, other, back = server.run_queue()
+        first, warm, other, back = [
+            server.run_job(Job(image=image, config=config, name=name))
+            for name, config in (
+                ("first", ArchitectureConfig()),
+                ("warm", ArchitectureConfig()),
+                ("other", ArchitectureConfig().with_dcache_size(8192)),
+                ("back", ArchitectureConfig()))]
         assert not first.cache_hit and not first.already_loaded
         assert warm.already_loaded and not warm.cache_hit
         assert warm.seconds_programming == 0.0

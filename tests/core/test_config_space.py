@@ -5,6 +5,7 @@ import pytest
 from repro.cache.cache import CacheGeometry
 from repro.core import ArchitectureConfig, ConfigurationSpace, ExtensionSpec
 from repro.core.config import BASELINE, MULTIPLIER_CYCLES
+from repro.fpx import FPXPlatform, PlatformConfig
 
 
 class TestArchitectureConfig:
@@ -50,10 +51,14 @@ class TestArchitectureConfig:
     def test_platform_config_wiring(self):
         config = ArchitectureConfig(multiplier="iterative",
                                     adapter_read_burst=1).with_dcache_size(8192)
-        pc = config.platform_config()
-        assert pc.dcache.size == 8192
-        assert pc.timing.mul_cycles == 35
-        assert pc.adapter.read_burst_words == 1
+        platform = FPXPlatform(config.platform_config())
+        assert platform.config.arch is config
+        assert platform.dcache.geometry.size == 8192
+        assert platform.cpu.pipeline.timing.mul_cycles == 35
+        assert platform.sdram_adapter.config.read_burst_words == 1
+
+    def test_stock_platform_config_is_the_stock_architecture(self):
+        assert ArchitectureConfig().platform_config() == PlatformConfig()
 
     def test_configs_are_hashable_value_objects(self):
         assert ArchitectureConfig() == ArchitectureConfig()

@@ -11,8 +11,21 @@ from repro.core import (
     SATADD_RECIPE,
     install_recipes,
 )
+from repro.control.fleet import FleetScheduler
+from repro.core.recon_server import Job, ReconfigurationServer
 from repro.net.channel import ChannelConfig
 from repro.toolchain.cc import compile_c
+from repro.toolchain.driver import compile_c_program
+
+POPCOUNT_XOR = """
+int popcount_xor(int a, int b) {
+    int value = a ^ b;
+    int count = 0;
+    while (value) { count += value & 1; value = (value >> 1) & 0x7FFFFFFF; }
+    return count;
+}
+int main(void) { return popcount_xor(0xF0F0, 0x0F0F); }
+"""
 
 
 class TestFacade:
@@ -66,15 +79,7 @@ class TestRecipes:
     def test_popcount_recipe_c_rewrite_and_execution(self):
         """Fig 1's loop: rewrite the C source to use the accelerator,
         configure the architecture with it, and get the same answer."""
-        source = """
-int popcount_xor(int a, int b) {
-    int value = a ^ b;
-    int count = 0;
-    while (value) { count += value & 1; value = (value >> 1) & 0x7FFFFFFF; }
-    return count;
-}
-int main(void) { return popcount_xor(0xF0F0, 0x0F0F); }
-"""
+        source = POPCOUNT_XOR
         plain = LiquidProcessorSystem().run_c(source)
         assert plain.result == 16
 
@@ -162,3 +167,32 @@ int main(void) {
         assert set(BUILTIN_RECIPES) == {"popc", "mac", "satadd"}
         opfs = [r.extension.opf for r in BUILTIN_RECIPES.values()]
         assert len(opfs) == len(set(opfs))
+
+
+class TestExtensionJobsOnTheLabPath:
+    """Every machine built from a config runs that config's custom
+    instructions — the lab's server and fleet included, not only the
+    facades that used to install them by hand."""
+
+    @pytest.fixture(scope="class")
+    def job(self):
+        rewritten, substitutions = POPCOUNT_RECIPE.rewrite_c(POPCOUNT_XOR)
+        assert substitutions >= 1
+        return Job(image=compile_c_program(rewritten),
+                   config=POPCOUNT_RECIPE.apply_to_config(
+                       ArchitectureConfig()),
+                   name="popcount")
+
+    def test_server_runs_an_extension_job(self, job):
+        result = ReconfigurationServer().run_job(job)
+        assert result.ok
+        assert result.state.name == "DONE"
+        assert result.result_word == 16
+
+    def test_fleet_completes_an_extension_job_in_one_attempt(self, job):
+        fleet = FleetScheduler(devices=1)
+        fleet.submit("lab", job)
+        [done] = fleet.drain()
+        assert done.result.ok
+        assert done.attempts == 1
+        assert done.result.result_word == 16

@@ -157,7 +157,7 @@ sweep:
 """ + EPILOGUE)
     small = ArchitectureConfig().with_dcache_size(1024)
     large = ArchitectureConfig().with_dcache_size(16384)
-    reports = [Simulator(config, capture_memory_trace=False).run(program)
+    reports = [Simulator(config).run(program)
                for config in (small, large)]
     assert reports[0].cycles > reports[1].cycles
     assert reports[0].result_word == reports[1].result_word
@@ -319,7 +319,7 @@ def test_group_replays_each_point_from_one_recording(image):
 def test_recording_is_a_separate_block_variant(image):
     """Plain translated blocks carry no recording code (so the
     architectural fast path keeps its speed); recording blocks log."""
-    plain = Simulator(capture_memory_trace=False, obs=False)
+    plain = Simulator(obs=False)
     unit = plain._boot_and_dispatch(image, "translated")
     assert unit._blocks
     assert not any("_EV" in block.source or "_D(" in block.source
@@ -362,7 +362,7 @@ def test_replay_reports_totals_since_construction(image):
 def test_recording_unit_keeps_the_step_contract(image):
     """The recording engine executes the same steps as the plain
     translated engine: same retired count and same final pc."""
-    sims = [Simulator(capture_memory_trace=False, obs=False)
+    sims = [Simulator(obs=False)
             for _ in range(2)]
     plain = sims[0]._boot_and_dispatch(image, "translated")
     recording = sims[1]._fast_unit(RecordingUnit)

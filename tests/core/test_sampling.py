@@ -234,7 +234,7 @@ class TestSimulatorIntegration:
     def test_run_sampled_updates_obs_counters(self, crc_image):
         from repro.obs.collect import simulator_snapshot
 
-        sim = Simulator(capture_memory_trace=False)
+        sim = Simulator()
         plan = SamplingPlan(n_windows=2, window_length=300, ramp_length=128)
         run = sim.run_sampled(crc_image, plan)
         totals = simulator_snapshot(sim)["counters"]
@@ -283,7 +283,7 @@ def loop_image():
 
 class TestCheckpointCounters:
     def test_checkpoint_counts_its_translated_warmup(self, loop_image):
-        sim = Simulator(capture_memory_trace=False)
+        sim = Simulator()
         sim.checkpoint(loop_image, WARMUP)
         counters = sim.counters
         assert counters["fastpath.instructions"] > 0
@@ -292,7 +292,7 @@ class TestCheckpointCounters:
         assert counters["fastpath.checkpoint_captures"] == 1
 
     def test_run_obs_carries_the_fastpath_series(self, loop_image):
-        report = Simulator(capture_memory_trace=False).run(loop_image)
+        report = Simulator().run(loop_image)
         assert set(FASTPATH_SERIES) <= set(report.obs["counters"])
 
 
@@ -327,8 +327,7 @@ class TestSweepSampling:
         outcome = SweepRunner().sweep([self.CONFIGS[0]], loop_image,
                                       sampling=self.PLAN)
         point = outcome.points[0]
-        direct = Simulator(self.CONFIGS[0],
-                           capture_memory_trace=False).run_sampled(
+        direct = Simulator(self.CONFIGS[0]).run_sampled(
             loop_image, self.PLAN)
         assert point.sampled["estimated_cycles"] == direct.estimated_cycles
         assert point.cycles == int(round(direct.estimated_cycles))
@@ -369,7 +368,7 @@ class TestCheckpointResumedWindows:
         head = head_spec(survey["steps"], plan)
         _, specs = place_windows(survey["steps"], plan, start=head.end)
 
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         cpu = sim._boot_and_dispatch(loop_image, "accurate")
         poll = sim.rom_info.poll_address
         position = 0

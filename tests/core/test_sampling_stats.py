@@ -64,7 +64,7 @@ def _truth(name: str):
     """One cycle-accurate full run: (image, true cycle count)."""
     workload = get(name)
     image = workload.image()
-    report = Simulator(capture_memory_trace=False).run(
+    report = Simulator().run(
         image, max_instructions=workload.max_instructions)
     assert workload.check(report.result_word)
     return image, report.cycles

@@ -41,7 +41,7 @@ def _resume(state: ArchState) -> Simulator:
     """A fresh simulator that restores *state* and finishes the program
     on the accurate engine — how a sampled window that cannot be
     replayed resumes from its checkpoint."""
-    sim = Simulator(capture_memory_trace=False, obs=False)
+    sim = Simulator(obs=False)
     sim.restore_state(state)
     sim.cpu.run(until_pc=sim.rom_info.poll_address)
     # Park the polling loop, as Simulator.run does after the program.
@@ -54,10 +54,10 @@ def _resume(state: ArchState) -> Simulator:
 def test_capture_restore_round_trip(seed, steps):
     """restore(capture(sim)) into a fresh simulator reproduces the
     captured state exactly (and the digest is stable)."""
-    warm = Simulator(capture_memory_trace=False, obs=False)
+    warm = Simulator(obs=False)
     state = warm.checkpoint(_image(seed), steps)
 
-    fresh = Simulator(capture_memory_trace=False, obs=False)
+    fresh = Simulator(obs=False)
     fresh.restore_state(state)
     again = fresh.capture_state()
 
@@ -73,11 +73,11 @@ def test_restore_then_run_equals_straight_through(seed, steps):
     to a cold cycle-accurate run, peripheral counters included."""
     image = _image(seed)
 
-    straight = Simulator(capture_memory_trace=False, obs=False)
+    straight = Simulator(obs=False)
     report_straight = straight.run(image)
     final_straight = ArchState.capture(straight)
 
-    warm = Simulator(capture_memory_trace=False, obs=False)
+    warm = Simulator(obs=False)
     resumed = _resume(warm.checkpoint(image, steps))
     final_resumed = ArchState.capture(resumed)
 
@@ -92,7 +92,7 @@ def test_restore_then_run_equals_straight_through(seed, steps):
 def test_payload_round_trip(seed, steps):
     """to_payload -> JSON text -> from_payload is lossless, and the
     reconstructed state still restores into a working simulator."""
-    warm = Simulator(capture_memory_trace=False, obs=False)
+    warm = Simulator(obs=False)
     state = warm.checkpoint(_image(seed), steps)
 
     wire = json.loads(json.dumps(state.to_payload()))
@@ -101,12 +101,12 @@ def test_payload_round_trip(seed, steps):
     assert back.digest() == state.digest()
 
     resumed = _resume(back)
-    cold = Simulator(capture_memory_trace=False, obs=False)
+    cold = Simulator(obs=False)
     assert resumed.uart.transmitted() == cold.run(_image(seed)).uart_output
 
 
 def test_payload_schema_is_checked():
-    warm = Simulator(capture_memory_trace=False, obs=False)
+    warm = Simulator(obs=False)
     payload = warm.checkpoint(_image(0), 100).to_payload()
     payload["schema"] = 999
     try:
@@ -118,10 +118,10 @@ def test_payload_schema_is_checked():
 
 
 def test_restore_rejects_mismatched_memory_size():
-    warm = Simulator(capture_memory_trace=False, obs=False)
+    warm = Simulator(obs=False)
     state = warm.checkpoint(_image(0), 100)
     state.memory["sram"] = state.memory["sram"][:-1]
-    fresh = Simulator(capture_memory_trace=False, obs=False)
+    fresh = Simulator(obs=False)
     try:
         fresh.restore_state(state)
     except ValueError as err:
@@ -142,7 +142,7 @@ JSON_VALUES = st.recursive(
 
 @functools.lru_cache(maxsize=1)
 def _payload_text() -> str:
-    warm = Simulator(capture_memory_trace=False, obs=False)
+    warm = Simulator(obs=False)
     return json.dumps(warm.checkpoint(_image(0), 200).to_payload())
 
 

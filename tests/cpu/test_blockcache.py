@@ -561,7 +561,7 @@ done:
         from repro.core.sim import Simulator
 
         image = build(SMALL_PROGRAM)
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         unit = sim._boot_and_dispatch(image, "translated")
         assert unit.pc == image.entry and unit.instret > 0
         assert unit.blocks_translated == 0
@@ -1015,7 +1015,7 @@ class TestSimulatorIntegration:
     def test_translated_unit_shares_architectural_state(self):
         from repro.core.sim import Simulator
 
-        sim = Simulator(capture_memory_trace=False, obs=False)
+        sim = Simulator(obs=False)
         tu = sim.translated_unit()
         assert tu.regs is sim.cpu.regs
         assert tu.ctrl is sim.cpu.ctrl

@@ -137,19 +137,19 @@ def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS,
     result against the one cycle-accurate baseline run, and the
     replayed record against the accurate record under each *timing*
     configuration (names in :data:`TIMING_CONFIGS`)."""
-    accurate = Simulator(capture_memory_trace=False)
+    accurate = Simulator()
     traps: list[tuple[int, int]] = []
     accurate.cpu.on_trap = lambda tt, pc: traps.append((tt, pc))
     report_a = accurate.run(image, max_instructions=max_instructions)
     state_a = ArchState.capture(accurate)
 
     problems = []
-    functional = Simulator(capture_memory_trace=False, obs=False)
+    functional = Simulator(obs=False)
     report_f = functional.run_functional(image,
                                          max_instructions=max_instructions)
     problems += _compare(state_a, report_a, functional, report_f,
                          "functional")
-    translated = Simulator(capture_memory_trace=False, obs=False)
+    translated = Simulator(obs=False)
     report_t = translated.run_translated(image,
                                          max_instructions=max_instructions)
     problems += _compare(state_a, report_a, translated, report_t,

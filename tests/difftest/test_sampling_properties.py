@@ -62,7 +62,7 @@ def test_phases_conserve_instructions_and_steps(program_seed, plan):
     image = build(gen.render(gen.generate_blocks(program_seed),
                              program_seed))
 
-    accurate = Simulator(capture_memory_trace=False).run(
+    accurate = Simulator().run(
         image, max_instructions=MAX_INSTRUCTIONS)
     run = SampledRunner().run(image, plan,
                               max_instructions=MAX_INSTRUCTIONS)

@@ -46,7 +46,7 @@ EPILOGUE = """
 def _run_to_error(asm_text: str, engine_kind: str):
     """Boot, dispatch, run until the machine parks at error_state."""
     image = build(asm_text)
-    sim = Simulator(capture_memory_trace=False, obs=False)
+    sim = Simulator(obs=False)
     engine = sim._boot_and_dispatch(image, engine_kind)
     engine.run(max_instructions=500_000,
                until_pc=sim.rom_info.error_address)
@@ -162,7 +162,7 @@ unwind:
     assert not problems, "\n".join(problems)
 
     # prove the deep case actually trapped: run accurately and count
-    sim = Simulator(capture_memory_trace=False, obs=False)
+    sim = Simulator(obs=False)
     sim.run(image)
     state = ArchState.capture(sim)
     if depth > sim.config.nwindows:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.fpx import FPXPlatform, PlatformConfig
 from repro.cache import CacheGeometry
+from repro.core import ArchitectureConfig
+from repro.fpx import FPXPlatform, PlatformConfig
 from repro.net import protocol
 from repro.net.packets import build_udp_packet, parse_ip, parse_udp_packet
 from repro.net.protocol import LeonState
@@ -134,8 +135,8 @@ _start:
 
 class TestConfigurability:
     def test_cache_geometry_applies(self):
-        config = PlatformConfig(dcache=CacheGeometry(size=16384,
-                                                     line_size=32))
+        config = PlatformConfig(arch=ArchitectureConfig(
+            dcache=CacheGeometry(size=16384, line_size=32)))
         platform = FPXPlatform(config)
         assert platform.dcache.geometry.size == 16384
 

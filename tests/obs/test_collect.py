@@ -136,7 +136,7 @@ class TestPointSnapshot:
 class TestSimulatorIntegration:
     def test_program_window_snapshot_properties(self):
         image = compile_c_program(PROGRAM)
-        sim = Simulator(capture_memory_trace=False)
+        sim = Simulator()
         report = sim.run(image)
         counters = report.obs["counters"]
         # The window covers exactly the measured execution.
@@ -155,13 +155,13 @@ class TestSimulatorIntegration:
         import json
 
         image = compile_c_program(PROGRAM)
-        first = Simulator(capture_memory_trace=False).run(image)
-        second = Simulator(capture_memory_trace=False).run(image)
+        first = Simulator().run(image)
+        second = Simulator().run(image)
         dump = lambda obs: json.dumps(obs, sort_keys=True)  # noqa: E731
         assert dump(first.obs) == dump(second.obs)
 
     def test_simulator_snapshot_covers_every_layer(self):
-        sim = Simulator(capture_memory_trace=False)
+        sim = Simulator()
         snap = simulator_snapshot(sim)
         prefixes = {key.split(".")[0] for key in snap["counters"]}
         assert {"pipeline", "cache", "bus", "mem", "transport"} <= prefixes
