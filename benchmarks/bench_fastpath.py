@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 
 from repro.core.sim import Simulator
+from repro.cpu.blockcache import TranslatedUnit
+from repro.cpu.fastpath import FunctionalUnit
 from repro.workloads import get
 
 from .conftest import figure7_image, print_table
@@ -50,7 +52,8 @@ def _functional_rate(image) -> tuple[float, int]:
         start = time.perf_counter()
         # A checkpoint warmed on the single-instruction functional path
         # (Simulator.checkpoint uses the translated engine).
-        fast = sim._boot_and_dispatch(image, "fast")
+        fast = sim._fast_unit(FunctionalUnit)
+        sim._dispatch_on(fast, image)
         fast.fast_forward(WARMUP_BUDGET, stop_pc=sim.rom_info.poll_address)
         sim._sync_from_functional(fast)
         sim.capture_state()
@@ -68,7 +71,9 @@ def _steady_rate(image, engine: str) -> float:
     best = 0.0
     for _ in range(ROUNDS):
         sim = Simulator(obs=False)
-        eng = sim._boot_and_dispatch(image, engine)
+        eng = sim._fast_unit(
+            FunctionalUnit if engine == "fast" else TranslatedUnit)
+        sim._dispatch_on(eng, image)
         poll = sim.rom_info.poll_address
         eng.fast_forward(2_000, stop_pc=poll)
         start = time.perf_counter()
@@ -125,7 +130,8 @@ def _whole_program_seconds(image) -> tuple[float, float]:
     for _ in range(ROUNDS):
         sim = Simulator(obs=False)
         start = time.perf_counter()
-        engine = sim._boot_and_dispatch(image, "translated")
+        engine = sim.translated_unit()
+        sim._dispatch_on(engine, image)
         engine.fast_forward(50_000_000, stop_pc=sim.rom_info.poll_address)
         quiet = min(quiet, time.perf_counter() - start)
         sim = Simulator(obs=False)

@@ -3,7 +3,7 @@
 
 Lists every registered workload (class, footprint, the configuration
 axis it is sensitive to), shows one generated kernel, then runs each
-one on the functional engine and verifies the RESULT word against its
+one on the translated engine and verifies the RESULT word against its
 pure-Python reference model — no golden files, the program checks
 itself.
 
@@ -28,10 +28,10 @@ def main() -> None:
     head = "\n".join(source.splitlines()[:6])
     print(f"\ngenerated source of 'ipcheck' (first lines):\n{head}\n    ...")
 
-    print("\nself-checks (functional engine, seed 0):")
+    print("\nself-checks (translated engine, seed 0):")
     failures = 0
     for w in workloads:
-        result = w.self_check(engine="functional")
+        result = w.self_check(engine="translated")
         failures += 0 if result.ok else 1
         print("  " + result.describe())
     if failures:

@@ -76,7 +76,6 @@ from repro.cpu.decode import DecodeCache
 from repro.cpu.pipeline import PipelineModel, TimingConfig
 from repro.obs.collect import (
     FASTPATH_SERIES,
-    SAMPLING_SERIES,
     point_snapshot,
     simulator_snapshot,
 )
@@ -580,7 +579,7 @@ class Replayer:
             pipeline=SimpleNamespace(interlock_stalls=issue["interlocks"]))
         window = SimpleNamespace(
             cpu=cpu,
-            counters=dict.fromkeys(FASTPATH_SERIES + SAMPLING_SERIES, 0),
+            counters=dict.fromkeys(FASTPATH_SERIES, 0),
             icache=_controller("icache", config.icache, fetch),
             dcache=_controller("dcache", config.dcache, data),
             bus=SimpleNamespace(

@@ -585,12 +585,14 @@ class SampledRunner:
         if (memo is not None and memo[0] is image
                 and memo[1] == max_instructions):
             return memo[2]
-        # Drive the translated engine directly: ``run_translated``
-        # installs a per-instruction mix callback that knocks the
-        # engine off its quiet blockwise path (~10x slower), and the
-        # survey only needs totals and the architectural outputs.
+        # Drive the translated engine directly: ``run_translated`` also
+        # counts the instruction mix (a ``MixRecorder`` hook call per
+        # block), which the survey does not need; through it, perfbench's
+        # ``stream_sampled`` read 3.5% slower (reference seconds, median
+        # of ten paired runs).
         sim = Simulator(self.config, obs=False)
-        fast = sim._boot_and_dispatch(image, "translated")
+        fast = sim.translated_unit()
+        sim._dispatch_on(fast, image)
         start_steps, start_instret = fast.cycles, fast.instret
         fast.run(max_instructions=max_instructions,
                  until_pc=sim.rom_info.poll_address)
@@ -632,7 +634,8 @@ class SampledRunner:
             return memo[1], memo[2]
         sim = Simulator(self.config, obs=False)
         poll = sim.rom_info.poll_address
-        fast = sim._boot_and_dispatch(image, "translated")
+        fast = sim.translated_unit()
+        sim._dispatch_on(fast, image)
         base = fast.instret
         ramp_starts = {spec.ramp_start for spec in specs}
         marks = _boundaries(specs, total_steps)
@@ -800,7 +803,7 @@ class SampledRunner:
     def publish_obs(self, registry, counters: dict | None = None) -> None:
         """Publish the runner's accounting as the ``sampling.*`` series
         (:data:`~repro.obs.collect.SAMPLING_SERIES`, the names a
-        Simulator's counters publish under too).  *counters* overrides
+        Simulator's snapshot declares at 0).  *counters* overrides
         the runner's cumulative dict — sweep points publish per-run
         deltas so shared runners report exactly what a fresh one
         would."""

@@ -38,7 +38,6 @@ from repro.cpu.isa import (
 from repro.machine import LiquidCore
 from repro.obs.collect import (
     FASTPATH_SERIES,
-    SAMPLING_SERIES,
     point_snapshot,
     simulator_snapshot,
 )
@@ -81,7 +80,7 @@ class MixRecorder:
     once per distinct instruction word, when :meth:`mix` builds the
     report — the hot path is one dict update, not a classification:
 
-    * single steps (accurate, functional, or a translated engine's
+    * single steps (the accurate engine, or a translated engine's
       interpreted fallbacks) arrive through ``on_retire`` and are
       counted by instruction word;
     * translated block executions arrive through ``on_block``, batched
@@ -180,8 +179,8 @@ class SimReport:
     obs: dict = dataclass_field(default_factory=dict)
     #: Fast-engine provenance (engine, steps, block-cache counters and
     #: ``source_chars``, the characters of generated source), set
-    #: only by :meth:`Simulator.run_functional` and
-    #: :meth:`Simulator.run_translated`; empty for an accurate run.
+    #: only by :meth:`Simulator.run_translated`; empty for an accurate
+    #: run.
     #: Never part of the report's identity.
     fastpath: dict = dataclass_field(default_factory=dict)
 
@@ -207,16 +206,23 @@ class SimReport:
 
 class Simulator(LiquidCore):
     """The Liquid core plus mailbox dispatch: no network, no leon_ctrl,
-    no timer, IRQ controller or SDRAM."""
+    no timer, IRQ controller or SDRAM.
+
+    The peripheral clock never advances here (only the FPX node's step
+    loop advances it), so no MMIO read can observe timing — exact replay
+    relies on that.  LED timestamps and the APB cycle counter therefore
+    read 0 on the Sim box; a timed LED history comes from
+    :class:`~repro.core.liquid.LiquidProcessorSystem`.
+    """
 
     def __init__(self, config: ArchitectureConfig | None = None,
                  obs: bool = True):
         self.config = config or ArchitectureConfig()
         super().__init__(self.config)
 
-        # Two-speed and sampled-simulation accounting, keyed by the
-        # fastpath.* / sampling.* series names it is published under.
-        self.counters = dict.fromkeys(FASTPATH_SERIES + SAMPLING_SERIES, 0)
+        # Two-speed accounting, keyed by the fastpath.* series names it
+        # is published under.
+        self.counters = dict.fromkeys(FASTPATH_SERIES, 0)
         # Instructions retired by fast engines, which cpu.instret does
         # not see; ArchState adds them to the architectural retired count.
         self.fast_instret = 0
@@ -230,11 +236,13 @@ class Simulator(LiquidCore):
                 self.cpu.cycles, "trap", tt=tt, pc=pc)
 
     # ------------------------------------------------------------------
-    # Two-speed execution: functional fast path + checkpoints
+    # Two-speed execution: translated fast path + checkpoints
     # ------------------------------------------------------------------
 
-    def functional_unit(self) -> FunctionalUnit:
-        """A functional executor over this simulator's *live* machine.
+    def translated_unit(self) -> TranslatedUnit:
+        """A block-translating executor
+        (:class:`~repro.cpu.blockcache.TranslatedUnit`) over this
+        simulator's *live* machine.
 
         Registers, control registers, decode cache, extensions and ASRs
         are shared by reference with the cycle-accurate unit; memory is
@@ -243,13 +251,6 @@ class Simulator(LiquidCore):
         Only PC/nPC/annul (copied in here) and the retirement counters
         are private — :meth:`_sync_from_functional` folds them back.
         """
-        return self._fast_unit(FunctionalUnit)
-
-    def translated_unit(self) -> TranslatedUnit:
-        """Like :meth:`functional_unit`, but with the basic-block
-        translation cache (:class:`~repro.cpu.blockcache.TranslatedUnit`)
-        — same architectural results, roughly an order of magnitude
-        faster on straight-line-heavy code."""
         return self._fast_unit(TranslatedUnit)
 
     def _fast_unit(self, factory):
@@ -270,7 +271,9 @@ class Simulator(LiquidCore):
         return fast
 
     def _sync_from_functional(self, fast: FunctionalUnit) -> None:
-        """Fold a functional execution leg back into the live machine."""
+        """Fold a fast execution leg back into the live machine.  A
+        plain :class:`FunctionalUnit` has no block cache, so its block
+        counters count as 0."""
         cpu = self.cpu
         cpu.pc, cpu.npc, cpu.annul = fast.pc, fast.npc, fast.annul
         cpu.halted, cpu.error_tt = fast.halted, fast.error_tt
@@ -278,10 +281,9 @@ class Simulator(LiquidCore):
         self.fast_instret += fast.instret
         counters = self.counters
         counters["fastpath.instructions"] += fast.cycles
-        if isinstance(fast, TranslatedUnit):
-            for name in ("blocks_translated", "blocks_executed",
-                         "blocks_invalidated"):
-                counters[f"fastpath.{name}"] += getattr(fast, name)
+        for name in ("blocks_translated", "blocks_executed",
+                     "blocks_invalidated"):
+            counters[f"fastpath.{name}"] += getattr(fast, name, 0)
 
     def _normalize_window_start(self) -> None:
         """Put the micro-architecture into the canonical window-start
@@ -340,26 +342,11 @@ class Simulator(LiquidCore):
         shape (:meth:`ArchitectureConfig.arch_key`) — timing dimensions
         like cache geometry are free to differ.
         """
-        fast = self._boot_and_dispatch(image, "translated")
+        fast = self.translated_unit()
+        self._dispatch_on(fast, image)
         fast.fast_forward(steps, stop_pc=self.rom_info.poll_address)
         self._sync_from_functional(fast)
         return self.capture_state()
-
-    def _boot_and_dispatch(self, image: Image, kind: str):
-        """Boot to the polling loop, load *image*, run to its entry.
-        Returns the engine of *kind* (``"fast"``, ``"translated"`` or
-        ``"accurate"``) that did it, positioned at the program's first
-        instruction."""
-        if kind not in ("fast", "translated", "accurate"):
-            raise ValueError(f"unknown engine '{kind}'")
-        if kind == "translated":
-            engine = self.translated_unit()
-        elif kind == "fast":
-            engine = self.functional_unit()
-        else:
-            engine = self.cpu
-        self._dispatch_on(engine, image)
-        return engine
 
     def _dispatch_on(self, engine, image: Image) -> None:
         """Boot *engine* (any engine over this machine) to the polling
@@ -411,57 +398,21 @@ class Simulator(LiquidCore):
             obs=obs,
         )
 
-    def run_sampled(self, image: Image, plan,
-                    max_instructions: int = 50_000_000):
-        """SMARTS-style sampled run: execute *image* under *plan* (a
-        :class:`~repro.core.sampling.SamplingPlan`) — measurement
-        windows replayed from one translated recording of the program,
-        run on the cycle-accurate engine only where replay falls back
-        (prefetch, self-modifying code, bus error) — and return the
-        :class:`~repro.core.sampling.SampledRun` carrying per-window
-        observations and CLT confidence intervals.
-
-        The measurement itself runs in fresh simulators built from this
-        one's config (a pure function of ``(image, config, plan)``);
-        this simulator accumulates the ``sampling.*`` accounting so its
-        obs snapshots cover the sampled work.
-        """
-        from repro.core.sampling import SampledRunner
-
-        runner = SampledRunner(self.config)
-        run = runner.run(image, plan, max_instructions=max_instructions)
-        for name in SAMPLING_SERIES:
-            self.counters[name] += runner.counters[name]
-        self.events.record(self.cpu.cycles, "sampled",
-                           windows=len(run.windows),
-                           estimated_cycles=round(run.estimated_cycles))
-        return run
-
-    def run_functional(self, image: Image,
-                       max_instructions: int = 50_000_000) -> SimReport:
-        """Run *image* to completion entirely on the functional fast
-        path: full architectural fidelity (registers, traps, memory,
-        peripheral side effects), no timing at all.  ``cycles`` in the
-        report equals the window's step count (CPI 1.0 by construction)
-        and the cache sections are all-zero — this mode answers "what
-        does the program compute", not "how fast".
-        """
-        return self._run_fast(image, max_instructions, "fast")
-
     def run_translated(self, image: Image,
                        max_instructions: int = 50_000_000) -> SimReport:
-        """Like :meth:`run_functional`, on the block-translating engine:
-        byte-identical architectural results (the differential suite
-        holds both against the accurate engine), several times faster,
-        with the block-cache counters and the size of the code it
-        generated (``source_chars``) in the report's ``fastpath``
-        section."""
-        return self._run_fast(image, max_instructions, "translated")
-
-    def _run_fast(self, image: Image, max_instructions: int,
-                  engine_name: str) -> SimReport:
+        """Run *image* to completion on the block-translating engine:
+        full architectural fidelity (registers, traps, memory,
+        peripheral side effects), byte-identical to the accurate engine
+        (the differential suite holds them to it), no timing at all.
+        ``cycles`` in the report equals the window's step count (CPI 1.0
+        by construction), the cache sections are all-zero and ``obs`` is
+        empty — this mode answers "what does the program compute", not
+        "how fast".  The block-cache counters and the size of the code
+        it generated (``source_chars``) are in the report's
+        ``fastpath`` section."""
         poll = self.rom_info.poll_address
-        fast = self._boot_and_dispatch(image, engine_name)
+        fast = self.translated_unit()
+        self._dispatch_on(fast, image)
 
         start_steps, start_instret = fast.cycles, fast.instret
         self.events.record(fast.cycles, "dispatch", entry=image.entry)
@@ -473,13 +424,6 @@ class Simulator(LiquidCore):
         self._sync_from_functional(fast)
         self.sram.host_write_word(self.memmap.mailbox_start, 0)
 
-        fastpath = {"engine": engine_name, "steps": window}
-        if engine_name == "translated":
-            fastpath["blocks_translated"] = fast.blocks_translated
-            fastpath["blocks_executed"] = fast.blocks_executed
-            fastpath["blocks_invalidated"] = fast.blocks_invalidated
-            fastpath["traces_translated"] = fast.traces_translated
-            fastpath["source_chars"] = fast.source_chars
         return SimReport(
             cycles=window,
             instructions=retired,
@@ -489,7 +433,15 @@ class Simulator(LiquidCore):
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
             obs={},
-            fastpath=fastpath,
+            fastpath={
+                "engine": "translated",
+                "steps": window,
+                "blocks_translated": fast.blocks_translated,
+                "blocks_executed": fast.blocks_executed,
+                "blocks_invalidated": fast.blocks_invalidated,
+                "traces_translated": fast.traces_translated,
+                "source_chars": fast.source_chars,
+            },
         )
 
 

@@ -303,9 +303,9 @@ def _load_record(path: Path) -> dict | None:
 def _sampled_record(config: ArchitectureConfig, run, runner,
                     counters: dict, utilization) -> dict:
     """The cacheable record of one sampled point.  *counters* is the
-    per-run slice of the runner's accounting — a fresh runner's totals,
-    or a shared runner's delta; both publish identical values because
-    the counters are derived from the run, not from memo hits."""
+    per-run delta of the group's shared runner's accounting: the
+    counters are derived from the run, not from memo hits, so it equals
+    what a fresh runner would publish."""
     registry = MetricsRegistry()
     runner.publish_obs(registry, counters=counters)
     return {
@@ -326,50 +326,36 @@ def _sampled_record(config: ArchitectureConfig, run, runner,
     }
 
 
-def _evaluate_sampled(tasks) -> "Iterable[tuple[dict, float, str]]":
-    """Sampled evaluation: one :class:`SampledRunner` per (image,
-    architectural family), so every config point of a family shares the
-    memoised survey and recording passes and pays only for replaying
-    its own windows.  Yields ``(record, wall seconds, path)`` per task,
-    *path* being :data:`~repro.core.replay.REPLAYED` or the cause of
-    the point's fallback to the accurate engine.  Records stay
-    byte-identical to the parallel path (which rebuilds the passes per
-    worker): the shared passes are architectural, and obs counters are
-    published as per-run deltas."""
-    runners: dict[tuple[int, str], SampledRunner] = {}
+def _evaluate_sampled(tasks) -> list[tuple[dict, float, str]]:
+    """Evaluate the sampled points of one ``(image, arch_key)`` group on
+    one :class:`SampledRunner`, so every point shares the memoised
+    survey and recording passes and pays only for replaying its own
+    windows.  Returns ``(record, wall seconds, path)`` per task, in
+    order, *path* being :data:`~repro.core.replay.REPLAYED` or the
+    cause of the point's fallback to the accurate engine.  Obs counters
+    are published as per-run deltas, so a point's record does not
+    depend on which other points shared its runner."""
+    runner = SampledRunner(tasks[0][0])
+    results = []
     for config, image, max_instructions, sampling in tasks:
         start = time.perf_counter()
         utilization = SynthesisModel().estimate(config)
-        key = (id(image), config.arch_key())
-        runner = runners.get(key)
-        if runner is None:
-            runner = runners[key] = SampledRunner(config)
         before = dict(runner.counters)
         run = runner.run(image, sampling,
                          max_instructions=max_instructions, config=config)
         delta = {name: runner.counters[name] - before[name]
                  for name in before}
         record = _sampled_record(config, run, runner, delta, utilization)
-        yield record, time.perf_counter() - start, runner.path
-
-
-def _evaluate_sampled_task(task) -> tuple[dict, float, str]:
-    """One sampled point on a fresh runner (the parallel path): the
-    whole sampled run is rebuilt in-process from ``(config, image,
-    plan)`` — nothing host-dependent ships to the worker."""
-    return next(_evaluate_sampled([task]))
+        results.append((record, time.perf_counter() - start, runner.path))
+    return results
 
 
 def _evaluate_task(task: tuple[ArchitectureConfig, Image, int,
                                SamplingPlan | None]
                    ) -> tuple[dict, float]:
-    """Simulate one point; returns (cacheable record, wall seconds).
-
-    The memory trace is deliberately not captured: sweep points must be
-    small, picklable and JSON-serializable, and the exploration loop
-    only needs the aggregate report.  Sampled points go through
-    :func:`_evaluate_sampled` instead.
-    """
+    """Simulate one full-detail point on the accurate engine; returns
+    (cacheable record, wall seconds).  Sampled points go through
+    :func:`_evaluate_sampled` instead."""
     config, image, max_instructions, _ = task
     start = time.perf_counter()
     utilization = SynthesisModel().estimate(config)
@@ -798,26 +784,21 @@ class SweepRunner:
     def _evaluate(self, tasks):
         """Yield ``(record, wall, path)`` per task, in task order.
 
-        Full-detail tasks are evaluated in ``(image, arch_key)`` groups
-        (:func:`_evaluate_group`) and sampled tasks through
-        :func:`_evaluate_sampled`; *path* says whether the point was
-        replayed or why it fell back.  All tasks of one sweep share the
-        same sampling plan."""
+        Tasks are evaluated in ``(image, arch_key)`` groups, full-detail
+        ones through :func:`_evaluate_group` and sampled ones through
+        :func:`_evaluate_sampled`, serially or one group per worker;
+        *path* says whether the point was replayed or why it fell back.
+        All tasks of one sweep share the same sampling plan."""
         if not tasks:
             return iter(())
-        sampling = tasks[0][3]
-        if sampling is not None:
-            if self.workers <= 1:
-                # The shared path amortizes the survey and recording
-                # passes across each (image, family) group.
-                return _evaluate_sampled(tasks)
-            return self._map(_evaluate_sampled_task, tasks)
+        evaluate = (_evaluate_group if tasks[0][3] is None
+                    else _evaluate_sampled)
         groups: dict[tuple, list[int]] = {}
         for index, (config, image, max_instructions, _) in enumerate(tasks):
             groups.setdefault((id(image), config.arch_key(),
                                max_instructions), []).append(index)
         members = list(groups.values())
-        results = self._map(_evaluate_group,
+        results = self._map(evaluate,
                             [[tasks[i] for i in group] for group in members])
 
         def in_task_order():

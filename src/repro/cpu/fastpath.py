@@ -184,7 +184,7 @@ class FunctionalUnit:
 
     The register file, control registers, decode cache, extension table
     and ASR file may be shared **by reference** with a cycle-accurate
-    unit — that is how :meth:`repro.core.sim.Simulator.functional_unit`
+    unit — that is how :meth:`repro.core.sim.Simulator.translated_unit`
     builds the fast path over the live machine, so switching engines
     needs no architectural copying at all.
     """

@@ -42,7 +42,6 @@ __all__ = [
     "collect_fastpath",
     "collect_fleet",
     "collect_pipeline",
-    "collect_sampling",
     "collect_sdram",
     "collect_sram",
     "collect_transport",
@@ -113,7 +112,10 @@ FASTPATH_SERIES = (
 #: Sampled-simulation series: runs, measurement windows, checkpoints
 #: captured, and the step split between the survey pass, the translated
 #: fast-forward legs, the cache-warming ramps and the cycle-accurate
-#: windows.  Keys of ``SampledRunner.counters`` and of ``sim.counters``.
+#: windows.  Keys of ``SampledRunner.counters``, published by
+#: ``SampledRunner.publish_obs``.  A Simulator counts none of them; its
+#: snapshot declares them at 0 because every full-detail record's
+#: ``obs`` carries them, until the next record-schema bump drops them.
 SAMPLING_SERIES = (
     "sampling.runs", "sampling.windows", "sampling.checkpoints",
     "sampling.survey_steps", "sampling.ff_steps", "sampling.ramp_steps",
@@ -125,13 +127,6 @@ def collect_fastpath(sim, registry: MetricsRegistry) -> None:
     simulators that never fast-forward, so every snapshot keeps the
     same schema)."""
     for name in FASTPATH_SERIES:
-        registry.counter(name).inc(sim.counters[name])
-
-
-def collect_sampling(sim, registry: MetricsRegistry) -> None:
-    """Publish the sampled-simulation accounting (declared at zero for
-    simulators that never sample, keeping the snapshot schema stable)."""
-    for name in SAMPLING_SERIES:
         registry.counter(name).inc(sim.counters[name])
 
 
@@ -274,7 +269,8 @@ def simulator_snapshot(sim) -> dict:
     registry = MetricsRegistry()
     collect_pipeline(sim.cpu, registry)
     collect_fastpath(sim, registry)
-    collect_sampling(sim, registry)
+    for name in SAMPLING_SERIES:
+        registry.counter(name)
     collect_cache(sim.icache, registry)
     collect_cache(sim.dcache, registry)
     collect_ahb(sim.bus, registry)

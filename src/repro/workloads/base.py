@@ -110,17 +110,15 @@ class Workload:
                    seed: int = DEFAULT_SEED) -> "SelfCheckResult":
         """Compile, run on one engine, verify the RESULT word.
 
-        ``engine`` is ``'accurate'`` (cycle-accurate IntegerUnit),
-        ``'functional'`` (FunctionalUnit fast path) or ``'translated'``
-        (block-translating fast path).
+        ``engine`` is ``'accurate'`` (cycle-accurate IntegerUnit) or
+        ``'translated'`` (block-translating fast path).
         """
         from repro.core.sim import Simulator
 
-        if engine not in ("accurate", "functional", "translated"):
+        if engine not in ("accurate", "translated"):
             raise ValueError(f"unknown engine '{engine}'")
         sim = Simulator(obs=False)
-        runner = {"accurate": sim.run, "functional": sim.run_functional,
-                  "translated": sim.run_translated}[engine]
+        runner = sim.run if engine == "accurate" else sim.run_translated
         report = runner(self.image(seed),
                         max_instructions=self.max_instructions)
         return SelfCheckResult(

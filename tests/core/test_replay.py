@@ -320,7 +320,8 @@ def test_recording_is_a_separate_block_variant(image):
     """Plain translated blocks carry no recording code (so the
     architectural fast path keeps its speed); recording blocks log."""
     plain = Simulator(obs=False)
-    unit = plain._boot_and_dispatch(image, "translated")
+    unit = plain.translated_unit()
+    plain._dispatch_on(unit, image)
     assert unit._blocks
     assert not any("_EV" in block.source or "_D(" in block.source
                    for block in unit._blocks.values())
@@ -364,7 +365,8 @@ def test_recording_unit_keeps_the_step_contract(image):
     translated engine: same retired count and same final pc."""
     sims = [Simulator(obs=False)
             for _ in range(2)]
-    plain = sims[0]._boot_and_dispatch(image, "translated")
+    plain = sims[0].translated_unit()
+    sims[0]._dispatch_on(plain, image)
     recording = sims[1]._fast_unit(RecordingUnit)
     sims[1]._dispatch_on(recording, image)
     for sim, unit in zip(sims, (plain, recording)):

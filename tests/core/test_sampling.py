@@ -232,12 +232,14 @@ class TestSampledRun:
 
 class TestSimulatorIntegration:
     def test_run_sampled_updates_obs_counters(self, crc_image):
-        from repro.obs.collect import simulator_snapshot
+        from repro.obs.metrics import MetricsRegistry
 
-        sim = Simulator()
+        runner = SampledRunner()
         plan = SamplingPlan(n_windows=2, window_length=300, ramp_length=128)
-        run = sim.run_sampled(crc_image, plan)
-        totals = simulator_snapshot(sim)["counters"]
+        run = runner.run(crc_image, plan)
+        registry = MetricsRegistry()
+        runner.publish_obs(registry)
+        totals = registry.snapshot()["counters"]
         assert totals["sampling.runs"] == 1
         assert totals["sampling.windows"] == len(run.windows)
         assert totals["sampling.checkpoints"] == len(run.windows) + 1
@@ -327,8 +329,7 @@ class TestSweepSampling:
         outcome = SweepRunner().sweep([self.CONFIGS[0]], loop_image,
                                       sampling=self.PLAN)
         point = outcome.points[0]
-        direct = Simulator(self.CONFIGS[0]).run_sampled(
-            loop_image, self.PLAN)
+        direct = SampledRunner(self.CONFIGS[0]).run(loop_image, self.PLAN)
         assert point.sampled["estimated_cycles"] == direct.estimated_cycles
         assert point.cycles == int(round(direct.estimated_cycles))
         assert point.instructions == direct.total_instructions
@@ -369,7 +370,8 @@ class TestCheckpointResumedWindows:
         _, specs = place_windows(survey["steps"], plan, start=head.end)
 
         sim = Simulator(obs=False)
-        cpu = sim._boot_and_dispatch(loop_image, "accurate")
+        cpu = sim.cpu
+        sim._dispatch_on(cpu, loop_image)
         poll = sim.rom_info.poll_address
         position = 0
         for spec, resumed in zip(specs, run.windows):

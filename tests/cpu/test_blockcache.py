@@ -562,7 +562,8 @@ done:
 
         image = build(SMALL_PROGRAM)
         sim = Simulator(obs=False)
-        unit = sim._boot_and_dispatch(image, "translated")
+        unit = sim.translated_unit()
+        sim._dispatch_on(unit, image)
         assert unit.pc == image.entry and unit.instret > 0
         assert unit.blocks_translated == 0
 

@@ -256,7 +256,7 @@ done:
 class TestSimulatorIntegration:
     def test_functional_unit_shares_architectural_state(self):
         sim = Simulator(obs=False)
-        fast = sim.functional_unit()
+        fast = sim._fast_unit(FunctionalUnit)
         assert fast.regs is sim.cpu.regs
         assert fast.ctrl is sim.cpu.ctrl
         fast.regs.write(9, 0x1234)
@@ -264,7 +264,7 @@ class TestSimulatorIntegration:
 
     def test_functional_unit_sees_simulator_memory_map(self):
         sim = Simulator(obs=False)
-        fast = sim.functional_unit()
+        fast = sim._fast_unit(FunctionalUnit)
         memmap = sim.memmap
         # PROM readable, not writable
         assert fast.mem.read(memmap.prom_base, 4) == \

@@ -48,7 +48,7 @@ from repro.core.config import ArchitectureConfig
 from repro.core.replay import ReplayUnsupported
 from repro.core.rewriter import POPCOUNT_RECIPE
 from repro.core.sampling import SampledRunner, SamplingPlan
-from repro.core.sim import SimReport, Simulator
+from repro.core.sim import MixRecorder, SimReport, Simulator
 from repro.core.sweep import (
     REPLAYED,
     _evaluate_group,
@@ -58,6 +58,7 @@ from repro.core.sweep import (
 from repro.core.synthesis import SynthesisModel
 from repro.cpu import blockcache
 from repro.cpu.archstate import ArchState
+from repro.cpu.fastpath import FunctionalUnit
 from repro.toolchain.driver import SourceFile, build_image
 
 #: Generated programs are short; this bounds runaway loops/recursion.
@@ -144,9 +145,7 @@ def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS,
     state_a = ArchState.capture(accurate)
 
     problems = []
-    functional = Simulator(obs=False)
-    report_f = functional.run_functional(image,
-                                         max_instructions=max_instructions)
+    functional, report_f = run_functional(image, max_instructions)
     problems += _compare(state_a, report_a, functional, report_f,
                          "functional")
     translated = Simulator(obs=False)
@@ -156,6 +155,31 @@ def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS,
                          "translated")
     problems += compare_timing(image, max_instructions, timing, report_a)
     return DiffResult(problems, report_a, report_f, report_t, traps)
+
+
+def run_functional(image, max_instructions: int = MAX_INSTRUCTIONS
+                   ) -> tuple[Simulator, SimReport]:
+    """Run *image* to completion on a :class:`FunctionalUnit` over a
+    fresh simulator's machine, the way ``Simulator.run_translated``
+    drives its engine: the reference interpreter's column.  Returns the
+    simulator (with the run folded back in) and its report."""
+    sim = Simulator(obs=False)
+    fast = sim._fast_unit(FunctionalUnit)
+    sim._dispatch_on(fast, image)
+    start_steps, start_instret = fast.cycles, fast.instret
+    with MixRecorder(fast) as mix_recorder:
+        fast.run(max_instructions=max_instructions,
+                 until_pc=sim.rom_info.poll_address)
+    sim._sync_from_functional(fast)
+    sim.sram.host_write_word(sim.memmap.mailbox_start, 0)
+    return sim, SimReport(
+        cycles=fast.cycles - start_steps,
+        instructions=fast.instret - start_instret,
+        instruction_mix=mix_recorder.mix(),
+        dcache=sim.dcache.stats_dict(),
+        icache=sim.icache.stats_dict(),
+        result_word=sim.sram.host_read_word(sim.memmap.result_addr),
+        uart_output=sim.uart.transmitted())
 
 
 def compare_engines(asm_text: str,

@@ -18,6 +18,8 @@ import pytest
 from repro.core.sim import Simulator
 from repro.core.sweep import _evaluate_group, _evaluate_task
 from repro.cpu.archstate import ArchState
+from repro.cpu.blockcache import TranslatedUnit
+from repro.cpu.fastpath import FunctionalUnit
 from repro.cpu.traps import WatchdogExpired
 from tests.difftest.harness import (
     ALL_TIMING,
@@ -43,14 +45,17 @@ EPILOGUE = """
 """
 
 
-def _run_to_error(asm_text: str, engine_kind: str):
-    """Boot, dispatch, run until the machine parks at error_state."""
+def _run_to_error(asm_text: str, fast_unit=None):
+    """Boot, dispatch, run until the machine parks at error_state: on
+    the accurate engine, or on a *fast_unit* (a FunctionalUnit class)
+    over the same machine."""
     image = build(asm_text)
     sim = Simulator(obs=False)
-    engine = sim._boot_and_dispatch(image, engine_kind)
+    engine = sim.cpu if fast_unit is None else sim._fast_unit(fast_unit)
+    sim._dispatch_on(engine, image)
     engine.run(max_instructions=500_000,
                until_pc=sim.rom_info.error_address)
-    if engine is not sim.cpu:
+    if fast_unit is not None:
         sim._sync_from_functional(engine)
     return ArchState.capture(sim), engine
 
@@ -93,9 +98,9 @@ def _assert_unhandled_trap_parity(body, expected_tt):
     """Compare the three engines parked at error_state; returns the
     translated engine."""
     asm = PROLOGUE + body + "\n" + EPILOGUE
-    accurate, _ = _run_to_error(asm, "accurate")
-    functional, _ = _run_to_error(asm, "fast")
-    translated, unit = _run_to_error(asm, "translated")
+    accurate, _ = _run_to_error(asm)
+    functional, _ = _run_to_error(asm, FunctionalUnit)
+    translated, unit = _run_to_error(asm, TranslatedUnit)
     assert (accurate.tbr >> 4) & 0xFF == expected_tt
     assert accurate == functional
     assert accurate == translated

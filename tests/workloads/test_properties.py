@@ -55,7 +55,7 @@ def _record_failure(workload, seed: int) -> pathlib.Path:
 @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
 @settings(max_examples=6, deadline=None, derandomize=True)
 def test_random_inputs_match_reference(workload, seed):
-    result = workload.self_check(engine="functional", seed=seed)
+    result = workload.self_check(engine="translated", seed=seed)
     if not result.ok:
         path = _record_failure(workload, seed)
         pytest.fail(f"{result.describe()}\nlisting written to {path} — "

@@ -85,7 +85,9 @@ class TestDeterminism:
 class TestSelfChecks:
     @pytest.mark.parametrize("workload", WORKLOADS, ids=IDS)
     def test_functional_engine(self, workload):
-        result = workload.self_check(engine="functional", seed=DEFAULT_SEED)
+        """The architectural (untimed) self-check, on the translated
+        engine."""
+        result = workload.self_check(engine="translated", seed=DEFAULT_SEED)
         assert result.ok, result.describe()
         assert result.instructions > 0
 
@@ -97,8 +99,9 @@ class TestSelfChecks:
         assert result.cycles >= result.instructions
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            WORKLOADS[0].self_check(engine="rtl")
+        for engine in ("rtl", "functional"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                WORKLOADS[0].self_check(engine=engine)
 
     def test_check_rejects_missing_and_wrong_results(self):
         workload = WORKLOADS[0]
