@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 
 from repro.core.sim import Simulator
+from repro.cpu.archstate import ArchState
 from repro.cpu.blockcache import TranslatedUnit
 from repro.cpu.fastpath import FunctionalUnit
 from repro.workloads import get
@@ -51,14 +52,14 @@ def _functional_rate(image) -> tuple[float, int]:
         sim = Simulator(obs=False)
         start = time.perf_counter()
         # A checkpoint warmed on the single-instruction functional path
-        # (Simulator.checkpoint uses the translated engine).
+        # (SampledRunner's checkpoint pass uses the translated engine).
         fast = sim._fast_unit(FunctionalUnit)
         sim._dispatch_on(fast, image)
         fast.fast_forward(WARMUP_BUDGET, stop_pc=sim.rom_info.poll_address)
         sim._sync_from_functional(fast)
-        sim.capture_state()
+        ArchState.capture(sim)
         elapsed = time.perf_counter() - start
-        steps = sim.counters["fastpath.instructions"]
+        steps = fast.cycles
         best = max(best, steps / elapsed)
     return best, steps
 

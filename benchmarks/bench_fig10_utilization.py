@@ -8,8 +8,6 @@ and this bench also reports how utilization moves across the Figure 8
 sweep (each of those cache sizes was its own pre-generated bitfile).
 """
 
-import pytest
-
 from repro.core import ConfigurationSpace, SynthesisModel, figure10_table
 from repro.core.config import BASELINE
 

@@ -34,7 +34,6 @@ from repro.cpu.isa import (
     OP_ARITH,
     OP_BRANCH_SETHI,
     OP_CALL,
-    OP_MEM,
     Cond,
     Op3,
     Op3Mem,
@@ -108,18 +107,6 @@ class Instruction:
     def is_memory(self) -> bool:
         return self.kind in (InstrKind.LOAD, InstrKind.STORE,
                              InstrKind.ATOMIC)
-
-    @property
-    def writes_icc(self) -> bool:
-        if self.kind not in (InstrKind.ALU, InstrKind.WRITE_STATE):
-            return False
-        try:
-            op3 = Op3(self.inst.op3)
-        except ValueError:
-            return False
-        if op3 == Op3.WRPSR:
-            return True
-        return op3.name.endswith("CC") or op3 == Op3.MULSCC
 
     def branch_target(self) -> int | None:
         """Static target of a PC-relative CTI, else ``None``."""
@@ -236,12 +223,6 @@ class ControlFlowGraph:
 
     # ------------------------------------------------------------------
 
-    def block_at(self, pc: int) -> BasicBlock | None:
-        """The block whose span covers *pc* (not necessarily its start)."""
-        candidates = [b for b in self.blocks.values()
-                      if b.start <= pc < b.end]
-        return candidates[0] if candidates else None
-
     def reachable(self) -> set[int]:
         """Block starts reachable from the entry, following both flow
         and call edges."""
@@ -274,14 +255,6 @@ class ControlFlowGraph:
             stack.extend(block.successors)
         order.sort(key=lambda b: b.start)
         return order
-
-    def function_of(self, pc: int) -> int | None:
-        """The function entry whose body contains *pc*, if any."""
-        for entry in self.function_entries:
-            for block in self.function_blocks(entry):
-                if block.start <= pc < block.end:
-                    return entry
-        return None
 
     def nearest_symbol(self, pc: int) -> str | None:
         """Closest text symbol at or before *pc* (diagnostic anchors)."""

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.cfg import (
     MEM_WIDTHS,
-    BasicBlock,
     ControlFlowGraph,
     Instruction,
     InstrKind,

@@ -293,13 +293,6 @@ class SetAssociativeCache:
         for the start of a sampled window."""
         self.tags.restart()
 
-    def rng_state(self) -> dict:
-        """Deterministic-RNG cursor (ArchState checkpointing)."""
-        return self.tags.rng.bit_generator.state
-
-    def load_rng_state(self, state: dict) -> None:
-        self.tags.rng.bit_generator.state = state
-
     @property
     def valid_lines(self) -> int:
         return len(self._data)

@@ -47,12 +47,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 
-from repro.control.client import (
-    ControlTimeout,
-    DeviceError,
-    LiquidClient,
-    RetryPolicy,
-)
+from repro.control.client import ControlTimeout, DeviceError, LiquidClient
 from repro.control.transport import ChaosTransport, DirectTransport
 from repro.core.recon_cache import ReconfigurationCache
 from repro.core.recon_server import Job, JobResult, ReconfigurationServer

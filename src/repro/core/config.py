@@ -173,9 +173,9 @@ class ArchitectureConfig:
         instruction-set extensions change what the software can observe.
         Caches, multiplier/divider datapaths, prefetchers and pipeline
         depth are timing dimensions (a divider of "none" still divides —
-        it just costs differently).  This is the checkpoint-sharing key:
-        one warmed :class:`~repro.cpu.archstate.ArchState` serves every
-        config point with the same arch_key.
+        it just costs differently).  This is the recording-sharing key:
+        a sweep records each image once per ``(image, arch_key)`` and
+        replays that recording at every config point sharing it.
         """
         payload = json.dumps(
             {"nwindows": self.nwindows,

@@ -95,11 +95,6 @@ class JobResult:
     #: Times the job was attempted.
     attempts: int = 1
 
-    @property
-    def total_model_seconds(self) -> float:
-        return (self.seconds_synthesis + self.seconds_programming
-                + self.seconds_execution)
-
 
 class ReconfigurationServer:
     def __init__(self, cache: ReconfigurationCache | None = None,

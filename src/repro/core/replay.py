@@ -74,11 +74,7 @@ from repro.cpu.blockcache import (
 )
 from repro.cpu.decode import DecodeCache
 from repro.cpu.pipeline import PipelineModel, TimingConfig
-from repro.obs.collect import (
-    FASTPATH_SERIES,
-    point_snapshot,
-    simulator_snapshot,
-)
+from repro.obs.collect import point_snapshot, simulator_snapshot
 from repro.toolchain.objfile import Image
 
 __all__ = ["FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
@@ -579,7 +575,6 @@ class Replayer:
             pipeline=SimpleNamespace(interlock_stalls=issue["interlocks"]))
         window = SimpleNamespace(
             cpu=cpu,
-            counters=dict.fromkeys(FASTPATH_SERIES, 0),
             icache=_controller("icache", config.icache, fetch),
             dcache=_controller("dcache", config.dcache, data),
             bus=SimpleNamespace(

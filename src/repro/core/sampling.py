@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 from repro.core.config import ArchitectureConfig
 from repro.core.replay import REPLAYED, Replayer, ReplayUnsupported, record
 from repro.core.sim import MixRecorder, Simulator
+from repro.cpu.archstate import ArchState
 from repro.obs.collect import SAMPLING_SERIES
 from repro.toolchain.objfile import Image
 
@@ -652,7 +653,7 @@ class SampledRunner:
                         f"planned boundary {mark}")
             boundary_retired[mark] = fast.instret - base
             if mark in ramp_starts:
-                states[mark] = sim.capture_state(engine=fast)
+                states[mark] = ArchState.capture(sim, engine=fast)
         self._checkpoint_memo[key] = (image, states, boundary_retired)
         return states, boundary_retired
 
@@ -661,7 +662,7 @@ class SampledRunner:
         windows = []
         for spec in specs:
             sim = Simulator(config, obs=False)
-            sim.restore_state(states[spec.ramp_start])
+            states[spec.ramp_start].restore(sim)
             sim._normalize_window_start()
             windows.append(measure_window(sim, spec,
                                           sim.rom_info.poll_address))

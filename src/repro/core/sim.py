@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
 from repro.core.config import ArchitectureConfig
-from repro.cpu.archstate import ArchState
 from repro.cpu.blockcache import MAX_BLOCKS, TranslatedBlock, TranslatedUnit
 from repro.cpu.decode import decode
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
@@ -36,11 +35,7 @@ from repro.cpu.isa import (
     Op3Mem,
 )
 from repro.machine import LiquidCore
-from repro.obs.collect import (
-    FASTPATH_SERIES,
-    point_snapshot,
-    simulator_snapshot,
-)
+from repro.obs.collect import point_snapshot, simulator_snapshot
 from repro.obs.events import EventTrace
 from repro.toolchain.objfile import Image
 
@@ -220,9 +215,6 @@ class Simulator(LiquidCore):
         self.config = config or ArchitectureConfig()
         super().__init__(self.config)
 
-        # Two-speed accounting, keyed by the fastpath.* series names it
-        # is published under.
-        self.counters = dict.fromkeys(FASTPATH_SERIES, 0)
         # Instructions retired by fast engines, which cpu.instret does
         # not see; ArchState adds them to the architectural retired count.
         self.fast_instret = 0
@@ -271,19 +263,12 @@ class Simulator(LiquidCore):
         return fast
 
     def _sync_from_functional(self, fast: FunctionalUnit) -> None:
-        """Fold a fast execution leg back into the live machine.  A
-        plain :class:`FunctionalUnit` has no block cache, so its block
-        counters count as 0."""
+        """Fold a fast execution leg back into the live machine."""
         cpu = self.cpu
         cpu.pc, cpu.npc, cpu.annul = fast.pc, fast.npc, fast.annul
         cpu.halted, cpu.error_tt = fast.halted, fast.error_tt
         cpu.trap_count += fast.trap_count
         self.fast_instret += fast.instret
-        counters = self.counters
-        counters["fastpath.instructions"] += fast.cycles
-        for name in ("blocks_translated", "blocks_executed",
-                     "blocks_invalidated"):
-            counters[f"fastpath.{name}"] += getattr(fast, name, 0)
 
     def _normalize_window_start(self) -> None:
         """Put the micro-architecture into the canonical window-start
@@ -310,43 +295,6 @@ class Simulator(LiquidCore):
         """ArchState protocol: name -> device with state()/load_state()."""
         return {"uart": self.uart, "leds": self.leds,
                 "cycle_counter": self.cycle_counter}
-
-    def checkpoint_rngs(self) -> dict:
-        """ArchState protocol: name -> seeded RNG holder."""
-        return {"icache": self.icache.cache, "dcache": self.dcache.cache}
-
-    def capture_state(self, engine=None) -> ArchState:
-        """Checkpoint the current architectural state.
-
-        *engine* optionally names the executor whose position to
-        capture (a functional/translated unit mid fast-forward) — see
-        :meth:`ArchState.capture`."""
-        state = ArchState.capture(self, engine=engine)
-        self.counters["fastpath.checkpoint_captures"] += 1
-        self.events.record(self.cpu.cycles, "checkpoint",
-                           retired=state.retired)
-        return state
-
-    def restore_state(self, state: ArchState) -> None:
-        """Adopt a previously captured architectural state."""
-        state.restore(self)
-        self.counters["fastpath.checkpoint_restores"] += 1
-
-    def checkpoint(self, image: Image, steps: int) -> ArchState:
-        """Boot, dispatch *image*, execute its first *steps* steps on
-        the translated engine (fewer if it finishes first), and capture
-        the state there.
-
-        The returned :class:`ArchState` can be restored into any
-        simulator whose configuration shares this one's *architectural*
-        shape (:meth:`ArchitectureConfig.arch_key`) — timing dimensions
-        like cache geometry are free to differ.
-        """
-        fast = self.translated_unit()
-        self._dispatch_on(fast, image)
-        fast.fast_forward(steps, stop_pc=self.rom_info.poll_address)
-        self._sync_from_functional(fast)
-        return self.capture_state()
 
     def _dispatch_on(self, engine, image: Image) -> None:
         """Boot *engine* (any engine over this machine) to the polling

@@ -465,9 +465,6 @@ class SweepOutcome:
     def pareto_front(self) -> list[SweepPoint]:
         return pareto_front(self.points)
 
-    def by_key(self) -> dict[str, SweepPoint]:
-        return {point.config.key(): point for point in self.points}
-
 
 # ---------------------------------------------------------------------------
 # Workload x configuration matrices

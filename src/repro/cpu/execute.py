@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.cpu import isa, traps
 from repro.cpu.decode import DecodedInstruction
-from repro.cpu.isa import Cond, Op3, Op3Mem, Trap
+from repro.cpu.isa import Cond, Op3, Op3Mem
 from repro.utils import s32, u32
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ micro-architectural:
 
 The randomized differential suite in ``tests/difftest`` proves the two
 engines produce identical final architectural state and identical UART
-output; :mod:`repro.cpu.archstate` moves state between them.
+output.  The engines share registers, control registers and memory by
+reference; :mod:`repro.cpu.archstate` captures that state so the suite
+can compare them.
 """
 
 from __future__ import annotations

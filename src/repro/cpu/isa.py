@@ -208,8 +208,3 @@ ASI_USER_DATA = 0x0A
 ASI_SUPERVISOR_DATA = 0x0B
 ASI_ICACHE_FLUSH = 0x05  # LEON-specific: flush instruction cache
 ASI_DCACHE_FLUSH = 0x06  # LEON-specific: flush data cache
-
-
-def instruction_fields(word: int) -> tuple[int, int, int, int]:
-    """Return ``(op, rd, op2_or_op3, rs1)`` raw fields of an encoded word."""
-    return (word >> 30) & 3, (word >> 25) & 0x1F, (word >> 19) & 0x3F, (word >> 14) & 0x1F

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.cpu.decode import DecodedInstruction
 from repro.cpu.isa import (
-    OP_ARITH,
     OP_BRANCH_SETHI,
     OP_CALL,
     OP_MEM,

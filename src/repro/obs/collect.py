@@ -39,7 +39,6 @@ __all__ = [
     "collect_cache",
     "collect_channel",
     "collect_client",
-    "collect_fastpath",
     "collect_fleet",
     "collect_pipeline",
     "collect_sdram",
@@ -98,11 +97,11 @@ def collect_cache(controller, registry: MetricsRegistry) -> None:
 
 #: Two-speed execution series: steps executed on the fast engines,
 #: checkpoint captures/restores and the block cache's translations,
-#: executions and invalidations.  A :class:`~repro.core.sim.Simulator`
-#: counts them in ``sim.counters`` under exactly these names.
-#: Nothing increments ``fastpath.handoffs`` any more; it stays (always
-#: 0) because every full-detail record's ``obs`` carries it, until the
-#: next record-schema bump drops it.
+#: executions and invalidations.  A full-detail run never runs a fast
+#: engine, so :func:`simulator_snapshot` declares them all at 0 (the
+#: translated engine's counters are in ``SimReport.fastpath``); every
+#: full-detail record's ``obs`` carries them until the next
+#: record-schema bump drops them.
 FASTPATH_SERIES = (
     "fastpath.instructions", "fastpath.handoffs",
     "fastpath.checkpoint_captures", "fastpath.checkpoint_restores",
@@ -120,14 +119,6 @@ SAMPLING_SERIES = (
     "sampling.runs", "sampling.windows", "sampling.checkpoints",
     "sampling.survey_steps", "sampling.ff_steps", "sampling.ramp_steps",
     "sampling.measured_steps")
-
-
-def collect_fastpath(sim, registry: MetricsRegistry) -> None:
-    """Publish the two-speed execution accounting (declared at zero for
-    simulators that never fast-forward, so every snapshot keeps the
-    same schema)."""
-    for name in FASTPATH_SERIES:
-        registry.counter(name).inc(sim.counters[name])
 
 
 def collect_ahb(bus, registry: MetricsRegistry) -> None:
@@ -268,8 +259,7 @@ def simulator_snapshot(sim) -> dict:
     construction — diff two of these for a program-window view)."""
     registry = MetricsRegistry()
     collect_pipeline(sim.cpu, registry)
-    collect_fastpath(sim, registry)
-    for name in SAMPLING_SERIES:
+    for name in FASTPATH_SERIES + SAMPLING_SERIES:
         registry.counter(name)
     collect_cache(sim.icache, registry)
     collect_cache(sim.dcache, registry)

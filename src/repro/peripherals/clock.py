@@ -28,10 +28,3 @@ class Clock:
 
     def reset(self) -> None:
         self.cycles = 0
-
-    def state(self) -> dict:
-        """JSON-able snapshot (ArchState checkpointing)."""
-        return {"cycles": self.cycles}
-
-    def load_state(self, state: dict) -> None:
-        self.cycles = state["cycles"]

@@ -58,37 +58,6 @@ class Timer:
         period = self.reload + 1
         return 1 + (ticks - self._start_value - 1) // period
 
-    # -- snapshot (ArchState checkpointing) --------------------------------
-
-    def state(self) -> dict:
-        """Explicit snapshot of the full timer state.
-
-        The load anchor (``_start_cycle``/``_start_value``) was
-        previously private, making a running timer impossible to
-        checkpoint without reaching into implementation details; this is
-        the supported surface.  ``prescaler`` is included so a restore
-        can reject a snapshot from a differently-configured timer.
-        """
-        return {
-            "prescaler": self.prescaler,
-            "reload": self.reload,
-            "control": self.control,
-            "start_cycle": self._start_cycle,
-            "start_value": self._start_value,
-            "underflows": self.underflows,
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state["prescaler"] != self.prescaler:
-            raise ValueError(
-                f"timer snapshot taken with prescaler {state['prescaler']}, "
-                f"this timer has {self.prescaler}")
-        self.reload = state["reload"]
-        self.control = state["control"]
-        self._start_cycle = state["start_cycle"]
-        self._start_value = state["start_value"]
-        self.underflows = state["underflows"]
-
     # -- APB register interface --------------------------------------------
 
     def read_register(self, offset: int) -> int:

@@ -1,7 +1,5 @@
 """CacheController tests: timing, write-through policy, bypass, flush."""
 
-import pytest
-
 from repro.cache import CacheController, CacheGeometry
 from repro.mem.interface import FlatMemory
 

@@ -4,7 +4,7 @@ register-stack spilling."""
 import pytest
 
 from repro.toolchain.cc import compile_c, parse, tokenize
-from repro.toolchain.cc.cast import CompileError, CType
+from repro.toolchain.cc.cast import CompileError
 from repro.toolchain.cc.lexer import LexError
 
 

@@ -1,10 +1,7 @@
 """Additional mini-C language coverage: storage classes, multi-TU
 programs, type spellings, and heavier algorithmic workloads."""
 
-import pytest
-
 from repro.core.sim import simulate
-from repro.toolchain.cc.cast import CompileError
 from repro.toolchain.driver import SourceFile, build_image, compile_c_program
 from repro.utils import s32
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.sim import Simulator, simulate
+from repro.core.sim import simulate
 from repro.toolchain.driver import compile_c_program
-from repro.utils import s32
 
 
 def run_libc(source: str, max_instructions: int = 5_000_000):

@@ -1,7 +1,5 @@
 """Mini-C statement semantics: control flow, scoping, loops."""
 
-import pytest
-
 
 class TestIfElse:
     def test_if_taken(self, c_run):

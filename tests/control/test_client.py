@@ -14,7 +14,6 @@ from repro.control import (
     LossyTransport,
     ResponseListener,
 )
-from repro.fpx import FPXPlatform
 from repro.mem.memmap import DEFAULT_MAP
 from repro.net.channel import ChannelConfig
 from repro.net.protocol import LeonState

@@ -18,7 +18,7 @@ from repro.control.fleet import (
     fleet_client_factory,
     quantile,
 )
-from repro.core import ArchitectureConfig, Job, ReconfigurationCache
+from repro.core import Job, ReconfigurationCache
 from repro.core.config import BASELINE
 from repro.obs import MetricsRegistry
 from repro.toolchain.driver import compile_c_program

@@ -14,7 +14,6 @@ from repro.core import (
     TraceAnalyzer,
 )
 from repro.core.generator import ArchitectureGenerator
-from repro.mem.memmap import DEFAULT_MAP
 from repro.toolchain.driver import compile_c_program
 
 # The paper's Figure 7 kernel, small enough for quick tests.

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cache.cache import CacheGeometry
 from repro.core import ArchitectureConfig, ConfigurationSpace, ExtensionSpec
 from repro.core.config import BASELINE, MULTIPLIER_CYCLES
 from repro.fpx import FPXPlatform, PlatformConfig

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import ArchitectureConfig, SynthesisModel, simulate
-from repro.core.config import PIPELINE_DEPTHS
 from repro.toolchain.driver import compile_c_program
 
 BRANCHY = """

@@ -1,8 +1,8 @@
 """Unit surface of :mod:`repro.core.sampling`: plan validation, window
 placement, the CLT estimator on synthetic observations (degenerate
 cases included), record round-trips, one end-to-end conservation
-check on a registry kernel, the checkpoint counters, and (marked slow)
-sampled sweeps and checkpoint-resumed windows.
+check on a registry kernel, the fastpath series in a run's obs, and
+(marked slow) sampled sweeps and checkpoint-resumed windows.
 
 The statistical *coverage* claims live in ``test_sampling_stats.py``
 (slow, marked ``sampling``).
@@ -11,9 +11,12 @@ The statistical *coverage* claims live in ``test_sampling_stats.py``
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.cache.cache import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.sampling import (
     HEAD_INDEX,
@@ -32,8 +35,7 @@ from repro.obs.collect import FASTPATH_SERIES
 from repro.toolchain.driver import compile_c_program
 from repro.workloads import all_workloads, get
 
-#: A loop retiring ~43k instructions: long enough for several windows
-#: and for a checkpoint WARMUP steps in to land mid-program.
+#: A loop retiring ~43k instructions: long enough for several windows.
 LOOP = """
 unsigned data[256];
 int main(void) {
@@ -42,7 +44,6 @@ int main(void) {
     return (int)sum;
 }
 """
-WARMUP = 3_000
 
 
 def synthetic_window(index: int, cycles: int, instructions: int = 1000,
@@ -284,15 +285,6 @@ def loop_image():
 
 
 class TestCheckpointCounters:
-    def test_checkpoint_counts_its_translated_warmup(self, loop_image):
-        sim = Simulator()
-        sim.checkpoint(loop_image, WARMUP)
-        counters = sim.counters
-        assert counters["fastpath.instructions"] > 0
-        assert counters["fastpath.blocks_translated"] > 0
-        assert counters["fastpath.blocks_executed"] > 0
-        assert counters["fastpath.checkpoint_captures"] == 1
-
     def test_run_obs_carries_the_fastpath_series(self, loop_image):
         report = Simulator().run(loop_image)
         assert set(FASTPATH_SERIES) <= set(report.obs["counters"])
@@ -350,27 +342,46 @@ class TestSweepSampling:
         assert whole.points[0].sampled is None
 
 
+#: A tiny 4-way random D-cache with a stride prefetcher: replay cannot
+#: time the prefetcher, so a sampled run takes the checkpoint fallback,
+#: and the loop evicts inside each window, so the windows depend on the
+#: replacement generator's state at the window start.
+RANDOM_STRIDE = replace(
+    ArchitectureConfig(),
+    dcache=CacheGeometry(size=64, line_size=8, ways=4,
+                         replacement="random"),
+    prefetch="stride")
+
+
 @pytest.mark.slow
 class TestCheckpointResumedWindows:
     """A window measured from a restored mid-program ArchState must be
     byte-identical to the same window reached by stepping straight
     through on the accurate engine — the checkpoint carries everything
     architectural, and the canonical window-start state covers the
-    rest."""
+    rest, the replacement generator included."""
 
-    def test_resumed_equals_straight_through(self, loop_image):
+    @pytest.mark.parametrize("config, path", [
+        (ArchitectureConfig(), "replayed"),
+        (RANDOM_STRIDE, "prefetch"),
+    ], ids=["stock", "random4-stride"])
+    def test_resumed_equals_straight_through(self, loop_image, config,
+                                             path):
         plan = SamplingPlan(n_windows=2, window_length=400,
                             ramp_length=256, seed=2)
-        runner = SampledRunner()
+        runner = SampledRunner(config)
         run = runner.run(loop_image, plan)
+        assert runner.path == path
         assert run.windows, "plan must place at least one window"
 
         survey = runner._survey(loop_image, 50_000_000)
         head = head_spec(survey["steps"], plan)
         _, specs = place_windows(survey["steps"], plan, start=head.end)
 
-        sim = Simulator(obs=False)
+        sim = Simulator(config, obs=False)
         cpu = sim.cpu
+        tags = sim.dcache.cache.tags
+        seeded = np.random.default_rng(tags.seed).bit_generator.state
         sim._dispatch_on(cpu, loop_image)
         poll = sim.rom_info.poll_address
         position = 0
@@ -381,6 +392,9 @@ class TestCheckpointResumedWindows:
                 cpu.step()
                 steps += 1
             position = spec.ramp_start
+            if config.dcache.replacement == "random":
+                assert tags.evictions > 0
+                assert tags.rng.bit_generator.state != seeded
             sim._normalize_window_start()
             straight = measure_window(sim, spec, poll)
             position = spec.end

@@ -13,7 +13,7 @@ from repro.core import (
     simulate,
 )
 from repro.core.sampling import SampledRunner, SamplingPlan
-from repro.core.sim import MixRecorder, SimReport, _classify
+from repro.core.sim import MixRecorder, _classify
 from repro.cpu.decode import decode
 from repro.toolchain.asm import encoder
 from repro.toolchain.driver import compile_c_program

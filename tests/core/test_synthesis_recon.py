@@ -15,11 +15,7 @@ from repro.core import (
     figure10_table,
 )
 from repro.core.config import BASELINE
-from repro.core.synthesis import (
-    DEVICE_BLOCK_RAMS,
-    DEVICE_SLICES,
-    PAPER_SYNTHESIS_SECONDS,
-)
+from repro.core.synthesis import PAPER_SYNTHESIS_SECONDS
 
 
 class TestFigure10Calibration:
@@ -264,7 +260,6 @@ class TestConcurrentAccess:
     def test_failed_synthesis_releases_waiters(self):
         """A synthesis that raises must wake coalesced waiters and let
         one of them retry as the new owner, not deadlock the key."""
-        import dataclasses
 
         class FlakySynthesizer(CountingSynthesizer):
             def synthesize(self, config):

@@ -12,7 +12,6 @@ effects and multiply/divide traffic, not just straight-line ALU code.
 from __future__ import annotations
 
 import functools
-import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -37,12 +36,21 @@ def _image(seed: int):
     return build(gen.generate(seed))
 
 
+def _checkpoint(image, steps: int) -> ArchState:
+    """The state *steps* steps into *image* on the translated engine."""
+    sim = Simulator(obs=False)
+    fast = sim.translated_unit()
+    sim._dispatch_on(fast, image)
+    fast.fast_forward(steps, stop_pc=sim.rom_info.poll_address)
+    return ArchState.capture(sim, engine=fast)
+
+
 def _resume(state: ArchState) -> Simulator:
     """A fresh simulator that restores *state* and finishes the program
     on the accurate engine — how a sampled window that cannot be
     replayed resumes from its checkpoint."""
     sim = Simulator(obs=False)
-    sim.restore_state(state)
+    state.restore(sim)
     sim.cpu.run(until_pc=sim.rom_info.poll_address)
     # Park the polling loop, as Simulator.run does after the program.
     sim.sram.host_write_word(sim.memmap.mailbox_start, 0)
@@ -53,16 +61,12 @@ def _resume(state: ArchState) -> Simulator:
 @EXAMPLE_SETTINGS
 def test_capture_restore_round_trip(seed, steps):
     """restore(capture(sim)) into a fresh simulator reproduces the
-    captured state exactly (and the digest is stable)."""
-    warm = Simulator(obs=False)
-    state = warm.checkpoint(_image(seed), steps)
+    captured state exactly."""
+    state = _checkpoint(_image(seed), steps)
 
     fresh = Simulator(obs=False)
-    fresh.restore_state(state)
-    again = fresh.capture_state()
-
-    assert again == state
-    assert again.digest() == state.digest()
+    state.restore(fresh)
+    assert ArchState.capture(fresh) == state
 
 
 @given(seed=SEEDS, steps=STEPS)
@@ -77,8 +81,7 @@ def test_restore_then_run_equals_straight_through(seed, steps):
     report_straight = straight.run(image)
     final_straight = ArchState.capture(straight)
 
-    warm = Simulator(obs=False)
-    resumed = _resume(warm.checkpoint(image, steps))
+    resumed = _resume(_checkpoint(image, steps))
     final_resumed = ArchState.capture(resumed)
 
     assert final_resumed == final_straight
@@ -87,89 +90,13 @@ def test_restore_then_run_equals_straight_through(seed, steps):
             == report_straight.result_word)
 
 
-@given(seed=SEEDS, steps=STEPS)
-@EXAMPLE_SETTINGS
-def test_payload_round_trip(seed, steps):
-    """to_payload -> JSON text -> from_payload is lossless, and the
-    reconstructed state still restores into a working simulator."""
-    warm = Simulator(obs=False)
-    state = warm.checkpoint(_image(seed), steps)
-
-    wire = json.loads(json.dumps(state.to_payload()))
-    back = ArchState.from_payload(wire)
-    assert back == state
-    assert back.digest() == state.digest()
-
-    resumed = _resume(back)
-    cold = Simulator(obs=False)
-    assert resumed.uart.transmitted() == cold.run(_image(seed)).uart_output
-
-
-def test_payload_schema_is_checked():
-    warm = Simulator(obs=False)
-    payload = warm.checkpoint(_image(0), 100).to_payload()
-    payload["schema"] = 999
-    try:
-        ArchState.from_payload(payload)
-    except ValueError as err:
-        assert "schema" in str(err)
-    else:
-        raise AssertionError("stale schema accepted")
-
-
 def test_restore_rejects_mismatched_memory_size():
-    warm = Simulator(obs=False)
-    state = warm.checkpoint(_image(0), 100)
+    state = _checkpoint(_image(0), 100)
     state.memory["sram"] = state.memory["sram"][:-1]
     fresh = Simulator(obs=False)
     try:
-        fresh.restore_state(state)
+        state.restore(fresh)
     except ValueError as err:
         assert "sram" in str(err)
     else:
         raise AssertionError("truncated memory image accepted")
-
-
-#: Arbitrary JSON values, for corrupting payload fields.
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
-    | st.floats(allow_nan=False),
-    lambda children: (st.lists(children, max_size=3)
-                      | st.dictionaries(st.text(max_size=4), children,
-                                        max_size=3)),
-    max_leaves=6)
-
-
-@functools.lru_cache(maxsize=1)
-def _payload_text() -> str:
-    warm = Simulator(obs=False)
-    return json.dumps(warm.checkpoint(_image(0), 200).to_payload())
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_corrupt_payload_raises_only_value_error(data):
-    """Truncated, corrupt or mistyped payloads are rejected with
-    ValueError — never KeyError, binascii.Error or zlib.error."""
-    payload = json.loads(_payload_text())
-    mutation = data.draw(st.sampled_from(
-        ["drop", "retype", "truncate-blob", "corrupt-blob", "whole"]))
-    if mutation == "drop":
-        del payload[data.draw(st.sampled_from(sorted(payload)))]
-    elif mutation == "retype":
-        payload[data.draw(st.sampled_from(sorted(payload)))] = \
-            data.draw(JSON_VALUES)
-    elif mutation in ("truncate-blob", "corrupt-blob"):
-        name = data.draw(st.sampled_from(sorted(payload["memory"])))
-        blob = payload["memory"][name]
-        cut = data.draw(st.integers(0, len(blob) - 1))
-        tail = ("" if mutation == "truncate-blob"
-                else data.draw(st.text(max_size=8)) + blob[cut + 1:])
-        payload["memory"][name] = blob[:cut] + tail
-    else:
-        payload = data.draw(JSON_VALUES)
-    try:
-        state = ArchState.from_payload(payload)
-    except ValueError:
-        return
-    assert isinstance(state, ArchState)

@@ -5,7 +5,7 @@ import pytest
 from repro.cpu import traps
 from repro.cpu.isa import Trap
 
-from tests.conftest import build, make_iu, run_source
+from tests.conftest import make_iu, run_source
 
 from .test_execute import regval
 

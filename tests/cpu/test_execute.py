@@ -7,7 +7,7 @@ from repro.cpu import traps
 from repro.cpu.isa import Trap
 from repro.utils import u32
 
-from tests.conftest import build, make_iu, run_source
+from tests.conftest import make_iu, run_source
 
 
 def regval(source_body: str, reg: str = "%o0", **kwargs) -> int:

@@ -11,7 +11,7 @@ from repro.core.sim import Simulator
 from repro.cpu import IntegerUnit
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.mem.interface import BusError, FlatMemory
-from tests.conftest import CODE_BASE, RAM_BASE, RAM_SIZE, STACK_TOP, build
+from tests.conftest import RAM_BASE, RAM_SIZE, STACK_TOP, build
 
 
 class _RecordingPort:

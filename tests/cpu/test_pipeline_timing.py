@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.decode import decode
-from repro.cpu.isa import Cond, Op3, Op3Mem
+from repro.cpu.isa import Op3, Op3Mem
 from repro.cpu.pipeline import PipelineModel, TimingConfig
 from repro.toolchain.asm import encoder
 

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.cpu import traps
-from repro.cpu.iu import INTERRUPT_TRAP_BASE, IntegerUnit
+from repro.cpu.iu import INTERRUPT_TRAP_BASE
 from repro.cpu.isa import Trap
-from repro.mem.interface import FlatMemory
-from repro.utils import u32
 
 from tests.conftest import CODE_BASE, RAM_BASE, build, make_iu, run_source
 

@@ -1,7 +1,5 @@
 """FPXPlatform end-to-end tests driven by raw control frames."""
 
-import pytest
-
 from repro.cache import CacheGeometry
 from repro.core import ArchitectureConfig
 from repro.fpx import FPXPlatform, PlatformConfig

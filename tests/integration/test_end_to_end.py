@@ -13,7 +13,6 @@ from repro.control import DirectTransport, LiquidClient, LossyTransport
 from repro.fpx import FPXPlatform
 from repro.mem.memmap import DEFAULT_MAP
 from repro.net.channel import ChannelConfig
-from repro.net.protocol import LeonState
 from repro.toolchain.driver import SourceFile, build_image, compile_c_program
 from repro.utils import s32
 

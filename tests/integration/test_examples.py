@@ -2,7 +2,6 @@
 API surface and must keep working."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.control import DeviceError, DirectTransport, LiquidClient
-from repro.fpx import FPXPlatform
+from repro.control import DeviceError
 from repro.mem.memmap import DEFAULT_MAP
 from repro.net import protocol
 from repro.net.packets import build_udp_packet, parse_ip, parse_udp_packet

@@ -1,8 +1,6 @@
 """Interrupt delivery end to end: APB IRQ controller → IU trap → user
 ISR → RETT, all in real SPARC code on the full platform."""
 
-import pytest
-
 from repro.mem.memmap import APB_BASE, DEFAULT_MAP, IRQCTRL_OFFSET
 from repro.net.protocol import LeonState
 from repro.toolchain import assemble, link

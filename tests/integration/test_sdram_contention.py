@@ -14,7 +14,6 @@ from repro.core import ArchitectureConfig
 from repro.fpx import FPXPlatform
 from repro.mem.memmap import DEFAULT_MAP
 from repro.toolchain.driver import SourceFile, build_image
-from repro.utils import s32
 
 pytestmark = pytest.mark.slow
 

@@ -7,8 +7,6 @@ the same mailbox, and fetched through the §3.2 AHB adapter (4-word read
 bursts doing the heavy lifting on I-cache fills).
 """
 
-import pytest
-
 from repro.mem.memmap import DEFAULT_MAP
 from repro.net.protocol import LeonState
 from repro.toolchain.driver import SourceFile, build_image

@@ -301,7 +301,7 @@ class TestCycleCounter:
 class TestStateSnapshots:
     """Every peripheral a checkpoint covers must round-trip through
     state()/load_state() — including state that used to be private and
-    unreachable (a counter armed mid-count, a running timer)."""
+    unreachable (a counter armed mid-count)."""
 
     def test_cycle_counter_armed_mid_count(self):
         clock = Clock()
@@ -330,28 +330,6 @@ class TestStateSnapshots:
         restored.load_state(counter.state())
         assert not restored.running
         assert restored.read_register(0x0) == 42
-
-    def test_running_timer_round_trips(self):
-        clock = Clock()
-        timer = Timer(clock, prescaler=2)
-        timer.write_register(0x4, 100)  # reload value
-        timer.write_register(0x8, CTRL_ENABLE | CTRL_LOAD)
-        clock.advance(40)  # 20 timer ticks
-
-        other_clock = Clock()
-        other_clock.advance(clock.cycles)
-        restored = Timer(other_clock, prescaler=2)
-        restored.load_state(timer.state())
-        assert restored.value() == timer.value() == 80
-        other_clock.advance(20)
-        clock.advance(20)
-        assert restored.value() == timer.value()
-
-    def test_timer_snapshot_rejects_prescaler_mismatch(self):
-        timer = Timer(Clock(), prescaler=2)
-        other = Timer(Clock(), prescaler=4)
-        with pytest.raises(ValueError):
-            other.load_state(timer.state())
 
     def test_uart_round_trips_fifo_and_log(self):
         uart = Uart()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mem.adapter import AdapterConfig, AhbSdramAdapter
 from repro.mem.interface import BusError
-from repro.mem.sdram import FpxSdramController, SdramTiming
+from repro.mem.sdram import FpxSdramController
 
 BASE = 0x6000_0000
 SIZE = 1 << 20

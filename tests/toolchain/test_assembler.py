@@ -8,7 +8,6 @@ from repro.toolchain.asm import AssemblyError, assemble
 from repro.toolchain.asm.parser import (
     parse_address,
     parse_expr,
-    parse_operand,
     parse_register,
     split_operands,
 )

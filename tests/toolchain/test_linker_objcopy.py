@@ -3,7 +3,7 @@
 import pytest
 
 from repro.toolchain import assemble, link
-from repro.toolchain.linker import Linker, MemoryMapScript
+from repro.toolchain.linker import MemoryMapScript
 from repro.toolchain.objcopy import hexdump, to_binary, to_words
 from repro.toolchain.objfile import LinkError
 

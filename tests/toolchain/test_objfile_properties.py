@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.toolchain import assemble, link
+from repro.toolchain import assemble
 from repro.toolchain.asm.parser import parse_expr
 from repro.toolchain.linker import Linker, LinkError, MemoryMapScript
 from repro.toolchain.objfile import Image, Section

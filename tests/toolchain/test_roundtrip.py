@@ -1,10 +1,8 @@
 """Encoder → disassembler → assembler round-trip property tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.decode import decode
 from repro.cpu.isa import Cond, Op3, Op3Mem
 from repro.toolchain.asm import assemble, encoder
 from repro.toolchain.disasm import disassemble, disassemble_block
