@@ -103,14 +103,6 @@ class CacheStats:
     def read_miss_rate(self) -> float:
         return self.read_misses / self.reads if self.reads else 0.0
 
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "read_hits": self.read_hits, "read_misses": self.read_misses,
-            "write_hits": self.write_hits, "write_misses": self.write_misses,
-            "evictions": self.evictions, "flushes": self.flushes,
-            "read_miss_rate": self.read_miss_rate,
-        }
-
 
 class TagStore:
     """Which lines of one cache are resident, and the victim choice: the

@@ -217,23 +217,3 @@ class CacheController:
         self.prefetcher = make_prefetcher(self._prefetch_policy,
                                           self.geometry.line_size)
         self._speculative.clear()
-
-    def stats_dict(self) -> dict:
-        data = self.cache.stats.as_dict()
-        data["fills"] = self.fill_count
-        data["bypasses"] = self.bypass_count
-        if self.prefetcher is not None:
-            data["prefetch"] = {
-                "policy": self.prefetcher.name,
-                "issued": self.prefetcher.stats.issued,
-                "useful": self.prefetcher.stats.useful,
-                "accuracy": round(self.prefetcher.stats.accuracy, 3),
-                "background_cycles": self.prefetcher.stats.background_cycles,
-            }
-        data["geometry"] = {
-            "size": self.geometry.size,
-            "line_size": self.geometry.line_size,
-            "ways": self.geometry.ways,
-            "replacement": self.geometry.replacement,
-        }
-        return data

@@ -23,10 +23,9 @@ made exact:
   seeded generator, without the data), each block's static issue cost per
   :class:`~repro.cpu.pipeline.TimingConfig` with the load-use interlock
   carried across blocks and reset by traps, I-fetches collapsed to
-  cache-line runs, and the fixed bus and memory costs.  ``dcache`` and
-  ``icache`` are totals since the machine was built, boot included;
-  ``cycles`` and ``obs`` cover the program window only — exactly as on
-  the accurate engine;
+  cache-line runs, and the fixed bus and memory costs.  Boot and
+  dispatch only warm the caches; every field of the report covers the
+  program window, exactly as on the accurate engine;
 * :meth:`Replayer.window` replays one slice of the stream instead: a
   sampled window (:mod:`repro.core.sampling`) from its ramp start,
   through the measured window's start, to its end.  ``record(...,
@@ -53,12 +52,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
-from repro.cache import CacheController
-from repro.cache.cache import CacheGeometry, CacheStats, TagStore, tag_store
+from repro.cache.cache import CacheGeometry, TagStore, tag_store
 from repro.core.config import ArchitectureConfig
 from repro.core.sim import MixRecorder, SimReport, Simulator
 from repro.cpu.blockcache import (
@@ -74,7 +71,12 @@ from repro.cpu.blockcache import (
 )
 from repro.cpu.decode import DecodeCache
 from repro.cpu.pipeline import PipelineModel, TimingConfig
-from repro.obs.collect import point_snapshot, simulator_snapshot
+from repro.obs.collect import (
+    CACHE_COUNTERS,
+    cache_counts,
+    cache_record,
+    point_snapshot,
+)
 from repro.toolchain.objfile import Image
 
 __all__ = ["FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
@@ -162,12 +164,13 @@ def record(config: ArchitectureConfig, image: Image,
 
 
 class _Span:
-    """A slice of the recording, replayed as two phases: its columns,
-    where the phases split, and the passes already run over it.
+    """A slice of the recording, replayed as two phases of which only
+    the second is counted: its columns, where the phases split, and the
+    passes already run over it.
 
     The whole program's span splits at the program's first instruction
-    and ``restart`` is false: the split only switches counters.  A
-    sampled window's span runs from its ramp start to its end and
+    and ``restart`` is false: boot and dispatch only warm the caches.
+    A sampled window's span runs from its ramp start to its end and
     splits at the window start, where ``restart`` does what
     ``reset_stats`` does there (the lines stay, the replacement state
     goes back to power-on)."""
@@ -185,19 +188,18 @@ class _Span:
         self.kinds = kinds.tolist()
         self.ref_addr = replayer._ref_addr[lo[1]:hi[1]]
         self.ref_split = split[1] - lo[1]
-        #: Per phase, how many references of each kind (config-free).
-        self.ref_counts = tuple(
-            Counter({int(kind): int(count) for kind, count
-                     in zip(*np.unique(part, return_counts=True))})
-            for part in (kinds[:self.ref_split], kinds[self.ref_split:]))
+        #: How many references of each kind the second phase makes.
+        self.ref_counts = Counter(
+            {int(kind): int(count) for kind, count
+             in zip(*np.unique(kinds[self.ref_split:], return_counts=True))})
         #: I-cache flushes per event (the flush follows its fetches).
         iflushes = rec.iflushes
         self.flushes_after = Counter(
             index - lo[0] for index in iflushes[
                 bisect_left(iflushes, lo[0]):bisect_left(iflushes, hi[0])])
         self.issue: dict[TimingConfig, dict] = {}
-        self.fetch: dict[CacheGeometry, tuple] = {}
-        self.data: dict[CacheGeometry, tuple] = {}
+        self.fetch: dict[CacheGeometry, Counter] = {}
+        self.data: dict[CacheGeometry, Counter] = {}
         self.mix: dict | None = None
 
 
@@ -207,13 +209,13 @@ class Replayer:
 
     Config-independent work (classifying every address, the SMC check)
     happens once here, and each span's columns are decoded once.  Each
-    pass counts events per phase (boot and dispatch, then the program
-    window; or a window's ramp, then the window) — the fetch pass per
-    I-cache geometry, the data pass per D-cache geometry, the issue
-    pass per :class:`TimingConfig`, each memoized per span — and
-    :meth:`report` and :meth:`window` price the counts, so a D-cache
-    sweep replays the fetch and issue streams once and only the data
-    stream per point.
+    pass runs through a span's two phases (boot and dispatch, then the
+    program window; or a window's ramp, then the window) and counts
+    the second — the fetch pass per I-cache geometry, the data pass
+    per D-cache geometry, the issue pass per :class:`TimingConfig`,
+    each memoized per span — and :meth:`_counts` prices the events
+    into the window's counts mapping, so a D-cache sweep replays the
+    fetch and issue streams once and only the data stream per point.
     """
 
     def __init__(self, recorded: Recorded):
@@ -373,9 +375,8 @@ class Replayer:
         span.issue[timing] = counts
         return counts
 
-    def _fetch(self, geometry: CacheGeometry,
-               span: _Span) -> tuple[Counter, Counter]:
-        """The I-cache side's event counts, per phase of *span*."""
+    def _fetch(self, geometry: CacheGeometry, span: _Span) -> Counter:
+        """The I-cache side's event counts in *span*'s second phase."""
         memo = span.fetch.get(geometry)
         if memo is not None:
             return memo
@@ -387,11 +388,10 @@ class Replayer:
         split = span.split
         pcs = span.step_pcs
         steps_seen = 0
-        phases = (Counter(), Counter())
-        counts = phases[0]
+        window, counts = Counter(), Counter()
         for index, code in enumerate(span.events):
             if index == split:
-                counts = phases[1]
+                counts = window
                 if span.restart:
                     tags.restart()
             if code >= 0:
@@ -419,8 +419,8 @@ class Replayer:
             if flushes:
                 tags.invalidate()
                 counts["flushes"] += flushes
-        span.fetch[geometry] = phases
-        return phases
+        span.fetch[geometry] = window
+        return window
 
     def _runs(self, block, steps: int, offset_bits: int) -> list:
         """The fetches of a block execution that fetched *steps* words:
@@ -437,24 +437,22 @@ class Replayer:
                 runs.append([kind, line, 1])
         return [tuple(run) for run in runs]
 
-    def _data(self, geometry: CacheGeometry,
-              span: _Span) -> tuple[Counter, Counter]:
-        """The D-cache side's event counts, per phase of *span*."""
+    def _data(self, geometry: CacheGeometry, span: _Span) -> Counter:
+        """The D-cache side's event counts in *span*'s second phase."""
         memo = span.data.get(geometry)
         if memo is not None:
             return memo
         tags = tag_store(geometry)
         lines = (span.ref_addr >> np.uint64(geometry.offset_bits)).tolist()
         kinds, split = span.kinds, span.ref_split
-        first = _data_pass(tags, kinds, lines, 0, split)
+        _data_pass(tags, kinds, lines, 0, split)
         if span.restart:
             tags.restart()
-        second = _data_pass(tags, kinds, lines, split, len(kinds))
-        phases = (first + span.ref_counts[0], second + span.ref_counts[1])
-        for counts in phases:
-            counts["flushes"] = counts[_DFLUSH]
-        span.data[geometry] = phases
-        return phases
+        counts = (_data_pass(tags, kinds, lines, split, len(kinds))
+                  + span.ref_counts)
+        counts["flushes"] = counts[_DFLUSH]
+        span.data[geometry] = counts
+        return counts
 
     def _mix(self, span: _Span) -> dict:
         """The instruction mix of the span's second phase."""
@@ -528,78 +526,72 @@ class Replayer:
         if self.unsupported is not None:
             raise ReplayUnsupported(self.unsupported)
 
-    def _timed(self, config: ArchitectureConfig,
-               span: _Span) -> SimpleNamespace:
-        """*config*'s passes over *span*, priced for its second phase:
-        pipeline counts, both cache sides' event counts per phase and
-        priced counters, the memory stall and the total cycles."""
+    def _counts(self, config: ArchitectureConfig, span: _Span) -> dict:
+        """*config*'s counts mapping (the series
+        :func:`~repro.obs.collect.simulator_snapshot` reads off a
+        machine) for *span*'s second phase, priced from the passes."""
         timing = config.timing()
         issue = self._issue(timing, span)
-        fetch_phases = self._fetch(config.icache, span)
-        data_phases = self._data(config.dcache, span)
-        fetch = self._priced(fetch_phases[1], config.icache)
-        data = self._priced(data_phases[1], config.dcache)
+        fetch = self._priced(self._fetch(config.icache, span), config.icache)
+        data_events = self._data(config.dcache, span)
+        data = self._priced(data_events, config.dcache)
         mem_stall = (data["extra"]
                      + data["flushes"] * _flush_cycles(config.dcache)
-                     + data_phases[1][_IFLUSH] * _flush_cycles(config.icache))
-        cycles = (issue["issue"] + fetch["extra"] + mem_stall
+                     + data_events[_IFLUSH] * _flush_cycles(config.icache))
+        cti_penalty = issue["taken"] * timing.taken_cti_penalty
+        cycles = (issue["issue"] + fetch["extra"] + mem_stall + cti_penalty
                   + issue["annulled"] * timing.annulled_slot_cycles
-                  + issue["traps"] * timing.trap_entry_cycles
-                  + issue["taken"] * timing.taken_cti_penalty)
-        return SimpleNamespace(
-            timing=timing, issue=issue, fetch_phases=fetch_phases,
-            data_phases=data_phases, fetch=fetch, data=data,
-            mem_stall=mem_stall, cycles=cycles)
+                  + issue["traps"] * timing.trap_entry_cycles)
+
+        def both(name: str) -> int:
+            return fetch[name] + data[name]
+
+        counts = {
+            "pipeline.instructions": issue["instret"],
+            "pipeline.cycles": cycles,
+            "pipeline.traps": issue["traps"],
+            "pipeline.flushes": issue["traps"],
+            "pipeline.fetch_stall_cycles": fetch["extra"],
+            "pipeline.mem_stall_cycles": mem_stall,
+            "pipeline.annulled_slots": issue["annulled"],
+            "pipeline.taken_ctis": issue["taken"],
+            "pipeline.cti_penalty_cycles": cti_penalty,
+            "pipeline.interlock_stalls": issue["interlocks"],
+            "bus.ahb.transfers": both("transfers"),
+            "bus.ahb.burst_transfers": both("bursts"),
+            "bus.ahb.data_beats": both("beats"),
+            "bus.ahb.wait_states": both("waits"),
+            "bus.ahb.errors": 0,
+            "bus.apb.accesses": both("apb"),
+            "bus.apb.wait_states": both("apb") * self._apb_penalty,
+            "mem.sram.reads": both("sram_reads"),
+            "mem.sram.writes": both("sram_writes"),
+        }
+        for name, values in (("icache", fetch), ("dcache", data)):
+            label = f"{{cache={name}}}"
+            for field in CACHE_COUNTERS:
+                counts[f"cache.{field}{label}"] = values[field]
+            counts[f"cache.miss_cycles{label}"] = (tuple(values["buckets"]),
+                                                   values["miss_sum"])
+        return counts
 
     def report(self, config: ArchitectureConfig) -> SimReport:
         """``Simulator(config).run(image, max_instructions)``'s report,
         from the recording (no memory trace, as a sweep captures none)."""
         self._check(config)
         recorded = self.recorded
-        timed = self._timed(config, self._span(
+        counts = self._counts(config, self._span(
             (0, 0, 0), recorded.window, recorded.recording.mark(),
             restart=False))
-        issue, fetch, data = timed.issue, timed.fetch, timed.data
-
-        def both(name: str) -> int:
-            return fetch[name] + data[name]
-
-        cpu = SimpleNamespace(
-            instret=issue["instret"], cycles=timed.cycles,
-            trap_count=issue["traps"], pipeline_flushes=issue["traps"],
-            fetch_stall_cycles=fetch["extra"],
-            mem_stall_cycles=timed.mem_stall,
-            annulled_slots=issue["annulled"], taken_ctis=issue["taken"],
-            cti_penalty_cycles=(issue["taken"]
-                                * timed.timing.taken_cti_penalty),
-            pipeline=SimpleNamespace(interlock_stalls=issue["interlocks"]))
-        window = SimpleNamespace(
-            cpu=cpu,
-            icache=_controller("icache", config.icache, fetch),
-            dcache=_controller("dcache", config.dcache, data),
-            bus=SimpleNamespace(
-                transfers=both("transfers"), burst_transfers=both("bursts"),
-                data_beats=both("beats"), wait_states=both("waits"),
-                error_count=0),
-            apb=SimpleNamespace(accesses=both("apb"),
-                                penalty_cycles=self._apb_penalty),
-            sram=SimpleNamespace(reads=both("sram_reads"),
-                                 writes=both("sram_writes")))
-        totals = {name: self._priced(boot + program, geometry)
-                  for name, geometry, (boot, program) in (
-                      ("icache", config.icache, timed.fetch_phases),
-                      ("dcache", config.dcache, timed.data_phases))}
         return SimReport(
-            cycles=timed.cycles,
+            cycles=counts["pipeline.cycles"],
             instructions=recorded.instructions,
             instruction_mix=dict(recorded.instruction_mix),
-            dcache=CacheController.stats_dict(
-                _controller("dcache", config.dcache, totals["dcache"])),
-            icache=CacheController.stats_dict(
-                _controller("icache", config.icache, totals["icache"])),
+            dcache=cache_record(counts, "dcache", config.dcache),
+            icache=cache_record(counts, "icache", config.icache),
             result_word=recorded.result_word,
             uart_output=recorded.uart_output,
-            obs=point_snapshot(simulator_snapshot(window), {}),
+            obs=point_snapshot(counts),
         )
 
     def window(self, config: ArchitectureConfig, ramp_start: int,
@@ -608,26 +600,24 @@ class Replayer:
         ``[start, end)`` after its ramp from *ramp_start* (three of
         ``record``'s marks) on *config*'s accurate engine: steps,
         retirements, cycles, stalls, traps, the window's instruction mix
-        and its ``stats_dict()`` of each cache."""
+        and each cache's integer counters."""
         self._check(config)
         lo, split, hi = (self.recorded.marks[step]
                          for step in (ramp_start, start, end))
         span = self._span(lo[:3], split[:3], hi[:3], restart=True)
-        timed = self._timed(config, span)
+        counts = self._counts(config, span)
         return {
             "steps": end - start,
             "instructions": hi[3] - split[3],
-            "cycles": timed.cycles,
-            "fetch_stall_cycles": timed.fetch["extra"],
-            "mem_stall_cycles": timed.mem_stall,
-            "traps": timed.issue["traps"],
+            "cycles": counts["pipeline.cycles"],
+            "fetch_stall_cycles": counts["pipeline.fetch_stall_cycles"],
+            "mem_stall_cycles": counts["pipeline.mem_stall_cycles"],
+            "traps": counts["pipeline.traps"],
             "ramp_steps": start - ramp_start,
             "ramp_instructions": split[3] - lo[3],
             "instruction_mix": self._mix(span),
-            "dcache": CacheController.stats_dict(
-                _controller("dcache", config.dcache, timed.data)),
-            "icache": CacheController.stats_dict(
-                _controller("icache", config.icache, timed.fetch)),
+            "dcache": cache_counts(counts, "dcache"),
+            "icache": cache_counts(counts, "icache"),
         }
 
 
@@ -662,22 +652,6 @@ def _data_pass(tags: TagStore, kinds: list[int], lines: list[int], lo: int,
 def _flush_cycles(geometry: CacheGeometry) -> int:
     """CacheController's default flush cost: one cycle per line."""
     return geometry.sets * geometry.ways
-
-
-def _controller(name: str, geometry: CacheGeometry,
-                values: dict) -> SimpleNamespace:
-    """A stand-in with the attributes CacheController.stats_dict and the
-    obs collectors read."""
-    stats = CacheStats(
-        read_hits=values["read_hits"], read_misses=values["read_misses"],
-        write_hits=values["write_hits"], write_misses=values["write_misses"],
-        evictions=values["evictions"], flushes=values["flushes"])
-    return SimpleNamespace(
-        name=name, geometry=geometry, stats=stats,
-        cache=SimpleNamespace(stats=stats), fill_count=values["fills"],
-        bypass_count=values["bypasses"], prefetcher=None,
-        miss_cycle_buckets=values["buckets"],
-        miss_cycles_sum=values["miss_sum"])
 
 
 def _issue_table(block, plan) -> tuple:

@@ -56,7 +56,12 @@ from repro.core.config import ArchitectureConfig
 from repro.core.replay import REPLAYED, Replayer, ReplayUnsupported, record
 from repro.core.sim import MixRecorder, Simulator
 from repro.cpu.archstate import ArchState
-from repro.obs.collect import SAMPLING_SERIES
+from repro.obs.collect import (
+    SAMPLING_SERIES,
+    cache_counts,
+    simulator_snapshot,
+    window_counts,
+)
 from repro.toolchain.objfile import Image
 
 __all__ = [
@@ -440,14 +445,6 @@ class SampledRun:
 # ---------------------------------------------------------------------------
 
 
-def _cache_counters(stats: dict) -> dict[str, int]:
-    """The integer counters of a ``CacheController.stats_dict()`` —
-    geometry and prefetch metadata dropped so window observations sum
-    cleanly and stay schema-stable across configs."""
-    return {key: value for key, value in stats.items()
-            if isinstance(value, int)}
-
-
 def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     """Run *spec*'s ramp + measured window on *sim*'s cycle-accurate
     engine and return the window observation dict.
@@ -472,15 +469,14 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
     sim.icache.reset_stats()
     sim.dcache.reset_stats()
 
-    cycles0, instret0 = cpu.cycles, cpu.instret
-    fetch0, mem0 = cpu.fetch_stall_cycles, cpu.mem_stall_cycles
-    traps0 = cpu.trap_count
+    before = simulator_snapshot(sim)
     budget = spec.end - spec.start
     steps = 0
     with MixRecorder(cpu) as mix_recorder:
         while steps < budget and cpu.pc != poll:
             cpu.step()
             steps += 1
+    counts = window_counts(simulator_snapshot(sim), before)
     return {
         "index": spec.index,
         "ramp_start": spec.ramp_start,
@@ -488,16 +484,16 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
         "end": spec.end,
         "planned_steps": budget,
         "steps": steps,
-        "instructions": cpu.instret - instret0,
-        "cycles": cpu.cycles - cycles0,
-        "fetch_stall_cycles": cpu.fetch_stall_cycles - fetch0,
-        "mem_stall_cycles": cpu.mem_stall_cycles - mem0,
-        "traps": cpu.trap_count - traps0,
+        "instructions": counts["pipeline.instructions"],
+        "cycles": counts["pipeline.cycles"],
+        "fetch_stall_cycles": counts["pipeline.fetch_stall_cycles"],
+        "mem_stall_cycles": counts["pipeline.mem_stall_cycles"],
+        "traps": counts["pipeline.traps"],
         "ramp_steps": ramp_steps,
         "ramp_instructions": ramp_instructions,
         "instruction_mix": mix_recorder.mix(),
-        "dcache": _cache_counters(sim.dcache.stats_dict()),
-        "icache": _cache_counters(sim.icache.stats_dict()),
+        "dcache": cache_counts(counts, "dcache"),
+        "icache": cache_counts(counts, "icache"),
     }
 
 
@@ -508,17 +504,13 @@ def replay_window(replayer: Replayer, spec: WindowSpec,
     (:meth:`~repro.core.replay.Replayer.window`).  Raises
     :class:`~repro.core.replay.ReplayUnsupported` where it could not
     be exact."""
-    observed = replayer.window(config, spec.ramp_start, spec.start,
-                               spec.end)
     return {
         "index": spec.index,
         "ramp_start": spec.ramp_start,
         "start": spec.start,
         "end": spec.end,
         "planned_steps": spec.end - spec.start,
-        **observed,
-        "dcache": _cache_counters(observed["dcache"]),
-        "icache": _cache_counters(observed["icache"]),
+        **replayer.window(config, spec.ramp_start, spec.start, spec.end),
     }
 
 
@@ -803,8 +795,7 @@ class SampledRunner:
 
     def publish_obs(self, registry, counters: dict | None = None) -> None:
         """Publish the runner's accounting as the ``sampling.*`` series
-        (:data:`~repro.obs.collect.SAMPLING_SERIES`, the names a
-        Simulator's snapshot declares at 0).  *counters* overrides
+        (:data:`~repro.obs.collect.SAMPLING_SERIES`).  *counters* overrides
         the runner's cumulative dict — sweep points publish per-run
         deltas so shared runners report exactly what a fresh one
         would."""

@@ -35,7 +35,12 @@ from repro.cpu.isa import (
     Op3Mem,
 )
 from repro.machine import LiquidCore
-from repro.obs.collect import point_snapshot, simulator_snapshot
+from repro.obs.collect import (
+    cache_record,
+    point_snapshot,
+    simulator_snapshot,
+    window_counts,
+)
 from repro.obs.events import EventTrace
 from repro.toolchain.objfile import Image
 
@@ -153,11 +158,11 @@ class MixRecorder:
 class SimReport:
     """What one simulated execution measured.
 
-    ``cycles``, ``instructions``, ``instruction_mix`` and ``obs`` cover
-    the program window (dispatch to the return to the polling loop);
-    ``dcache``/``icache`` are the caches' totals since the machine was
-    built, boot included — for ``return 6 * 7`` the ``icache`` dict
-    shows 9 read misses where ``obs`` shows 4.
+    Every field covers the program window, from the program's entry to
+    its return to the polling loop, as leon_ctrl times it: boot and
+    dispatch are not counted, though they leave the caches warm.  On
+    the accurate engine the ``dcache``/``icache`` counters equal the
+    ``obs`` snapshot's ``cache.*`` series.
     """
 
     cycles: int
@@ -321,29 +326,29 @@ class Simulator(LiquidCore):
         poll = self.rom_info.poll_address
         self._dispatch_on(cpu, image)
 
-        start_cycles, start_instret = cpu.cycles, cpu.instret
-        before = simulator_snapshot(self) if self.obs_enabled else None
+        before = simulator_snapshot(self)
         self.events.record(cpu.cycles, "dispatch", entry=cpu.pc)
         with MixRecorder(cpu) as mix_recorder:
             cpu.run(max_instructions=max_instructions, until_pc=poll)
-        self.events.record(cpu.cycles, "done",
-                           cycles=cpu.cycles - start_cycles)
-        obs = (point_snapshot(simulator_snapshot(self), before)
-               if self.obs_enabled else {})
+        counts = window_counts(simulator_snapshot(self), before)
+        cycles = counts["pipeline.cycles"]
+        self.events.record(cpu.cycles, "done", cycles=cycles)
 
         # Clear the mailbox so the polling loop parks instead of
         # re-dispatching (leon_ctrl's job on the real platform).
         self.sram.host_write_word(self.memmap.mailbox_start, 0)
 
+        config = self.config
         return SimReport(
-            cycles=cpu.cycles - start_cycles,
-            instructions=cpu.instret - start_instret,
+            cycles=cycles,
+            instructions=counts["pipeline.instructions"],
             instruction_mix=mix_recorder.mix(),
-            dcache=self.dcache.stats_dict(),
-            icache=self.icache.stats_dict(),
+            dcache=cache_record(counts, "dcache", config.dcache,
+                                config.prefetch),
+            icache=cache_record(counts, "icache", config.icache),
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
-            obs=obs,
+            obs=point_snapshot(counts) if self.obs_enabled else {},
         )
 
     def run_translated(self, image: Image,
@@ -372,12 +377,14 @@ class Simulator(LiquidCore):
         self._sync_from_functional(fast)
         self.sram.host_write_word(self.memmap.mailbox_start, 0)
 
+        counts = simulator_snapshot(self)
         return SimReport(
             cycles=window,
             instructions=retired,
             instruction_mix=mix_recorder.mix(),
-            dcache=self.dcache.stats_dict(),
-            icache=self.icache.stats_dict(),
+            dcache=cache_record(counts, "dcache", self.config.dcache,
+                                self.config.prefetch),
+            icache=cache_record(counts, "icache", self.config.icache),
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
             obs={},

@@ -20,7 +20,9 @@ analogue for the *evaluation* side of that loop:
 * :class:`ResultCache` memoises finished points under
   ``(image digest, config fingerprint)`` with an in-memory layer and an
   optional on-disk JSON layer, so re-running a sweep skips
-  already-simulated points the way the paper skips re-synthesis.
+  already-simulated points the way the paper skips re-synthesis; a disk
+  record is also keyed by the :func:`model_digest` of the simulator
+  that wrote it, so no edit to the model is served a stale record.
 * :func:`best_point` and :func:`pareto_front` are the selection helpers
   the architecture-exploration loop ends with: fastest point, and the
   cycles-vs-area frontier from the :class:`~repro.core.synthesis`
@@ -32,6 +34,7 @@ make long sweeps observable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -67,7 +70,11 @@ from repro.toolchain.objfile import Image
 #: v5: sampled sweeps (``sweep(sampling=...)``): records may carry a
 #: ``sampled`` section (point estimate + CI + per-window observations),
 #: and every point snapshot gains the ``sampling.*`` counter series.
-SCHEMA_VERSION = 5
+#: v6: a full-detail record's ``dcache``/``icache`` cover the program
+#: window, as its ``obs`` does (boot and dispatch no longer counted),
+#: and its ``obs`` drops the ``fastpath.*`` and ``sampling.*`` series
+#: it only ever declared at 0.
+SCHEMA_VERSION = 6
 
 #: Fields of a cached record that :meth:`SweepRunner._point` reads; a
 #: disk record missing any of them is a miss, not a crash.
@@ -106,9 +113,8 @@ def image_digest(image: Image) -> str:
 class SweepPoint:
     """One evaluated (image, configuration) pair.
 
-    As in :class:`~repro.core.sim.SimReport`, ``cycles`` and ``obs``
-    cover the program window while ``dcache``/``icache`` are totals
-    since the machine was built, boot included.
+    As in :class:`~repro.core.sim.SimReport`, every measured field of
+    a full-detail point covers the program window.
     """
 
     index: int
@@ -225,9 +231,10 @@ class ResultCache:
     """Two-layer memo of finished sweep points.
 
     Layer 1 is a process-local dict; layer 2 (optional) is JSON files
-    under ``cache_dir/<image_digest>/<fingerprint>.json`` so results
-    persist across runs — the same economics as the paper's
-    reconfiguration cache, where everything already synthesized is free.
+    under ``cache_dir/<image_digest>/<fingerprint>-<model digest>.json``
+    so results persist across runs — the same economics as the paper's
+    reconfiguration cache, where everything already synthesized is free
+    — and a record written by other simulator sources is a miss.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -240,7 +247,8 @@ class ResultCache:
 
     def _path(self, digest: str, fingerprint: str) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / digest / f"{fingerprint}.json"
+        return (self.cache_dir / digest
+                / f"{fingerprint}-{model_digest()}.json")
 
     def get(self, digest: str, fingerprint: str) -> tuple[dict, str] | None:
         """Return ``(record, layer)`` on a hit, ``None`` on a miss."""
@@ -269,6 +277,23 @@ class ResultCache:
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(blob)
         os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
+
+
+@functools.cache
+def model_digest() -> str:
+    """Identity of the simulator's sources: a sha256 over every ``.py``
+    file of the ``repro`` package (this module's parent's tree), by
+    sorted relative path and bytes.  Any edit counts, a docstring's
+    too: a needless miss costs one simulation, a stale hit a wrong
+    result.  Computed on the first disk access, not at import."""
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        for part in (path.relative_to(root).as_posix().encode(),
+                     path.read_bytes()):
+            h.update(len(part).to_bytes(8, "big"))
+            h.update(part)
+    return h.hexdigest()[:16]
 
 
 def _record_digest(record: dict) -> str:

@@ -36,6 +36,7 @@ from repro.mem.sdram import FpxSdramController
 from repro.mem.sram import SramBank
 from repro.net import protocol
 from repro.net.protocol import LeonState
+from repro.obs.collect import cache_record, simulator_snapshot
 from repro.peripherals import IrqController, Timer
 
 if TYPE_CHECKING:
@@ -268,12 +269,17 @@ class FPXPlatform(LiquidCore):
     # ------------------------------------------------------------------
 
     def statistics(self) -> dict:
+        """The status command's answer: totals since the board was
+        configured, not one program's window."""
+        arch = self.config.arch
+        counts = simulator_snapshot(self)
         return {
             "cycles": self.clock.cycles,
             "instructions": self.cpu.instret,
             "state": self.leon_ctrl.state.name,
-            "icache": self.icache.stats_dict(),
-            "dcache": self.dcache.stats_dict(),
+            "icache": cache_record(counts, "icache", arch.icache),
+            "dcache": cache_record(counts, "dcache", arch.dcache,
+                                   arch.prefetch),
             "sdram": self.sdram.stats(),
             "adapter": self.sdram_adapter.stats(),
             "wrappers": vars(self.wrappers.stats),

@@ -9,22 +9,22 @@ counter, the streamed instrumented traces, the Trace Analyzer):
   snapshot/diff (cycle-derived values only, never wall-clock).
 * :class:`EventTrace` — bounded ring of cycle-stamped typed events with
   JSON-lines export.
-* :mod:`repro.obs.collect` — folds the hot layers' native counters
-  (pipeline stalls, cache hits/misses, bus wait states, transport
-  drops) into a registry at snapshot boundaries.
+* :mod:`repro.obs.collect` — reads the hot layers' native counters
+  (pipeline stalls, cache hits/misses, bus wait states) as one counts
+  mapping per program window, which becomes both a record's ``obs``
+  snapshot and its cache dicts, and folds control-plane counters
+  (transport drops, fleet jobs) into a registry.
 * :mod:`repro.obs.report` — text/JSON rendering and run-vs-run diffs.
 """
 
 from repro.obs.collect import (
-    collect_ahb,
+    cache_record,
     collect_analysis,
-    collect_apb,
-    collect_cache,
     collect_fleet,
-    collect_pipeline,
     collect_transport,
     point_snapshot,
     simulator_snapshot,
+    window_counts,
 )
 from repro.obs.events import Event, EventTrace
 from repro.obs.metrics import (
@@ -46,12 +46,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "collect_ahb",
+    "cache_record",
     "collect_analysis",
-    "collect_apb",
-    "collect_cache",
     "collect_fleet",
-    "collect_pipeline",
     "collect_transport",
     "diff_reports",
     "diff_snapshots",
@@ -60,4 +57,5 @@ __all__ = [
     "render_text",
     "series_key",
     "simulator_snapshot",
+    "window_counts",
 ]

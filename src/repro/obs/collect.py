@@ -2,148 +2,171 @@
 
 The simulation loops (CPU step, cache access, bus transfer) count events
 in plain integer attributes — that is their no-op-fast-path: an integer
-add costs nothing and needs no instrument lookup.  These functions walk
-a component and publish those native counters as labeled registry
-series, so every layer exports through one schema without paying a
-method call per simulated event.
+add costs nothing and needs no instrument lookup.  These functions read
+those native counters at snapshot boundaries and publish them as
+labeled registry series, so every layer exports through one schema
+without paying a method call per simulated event.
 
 Series naming: ``layer.metric{label=value}`` —
 
 * ``pipeline.*`` — retired instructions, cycles, stalls, flushes;
 * ``cache.*{cache=icache|dcache}`` — hits/misses/evictions/fills plus
-  the miss-latency histogram;
+  the miss-latency histogram (and a prefetching cache's prefetches);
 * ``bus.ahb.*`` / ``bus.apb.*`` — transactions, beats, wait states;
-* ``mem.sram.*`` / ``mem.sdram.*`` — controller traffic;
+* ``mem.sram.*`` — controller traffic;
 * ``transport.*`` — control-plane payloads and drops;
 * ``sweep.*`` — host-side engine metrics (wall time, cache reuse),
   kept in a *separate* registry because they are not deterministic.
 
-:func:`simulator_snapshot` is the per-point entry: snapshot a
-:class:`~repro.core.sim.Simulator` before and after a program runs and
-:func:`point_snapshot` diffs the two, yielding the program-window
-metrics the paper's arm/freeze cycle counter measures — plus derived
-per-stage occupancy gauges.
+A simulated program's record is built from one *counts mapping*: the
+machine's series for one window, ``{series key: value}``, with each
+miss-latency histogram as ``(buckets, sum)``.  The accurate engine
+reads its machine with :func:`simulator_snapshot` at the program's
+entry and at its return and takes the :func:`window_counts` between
+the two — the paper's arm/freeze cycle counter, applied to every
+series; the replay engine computes the same mapping directly.
+:func:`point_snapshot` turns it into the record's ``obs`` snapshot
+(plus derived per-stage occupancy gauges), and :func:`cache_record`
+into its ``dcache``/``icache`` dicts.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry, diff_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "CACHE_COUNTERS",
     "PIPELINE_STAGES",
-    "collect_ahb",
-    "collect_apb",
-    "FASTPATH_SERIES",
     "FLEET_LATENCY_BOUNDS",
     "SAMPLING_SERIES",
-    "collect_cache",
+    "cache_counts",
+    "cache_record",
     "collect_channel",
     "collect_client",
     "collect_fleet",
-    "collect_pipeline",
-    "collect_sdram",
-    "collect_sram",
     "collect_transport",
     "point_snapshot",
     "simulator_snapshot",
+    "window_counts",
     "zero_transport_series",
 ]
 
 #: The LEON2 integer pipeline stages (paper §2.2).
 PIPELINE_STAGES = ("FE", "DE", "EX", "ME", "WR")
 
-
-def collect_pipeline(cpu, registry: MetricsRegistry) -> None:
-    """Publish the integer unit's execution and stall accounting."""
-    registry.counter("pipeline.instructions").inc(cpu.instret)
-    registry.counter("pipeline.cycles").inc(cpu.cycles)
-    registry.counter("pipeline.traps").inc(cpu.trap_count)
-    registry.counter("pipeline.flushes").inc(cpu.pipeline_flushes)
-    registry.counter("pipeline.fetch_stall_cycles").inc(
-        cpu.fetch_stall_cycles)
-    registry.counter("pipeline.mem_stall_cycles").inc(cpu.mem_stall_cycles)
-    registry.counter("pipeline.annulled_slots").inc(cpu.annulled_slots)
-    registry.counter("pipeline.taken_ctis").inc(cpu.taken_ctis)
-    registry.counter("pipeline.cti_penalty_cycles").inc(
-        cpu.cti_penalty_cycles)
-    registry.counter("pipeline.interlock_stalls").inc(
-        cpu.pipeline.interlock_stalls)
-
-
-def collect_cache(controller, registry: MetricsRegistry) -> None:
-    """Publish one cache controller's :class:`~repro.cache.cache.CacheStats`
-    (and friends) as ``cache.*{cache=<name>}`` series."""
-    label = controller.name
-    stats = controller.stats
-    registry.counter("cache.read_hits", cache=label).inc(stats.read_hits)
-    registry.counter("cache.read_misses", cache=label).inc(stats.read_misses)
-    registry.counter("cache.write_hits", cache=label).inc(stats.write_hits)
-    registry.counter("cache.write_misses",
-                     cache=label).inc(stats.write_misses)
-    registry.counter("cache.evictions", cache=label).inc(stats.evictions)
-    registry.counter("cache.flushes", cache=label).inc(stats.flushes)
-    registry.counter("cache.fills", cache=label).inc(controller.fill_count)
-    registry.counter("cache.bypasses",
-                     cache=label).inc(controller.bypass_count)
-    registry.histogram("cache.miss_cycles", cache=label).load(
-        controller.miss_cycle_buckets, controller.miss_cycles_sum)
-    if controller.prefetcher is not None:
-        pstats = controller.prefetcher.stats
-        registry.counter("cache.prefetch_issued",
-                         cache=label).inc(pstats.issued)
-        registry.counter("cache.prefetch_useful",
-                         cache=label).inc(pstats.useful)
-
-
-#: Two-speed execution series: steps executed on the fast engines,
-#: checkpoint captures/restores and the block cache's translations,
-#: executions and invalidations.  A full-detail run never runs a fast
-#: engine, so :func:`simulator_snapshot` declares them all at 0 (the
-#: translated engine's counters are in ``SimReport.fastpath``); every
-#: full-detail record's ``obs`` carries them until the next
-#: record-schema bump drops them.
-FASTPATH_SERIES = (
-    "fastpath.instructions", "fastpath.handoffs",
-    "fastpath.checkpoint_captures", "fastpath.checkpoint_restores",
-    "fastpath.blocks_translated", "fastpath.blocks_executed",
-    "fastpath.blocks_invalidated")
-
 #: Sampled-simulation series: runs, measurement windows, checkpoints
 #: captured, and the step split between the survey pass, the translated
 #: fast-forward legs, the cache-warming ramps and the cycle-accurate
 #: windows.  Keys of ``SampledRunner.counters``, published by
-#: ``SampledRunner.publish_obs``.  A Simulator counts none of them; its
-#: snapshot declares them at 0 because every full-detail record's
-#: ``obs`` carries them, until the next record-schema bump drops them.
+#: ``SampledRunner.publish_obs``.
 SAMPLING_SERIES = (
     "sampling.runs", "sampling.windows", "sampling.checkpoints",
     "sampling.survey_steps", "sampling.ff_steps", "sampling.ramp_steps",
     "sampling.measured_steps")
 
-
-def collect_ahb(bus, registry: MetricsRegistry) -> None:
-    registry.counter("bus.ahb.transfers").inc(bus.transfers)
-    registry.counter("bus.ahb.burst_transfers").inc(bus.burst_transfers)
-    registry.counter("bus.ahb.data_beats").inc(bus.data_beats)
-    registry.counter("bus.ahb.wait_states").inc(bus.wait_states)
-    registry.counter("bus.ahb.errors").inc(bus.error_count)
+#: One cache's integer counters, by their names in its record dict;
+#: series ``cache.<name>{cache=icache|dcache}`` of a counts mapping.
+CACHE_COUNTERS = ("read_hits", "read_misses", "write_hits",
+                  "write_misses", "evictions", "flushes", "fills",
+                  "bypasses")
 
 
-def collect_apb(bridge, registry: MetricsRegistry) -> None:
-    registry.counter("bus.apb.accesses").inc(bridge.accesses)
-    registry.counter("bus.apb.wait_states").inc(
-        bridge.accesses * bridge.penalty_cycles)
+def simulator_snapshot(machine) -> dict:
+    """A counts mapping of every series a machine's devices count
+    (pipeline, both caches, AHB, APB, SRAM), totals since the machine
+    was built — take the :func:`window_counts` between two readings
+    for a program window."""
+    cpu, bus, apb, sram = machine.cpu, machine.bus, machine.apb, machine.sram
+    counts = {
+        "pipeline.instructions": cpu.instret,
+        "pipeline.cycles": cpu.cycles,
+        "pipeline.traps": cpu.trap_count,
+        "pipeline.flushes": cpu.pipeline_flushes,
+        "pipeline.fetch_stall_cycles": cpu.fetch_stall_cycles,
+        "pipeline.mem_stall_cycles": cpu.mem_stall_cycles,
+        "pipeline.annulled_slots": cpu.annulled_slots,
+        "pipeline.taken_ctis": cpu.taken_ctis,
+        "pipeline.cti_penalty_cycles": cpu.cti_penalty_cycles,
+        "pipeline.interlock_stalls": cpu.pipeline.interlock_stalls,
+        "bus.ahb.transfers": bus.transfers,
+        "bus.ahb.burst_transfers": bus.burst_transfers,
+        "bus.ahb.data_beats": bus.data_beats,
+        "bus.ahb.wait_states": bus.wait_states,
+        "bus.ahb.errors": bus.error_count,
+        "bus.apb.accesses": apb.accesses,
+        "bus.apb.wait_states": apb.accesses * apb.penalty_cycles,
+        "mem.sram.reads": sram.reads,
+        "mem.sram.writes": sram.writes,
+    }
+    for controller in (machine.icache, machine.dcache):
+        label = f"{{cache={controller.name}}}"
+        stats = controller.stats
+        for name, value in zip(CACHE_COUNTERS, (
+                stats.read_hits, stats.read_misses, stats.write_hits,
+                stats.write_misses, stats.evictions, stats.flushes,
+                controller.fill_count, controller.bypass_count)):
+            counts[f"cache.{name}{label}"] = value
+        counts[f"cache.miss_cycles{label}"] = (
+            tuple(controller.miss_cycle_buckets), controller.miss_cycles_sum)
+        if controller.prefetcher is not None:
+            prefetch = controller.prefetcher.stats
+            counts[f"cache.prefetch_issued{label}"] = prefetch.issued
+            counts[f"cache.prefetch_useful{label}"] = prefetch.useful
+            counts[f"cache.prefetch_background_cycles{label}"] = (
+                prefetch.background_cycles)
+    return counts
 
 
-def collect_sram(sram, registry: MetricsRegistry) -> None:
-    registry.counter("mem.sram.reads").inc(sram.reads)
-    registry.counter("mem.sram.writes").inc(sram.writes)
+def window_counts(after: dict, before: dict) -> dict:
+    """The counts mapping of the window between two
+    :func:`simulator_snapshot` readings of one machine."""
+    window = {}
+    for key, value in after.items():
+        prior = before[key]
+        if isinstance(value, int):
+            window[key] = value - prior
+        else:
+            buckets, total = value
+            window[key] = (tuple(now - then for now, then
+                                 in zip(buckets, prior[0])),
+                           total - prior[1])
+    return window
 
 
-def collect_sdram(controller, registry: MetricsRegistry) -> None:
-    registry.counter("mem.sdram.handshakes").inc(controller.total_handshakes)
-    registry.counter("mem.sdram.beats").inc(controller.total_beats)
-    registry.counter("mem.sdram.row_misses").inc(controller.row_misses)
+def cache_counts(counts: dict, name: str) -> dict[str, int]:
+    """Cache *name*'s integer counters in a counts mapping, by their
+    names in its record dict."""
+    return {field: counts[f"cache.{field}{{cache={name}}}"]
+            for field in CACHE_COUNTERS}
+
+
+def cache_record(counts: dict, name: str, geometry,
+                 prefetch: str = "none") -> dict:
+    """The record's dict of cache *name* (a
+    :class:`~repro.cache.cache.CacheGeometry`, prefetching under policy
+    *prefetch*) from a counts mapping: its counters, read miss rate and
+    geometry, plus a prefetching cache's prefetch section."""
+    record: dict = cache_counts(counts, name)
+    reads = record["read_hits"] + record["read_misses"]
+    record["read_miss_rate"] = record["read_misses"] / reads if reads else 0.0
+    if prefetch != "none":
+        issued, useful, background = (
+            counts[f"cache.prefetch_{field}{{cache={name}}}"]
+            for field in ("issued", "useful", "background_cycles"))
+        record["prefetch"] = {
+            "policy": prefetch,
+            "issued": issued,
+            "useful": useful,
+            "accuracy": round(useful / issued if issued else 0.0, 3),
+            "background_cycles": background,
+        }
+    record["geometry"] = {
+        "size": geometry.size,
+        "line_size": geometry.line_size,
+        "ways": geometry.ways,
+        "replacement": geometry.replacement,
+    }
+    return record
 
 
 _CLIENT_COUNTERS = ("retries", "stale_suppressed", "duplicates_suppressed",
@@ -254,22 +277,6 @@ def zero_transport_series(registry: MetricsRegistry) -> None:
         registry.counter(f"transport.{name}")
 
 
-def simulator_snapshot(sim) -> dict:
-    """One full snapshot of every layer a Simulator owns (totals since
-    construction — diff two of these for a program-window view)."""
-    registry = MetricsRegistry()
-    collect_pipeline(sim.cpu, registry)
-    for name in FASTPATH_SERIES + SAMPLING_SERIES:
-        registry.counter(name)
-    collect_cache(sim.icache, registry)
-    collect_cache(sim.dcache, registry)
-    collect_ahb(sim.bus, registry)
-    collect_apb(sim.apb, registry)
-    collect_sram(sim.sram, registry)
-    zero_transport_series(registry)
-    return registry.snapshot()
-
-
 def collect_analysis(report, registry: MetricsRegistry) -> None:
     """Publish a static-analysis
     :class:`~repro.analysis.diagnostics.DiagnosticReport` as
@@ -286,9 +293,10 @@ def collect_analysis(report, registry: MetricsRegistry) -> None:
                          code=code).inc(count)
 
 
-def point_snapshot(after: dict, before: dict) -> dict:
-    """Program-window snapshot: delta of two :func:`simulator_snapshot`
-    dicts plus derived pipeline occupancy gauges.
+def point_snapshot(counts: dict) -> dict:
+    """The ``obs`` snapshot of a counts mapping: its series (the
+    transport series declared at zero) plus derived pipeline occupancy
+    gauges.
 
     The occupancy model is the documented single-issue in-order one:
     every retired instruction passes through all five stages for one
@@ -296,14 +304,20 @@ def point_snapshot(after: dict, before: dict) -> dict:
     fetch stalls hold FE, memory stalls hold ME, and multi-cycle issue
     (mul/div, stores, interlock bubbles, CTI redirect bubbles) holds EX.
     """
-    snap = diff_snapshots(after, before)
-    counters = snap["counters"]
-    cycles = counters.get("pipeline.cycles", 0)
+    registry = MetricsRegistry()
+    for key, value in counts.items():
+        if isinstance(value, int):
+            registry.counter(key).inc(value)
+        else:
+            registry.histogram(key).load(*value)
+    zero_transport_series(registry)
+    snap = registry.snapshot()
+    cycles = counts.get("pipeline.cycles", 0)
     if cycles > 0:
-        instret = counters.get("pipeline.instructions", 0)
-        fetch = counters.get("pipeline.fetch_stall_cycles", 0)
-        mem = counters.get("pipeline.mem_stall_cycles", 0)
-        annulled = counters.get("pipeline.annulled_slots", 0)
+        instret = counts.get("pipeline.instructions", 0)
+        fetch = counts.get("pipeline.fetch_stall_cycles", 0)
+        mem = counts.get("pipeline.mem_stall_cycles", 0)
+        annulled = counts.get("pipeline.annulled_slots", 0)
         issue_extra = max(0, cycles - instret - fetch - mem - annulled)
         busy = {
             "FE": instret + annulled + fetch,

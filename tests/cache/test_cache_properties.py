@@ -213,7 +213,7 @@ class TestReplacementPolicies:
                     resident.discard(evicted)
                 resident.add(base)
         first, second = caches
-        assert first.stats.as_dict() == second.stats.as_dict()
+        assert first.stats == second.stats
         assert first.contents_summary() == second.contents_summary()
         expected: dict[int, set[int]] = {}
         for base in resident:

@@ -1,7 +1,10 @@
 """CacheController tests: timing, write-through policy, bypass, flush."""
 
 from repro.cache import CacheController, CacheGeometry
+from repro.core.config import ArchitectureConfig
+from repro.core.sim import Simulator
 from repro.mem.interface import FlatMemory
+from repro.obs.collect import cache_record, simulator_snapshot
 
 BASE = 0x4000_0000
 
@@ -133,9 +136,12 @@ class TestBypassAndFlush:
         assert large.flush_cycles > small.flush_cycles
 
     def test_stats_dict_shape(self):
-        controller, _ = make_controller()
-        controller.read(BASE, 4)
-        stats = controller.stats_dict()
+        """A record's cache dict (``cache_record``) carries the
+        controller's counters and its geometry."""
+        sim = Simulator(ArchitectureConfig().with_dcache_size(1024))
+        sim.dcache.read(sim.memmap.sram_base + 0x1000, 4)
+        stats = cache_record(simulator_snapshot(sim), "dcache",
+                             sim.dcache.geometry)
         assert stats["fills"] == 1
         assert stats["geometry"]["size"] == 1024
 

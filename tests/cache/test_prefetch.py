@@ -10,6 +10,7 @@ from repro.cache.prefetch import (
     make_prefetcher,
 )
 from repro.mem.interface import FlatMemory
+from repro.obs.collect import cache_record, simulator_snapshot
 
 BASE = 0x4000_0000
 
@@ -133,12 +134,21 @@ class TestControllerIntegration:
         assert not controller._speculative
 
     def test_stats_dict_reports_prefetch(self):
-        controller, _ = make("stride")
+        """A prefetching cache's record dict (``cache_record``) carries
+        the prefetch unit's counters."""
+        from repro.core import ArchitectureConfig
+        from repro.core.sim import Simulator
+
+        sim = Simulator(ArchitectureConfig().with_prefetch("stride"))
         for index in range(0, 1024, 128):
-            controller.read(BASE + index, 4)
-        stats = controller.stats_dict()
+            sim.dcache.read(sim.memmap.sram_base + 0x1000 + index, 4)
+        stats = cache_record(simulator_snapshot(sim), "dcache",
+                             sim.dcache.geometry, "stride")
         assert stats["prefetch"]["policy"] == "stride"
-        assert stats["prefetch"]["issued"] > 0
+        assert stats["prefetch"]["issued"] \
+            == sim.dcache.prefetcher.stats.issued > 0
+        assert stats["prefetch"]["background_cycles"] \
+            == sim.dcache.prefetcher.stats.background_cycles > 0
 
 
 class TestConfigurationPlumbing:

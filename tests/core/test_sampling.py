@@ -31,7 +31,6 @@ from repro.core.sampling import (
 )
 from repro.core.sim import Simulator
 from repro.core.sweep import ResultCache, SweepRunner
-from repro.obs.collect import FASTPATH_SERIES
 from repro.toolchain.driver import compile_c_program
 from repro.workloads import all_workloads, get
 
@@ -282,12 +281,6 @@ class TestLongRunningRegistry:
 @pytest.fixture(scope="module")
 def loop_image():
     return compile_c_program(LOOP)
-
-
-class TestCheckpointCounters:
-    def test_run_obs_carries_the_fastpath_series(self, loop_image):
-        report = Simulator().run(loop_image)
-        assert set(FASTPATH_SERIES) <= set(report.obs["counters"])
 
 
 @pytest.mark.slow

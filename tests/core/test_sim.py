@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis import TraceRecorder, stride_profile
+from repro.cache.cache import CacheGeometry
 from repro.core import (
     POPCOUNT_RECIPE,
     ArchitectureConfig,
@@ -12,6 +13,7 @@ from repro.core import (
     Simulator,
     simulate,
 )
+from repro.core.replay import Replayer, record
 from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import MixRecorder, _classify
 from repro.cpu.decode import decode
@@ -162,6 +164,44 @@ def test_fpx_counts_the_polling_loops_last_lap(config, gap):
     fpx = LiquidProcessorSystem(config).run_image(image)
     assert sim.result_word == fpx.result == 42
     assert fpx.cycles - sim.cycles == gap
+
+
+_ONE_WINDOW_CONFIGS = {
+    "stock": _STOCK,
+    "lrr": replace(_STOCK, dcache=CacheGeometry(size=1024, ways=2,
+                                                replacement="lrr")),
+    "stride": _STOCK.with_dcache_size(1024).with_prefetch("stride"),
+}
+
+
+@pytest.mark.parametrize("engine, name", [
+    ("accurate", "stock"), ("accurate", "lrr"), ("accurate", "stride"),
+    ("accurate-no-obs", "stock"), ("replay", "stock"), ("replay", "lrr"),
+])
+def test_cache_dicts_cover_the_obs_window(kernel_image, engine, name):
+    """A full-detail record is one window: every integer counter of its
+    ``dcache``/``icache`` dicts is the matching ``cache.*`` counter of
+    its ``obs`` (of the ``obs=True`` run, for an ``obs=False`` one), so
+    boot and dispatch count in neither."""
+    config = _ONE_WINDOW_CONFIGS[name]
+    if engine == "replay":
+        report = Replayer(record(config, kernel_image,
+                                 20_000_000)).report(config)
+    else:
+        report = Simulator(config, obs=engine == "accurate").run(
+            kernel_image)
+    obs = report.obs or Simulator(config).run(kernel_image).obs
+    counters = obs["counters"]
+    for cache in ("dcache", "icache"):
+        counts = {key: value for key, value in getattr(report, cache).items()
+                  if isinstance(value, int)}
+        assert len(counts) == 8
+        assert counts == {key: counters[f"cache.{key}{{cache={cache}}}"]
+                          for key in counts}, cache
+    assert report.icache["read_misses"] > 0
+    if config.prefetch != "none":
+        assert report.dcache["prefetch"]["issued"] \
+            == counters["cache.prefetch_issued{cache=dcache}"] > 0
 
 
 LED_LOOP = """

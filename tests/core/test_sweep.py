@@ -4,6 +4,7 @@ result cache, selection helpers, and config/image identity."""
 import dataclasses
 import functools
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from repro.core import (
     image_digest,
     pareto_front,
 )
+from repro.core import sweep
 from repro.core.sweep import _record_digest
 from repro.toolchain.driver import compile_c_program
 
@@ -222,7 +224,7 @@ class TestResultCache:
         files = sorted(digest_dir.glob("*.json"))
         assert len(files) == space.size
         record = json.loads(files[0].read_text())
-        assert record["schema"] == 5
+        assert record["schema"] == 6
         assert record["cycles"] > 0
 
     @pytest.mark.parametrize("corrupt", [
@@ -239,7 +241,7 @@ class TestResultCache:
         config = ArchitectureConfig()
         cache = ResultCache(tmp_path)
         SweepRunner(cache=cache).sweep([config], image)
-        path = tmp_path / image_digest(image) / f"{config.fingerprint()}.json"
+        path = cache._path(image_digest(image), config.fingerprint())
         path.write_text(corrupt(path.read_text()))
         fresh = ResultCache(tmp_path)
         outcome = SweepRunner(cache=fresh).sweep([config], image)
@@ -254,6 +256,39 @@ class TestResultCache:
         outcome = SweepRunner(cache=cache).sweep([config], other)
         assert outcome.stats.simulated == 1
         assert outcome.points[0].result_word == 9
+
+    def test_disk_records_are_keyed_by_the_model(self, image, tmp_path,
+                                                 monkeypatch):
+        """A disk record is served only to the simulator sources that
+        wrote it: a fresh cache over a sweep's directory hits every
+        point, and misses every point once one ``TimingConfig`` default
+        in the sources differs."""
+        space = [ArchitectureConfig(),
+                 ArchitectureConfig().with_dcache_size(1024)]
+        cache_dir = tmp_path / "cache"
+        SweepRunner(cache=ResultCache(cache_dir)).sweep(space, image)
+        rerun = SweepRunner(cache=ResultCache(cache_dir)).sweep(space, image)
+        assert rerun.stats.disk_hits == len(space)
+
+        root = tmp_path / "repro"
+        shutil.copytree(Path(sweep.__file__).parents[1], root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        pipeline = root / "cpu" / "pipeline.py"
+        source = pipeline.read_text()
+        edited = source.replace("store_cycles: int = 3",
+                                "store_cycles: int = 4", 1)
+        assert edited != source
+        pipeline.write_text(edited)
+        cache = ResultCache(cache_dir)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "__file__", str(root / "core" / "sweep.py"))
+            sweep.model_digest.cache_clear()
+            try:
+                edited_run = SweepRunner(cache=cache).sweep(space, image)
+            finally:
+                sweep.model_digest.cache_clear()
+        assert edited_run.stats.simulated == len(space)
+        assert cache.stats.disk_hits == 0
 
 
 class TestObservability:
@@ -334,7 +369,7 @@ def _stored_record() -> tuple[str, str, str, bytes]:
         SweepRunner(cache=cache).sweep([config], image)
         digest, fingerprint = image_digest(image), config.fingerprint()
         record = cache.get(digest, fingerprint)[0]
-        blob = (Path(directory) / digest / f"{fingerprint}.json").read_bytes()
+        blob = cache._path(digest, fingerprint).read_bytes()
     return digest, fingerprint, json.dumps(record, sort_keys=True), blob
 
 
@@ -349,10 +384,11 @@ JSON_VALUES = st.recursive(
 def _get_from_disk(blob: bytes):
     digest, fingerprint, _, _ = _stored_record()
     with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / digest / f"{fingerprint}.json"
+        cache = ResultCache(directory)
+        path = cache._path(digest, fingerprint)
         path.parent.mkdir()
         path.write_bytes(blob)
-        return ResultCache(directory).get(digest, fingerprint)
+        return cache.get(digest, fingerprint)
 
 
 @given(data=st.data())

@@ -59,6 +59,7 @@ from repro.core.synthesis import SynthesisModel
 from repro.cpu import blockcache
 from repro.cpu.archstate import ArchState
 from repro.cpu.fastpath import FunctionalUnit
+from repro.obs.collect import cache_record, simulator_snapshot
 from repro.toolchain.driver import SourceFile, build_image
 
 #: Generated programs are short; this bounds runaway loops/recursion.
@@ -172,12 +173,13 @@ def run_functional(image, max_instructions: int = MAX_INSTRUCTIONS
                  until_pc=sim.rom_info.poll_address)
     sim._sync_from_functional(fast)
     sim.sram.host_write_word(sim.memmap.mailbox_start, 0)
+    counts = simulator_snapshot(sim)
     return sim, SimReport(
         cycles=fast.cycles - start_steps,
         instructions=fast.instret - start_instret,
         instruction_mix=mix_recorder.mix(),
-        dcache=sim.dcache.stats_dict(),
-        icache=sim.icache.stats_dict(),
+        dcache=cache_record(counts, "dcache", sim.config.dcache),
+        icache=cache_record(counts, "icache", sim.config.icache),
         result_word=sim.sram.host_read_word(sim.memmap.result_addr),
         uart_output=sim.uart.transmitted())
 

@@ -1,5 +1,6 @@
-"""Collector tests: native counters fold into registry series, and the
-per-point program-window snapshot is deterministic and complete."""
+"""Collector tests: native counters read into one counts mapping and
+fold into registry series, and the per-point program-window snapshot is
+deterministic and complete."""
 
 from types import SimpleNamespace
 
@@ -8,8 +9,6 @@ from repro.cache.controller import CacheController
 from repro.core.sim import Simulator
 from repro.obs.collect import (
     PIPELINE_STAGES,
-    collect_ahb,
-    collect_cache,
     collect_transport,
     point_snapshot,
     simulator_snapshot,
@@ -40,14 +39,13 @@ class _FlatBacking:
 
 class TestCacheCollector:
     def test_controller_series_and_miss_histogram(self):
-        controller = CacheController(CacheGeometry(size=256, line_size=32),
-                                     _FlatBacking(), name="dcache")
-        controller.read(0x0, 4)     # miss
-        controller.read(0x4, 4)     # hit
-        controller.read(0x100, 4)   # miss
-        registry = MetricsRegistry()
-        collect_cache(controller, registry)
-        snap = registry.snapshot()
+        sim = Simulator()
+        controller = sim.dcache
+        base = sim.memmap.sram_base + 0x1000
+        controller.read(base, 4)            # miss
+        controller.read(base + 4, 4)        # hit
+        controller.read(base + 0x1000, 4)   # miss
+        snap = point_snapshot(simulator_snapshot(sim))
         assert snap["counters"]["cache.read_misses{cache=dcache}"] == 2
         assert snap["counters"]["cache.read_hits{cache=dcache}"] == 1
         hist = snap["histograms"]["cache.miss_cycles{cache=dcache}"]
@@ -63,16 +61,6 @@ class TestCacheCollector:
 
 
 class TestDuckTypedCollectors:
-    def test_ahb_collector_reads_native_counters(self):
-        bus = SimpleNamespace(transfers=10, burst_transfers=3, data_beats=40,
-                              wait_states=7, error_count=1)
-        registry = MetricsRegistry()
-        collect_ahb(bus, registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["bus.ahb.transfers"] == 10
-        assert counters["bus.ahb.wait_states"] == 7
-        assert counters["bus.ahb.errors"] == 1
-
     def test_transport_collector_plain_and_lossy(self):
         plain = SimpleNamespace(sent_payloads=4, received_payloads=3,
                                 dropped_corrupt=1, dropped_misaddressed=0)
@@ -105,18 +93,13 @@ class TestDuckTypedCollectors:
 
 class TestPointSnapshot:
     def test_occupancy_gauges_derived_and_bounded(self):
-        after = {
-            "counters": {
-                "pipeline.cycles": 100,
-                "pipeline.instructions": 60,
-                "pipeline.fetch_stall_cycles": 10,
-                "pipeline.mem_stall_cycles": 20,
-                "pipeline.annulled_slots": 2,
-            },
-            "gauges": {}, "histograms": {},
-        }
-        empty = {"counters": {}, "gauges": {}, "histograms": {}}
-        snap = point_snapshot(after, empty)
+        snap = point_snapshot({
+            "pipeline.cycles": 100,
+            "pipeline.instructions": 60,
+            "pipeline.fetch_stall_cycles": 10,
+            "pipeline.mem_stall_cycles": 20,
+            "pipeline.annulled_slots": 2,
+        })
         gauges = snap["gauges"]
         for stage in PIPELINE_STAGES:
             value = gauges[f"pipeline.occupancy{{stage={stage}}}"]
@@ -128,9 +111,7 @@ class TestPointSnapshot:
         assert gauges["pipeline.occupancy{stage=EX}"] == 0.68
 
     def test_zero_cycle_window_has_no_occupancy(self):
-        empty = {"counters": {}, "gauges": {}, "histograms": {}}
-        snap = point_snapshot(empty, empty)
-        assert snap["gauges"] == {}
+        assert point_snapshot({})["gauges"] == {}
 
 
 class TestSimulatorIntegration:
@@ -142,10 +123,9 @@ class TestSimulatorIntegration:
         # The window covers exactly the measured execution.
         assert counters["pipeline.cycles"] == report.cycles
         assert counters["pipeline.instructions"] == report.instructions
-        # Window series exclude the boot-time misses the cumulative
-        # SimReport stats include.
-        assert 0 < counters["cache.read_misses{cache=icache}"] \
-            <= report.icache["read_misses"]
+        # The cache dicts cover the same window: boot is excluded.
+        assert counters["cache.read_misses{cache=icache}"] \
+            == report.icache["read_misses"] > 0
         # Dispatch/done events bracket the program on the cycle line.
         dispatch = sim.events.events("dispatch")[0]
         done = sim.events.events("done")[0]
@@ -161,7 +141,26 @@ class TestSimulatorIntegration:
         assert dump(first.obs) == dump(second.obs)
 
     def test_simulator_snapshot_covers_every_layer(self):
-        sim = Simulator()
-        snap = simulator_snapshot(sim)
-        prefixes = {key.split(".")[0] for key in snap["counters"]}
-        assert {"pipeline", "cache", "bus", "mem", "transport"} <= prefixes
+        """The exact series of a stock machine's snapshot: pipeline,
+        both caches, AHB, APB, SRAM and the zero transport section."""
+        snap = point_snapshot(simulator_snapshot(Simulator()))
+        caches = {f"cache.{name}{{cache={cache}}}"
+                  for cache in ("icache", "dcache")
+                  for name in ("read_hits", "read_misses", "write_hits",
+                               "write_misses", "evictions", "flushes",
+                               "fills", "bypasses")}
+        assert set(snap["counters"]) == caches | {
+            "pipeline.instructions", "pipeline.cycles", "pipeline.traps",
+            "pipeline.flushes", "pipeline.fetch_stall_cycles",
+            "pipeline.mem_stall_cycles", "pipeline.annulled_slots",
+            "pipeline.taken_ctis", "pipeline.cti_penalty_cycles",
+            "pipeline.interlock_stalls",
+            "bus.ahb.transfers", "bus.ahb.burst_transfers",
+            "bus.ahb.data_beats", "bus.ahb.wait_states", "bus.ahb.errors",
+            "bus.apb.accesses", "bus.apb.wait_states",
+            "mem.sram.reads", "mem.sram.writes",
+            "transport.sent_payloads", "transport.received_payloads",
+            "transport.dropped_corrupt", "transport.dropped_misaddressed"}
+        assert set(snap["histograms"]) == {
+            "cache.miss_cycles{cache=icache}",
+            "cache.miss_cycles{cache=dcache}"}
