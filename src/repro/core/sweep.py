@@ -234,7 +234,10 @@ class ResultCache:
     under ``cache_dir/<image_digest>/<fingerprint>-<model digest>.json``
     so results persist across runs — the same economics as the paper's
     reconfiguration cache, where everything already synthesized is free
-    — and a record written by other simulator sources is a miss.
+    — and a record written by other simulator sources is a miss.  A
+    store removes the point's records from other sources, so a directory
+    holds one record per point; two source trees sharing one directory
+    therefore evict each other's records.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -272,6 +275,9 @@ class ResultCache:
             return
         path = self._path(digest, fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
+        for stale in path.parent.glob(f"{fingerprint}-*.json"):
+            if stale != path and stale.stem.rsplit("-", 1)[0] == fingerprint:
+                stale.unlink(missing_ok=True)
         blob = json.dumps({**record, _DIGEST_KEY: _record_digest(record)},
                           sort_keys=True, indent=1)
         tmp = path.with_suffix(f".tmp{os.getpid()}")

@@ -20,8 +20,9 @@ benchmarks control time explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from repro.core.config import ArchitectureConfig
 from repro.cpu.traps import ErrorMode
 from repro.fpx.cpp import ControlPacketProcessor
 from repro.fpx.leon_ctrl import GatedSram, LeonController
@@ -39,18 +40,8 @@ from repro.net.protocol import LeonState
 from repro.obs.collect import cache_record, simulator_snapshot
 from repro.peripherals import IrqController, Timer
 
-if TYPE_CHECKING:
-    from repro.core.config import ArchitectureConfig
-
 DEFAULT_DEVICE_IP = "128.252.153.2"  # a wustl.edu address, as in the lab
 DEFAULT_CONTROL_PORT = 2000
-
-
-def _stock_arch():
-    # Imported here: repro.core's package init imports this module.
-    from repro.core.config import ArchitectureConfig
-
-    return ArchitectureConfig()
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ class PlatformConfig:
     32 B lines and sweeps ``arch.dcache.size`` from 1 KB to 16 KB.
     """
 
-    arch: ArchitectureConfig = field(default_factory=_stock_arch)
+    arch: ArchitectureConfig = field(default_factory=ArchitectureConfig)
     # Background network DMA on the SDRAM's second arbiter port: one
     # 8-beat burst every N retired instructions (0 = quiet network).
     # Models "simultaneous use by both the LEON processor and the

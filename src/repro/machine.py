@@ -17,11 +17,11 @@ the core lands in the same maps as if it had been attached in between.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.bus.ahb import AhbBus
 from repro.bus.apb import ApbBridge
 from repro.cache import CacheController
+from repro.core.config import ArchitectureConfig
+from repro.core.rewriter import install_recipes
 from repro.cpu import IntegerUnit
 from repro.mem.bootrom import BootRom, build_boot_rom
 from repro.mem.memmap import (
@@ -33,19 +33,11 @@ from repro.mem.memmap import (
 from repro.mem.sram import SramBank
 from repro.peripherals import Clock, CycleCounter, LedPort, Uart
 
-if TYPE_CHECKING:
-    from repro.core.config import ArchitectureConfig
-
 
 class LiquidCore:
     """LEON, its caches, buses, boot PROM, SRAM and APB peripherals."""
 
     def __init__(self, arch: ArchitectureConfig):
-        # Imported here: repro.core's package init imports
-        # repro.fpx.platform, which subclasses this class, so a
-        # module-level import would cycle when the platform loads first.
-        from repro.core.rewriter import install_recipes
-
         self.memmap = memmap = MemoryMap()
         self.rom_info = build_boot_rom(memmap, arch.nwindows, modified=True)
         self.clock = Clock()

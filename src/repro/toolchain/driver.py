@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mem.memmap import DEFAULT_MAP, MemoryMap
-from repro.net.protocol import DEFAULT_CHUNK, packetize_program
 from repro.toolchain.asm import assemble
 from repro.toolchain.cc import compile_c
 from repro.toolchain.linker import Linker, MemoryMapScript
@@ -100,10 +99,3 @@ def compile_c_program(c_source: str, memmap: MemoryMap = DEFAULT_MAP,
     if extra_asm:
         sources.append(SourceFile(extra_asm, "asm", "extra.s"))
     return build_image(sources, memmap)
-
-
-def image_to_packets(image: Image,
-                     chunk: int = DEFAULT_CHUNK) -> list[bytes]:
-    """OBJCOPY + packetize: the flat binary as LOAD_PROGRAM payloads."""
-    base, blob = image.flatten()
-    return packetize_program(base, blob, chunk)

@@ -1,6 +1,7 @@
 """Sweep engine tests: determinism across executors, the two-layer
 result cache, selection helpers, and config/image identity."""
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -22,6 +23,7 @@ from repro.core import (
     pareto_front,
 )
 from repro.core import sweep
+from repro.core.sampling import SamplingPlan
 from repro.core.sweep import _record_digest
 from repro.toolchain.driver import compile_c_program
 
@@ -39,6 +41,28 @@ int main(void) {
     return 7;
 }
 """
+
+
+@contextlib.contextmanager
+def _edited_sources(tmp_path, monkeypatch):
+    """Within the block, :func:`sweep.model_digest` hashes a copy of the
+    ``repro`` sources in which one ``TimingConfig`` default differs."""
+    root = tmp_path / "repro"
+    shutil.copytree(Path(sweep.__file__).parents[1], root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    pipeline = root / "cpu" / "pipeline.py"
+    source = pipeline.read_text()
+    edited = source.replace("store_cycles: int = 3",
+                            "store_cycles: int = 4", 1)
+    assert edited != source
+    pipeline.write_text(edited)
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "__file__", str(root / "core" / "sweep.py"))
+        sweep.model_digest.cache_clear()
+        try:
+            yield
+        finally:
+            sweep.model_digest.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -270,25 +294,35 @@ class TestResultCache:
         rerun = SweepRunner(cache=ResultCache(cache_dir)).sweep(space, image)
         assert rerun.stats.disk_hits == len(space)
 
-        root = tmp_path / "repro"
-        shutil.copytree(Path(sweep.__file__).parents[1], root,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        pipeline = root / "cpu" / "pipeline.py"
-        source = pipeline.read_text()
-        edited = source.replace("store_cycles: int = 3",
-                                "store_cycles: int = 4", 1)
-        assert edited != source
-        pipeline.write_text(edited)
         cache = ResultCache(cache_dir)
-        with monkeypatch.context() as patch:
-            patch.setattr(sweep, "__file__", str(root / "core" / "sweep.py"))
-            sweep.model_digest.cache_clear()
-            try:
-                edited_run = SweepRunner(cache=cache).sweep(space, image)
-            finally:
-                sweep.model_digest.cache_clear()
+        with _edited_sources(tmp_path, monkeypatch):
+            edited_run = SweepRunner(cache=cache).sweep(space, image)
         assert edited_run.stats.simulated == len(space)
         assert cache.stats.disk_hits == 0
+
+    def test_a_store_removes_the_points_records_from_other_sources(
+            self, image, tmp_path, monkeypatch):
+        """Storing a point under edited sources deletes its record from
+        the old sources, so the directory holds one record per point; a
+        sampled record of the same config is another point and stays."""
+        config = ArchitectureConfig()
+        plan = SamplingPlan(n_windows=2, window_length=100, ramp_length=32,
+                            seed=1)
+        cache_dir = tmp_path / "cache"
+        SweepRunner(cache=ResultCache(cache_dir)).sweep([config], image)
+        SweepRunner(cache=ResultCache(cache_dir)).sweep([config], image,
+                                                        sampling=plan)
+        sampled = [path for path in cache_dir.rglob("*.json")
+                   if "-smp" in path.name]
+        assert len(sampled) == 1
+
+        cache = ResultCache(cache_dir)
+        with _edited_sources(tmp_path, monkeypatch):
+            outcome = SweepRunner(cache=cache).sweep([config], image)
+            fresh = cache._path(image_digest(image), config.fingerprint())
+        assert outcome.stats.simulated == 1
+        assert sorted(path for path in cache_dir.rglob("*")
+                      if path.is_file()) == sorted([fresh, *sampled])
 
 
 class TestObservability:

@@ -19,8 +19,8 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
     ("repro.core.sim", "Simulator()"),
 ], ids=["platform-first", "sim-first"])
 def test_either_machine_imports_first_in_a_fresh_interpreter(module, build):
-    """The core installs recipes from repro.core, whose package init
-    imports repro.fpx.platform: neither import order may cycle."""
+    """The core installs recipes from repro.core.rewriter, and the
+    platform subclasses the core: neither import order may cycle."""
     name = build.split("(")[0]
     snippet = (f"from {module} import {name}\n"
                f"machine = {build}\n"

@@ -4,14 +4,13 @@ import pytest
 
 from repro.core.sim import simulate
 from repro.mem.memmap import DEFAULT_MAP, MemoryMap
-from repro.net.protocol import decode_command
+from repro.net.protocol import decode_command, packetize_program
 from repro.toolchain.driver import (
     SourceFile,
     build_image,
     compile_c_program,
     compile_sources,
     crt0_source,
-    image_to_packets,
 )
 
 
@@ -72,9 +71,9 @@ class TestPacketization:
         image = compile_c_program("""
 int table[100];
 int main(void) { return sizeof table; }""")
-        payloads = image_to_packets(image, chunk=64)
-        chunks = [decode_command(p) for p in payloads]
         base, blob = image.flatten()
+        payloads = packetize_program(base, blob, 64)
+        chunks = [decode_command(p) for p in payloads]
         assert chunks[0].address == base
         total_bytes = sum(len(c.data) for c in chunks)
         assert total_bytes == len(blob)
@@ -83,7 +82,7 @@ int main(void) { return sizeof table; }""")
     def test_packets_reconstruct_binary(self):
         image = compile_c_program("int main(void) { return 0x1234; }")
         base, blob = image.flatten()
-        payloads = image_to_packets(image, chunk=32)
+        payloads = packetize_program(base, blob, 32)
         rebuilt = bytearray(len(blob))
         for payload in payloads:
             chunk = decode_command(payload)
