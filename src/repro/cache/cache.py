@@ -166,11 +166,14 @@ class TagStore:
 
     def restart(self) -> None:
         """Power-on replacement state: the lines stay resident; the
-        clock, the use and fill stamps and the generator start over."""
+        clock, the use and fill stamps and the generator start over.
+        Only a ``random`` store has a generator (building one is what
+        first imports ``numpy.random`` in a process)."""
         self.used = [0] * len(self.slots)
         self.filled = [0] * len(self.slots)
         self.clock = 0
-        self.rng = np.random.default_rng(self.seed)
+        if self.policy == "random":
+            self.rng = np.random.default_rng(self.seed)
 
 
 class DirectTagStore(TagStore):

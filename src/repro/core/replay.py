@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.cache.cache import CacheGeometry, TagStore, tag_store
 from repro.core.config import ArchitectureConfig
-from repro.core.sim import MixRecorder, SimReport, Simulator
+from repro.core.sim import SimReport, Simulator, word_mix
 from repro.cpu.blockcache import (
     EXIT_ANNULLED,
     EXIT_TAKEN,
@@ -110,7 +110,6 @@ class Recorded:
     #: ``recording.mark()`` at the program's first instruction.
     window: tuple[int, int, int]
     instructions: int
-    instruction_mix: dict
     result_word: int
     uart_output: bytes
     #: The recording machine: memory map, bus topology and device costs.
@@ -139,19 +138,17 @@ def record(config: ArchitectureConfig, image: Image,
     start = unit.instret
     stops: dict[int, tuple[int, int, int, int]] = {}
     position = 0
-    with MixRecorder(unit) as mix:
-        for step in sorted(marks):
-            position += unit.advance(step - position, stop_pc=poll)
-            if position < step:
-                raise RuntimeError(
-                    f"program finished at step {position}, before the "
-                    f"planned boundary {step}")
-            stops[step] = (*recording.mark(), unit.instret - start)
-        unit.run(max_instructions=max_instructions - position,
-                 until_pc=poll)
+    for step in sorted(marks):
+        position += unit.advance(step - position, stop_pc=poll)
+        if position < step:
+            raise RuntimeError(
+                f"program finished at step {position}, before the "
+                f"planned boundary {step}")
+        stops[step] = (*recording.mark(), unit.instret - start)
+    unit.run(max_instructions=max_instructions - position, until_pc=poll)
     return Recorded(
         recording=recording, window=window,
-        instructions=unit.instret - start, instruction_mix=mix.mix(),
+        instructions=unit.instret - start,
         result_word=sim.sram.host_read_word(sim.memmap.result_addr),
         uart_output=sim.uart.transmitted(), machine=sim, marks=stops)
 
@@ -165,8 +162,8 @@ def record(config: ArchitectureConfig, image: Image,
 
 class _Span:
     """A slice of the recording, replayed as two phases of which only
-    the second is counted: its columns, where the phases split, and the
-    passes already run over it.
+    the second is counted: its columns, where the phases split, the
+    second phase's instruction mix, and the passes already run over it.
 
     The whole program's span splits at the program's first instruction
     and ``restart`` is false: boot and dispatch only warm the caches.
@@ -183,7 +180,6 @@ class _Span:
         self.step_pcs = rec.step_pcs[lo[2]:hi[2]].tolist()
         self.step_words = rec.step_words[lo[2]:hi[2]].tolist()
         self.split = split[0] - lo[0]
-        self.split_step = split[2] - lo[2]
         kinds = replayer._kinds[lo[1]:hi[1]]
         self.kinds = kinds.tolist()
         self.ref_addr = replayer._ref_addr[lo[1]:hi[1]]
@@ -197,10 +193,11 @@ class _Span:
         self.flushes_after = Counter(
             index - lo[0] for index in iflushes[
                 bisect_left(iflushes, lo[0]):bisect_left(iflushes, hi[0])])
+        #: The instruction mix of the second phase.
+        self.mix = _mix(rec, split, hi)
         self.issue: dict[TimingConfig, dict] = {}
         self.fetch: dict[CacheGeometry, Counter] = {}
         self.data: dict[CacheGeometry, Counter] = {}
-        self.mix: dict | None = None
 
 
 class Replayer:
@@ -208,9 +205,10 @@ class Replayer:
     every configuration's observation of each sampled window in it.
 
     Config-independent work (classifying every address, the SMC check)
-    happens once here, and each span's columns are decoded once.  Each
-    pass runs through a span's two phases (boot and dispatch, then the
-    program window; or a window's ramp, then the window) and counts
+    happens once here, and each span's columns are decoded and its
+    instruction mix folded once.  Each pass runs through a span's two
+    phases (boot and dispatch, then the program window; or a window's
+    ramp, then the window) and counts
     the second — the fetch pass per I-cache geometry, the data pass
     per D-cache geometry, the issue pass per :class:`TimingConfig`,
     each memoized per span — and :meth:`_counts` prices the events
@@ -454,25 +452,6 @@ class Replayer:
         span.data[geometry] = counts
         return counts
 
-    def _mix(self, span: _Span) -> dict:
-        """The instruction mix of the span's second phase."""
-        if span.mix is None:
-            recorder = MixRecorder(None)
-            blocks = self.recorded.recording.blocks
-            words, steps_seen = span.step_words, span.split_step
-            for code in span.events[span.split:]:
-                if code >= 0:
-                    retired = (code >> 2) & 127
-                    if retired:
-                        recorder.on_block(blocks[code >> 16], retired, 1)
-                    continue
-                if code == STEP_RETIRED or code == STEP_TAKEN:
-                    recorder.on_retire(0, self._decode.lookup(
-                        words[steps_seen]))
-                steps_seen += 1
-            span.mix = recorder.mix()
-        return span.mix
-
     def _priced(self, counts: Counter, geometry: CacheGeometry) -> dict:
         """A cache side's controller, bus and memory counters and its
         stall cycles (``extra``) from its event counts."""
@@ -580,13 +559,13 @@ class Replayer:
         from the recording (no memory trace, as a sweep captures none)."""
         self._check(config)
         recorded = self.recorded
-        counts = self._counts(config, self._span(
-            (0, 0, 0), recorded.window, recorded.recording.mark(),
-            restart=False))
+        span = self._span((0, 0, 0), recorded.window,
+                          recorded.recording.mark(), restart=False)
+        counts = self._counts(config, span)
         return SimReport(
             cycles=counts["pipeline.cycles"],
             instructions=recorded.instructions,
-            instruction_mix=dict(recorded.instruction_mix),
+            instruction_mix=dict(span.mix),
             dcache=cache_record(counts, "dcache", config.dcache),
             icache=cache_record(counts, "icache", config.icache),
             result_word=recorded.result_word,
@@ -615,7 +594,7 @@ class Replayer:
             "traps": counts["pipeline.traps"],
             "ramp_steps": start - ramp_start,
             "ramp_instructions": split[3] - lo[3],
-            "instruction_mix": self._mix(span),
+            "instruction_mix": span.mix,
             "dcache": cache_counts(counts, "dcache"),
             "icache": cache_counts(counts, "icache"),
         }
@@ -647,6 +626,31 @@ def _data_pass(tags: TagStore, kinds: list[int], lines: list[int], lo: int,
     for kind, count in misses.items():
         counts["miss", kind] = count
     return counts
+
+
+def _mix(recording: Recording, lo: tuple, hi: tuple) -> dict[str, int]:
+    """The instruction mix of the recording between two of its marks:
+    each block exit retired ``blocks[id].insts[:retired]``, and each
+    retired interpreted step its word.  Counted once per distinct
+    (block id, retired) and per distinct step word, expanded into
+    counts per instruction word and classified once per word."""
+    codes = np.frombuffer(recording.events, dtype=np.int64)[lo[0]:hi[0]]
+    exits = codes[codes >= 0]
+    words: dict[int, int] = {}
+    blocks = recording.blocks
+    keys, counts = np.unique((exits >> 16) << 7 | (exits >> 2) & 127,
+                             return_counts=True)
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        for inst in blocks[key >> 7].insts[:key & 127]:
+            words[inst.word] = words.get(inst.word, 0) + count
+    steps = codes[codes < 0]
+    step_words = np.frombuffer(recording.step_words,
+                               dtype=np.uint64)[lo[2]:hi[2]]
+    retired = step_words[(steps == STEP_RETIRED) | (steps == STEP_TAKEN)]
+    for word, count in zip(*(column.tolist() for column in np.unique(
+            retired, return_counts=True))):
+        words[word] = words.get(word, 0) + count
+    return word_mix(words)
 
 
 def _flush_cycles(geometry: CacheGeometry) -> int:

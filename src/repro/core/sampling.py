@@ -451,10 +451,11 @@ def measure_window(sim: Simulator, spec: WindowSpec, poll: int) -> dict:
 
     The machine must already be positioned at ``spec.ramp_start`` in the
     canonical window-start state
-    (:meth:`Simulator._normalize_window_start`).
-    Shared between the checkpoint-resumed path and the straight-through
-    path so the two are equal by construction — the determinism tests
-    hold them against each other.
+    (:meth:`Simulator._normalize_window_start`).  The checkpoint path
+    of :class:`SampledRunner` (a replay fallback) measures every window
+    with it; ``tests/core/test_sampling.py`` also runs it on a machine
+    stepped straight through on the accurate engine and holds the two
+    equal.
     """
     cpu = sim.cpu
     ramp_budget = spec.start - spec.ramp_start
@@ -578,22 +579,13 @@ class SampledRunner:
         if (memo is not None and memo[0] is image
                 and memo[1] == max_instructions):
             return memo[2]
-        # Drive the translated engine directly: ``run_translated`` also
-        # counts the instruction mix (a ``MixRecorder`` hook call per
-        # block), which the survey does not need; through it, perfbench's
-        # ``stream_sampled`` read 3.5% slower (reference seconds, median
-        # of ten paired runs).
-        sim = Simulator(self.config, obs=False)
-        fast = sim.translated_unit()
-        sim._dispatch_on(fast, image)
-        start_steps, start_instret = fast.cycles, fast.instret
-        fast.run(max_instructions=max_instructions,
-                 until_pc=sim.rom_info.poll_address)
+        report = Simulator(self.config, obs=False).run_translated(
+            image, max_instructions)
         survey = {
-            "steps": fast.cycles - start_steps,
-            "instructions": fast.instret - start_instret,
-            "result_word": sim.sram.host_read_word(sim.memmap.result_addr),
-            "uart_hex": sim.uart.transmitted().hex(),
+            "steps": report.cycles,
+            "instructions": report.instructions,
+            "result_word": report.result_word,
+            "uart_hex": report.uart_output.hex(),
         }
         self._survey_memo = (image, max_instructions, survey)
         self._recording_memo.clear()

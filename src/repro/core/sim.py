@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
 from repro.core.config import ArchitectureConfig
-from repro.cpu.blockcache import MAX_BLOCKS, TranslatedBlock, TranslatedUnit
+from repro.cpu.blockcache import TranslatedUnit
 from repro.cpu.decode import decode
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.isa import (
@@ -74,20 +74,17 @@ def _classify(inst) -> str:
 
 
 class MixRecorder:
-    """Per-class instruction mix of one measured execution window.
+    """Per-class instruction mix of one measured execution window on an
+    engine that retires every instruction through ``on_retire``: the
+    accurate engine, or the functional interpreter.
 
-    Retirements are counted per *static* instruction and classified
-    once per distinct instruction word, when :meth:`mix` builds the
-    report — the hot path is one dict update, not a classification:
-
-    * single steps (the accurate engine, or a translated engine's
-      interpreted fallbacks) arrive through ``on_retire`` and are
-      counted by instruction word;
-    * translated block executions arrive through ``on_block``, batched
-      per trace call, and are counted by ``(block, retired)``.  The key is the block *object*,
-      so a block re-translated after self-modifying code counts under
-      its new instructions, and only the retired prefix is classified —
-      exact for traps, annulled delay slots and mid-block bails.
+    Retirements are counted per *static* instruction word and classified
+    once per distinct word, when :meth:`mix` builds the report — the hot
+    path is one dict update, not a classification.  A translated engine
+    is refused with :class:`TypeError`: it retires most instructions
+    inside generated blocks, which ``on_retire`` never sees.  A
+    translated run's mix is a fold over its recording
+    (:mod:`repro.core.replay`).
 
     Use it as a context manager around the engine's run::
 
@@ -96,62 +93,41 @@ class MixRecorder:
         instruction_mix = recorder.mix()
     """
 
-    #: Distinct ``(block, retired)`` keys held before they are folded
-    #: into word counts: bounds what the recorder keeps alive when code
-    #: is re-translated over and over (a FLUSH inside a hot loop).
-    FOLD_AT = MAX_BLOCKS
-
-    __slots__ = ("engine", "_words", "_blocks")
+    __slots__ = ("engine", "_words")
 
     def __init__(self, engine):
+        if isinstance(engine, TranslatedUnit):
+            raise TypeError(
+                "MixRecorder sees only the interpreted steps of a "
+                "TranslatedUnit; fold a recording's events instead")
         self.engine = engine
         self._words: dict[int, int] = {}
-        self._blocks: dict[tuple[TranslatedBlock, int], int] = {}
 
     def __enter__(self) -> MixRecorder:
         self.engine.on_retire = self.on_retire
-        if isinstance(self.engine, TranslatedUnit):
-            self.engine.on_block = self.on_block
         return self
 
     def __exit__(self, *exc) -> None:
         self.engine.on_retire = None
-        if isinstance(self.engine, TranslatedUnit):
-            self.engine.on_block = None
 
     def on_retire(self, pc: int, inst) -> None:
         words = self._words
         word = inst.word
         words[word] = words.get(word, 0) + 1
 
-    def on_block(self, block: TranslatedBlock, retired: int,
-                 count: int) -> None:
-        blocks = self._blocks
-        key = (block, retired)
-        seen = blocks.get(key)
-        if seen is None:
-            if len(blocks) >= self.FOLD_AT:
-                self._fold()
-            blocks[key] = count
-        else:
-            blocks[key] = seen + count
-
-    def _fold(self) -> None:
-        """Move the block counts into the word counts."""
-        words = self._words
-        for (block, retired), count in self._blocks.items():
-            for inst in block.insts[:retired]:
-                words[inst.word] = words.get(inst.word, 0) + count
-        self._blocks.clear()
-
     def mix(self) -> dict[str, int]:
-        """Retirements per instruction class (classes that retired
-        nothing are absent), in class-name order."""
-        self._fold()
-        mix: Counter[str] = Counter()
-        for word, count in self._words.items():
-            mix[_classify(decode(word))] += count
-        return dict(sorted(mix.items()))
+        """Retirements per instruction class (see :func:`word_mix`)."""
+        return word_mix(self._words)
+
+
+def word_mix(words: dict[int, int]) -> dict[str, int]:
+    """Retirements per instruction class from retirements per
+    instruction word, classifying each distinct word once (classes that
+    retired nothing are absent), in class-name order."""
+    mix: Counter[str] = Counter()
+    for word, count in words.items():
+        mix[_classify(decode(word))] += count
+    return dict(sorted(mix.items()))
 
 
 @dataclass
@@ -358,19 +334,22 @@ class Simulator(LiquidCore):
         peripheral side effects), byte-identical to the accurate engine
         (the differential suite holds them to it), no timing at all.
         ``cycles`` in the report equals the window's step count (CPI 1.0
-        by construction), the cache sections are all-zero and ``obs`` is
-        empty — this mode answers "what does the program compute", not
-        "how fast".  The block-cache counters and the size of the code
-        it generated (``source_chars``) are in the report's
-        ``fastpath`` section."""
+        by construction), the cache sections are all-zero and ``obs``
+        and ``instruction_mix`` are empty — this mode answers "what does
+        the program compute", not "how fast".  The program's mix is the
+        replayed report's, folded from the translated engine's
+        recording: ``Replayer(record(config, image,
+        max_instructions)).report(config).instruction_mix``
+        (:mod:`repro.core.replay`).  The block-cache counters and the
+        size of the code it generated (``source_chars``) are in the
+        report's ``fastpath`` section."""
         poll = self.rom_info.poll_address
         fast = self.translated_unit()
         self._dispatch_on(fast, image)
 
         start_steps, start_instret = fast.cycles, fast.instret
         self.events.record(fast.cycles, "dispatch", entry=image.entry)
-        with MixRecorder(fast) as mix_recorder:
-            fast.run(max_instructions=max_instructions, until_pc=poll)
+        fast.run(max_instructions=max_instructions, until_pc=poll)
         window = fast.cycles - start_steps
         retired = fast.instret - start_instret
         self.events.record(fast.cycles, "done", cycles=window)
@@ -381,7 +360,7 @@ class Simulator(LiquidCore):
         return SimReport(
             cycles=window,
             instructions=retired,
-            instruction_mix=mix_recorder.mix(),
+            instruction_mix={},
             dcache=cache_record(counts, "dcache", self.config.dcache,
                                 self.config.prefetch),
             icache=cache_record(counts, "icache", self.config.icache),

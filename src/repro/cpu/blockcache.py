@@ -214,11 +214,6 @@ class TranslatedBlock:
         #: trace's head; the walk is not tried again from this block.
         self.unchained = False
 
-    def report(self, on_block, retired: int, exit: int) -> None:
-        """Report a call that retired *retired* instructions: one
-        execution of the block (*exit*, ``unit._exit``, is 0)."""
-        on_block(self, retired, 1)
-
     def __repr__(self):
         return (f"TranslatedBlock(entry=0x{self.entry:08x}, "
                 f"length={self.length})")
@@ -234,8 +229,8 @@ class Trace:
     iteration, on a trap, on an SMC bail, or after a write-capable
     member when a store or FLUSH dropped any member's translation.  The
     exit leaves ``unit._exit`` = completed iterations x members + the
-    index of the member that exited, from which :meth:`report` and the
-    dispatch loop's ``blocks_executed`` recover every member body.
+    index of the member that exited, from which the dispatch loop's
+    ``blocks_executed`` counts every member body.
     ``succ`` is the PC the trace last exited to, kept as a block's is;
     nothing reads it.
 
@@ -246,9 +241,9 @@ class Trace:
     is the same step sequence and the same recorded event."""
 
     __slots__ = ("entry", "length", "code", "members", "entries",
-                 "pages", "source", "lo", "hi", "retired", "alive", "succ")
+                 "pages", "source", "lo", "hi", "alive", "succ")
 
-    def __init__(self, members, code, source, retired, alive):
+    def __init__(self, members, code, source, alive):
         head = members[0]
         self.entry = head.entry
         self.length = sum(block.length for block in members)
@@ -259,8 +254,6 @@ class Trace:
         self.source = source
         self.lo = min(block.lo for block in members)
         self.hi = max(block.hi for block in members)
-        #: Instructions each member retires on its way to the next one.
-        self.retired = retired
         #: ``[False]`` once a member's translation is dropped; the
         #: generated code reads it after each write-capable member.
         self.alive = alive
@@ -269,21 +262,6 @@ class Trace:
     @property
     def fallback(self) -> TranslatedBlock:
         return self.members[0]
-
-    def report(self, on_block, retired: int, exit: int) -> None:
-        """Report the member bodies of a call that retired *retired*
-        instructions and left at *exit* (``unit._exit``): one
-        ``on_block(block, retired, count)`` per distinct (member,
-        retired prefix)."""
-        laps, last = divmod(exit, len(self.members))
-        tail = (retired - laps * sum(self.retired)
-                - sum(self.retired[:last]))
-        for index, (block, full) in enumerate(zip(self.members,
-                                                  self.retired)):
-            count = laps + (index < last)
-            if count:
-                on_block(block, full, count)
-        on_block(self.members[last], tail, 1)
 
     def __repr__(self):
         return (f"Trace(entry=0x{self.entry:08x}, members="
@@ -1051,8 +1029,7 @@ def _compile_trace(unit, members: list) -> Trace | None:
     code, source, gen, alive = _compile(
         unit, [(block.entry, block.insts, block.cti) for block in members],
         True)
-    return Trace(members, code, source,
-                 tuple(lap[1] for lap in gen.lap), alive)
+    return Trace(members, code, source, alive)
 
 
 def _annuls_into(entry: int, insts, cti: int | None, target: int
@@ -1096,13 +1073,10 @@ class TranslatedUnit(FunctionalUnit):
     lead back to it, the cycle is compiled into a :class:`Trace` that
     the dispatch loop enters at its head instead of the head's block.
 
-    Retirement hooks split along the same line: ``on_block(block,
-    retired, count)`` reports *count* executions of a block for each of
-    which ``block.insts[:retired]`` retired (once per block execution,
-    or batched per trace call), and ``on_retire`` sees only the
-    interpreted single steps — an instruction executed inside a block
-    never reaches it.  Set both to observe every retirement (see
-    :class:`~repro.core.sim.MixRecorder`).
+    ``on_retire`` sees only the interpreted single steps: an instruction
+    executed inside a block never reaches it.  Every retirement shows in
+    a :class:`RecordingUnit`'s events instead, and a replayed record's
+    instruction mix is a fold over them (:mod:`repro.core.replay`).
     """
 
     #: The :class:`Recording` a :class:`RecordingUnit` fills; ``None``
@@ -1121,10 +1095,6 @@ class TranslatedUnit(FunctionalUnit):
         self.traces_translated = 0
         #: Characters of generated source compiled, blocks and traces.
         self.source_chars = 0
-        #: Optional block-retirement hook: ``on_block(block, retired,
-        #: count)`` after each block or trace execution; it replaces
-        #: ``on_retire`` for the instructions executed inside blocks.
-        self.on_block = None
         #: Per entry PC, its block, or the trace headed there.
         self._blocks: dict[int, TranslatedBlock | Trace] = {}
         #: The live traces by head PC.
@@ -1292,18 +1262,12 @@ class TranslatedUnit(FunctionalUnit):
 
     def fast_forward(self, budget: int, stop_pc: int | None = None) -> int:
         """Advance up to *budget* steps, stopping early when the PC
-        reaches *stop_pc*.  Blockwise where possible.  Each block or
-        trace execution calls ``on_block(block, retired, count)``, if
-        set — the retired instructions are always a prefix of
-        ``block.insts`` (branch arms, traps and SMC bails only cut it
-        short) and the machine state it observes is the *exit* state of
-        the block or trace.  ``on_retire`` fires only for the steps
-        interpreted here."""
+        reaches *stop_pc*.  Blockwise where possible; ``on_retire``
+        fires only for the steps interpreted here."""
         executed = 0
         blocks = self._blocks
         entries = self._entries
         step = self.step
-        on_block = self.on_block
         block_count = 0
         while executed < budget:
             pc = self.pc
@@ -1344,17 +1308,7 @@ class TranslatedUnit(FunctionalUnit):
                 executed += step()
                 continue
             self._exit = 0
-            if on_block is None:
-                executed += block.code(self, left)
-            else:
-                before = self.instret
-                try:
-                    executed += block.code(self, left)
-                finally:
-                    # Also when a trap in error mode escapes the block:
-                    # the prefix it retired is still reported.
-                    block.report(on_block, self.instret - before,
-                                 self._exit)
+            executed += block.code(self, left)
             block_count += self._exit + 1
             nxt = block.succ = self.pc
             if nxt <= pc:
@@ -1453,7 +1407,12 @@ class RecordingUnit(TranslatedUnit):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.recording = Recording()
-        self._retired = None
+        # The interpreter reports the instruction a step retired only
+        # through on_retire, keyed here by its pc.  The catcher is the
+        # dict's method, not the unit's, so that the unit is in no
+        # reference cycle and is freed as soon as it is dropped.
+        self._retired: dict[int, DecodedInstruction] = {}
+        self.on_retire = self._retired.__setitem__
 
     def data_read(self, address: int, size: int, *, signed: bool) -> int:
         self.recording.refs.append((address & _M32) << 4 | size << 1)
@@ -1485,28 +1444,16 @@ class RecordingUnit(TranslatedUnit):
             self.recording._code_read(entry, entry + 4 * executable)
         return block
 
-    def _catch_retired(self, pc: int, inst: DecodedInstruction) -> None:
-        self._retired = inst
-
     def step(self) -> int:
         recording = self.recording
         pc, traps_taken = self.pc, self.trap_count
         recording._code_read(pc, pc + 4)
-        # The interpreter reports the instruction it retired only through
-        # on_retire: borrow the hook for this step, then forward.
-        hook = self.on_retire
-        self.on_retire = self._catch_retired
-        try:
-            steps = super().step()
-        finally:
-            self.on_retire = hook
-        inst, self._retired = self._retired, None
+        steps = super().step()
+        inst = self._retired.pop(pc, None)
         if inst is not None:
             taken = self._transfer_target is not None
             recording.events.append(STEP_TAKEN if taken else STEP_RETIRED)
             recording.step_words.append(inst.word)
-            if hook is not None:
-                hook(pc, inst)
         else:
             recording.events.append(STEP_TRAPPED
                                     if self.trap_count != traps_taken

@@ -62,3 +62,20 @@ def test_an_unknown_name_raises_attribute_error():
         repro.core.NoSuchName
     assert not hasattr(repro.core, "sweep_runner")
 
+
+
+def test_a_stock_sweep_point_leaves_numpy_random_unimported():
+    """Only a ``random`` tag store builds a generator, so a stock sweep
+    (direct-mapped caches) never imports ``numpy.random``."""
+    loaded = _fresh(
+        "import sys\n"
+        "from repro.core import (ArchitectureConfig, ConfigurationSpace,\n"
+        "                        SweepRunner)\n"
+        "from repro.toolchain.driver import compile_c_program\n"
+        "image = compile_c_program('int main(void) { return 6 * 7; }')\n"
+        "space = ConfigurationSpace(ArchitectureConfig())\n"
+        "outcome = SweepRunner(workers=0).sweep(space, image)\n"
+        "assert [p.result_word for p in outcome.points] == [42]\n"
+        "print(*sys.modules)").split()
+    assert "numpy" in loaded
+    assert "numpy.random" not in loaded

@@ -13,9 +13,10 @@ from repro.core import (
     Simulator,
     simulate,
 )
-from repro.core.replay import Replayer, record
+from repro.core.replay import Replayer, _mix, record
 from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import MixRecorder, _classify
+from repro.cpu.blockcache import Recording
 from repro.cpu.decode import decode
 from repro.toolchain.asm import encoder
 from repro.toolchain.driver import compile_c_program
@@ -254,18 +255,16 @@ class TestClassifier:
         assert _classify(decode(word)) == expected
 
 
-def _engine_reports(image, max_instructions=50_000_000):
-    def fresh():
-        return Simulator(obs=False)
-    return {
-        "accurate": fresh().run(image, max_instructions),
-        "translated": fresh().run_translated(image, max_instructions),
-    }
-
-
 class TestMixRecorder:
     def test_mix_sums_to_instructions_on_every_engine(self, kernel_image):
-        reports = _engine_reports(kernel_image)
+        """The accurate engine's mix and the one folded from the
+        translated engine's recording (the replayed report's)."""
+        config = ArchitectureConfig()
+        reports = {
+            "accurate": Simulator(config, obs=False).run(kernel_image),
+            "recorded": Replayer(record(config, kernel_image,
+                                        50_000_000)).report(config),
+        }
         for engine, report in reports.items():
             assert sum(report.instruction_mix.values()) == \
                 report.instructions, engine
@@ -273,7 +272,7 @@ class TestMixRecorder:
                        for count in report.instruction_mix.values()), engine
         whole = {engine: (report.instructions, report.instruction_mix)
                  for engine, report in reports.items()}
-        assert whole["translated"] == whole["accurate"], whole
+        assert whole["recorded"] == whole["accurate"], whole
 
     def test_sampled_windows_sum_to_their_instructions(self):
         workload = get("crc32")
@@ -287,38 +286,36 @@ class TestMixRecorder:
             assert all(count > 0 for count in mix.values())
 
     def test_no_zero_count_classes(self):
-        """A block execution that retires nothing (a trap on its first
-        instruction) adds no class."""
+        """A block exit that retires nothing (a trap on its first
+        instruction) adds no class to the mix folded from a recording."""
         class Block:
             insts = [decode(encoder.ld_imm(1, 2, 0)),
                      decode(encoder.st_imm(1, 2, 0))]
 
-        recorder = MixRecorder(engine=None)
-        recorder.on_block(Block(), 0, 1)
-        assert recorder.mix() == {}
-        recorder.on_block(Block(), 1, 2)
-        assert recorder.mix() == {"load": 2}
-
-    def test_fold_bound_keeps_counts_exact(self, kernel_image, monkeypatch):
-        """Folding block counts into word counts early (as a program
-        that re-translates without end forces) changes nothing."""
-        expected = Simulator().run_translated(
-            kernel_image).instruction_mix
-        monkeypatch.setattr(MixRecorder, "FOLD_AT", 1)
-        folded = Simulator().run_translated(
-            kernel_image).instruction_mix
-        assert folded == expected
+        recording = Recording()
+        recording.blocks.append(Block())
+        # Block 0 fetched one word and retired none of it.
+        recording.events.append(1 << 9)
+        assert _mix(recording, (0, 0, 0), recording.mark()) == {}
+        # Twice: one word fetched, one retired.
+        recording.events.extend([1 << 9 | 1 << 2] * 2)
+        assert _mix(recording, (0, 0, 0), recording.mark()) == {"load": 2}
 
     def test_hooks_detached_after_window(self, kernel_image):
         sim = Simulator()
-        fast = sim.translated_unit()
-        sim._dispatch_on(fast, kernel_image)
+        cpu = sim.cpu
+        sim._dispatch_on(cpu, kernel_image)
         with pytest.raises(RuntimeError):
-            with MixRecorder(fast):
-                assert fast.on_retire is not None
-                assert fast.on_block is not None
+            with MixRecorder(cpu):
+                assert cpu.on_retire is not None
                 raise RuntimeError
-        assert fast.on_retire is None and fast.on_block is None
+        assert cpu.on_retire is None
+
+    def test_refuses_a_translated_engine(self):
+        """A translated engine retires most instructions inside blocks,
+        which ``on_retire`` never sees."""
+        with pytest.raises(TypeError):
+            MixRecorder(Simulator(obs=False).translated_unit())
 
 
 @pytest.mark.slow
@@ -326,12 +323,15 @@ def test_translated_mix_matches_accurate_on_a_long_kernel():
     """The registry kernels get this check through the difftest harness
     (``tests/difftest/test_workload_seeds.py``); this long streaming
     kernel retires 1.2M instructions, nearly all inside translated
-    blocks."""
+    blocks.  The translated mix is the fold over the program window of
+    the recording a replayed report reads."""
     workload = get("fir_stream")
     image = workload.image()
     accurate = Simulator(obs=False).run(
         image, max_instructions=workload.max_instructions)
-    translated = Simulator(obs=False).run_translated(
-        image, max_instructions=workload.max_instructions)
-    assert translated.instructions == accurate.instructions
-    assert translated.instruction_mix == accurate.instruction_mix
+    recorded = record(ArchitectureConfig(), image,
+                      workload.max_instructions)
+    recording = recorded.recording
+    assert recorded.instructions == accurate.instructions
+    assert _mix(recording, recorded.window, recording.mark()) == \
+        accurate.instruction_mix

@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu import IntegerUnit, blockcache
-from repro.cpu.blockcache import (MAX_BLOCK, RecordingUnit, Trace,
-                                  TranslatedUnit, _Codegen)
+from repro.cpu.blockcache import (MAX_BLOCK, STEP_RETIRED, STEP_TAKEN,
+                                  RecordingUnit, Trace, TranslatedUnit,
+                                  _Codegen)
 from repro.cpu.fastpath import FastMemory, FunctionalUnit
 from repro.cpu.traps import ErrorMode, WatchdogExpired
 from repro.mem.interface import FlatMemory
@@ -846,9 +847,8 @@ done:
 
     def test_trap_in_a_middle_member_reports_its_prefix(self):
         """A misaligned load in B (sixth iteration) enters error mode
-        from inside the trace: the calls before it batch whole
-        iterations, and B's cut body reports the two instructions
-        before the load."""
+        from inside the trace: B's cut body is recorded as an exit that
+        retired the two instructions before the load."""
         source = """
     .text
     .global _start
@@ -878,13 +878,13 @@ offsets:
 buf:
     .word 5
 """
-        translated, interpreted, calls = _mix_pair(
+        translated, interpreted, unit = _mix_pair(
             source, max_instructions=1_000, raises=ErrorMode)
         assert translated == interpreted
-        block, retired, count = calls[-1]
+        assert unit.traces_translated > 0
+        block, retired = _block_exits(unit)[-1]
         assert block.entry == build(source).symbols["loop"] + 12
-        assert (retired, count) == (2, 1)
-        assert any(count > 1 for _, _, count in calls)
+        assert retired == 2
 
     def test_a_dropped_trace_forms_again_on_the_next_return(
             self, monkeypatch):
@@ -1044,48 +1044,52 @@ class TestSimulatorIntegration:
 
 def _mix_pair(source: str, max_instructions: int = 10_000,
               raises: type[Exception] | None = None):
-    """Run *source* under a :class:`MixRecorder` on the interpreter and
-    on the translator; return (translated mix, interpreter mix, every
-    ``on_block`` call as (block, retired, count))."""
+    """Run *source* on the interpreter under a :class:`MixRecorder` and
+    on a :class:`RecordingUnit`; return (the mix folded from the
+    recording, the interpreter's mix, the recording unit)."""
+    from repro.core.replay import _mix
     from repro.core.sim import MixRecorder
 
-    mixes, calls = [], []
-    for cls in (FunctionalUnit, TranslatedUnit):
-        unit, _, image = _make(source, cls)
-        done = image.symbols["done"]
-        with MixRecorder(unit) as recorder:
-            if cls is TranslatedUnit:
-                def spy(block, retired, count, forward=recorder.on_block):
-                    calls.append((block, retired, count))
-                    forward(block, retired, count)
-                unit.on_block = spy
+    interpreter, _, image = _make(source, FunctionalUnit)
+    recording_unit, _, _ = _make(source, RecordingUnit)
+    done = image.symbols["done"]
+    with MixRecorder(interpreter) as recorder:
+        for unit in (interpreter, recording_unit):
             if raises is None:
                 unit.run(max_instructions=max_instructions, until_pc=done)
             else:
                 with pytest.raises(raises):
                     unit.run(max_instructions=max_instructions,
                              until_pc=done)
-        assert sum(recorder.mix().values()) == unit.instret
-        mixes.append(recorder.mix())
-    return mixes[1], mixes[0], calls
+    recording = recording_unit.recording
+    translated = _mix(recording, (0, 0, 0), recording.mark())
+    assert sum(recorder.mix().values()) == interpreter.instret
+    assert sum(translated.values()) == recording_unit.instret
+    return translated, recorder.mix(), recording_unit
+
+
+def _block_exits(unit: RecordingUnit) -> list:
+    """A recording's block exits, as (block, instructions retired)."""
+    recording = unit.recording
+    return [(recording.blocks[event >> 16], event >> 2 & 0x7F)
+            for event in recording.events if event >= 0]
 
 
 class TestRetirementHooks:
     @pytest.mark.usefixtures("translate_on_first_entry")
-    def test_on_block_replaces_on_retire_inside_blocks(self):
-        tu, _, image = _make(SMALL_PROGRAM, TranslatedUnit)
-        stepped, executed = [], []
-        tu.on_retire = lambda pc, inst: stepped.append(pc)
-        tu.on_block = lambda block, retired, count: executed.append(
-            retired * count)
-        tu.run(max_instructions=10_000, until_pc=image.symbols["done"])
-        assert executed and len(stepped) + sum(executed) == tu.instret
+    def test_block_exits_and_retired_steps_sum_to_instret(self):
+        unit = _run_recorded(SMALL_PROGRAM)
+        events = unit.recording.events
+        stepped = sum(event in (STEP_RETIRED, STEP_TAKEN)
+                      for event in events)
+        exits = [retired for _, retired in _block_exits(unit)]
+        assert exits and stepped + sum(exits) == unit.instret
 
     @pytest.mark.usefixtures("translate_on_first_entry")
     def test_trap_cut_block_counts_retired_prefix(self):
         """A misaligned load mid-block enters error mode: only the three
         instructions before it (set = sethi + or, add, add) retired."""
-        translated, interpreted, calls = _mix_pair("""
+        translated, interpreted, unit = _mix_pair("""
     .text
     .global _start
 _start:
@@ -1100,14 +1104,14 @@ done:
     nop
 """, max_instructions=100, raises=ErrorMode)
         assert translated == interpreted == {"alu": 3, "sethi": 1}
-        assert [(len(block.insts) > retired, retired, count)
-                for block, retired, count in calls] == [(True, 4, 1)]
+        assert [(len(block.insts) > retired, retired)
+                for block, retired in _block_exits(unit)] == [(True, 4)]
 
     @pytest.mark.usefixtures("translate_on_first_entry")
     def test_smc_bail_counts_retired_prefix(self):
         """A block that patches its own later instructions bails after
         the store; the patched instruction counts under its new class."""
-        translated, interpreted, calls = _mix_pair("""
+        translated, interpreted, unit = _mix_pair("""
     .text
     .global _start
 _start:
@@ -1127,7 +1131,8 @@ patch:
     nop
 """)
         assert translated == interpreted
-        assert calls[0][1] == 6     # up to and including the store
+        # up to and including the store
+        assert _block_exits(unit)[0][1] == 6
         # target retired as the patched nop, never as its old add.
         assert interpreted["alu"] == 4 and interpreted["store"] == 1
 
@@ -1161,10 +1166,10 @@ done:
 patch:
     nop
 """
-        translated, interpreted, calls = _mix_pair(source)
+        translated, interpreted, unit = _mix_pair(source)
         assert translated == interpreted
         loop = build(source).symbols["loop"]
-        loop_blocks = {id(block): block for block, _, _ in calls
+        loop_blocks = {id(block): block for block, _ in _block_exits(unit)
                        if block.entry == loop}
         assert len(loop_blocks) == 2
         first, second = (block.insts[1].word
