@@ -37,7 +37,7 @@ ROUNDS = 3
 def _accurate_rate(image) -> tuple[float, int]:
     best, instructions = 0.0, 0
     for _ in range(ROUNDS):
-        sim = Simulator(obs=False)
+        sim = Simulator()
         start = time.perf_counter()
         report = sim.run(image)
         elapsed = time.perf_counter() - start
@@ -49,7 +49,7 @@ def _accurate_rate(image) -> tuple[float, int]:
 def _functional_rate(image) -> tuple[float, int]:
     best, steps = 0.0, 0
     for _ in range(ROUNDS):
-        sim = Simulator(obs=False)
+        sim = Simulator()
         start = time.perf_counter()
         # A checkpoint warmed on the single-instruction functional path
         # (SampledRunner's checkpoint pass uses the translated engine).
@@ -71,7 +71,7 @@ def _steady_rate(image, engine: str) -> float:
     ratio is free of boot/checkpoint overhead."""
     best = 0.0
     for _ in range(ROUNDS):
-        sim = Simulator(obs=False)
+        sim = Simulator()
         eng = sim._fast_unit(
             FunctionalUnit if engine == "fast" else TranslatedUnit)
         sim._dispatch_on(eng, image)
@@ -129,13 +129,13 @@ def _whole_program_seconds(image) -> tuple[float, float]:
     alternate round by round so host-speed drift hits both alike."""
     quiet = hooked = float("inf")
     for _ in range(ROUNDS):
-        sim = Simulator(obs=False)
+        sim = Simulator()
         start = time.perf_counter()
         engine = sim.translated_unit()
         sim._dispatch_on(engine, image)
         engine.fast_forward(50_000_000, stop_pc=sim.rom_info.poll_address)
         quiet = min(quiet, time.perf_counter() - start)
-        sim = Simulator(obs=False)
+        sim = Simulator()
         start = time.perf_counter()
         sim.run_translated(image)
         hooked = min(hooked, time.perf_counter() - start)

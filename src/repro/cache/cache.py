@@ -62,6 +62,12 @@ class CacheGeometry:
         return self.size // (self.line_size * self.ways)
 
     @property
+    def lines(self) -> int:
+        """Lines in the cache: a whole-cache flush costs one cycle
+        each, as LEON2 flushes one line per cycle."""
+        return self.size // self.line_size
+
+    @property
     def offset_bits(self) -> int:
         return log2_exact(self.line_size)
 

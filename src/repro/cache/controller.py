@@ -38,11 +38,6 @@ class CacheController:
     cacheable:
         Predicate ``address -> bool``; non-cacheable accesses bypass the
         cache entirely and pay the bus cost.
-    enabled:
-        A disabled cache (paper: evaluating the core without caches is a
-        configuration point) forwards everything.
-    flush_cycles:
-        Cost of a whole-cache flush; LEON2 flushes one line per cycle.
     """
 
     def __init__(
@@ -50,8 +45,6 @@ class CacheController:
         geometry: CacheGeometry,
         backing: MemoryPort,
         cacheable: Callable[[int], bool] = lambda address: True,
-        enabled: bool = True,
-        flush_cycles: int | None = None,
         name: str = "cache",
         prefetch: str = "none",
     ):
@@ -59,10 +52,7 @@ class CacheController:
         self.cache = SetAssociativeCache(geometry)
         self.backing = backing
         self.cacheable = cacheable
-        self.enabled = enabled
         self.name = name
-        self.flush_cycles = (flush_cycles if flush_cycles is not None
-                             else geometry.sets * geometry.ways)
         self.fill_count = 0
         self.bypass_count = 0
         # Miss-latency distribution, bucketed by bit length (bucket i
@@ -82,10 +72,15 @@ class CacheController:
     def stats(self):
         return self.cache.stats
 
+    @property
+    def flush_cycles(self) -> int:
+        """Cost of a whole-cache flush: one cycle per line."""
+        return self.geometry.lines
+
     # -- MemoryPort ---------------------------------------------------------
 
     def read(self, address: int, size: int) -> tuple[int, int]:
-        if not self.enabled or not self.cacheable(address):
+        if not self.cacheable(address):
             self.bypass_count += 1
             return self.backing.read(address, size)
         value = self.cache.read(address, size)
@@ -108,7 +103,7 @@ class CacheController:
         return value, cycles
 
     def write(self, address: int, size: int, value: int) -> int:
-        if not self.enabled or not self.cacheable(address):
+        if not self.cacheable(address):
             self.bypass_count += 1
             return self.backing.write(address, size, value)
         hit = self.cache.write(address, size, value)
@@ -198,7 +193,7 @@ class CacheController:
         """Invalidate everything; returns the flush cost in cycles."""
         self.cache.invalidate_all()
         self._speculative.clear()
-        return self.flush_cycles
+        return self.geometry.lines
 
     def reset_stats(self) -> None:
         """Zero all accounting and retrain the speculative machinery.

@@ -34,6 +34,9 @@ from typing import NamedTuple
 from repro.core.config import ArchitectureConfig
 from repro.core.synthesis import Bitfile, SynthesisModel
 
+#: Lock stripes for the hit/miss statistics (see :class:`_StatsShard`).
+STAT_SHARDS = 8
+
 
 class ReconCacheThrashWarning(RuntimeWarning):
     """A pregenerate batch exceeds the cache capacity: entries the batch
@@ -98,9 +101,7 @@ class ReconfigurationCache:
     """LRU-bounded, thread-safe store of pre-generated bitfiles."""
 
     def __init__(self, synthesizer: SynthesisModel | None = None,
-                 capacity: int | None = None, stat_shards: int = 8):
-        if stat_shards < 1:
-            raise ValueError("stat_shards must be >= 1")
+                 capacity: int | None = None):
         self.synthesizer = synthesizer or SynthesisModel()
         self.capacity = capacity
         self._records: dict[str, CacheRecord] = {}
@@ -108,7 +109,7 @@ class ReconfigurationCache:
         self._lock = threading.Lock()
         #: key -> Event set when that key's in-flight synthesis lands.
         self._in_flight: dict[str, threading.Event] = {}
-        self._shards = tuple(_StatsShard() for _ in range(stat_shards))
+        self._shards = tuple(_StatsShard() for _ in range(STAT_SHARDS))
         #: Keys inserted by the pregenerate batch currently running (for
         #: thrash accounting); None outside pregenerate.
         self._batch_keys: set[str] | None = None

@@ -129,7 +129,7 @@ def record(config: ArchitectureConfig, image: Image,
     *marks* are program steps (counted from the first instruction) to
     stop at on the way, as the sampled windows' boundaries, none past
     the program's return to the polling loop."""
-    sim = Simulator(config, obs=False)
+    sim = Simulator(config)
     poll = sim.rom_info.poll_address
     unit = sim._fast_unit(RecordingUnit)
     recording = unit.recording
@@ -515,8 +515,8 @@ class Replayer:
         data_events = self._data(config.dcache, span)
         data = self._priced(data_events, config.dcache)
         mem_stall = (data["extra"]
-                     + data["flushes"] * _flush_cycles(config.dcache)
-                     + data_events[_IFLUSH] * _flush_cycles(config.icache))
+                     + data["flushes"] * config.dcache.lines
+                     + data_events[_IFLUSH] * config.icache.lines)
         cti_penalty = issue["taken"] * timing.taken_cti_penalty
         cycles = (issue["issue"] + fetch["extra"] + mem_stall + cti_penalty
                   + issue["annulled"] * timing.annulled_slot_cycles
@@ -651,11 +651,6 @@ def _mix(recording: Recording, lo: tuple, hi: tuple) -> dict[str, int]:
             retired, return_counts=True))):
         words[word] = words.get(word, 0) + count
     return word_mix(words)
-
-
-def _flush_cycles(geometry: CacheGeometry) -> int:
-    """CacheController's default flush cost: one cycle per line."""
-    return geometry.sets * geometry.ways
 
 
 def _issue_table(block, plan) -> tuple:

@@ -151,7 +151,8 @@ class SimReport:
     #: Program-window metrics snapshot (repro.obs schema: counters /
     #: gauges / histograms), covering exactly the measured execution,
     #: from the program's entry to its return to the polling loop.
-    #: Empty when the simulator was built with ``obs=False``.
+    #: Empty only from :meth:`Simulator.run_translated`, which has no
+    #: timing model to count.
     obs: dict = dataclass_field(default_factory=dict)
     #: Fast-engine provenance (engine, steps, block-cache counters and
     #: ``source_chars``, the characters of generated source), set
@@ -191,8 +192,7 @@ class Simulator(LiquidCore):
     :class:`~repro.core.liquid.LiquidProcessorSystem`.
     """
 
-    def __init__(self, config: ArchitectureConfig | None = None,
-                 obs: bool = True):
+    def __init__(self, config: ArchitectureConfig | None = None):
         self.config = config or ArchitectureConfig()
         super().__init__(self.config)
 
@@ -200,16 +200,15 @@ class Simulator(LiquidCore):
         # not see; ArchState adds them to the architectural retired count.
         self.fast_instret = 0
 
-        # Telemetry (repro.obs): cycle-stamped control-plane events plus
-        # per-point metrics snapshots.  Disabled, both are no-ops.
-        self.obs_enabled = obs
-        self.events = EventTrace(enabled=obs)
-        if obs:
-            self.cpu.on_trap = lambda tt, pc: self.events.record(
-                self.cpu.cycles, "trap", tt=tt, pc=pc)
+        # Cycle-stamped control-plane events (repro.obs).  The trap hook
+        # holds the trace, not the machine, so a dropped Simulator is
+        # freed by reference counting alone.
+        self.events = events = EventTrace()
+        self.cpu.on_trap = lambda cycle, tt, pc: events.record(
+            cycle, "trap", tt=tt, pc=pc)
 
     # ------------------------------------------------------------------
-    # Two-speed execution: translated fast path + checkpoints
+    # Engines over this machine
     # ------------------------------------------------------------------
 
     def translated_unit(self) -> TranslatedUnit:
@@ -324,7 +323,7 @@ class Simulator(LiquidCore):
             icache=cache_record(counts, "icache", config.icache),
             result_word=self.sram.host_read_word(self.memmap.result_addr),
             uart_output=self.uart.transmitted(),
-            obs=point_snapshot(counts) if self.obs_enabled else {},
+            obs=point_snapshot(counts),
         )
 
     def run_translated(self, image: Image,

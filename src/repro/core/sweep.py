@@ -56,7 +56,7 @@ from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import SimReport, Simulator
 from repro.cpu import traps
 from repro.core.synthesis import SynthesisModel
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.toolchain.objfile import Image
 
 #: Bumped whenever the cached record layout changes; stale on-disk
@@ -642,7 +642,7 @@ class SweepRunner:
         # Host-side sweep telemetry (wall time, cache reuse, worker
         # utilization).  Never persisted into point records — those hold
         # only simulation-derived series, keeping them deterministic.
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs if obs is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
 

@@ -228,7 +228,7 @@ class FunctionalUnit:
         self.annulled_slots = 0
         self.pipeline_flushes = 0
 
-        self.on_trap: Callable[[int, int], None] | None = None
+        self.on_trap: Callable[[int, int, int], None] | None = None
         self.on_retire: Callable[[int, DecodedInstruction], None] | None = None
         self.interrupt_source: Callable[[], int] | None = None
 

@@ -88,7 +88,8 @@ class IntegerUnit:
 
         # Hooks for the platform (leon_ctrl bus snooping, tracing).
         self.on_fetch: Callable[[int], None] | None = None
-        self.on_trap: Callable[[int, int], None] | None = None
+        # Trap hook: (cycle, tt, pc) as the trap is taken.
+        self.on_trap: Callable[[int, int, int], None] | None = None
         # Instruction-trace hook: (pc, DecodedInstruction) after retire.
         self.on_retire: Callable[[int, DecodedInstruction], None] | None = None
         # Interrupt source: callable returning pending level 0..15.
@@ -330,7 +331,7 @@ class IntegerUnit:
         self.trap_count += 1
         self.pipeline_flushes += 1
         if self.on_trap is not None:
-            self.on_trap(trap.tt, self.pc)
+            self.on_trap(self.cycles, trap.tt, self.pc)
         ctrl.et = False
         ctrl.ps = ctrl.s
         ctrl.s = True

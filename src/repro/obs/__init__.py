@@ -5,8 +5,8 @@ software analogue of the paper's observability hardware (the FPX cycle
 counter, the streamed instrumented traces, the Trace Analyzer):
 
 * :class:`MetricsRegistry` — counters, gauges and histograms with
-  labeled series; cheap no-op instruments when disabled; deterministic
-  snapshot/diff (cycle-derived values only, never wall-clock).
+  labeled series; deterministic snapshot/diff (cycle-derived values
+  only, never wall-clock).
 * :class:`EventTrace` — bounded ring of cycle-stamped typed events with
   JSON-lines export.
 * :mod:`repro.obs.collect` — reads the hot layers' native counters
@@ -28,7 +28,6 @@ from repro.obs.collect import (
 )
 from repro.obs.events import Event, EventTrace
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -45,7 +44,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "cache_record",
     "collect_analysis",
     "collect_fleet",

@@ -40,17 +40,14 @@ class Event:
 class EventTrace:
     """Bounded ring buffer of :class:`Event` records."""
 
-    def __init__(self, capacity: int = 4096, enabled: bool = True):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.enabled = enabled
         self._ring: deque[Event] = deque(maxlen=capacity)
         self.recorded = 0
 
     def record(self, cycle: int, kind: str, **fields) -> None:
-        if not self.enabled:
-            return
         self.recorded += 1
         self._ring.append(Event(cycle, kind,
                                 tuple(sorted(fields.items()))))

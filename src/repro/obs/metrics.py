@@ -14,10 +14,10 @@ Design constraints, in order:
   space produce byte-identical per-point snapshots.  Callers that want
   host-side timing (the sweep engine does) keep it in a *separate*
   registry that is never persisted into point records.
-* **Cheap when disabled.**  A registry built with ``enabled=False``
-  hands out shared no-op instruments; the hot simulation loops keep
-  their native integer counters and are *collected* into a registry at
-  snapshot boundaries instead of paying a method call per event.
+* **Off the hot path.**  The simulation loops keep native integer
+  counters, *collected* into a registry at snapshot boundaries instead
+  of paying a method call per event; only host-side code (sweeps,
+  transports, the fleet) calls a registry directly.
 * **Snapshot/diff-able.**  :meth:`MetricsRegistry.snapshot` is a plain
   sorted dict; :func:`diff_snapshots` subtracts two of them so tests and
   the per-point pipeline can assert on deltas (the FPX counter's
@@ -37,7 +37,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "POW2_BOUNDS",
     "diff_snapshots",
     "series_key",
@@ -116,37 +115,6 @@ class Histogram:
         self.sum += total_sum
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value) -> None:
-        pass
-
-    def load(self, counts, total_sum) -> None:
-        pass
-
-
-#: Shared no-op instruments: a disabled registry hands these out so the
-#: instrumented code path is a single attribute call that does nothing.
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
     """Process-local, schema-light metrics store.
 
@@ -156,8 +124,7 @@ class MetricsRegistry:
     attribute access + integer add per event.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -165,8 +132,6 @@ class MetricsRegistry:
     # -- instrument factories ------------------------------------------------
 
     def counter(self, name: str, **labels) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
         key = series_key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
@@ -174,8 +139,6 @@ class MetricsRegistry:
         return instrument
 
     def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
         key = series_key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
@@ -184,8 +147,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds: tuple = POW2_BOUNDS,
                   **labels) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         key = series_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
@@ -224,11 +185,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-
-#: Shared disabled registry: the default ``obs`` sink for components
-#: constructed without one, so instrumentation never needs None checks.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
 def diff_snapshots(after: dict, before: dict) -> dict:

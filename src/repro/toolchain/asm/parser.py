@@ -21,8 +21,13 @@ from dataclasses import dataclass
 
 from repro.cpu.isa import BRANCH_MNEMONICS, TRAP_MNEMONICS, Cond, Op3, Op3Mem
 from repro.toolchain.asm import encoder
-from repro.toolchain.objfile import ObjectFile, RelocKind, Relocation, Section
-from repro.utils import s32, u32
+from repro.toolchain.objfile import (
+    ObjectFile,
+    RelocKind,
+    Relocation,
+    Section,
+    apply_relocation,
+)
 
 
 class AssemblyError(Exception):
@@ -509,17 +514,12 @@ class Assembler:
 
     @staticmethod
     def _apply_const(word: int, kind: RelocKind, value: int) -> int:
-        value = u32(value)
-        if kind == RelocKind.HI22:
-            return word | (value >> 10)
-        if kind == RelocKind.LO10:
-            return word | (value & 0x3FF)
-        if kind == RelocKind.SIMM13:
-            signed = s32(value)
-            if not -4096 <= signed <= 4095:
-                raise encoder.EncodeError(f"immediate {signed} exceeds simm13")
-            return word | (signed & 0x1FFF)
-        raise encoder.EncodeError(f"cannot fold constant into {kind}")
+        if kind not in (RelocKind.HI22, RelocKind.LO10, RelocKind.SIMM13):
+            raise encoder.EncodeError(f"cannot fold constant into {kind}")
+        try:
+            return apply_relocation(word, kind, value)
+        except ValueError as exc:
+            raise encoder.EncodeError(str(exc)) from exc
 
     # -- operand utilities ------------------------------------------------
 
@@ -882,15 +882,13 @@ class Assembler:
             same_section = symbol is not None and symbol.section == fixup.section
             if fixup.kind in (RelocKind.WDISP22, RelocKind.WDISP30) and same_section:
                 section = self.obj.section(fixup.section)
-                displacement = (symbol.offset + fixup.addend - fixup.offset) >> 2
-                word = section.word_at(fixup.offset)
-                if fixup.kind == RelocKind.WDISP22:
-                    if not -(1 << 21) <= displacement < (1 << 21):
-                        raise AssemblyError("branch displacement overflow",
-                                            self.source, fixup.line)
-                    word |= displacement & 0x3FFFFF
-                else:
-                    word |= displacement & 0x3FFF_FFFF
+                try:
+                    word = apply_relocation(
+                        section.word_at(fixup.offset), fixup.kind,
+                        symbol.offset + fixup.addend, fixup.offset)
+                except ValueError as exc:
+                    raise AssemblyError(str(exc), self.source,
+                                        fixup.line) from exc
                 section.patch_word(fixup.offset, word)
             else:
                 self.obj.section(fixup.section).relocations.append(

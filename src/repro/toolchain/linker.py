@@ -15,10 +15,10 @@ from repro.toolchain.objfile import (
     Image,
     LinkError,
     ObjectFile,
-    RelocKind,
     Section,
+    apply_relocation,
 )
-from repro.utils import s32, u32
+from repro.utils import u32
 
 
 @dataclass
@@ -184,34 +184,14 @@ class Linker:
                                     f"referenced from {name}+0x{reloc.offset:x}")
                 word = int.from_bytes(out.data[reloc.offset:reloc.offset + 4],
                                       "big")
-                patched = self._apply(word, reloc.kind, value,
-                                      out.base + reloc.offset, reloc.symbol)
+                try:
+                    patched = apply_relocation(word, reloc.kind, value,
+                                               out.base + reloc.offset)
+                except ValueError as exc:
+                    raise LinkError(f"relocation against '{reloc.symbol}' "
+                                    f"at {name}+0x{reloc.offset:x}: "
+                                    f"{exc}") from exc
                 out.data[reloc.offset:reloc.offset + 4] = patched.to_bytes(4, "big")
-
-    @staticmethod
-    def _apply(word: int, kind: RelocKind, value: int, place: int,
-               symbol: str) -> int:
-        if kind == RelocKind.WORD32:
-            return value
-        if kind == RelocKind.HI22:
-            return word | (value >> 10)
-        if kind == RelocKind.LO10:
-            return word | (value & 0x3FF)
-        if kind == RelocKind.SIMM13:
-            signed = s32(value)
-            if not -4096 <= signed <= 4095:
-                raise LinkError(f"simm13 overflow for '{symbol}' "
-                                f"(value 0x{value:08x})")
-            return word | (signed & 0x1FFF)
-        if kind == RelocKind.WDISP30:
-            disp = (value - place) >> 2
-            return word | (disp & 0x3FFF_FFFF)
-        if kind == RelocKind.WDISP22:
-            disp = (value - place) >> 2
-            if not -(1 << 21) <= disp < (1 << 21):
-                raise LinkError(f"branch to '{symbol}' out of range")
-            return word | (disp & 0x3FFFFF)
-        raise LinkError(f"unknown relocation kind {kind}")
 
 
 def link(objects: list[ObjectFile], script: MemoryMapScript | None = None,

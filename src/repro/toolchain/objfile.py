@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.utils import u32
+from repro.utils import s32, u32
 
 
 class RelocKind(Enum):
@@ -24,6 +24,32 @@ class RelocKind(Enum):
     SIMM13 = "simm13"    # 13-bit signed immediate (absolute, must fit)
     WDISP30 = "wdisp30"  # CALL: (target - place) >> 2 in 30 bits
     WDISP22 = "wdisp22"  # Bicc: (target - place) >> 2 in 22 signed bits
+
+
+def apply_relocation(word: int, kind: RelocKind, value: int,
+                     place: int = 0) -> int:
+    """*word* with *kind*'s field filled in from *value*: the symbol's
+    value for the absolute kinds, the branch target for ``WDISP30`` and
+    ``WDISP22``, whose displacement counts from *place* (the address of
+    the patched word).  Raises :class:`ValueError` when the value does
+    not fit its field; each caller reports that in its own error."""
+    if kind is RelocKind.WORD32:
+        return u32(value)
+    if kind is RelocKind.HI22:
+        return word | (u32(value) >> 10)
+    if kind is RelocKind.LO10:
+        return word | (value & 0x3FF)
+    if kind is RelocKind.SIMM13:
+        signed = s32(value)
+        if not -4096 <= signed <= 4095:
+            raise ValueError(f"value {signed} exceeds simm13")
+        return word | (signed & 0x1FFF)
+    displacement = (value - place) >> 2
+    if kind is RelocKind.WDISP30:
+        return word | (displacement & 0x3FFF_FFFF)
+    if not -(1 << 21) <= displacement < (1 << 21):
+        raise ValueError("branch displacement out of range")
+    return word | (displacement & 0x3FFFFF)
 
 
 @dataclass

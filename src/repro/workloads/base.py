@@ -117,7 +117,7 @@ class Workload:
 
         if engine not in ("accurate", "translated"):
             raise ValueError(f"unknown engine '{engine}'")
-        sim = Simulator(obs=False)
+        sim = Simulator()
         runner = sim.run if engine == "accurate" else sim.run_translated
         report = runner(self.image(seed),
                         max_instructions=self.max_instructions)

@@ -9,11 +9,10 @@ from repro.obs.collect import cache_record, simulator_snapshot
 BASE = 0x4000_0000
 
 
-def make_controller(size=1024, line=32, read_wait=0, cacheable=None,
-                    **kwargs):
+def make_controller(size=1024, line=32, read_wait=0, cacheable=None):
     memory = FlatMemory(size=1 << 16, base=BASE, read_wait=read_wait)
     controller = CacheController(CacheGeometry(size, line), memory,
-                                 cacheable or (lambda a: True), **kwargs)
+                                 cacheable or (lambda a: True))
     return controller, memory
 
 
@@ -114,12 +113,6 @@ class TestBypassAndFlush:
         assert controller.read(BASE, 4)[0] == 0
         memory.write_word(BASE, 0x4000_2000)  # external (host) write
         assert controller.read(BASE, 4)[0] == 0x4000_2000
-
-    def test_disabled_cache_forwards_everything(self):
-        controller, memory = make_controller(enabled=False)
-        memory.write_word(BASE, 9)
-        assert controller.read(BASE, 4)[0] == 9
-        assert controller.cache.valid_lines == 0
 
     def test_flush_invalidates_and_costs_cycles(self):
         controller, memory = make_controller()

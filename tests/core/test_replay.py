@@ -319,7 +319,7 @@ def test_group_replays_each_point_from_one_recording(image):
 def test_recording_is_a_separate_block_variant(image):
     """Plain translated blocks carry no recording code (so the
     architectural fast path keeps its speed); recording blocks log."""
-    plain = Simulator(obs=False)
+    plain = Simulator()
     unit = plain.translated_unit()
     plain._dispatch_on(unit, image)
     assert unit._blocks
@@ -363,8 +363,7 @@ def test_replay_reports_one_program_window(image):
 def test_recording_unit_keeps_the_step_contract(image):
     """The recording engine executes the same steps as the plain
     translated engine: same retired count and same final pc."""
-    sims = [Simulator(obs=False)
-            for _ in range(2)]
+    sims = [Simulator() for _ in range(2)]
     plain = sims[0].translated_unit()
     sims[0]._dispatch_on(plain, image)
     recording = sims[1]._fast_unit(RecordingUnit)

@@ -11,6 +11,7 @@ The statistical *coverage* claims live in ``test_sampling_stats.py``
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -371,7 +372,7 @@ class TestCheckpointResumedWindows:
         head = head_spec(survey["steps"], plan)
         _, specs = place_windows(survey["steps"], plan, start=head.end)
 
-        sim = Simulator(config, obs=False)
+        sim = Simulator(config)
         cpu = sim.cpu
         tags = sim.dcache.cache.tags
         seeded = np.random.default_rng(tags.seed).bit_generator.state
@@ -392,3 +393,33 @@ class TestCheckpointResumedWindows:
             straight = measure_window(sim, spec, poll)
             position = spec.end
             assert straight == resumed
+
+
+class TestCheckpointMemo:
+    """A runner keeps one placement's checkpoints, each holding a copy
+    of SRAM: a new plan frees the old states, and a repeated plan (a
+    sweep's config family) reuses the kept ones."""
+
+    CONFIG = ArchitectureConfig().with_prefetch("stride")
+    PLAN = SamplingPlan(n_windows=2, window_length=400, ramp_length=256,
+                        seed=2)
+
+    def test_two_plans_leave_one_placement(self, loop_image):
+        runner = SampledRunner(self.CONFIG)
+        runner.run(loop_image, self.PLAN)
+        assert runner.path == "prefetch"
+        first = [weakref.ref(state)
+                 for state in runner._checkpoint_memo[2].values()]
+        second = runner.run(loop_image, replace(self.PLAN, seed=3))
+        assert [ref() for ref in first] == [None] * len(first)
+        states = runner._checkpoint_memo[2]
+        assert set(states) == {window["ramp_start"]
+                               for window in (second.head, *second.windows)}
+
+    def test_same_plan_twice_checkpoints_once(self, loop_image):
+        runner = SampledRunner(self.CONFIG)
+        first = runner.run(loop_image, self.PLAN)
+        states = runner._checkpoint_memo[2]
+        again = runner.run(loop_image, self.PLAN)
+        assert runner._checkpoint_memo[2] is states
+        assert again.canonical_json() == first.canonical_json()

@@ -1,5 +1,6 @@
 """Sim box (Figure 1) tests: offline simulation with instruction traces."""
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import MixRecorder, _classify
 from repro.cpu.blockcache import Recording
 from repro.cpu.decode import decode
+from repro.cpu.isa import Trap
 from repro.toolchain.asm import encoder
 from repro.toolchain.driver import compile_c_program
 from repro.workloads import get
@@ -177,22 +179,19 @@ _ONE_WINDOW_CONFIGS = {
 
 @pytest.mark.parametrize("engine, name", [
     ("accurate", "stock"), ("accurate", "lrr"), ("accurate", "stride"),
-    ("accurate-no-obs", "stock"), ("replay", "stock"), ("replay", "lrr"),
+    ("replay", "stock"), ("replay", "lrr"),
 ])
 def test_cache_dicts_cover_the_obs_window(kernel_image, engine, name):
     """A full-detail record is one window: every integer counter of its
     ``dcache``/``icache`` dicts is the matching ``cache.*`` counter of
-    its ``obs`` (of the ``obs=True`` run, for an ``obs=False`` one), so
-    boot and dispatch count in neither."""
+    its ``obs``, so boot and dispatch count in neither."""
     config = _ONE_WINDOW_CONFIGS[name]
     if engine == "replay":
         report = Replayer(record(config, kernel_image,
                                  20_000_000)).report(config)
     else:
-        report = Simulator(config, obs=engine == "accurate").run(
-            kernel_image)
-    obs = report.obs or Simulator(config).run(kernel_image).obs
-    counters = obs["counters"]
+        report = Simulator(config).run(kernel_image)
+    counters = report.obs["counters"]
     for cache in ("dcache", "icache"):
         counts = {key: value for key, value in getattr(report, cache).items()
                   if isinstance(value, int)}
@@ -238,6 +237,75 @@ def test_sim_box_clock_never_advances():
     assert 0 < first < second
 
 
+DEEP_RECURSION = """
+int depth(int n) {
+    if (n == 0) {
+        return 0;
+    }
+    return 1 + depth(n - 1);
+}
+int main(void) { return depth(20); }
+"""
+
+
+@pytest.fixture(scope="module")
+def recursion_image():
+    return compile_c_program(DEEP_RECURSION)
+
+
+def _cyclic_repro_garbage(run) -> list[str]:
+    """The ``repro`` types that only the cyclic collector can free after
+    *run* returns: with the collector off and every collected object
+    saved in ``gc.garbage``, what lands there was held by a cycle."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return sorted({f"{type(o).__module__}.{type(o).__qualname__}"
+                       for o in gc.garbage
+                       if type(o).__module__.startswith("repro.")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestFreedByRefcount:
+    """A dropped default :class:`Simulator` holds no reference cycle, so
+    back-to-back machines do not pile up until a collection, and its
+    event trace still stamps every event with the engine's cycles."""
+
+    def test_run_with_window_traps(self, recursion_image):
+        def run():
+            sim = Simulator()
+            assert sim.run(recursion_image).result_word == 20
+            events = sim.events.events()
+            assert (events[0].kind, events[-1].kind) == ("dispatch", "done")
+            traps = sim.events.events("trap")
+            assert len(traps) == sim.cpu.trap_count
+            assert any(dict(e.fields)["tt"] == Trap.WINDOW_OVERFLOW
+                       for e in traps)
+            cycles = [e.cycle for e in events]
+            assert cycles == sorted(cycles)
+            assert events[0].cycle < traps[-1].cycle < events[-1].cycle \
+                == sim.cpu.cycles
+
+        assert _cyclic_repro_garbage(run) == []
+
+    def test_run_translated(self, recursion_image):
+        def run():
+            sim = Simulator()
+            report = sim.run_translated(recursion_image)
+            assert report.result_word == 20
+            dispatch, done = sim.events.events()
+            assert (dispatch.kind, done.kind) == ("dispatch", "done")
+            assert done.cycle - dispatch.cycle == report.cycles
+
+        assert _cyclic_repro_garbage(run) == []
+
+
 class TestClassifier:
     @pytest.mark.parametrize("word,expected", [
         (encoder.arith_imm(__import__("repro.cpu.isa",
@@ -261,7 +329,7 @@ class TestMixRecorder:
         translated engine's recording (the replayed report's)."""
         config = ArchitectureConfig()
         reports = {
-            "accurate": Simulator(config, obs=False).run(kernel_image),
+            "accurate": Simulator(config).run(kernel_image),
             "recorded": Replayer(record(config, kernel_image,
                                         50_000_000)).report(config),
         }
@@ -315,7 +383,7 @@ class TestMixRecorder:
         """A translated engine retires most instructions inside blocks,
         which ``on_retire`` never sees."""
         with pytest.raises(TypeError):
-            MixRecorder(Simulator(obs=False).translated_unit())
+            MixRecorder(Simulator().translated_unit())
 
 
 @pytest.mark.slow
@@ -327,7 +395,7 @@ def test_translated_mix_matches_accurate_on_a_long_kernel():
     the recording a replayed report reads."""
     workload = get("fir_stream")
     image = workload.image()
-    accurate = Simulator(obs=False).run(
+    accurate = Simulator().run(
         image, max_instructions=workload.max_instructions)
     recorded = record(ArchitectureConfig(), image,
                       workload.max_instructions)

@@ -204,10 +204,11 @@ class TestObsSnapshots:
         assert snap["histograms"]["sweep.point_wall_ms"]["count"] == 2
         assert snap["gauges"]["sweep.workers"] == 0
 
-    def test_obs_disabled_simulator_reports_empty(self, image):
+    def test_only_a_translated_run_reports_empty_obs(self, image):
         from repro.core.sim import Simulator
 
-        report = Simulator(obs=False).run(image)
+        assert Simulator().run(image).obs["counters"]
+        report = Simulator().run_translated(image)
         assert report.obs == {}
         assert report.cycles > 0
 

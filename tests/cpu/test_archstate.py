@@ -38,7 +38,7 @@ def _image(seed: int):
 
 def _checkpoint(image, steps: int) -> ArchState:
     """The state *steps* steps into *image* on the translated engine."""
-    sim = Simulator(obs=False)
+    sim = Simulator()
     fast = sim.translated_unit()
     sim._dispatch_on(fast, image)
     fast.fast_forward(steps, stop_pc=sim.rom_info.poll_address)
@@ -49,7 +49,7 @@ def _resume(state: ArchState) -> Simulator:
     """A fresh simulator that restores *state* and finishes the program
     on the accurate engine — how a sampled window that cannot be
     replayed resumes from its checkpoint."""
-    sim = Simulator(obs=False)
+    sim = Simulator()
     state.restore(sim)
     sim.cpu.run(until_pc=sim.rom_info.poll_address)
     # Park the polling loop, as Simulator.run does after the program.
@@ -64,7 +64,7 @@ def test_capture_restore_round_trip(seed, steps):
     captured state exactly."""
     state = _checkpoint(_image(seed), steps)
 
-    fresh = Simulator(obs=False)
+    fresh = Simulator()
     state.restore(fresh)
     assert ArchState.capture(fresh) == state
 
@@ -77,7 +77,7 @@ def test_restore_then_run_equals_straight_through(seed, steps):
     to a cold cycle-accurate run, peripheral counters included."""
     image = _image(seed)
 
-    straight = Simulator(obs=False)
+    straight = Simulator()
     report_straight = straight.run(image)
     final_straight = ArchState.capture(straight)
 
@@ -93,7 +93,7 @@ def test_restore_then_run_equals_straight_through(seed, steps):
 def test_restore_rejects_mismatched_memory_size():
     state = _checkpoint(_image(0), 100)
     state.memory["sram"] = state.memory["sram"][:-1]
-    fresh = Simulator(obs=False)
+    fresh = Simulator()
     try:
         state.restore(fresh)
     except ValueError as err:

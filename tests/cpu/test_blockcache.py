@@ -562,7 +562,7 @@ done:
         from repro.core.sim import Simulator
 
         image = build(SMALL_PROGRAM)
-        sim = Simulator(obs=False)
+        sim = Simulator()
         unit = sim.translated_unit()
         sim._dispatch_on(unit, image)
         assert unit.pc == image.entry and unit.instret > 0
@@ -1016,7 +1016,7 @@ class TestSimulatorIntegration:
     def test_translated_unit_shares_architectural_state(self):
         from repro.core.sim import Simulator
 
-        sim = Simulator(obs=False)
+        sim = Simulator()
         tu = sim.translated_unit()
         assert tu.regs is sim.cpu.regs
         assert tu.ctrl is sim.cpu.ctrl

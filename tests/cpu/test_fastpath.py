@@ -255,7 +255,7 @@ done:
 
 class TestSimulatorIntegration:
     def test_functional_unit_shares_architectural_state(self):
-        sim = Simulator(obs=False)
+        sim = Simulator()
         fast = sim._fast_unit(FunctionalUnit)
         assert fast.regs is sim.cpu.regs
         assert fast.ctrl is sim.cpu.ctrl
@@ -263,7 +263,7 @@ class TestSimulatorIntegration:
         assert sim.cpu.regs.read(9) == 0x1234
 
     def test_functional_unit_sees_simulator_memory_map(self):
-        sim = Simulator(obs=False)
+        sim = Simulator()
         fast = sim._fast_unit(FunctionalUnit)
         memmap = sim.memmap
         # PROM readable, not writable

@@ -149,7 +149,7 @@ def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS,
     configuration (names in :data:`TIMING_CONFIGS`)."""
     accurate = Simulator()
     traps: list[tuple[int, int]] = []
-    accurate.cpu.on_trap = lambda tt, pc: traps.append((tt, pc))
+    accurate.cpu.on_trap = lambda cycle, tt, pc: traps.append((tt, pc))
     report_a = accurate.run(image, max_instructions=max_instructions)
     state_a = ArchState.capture(accurate)
 
@@ -161,7 +161,7 @@ def compare_image(image, max_instructions: int = MAX_INSTRUCTIONS,
         problems.append(
             f"instruction_mix: accurate={report_a.instruction_mix} "
             f"functional={report_f.instruction_mix}")
-    translated = Simulator(obs=False)
+    translated = Simulator()
     report_t = translated.run_translated(image,
                                          max_instructions=max_instructions)
     problems += _compare(state_a, report_a, translated, report_t,
@@ -176,7 +176,7 @@ def run_functional(image, max_instructions: int = MAX_INSTRUCTIONS
     fresh simulator's machine, the way ``Simulator.run_translated``
     drives its engine: the reference interpreter's column.  Returns the
     simulator (with the run folded back in) and its report."""
-    sim = Simulator(obs=False)
+    sim = Simulator()
     fast = sim._fast_unit(FunctionalUnit)
     sim._dispatch_on(fast, image)
     start_steps, start_instret = fast.cycles, fast.instret

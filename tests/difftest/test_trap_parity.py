@@ -50,7 +50,7 @@ def _run_to_error(asm_text: str, fast_unit=None):
     the accurate engine, or on a *fast_unit* (a FunctionalUnit class)
     over the same machine."""
     image = build(asm_text)
-    sim = Simulator(obs=False)
+    sim = Simulator()
     engine = sim.cpu if fast_unit is None else sim._fast_unit(fast_unit)
     sim._dispatch_on(engine, image)
     engine.run(max_instructions=500_000,
@@ -167,7 +167,7 @@ unwind:
     assert not problems, "\n".join(problems)
 
     # prove the deep case actually trapped: run accurately and count
-    sim = Simulator(obs=False)
+    sim = Simulator()
     sim.run(image)
     state = ArchState.capture(sim)
     if depth > sim.config.nwindows:

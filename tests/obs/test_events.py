@@ -34,13 +34,6 @@ class TestEventTrace:
         trace.record(3, "trap", tt=2)
         assert [e.cycle for e in trace.events("trap")] == [1, 3]
 
-    def test_disabled_trace_records_nothing(self):
-        trace = EventTrace(enabled=False)
-        trace.record(1, "trap")
-        assert len(trace) == 0
-        assert trace.recorded == 0
-        assert trace.to_jsonl() == ""
-
     def test_clear(self):
         trace = EventTrace()
         trace.record(1, "a")

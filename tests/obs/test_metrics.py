@@ -1,5 +1,5 @@
-"""MetricsRegistry unit tests: instruments, identity, snapshots, diffs,
-and the disabled fast path."""
+"""MetricsRegistry unit tests: instruments, identity, snapshots and
+diffs."""
 
 import json
 
@@ -8,10 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
     POW2_BOUNDS,
     Histogram,
     MetricsRegistry,
@@ -79,34 +75,6 @@ class TestInstruments:
         native = value.bit_length()
         native = native if native < 15 else 15
         assert hist.counts[native] == 1
-
-
-class TestDisabledFastPath:
-    def test_disabled_registry_hands_out_shared_nulls(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("a") is NULL_COUNTER
-        assert registry.gauge("b") is NULL_GAUGE
-        assert registry.histogram("c") is NULL_HISTOGRAM
-
-    def test_null_instruments_do_nothing(self):
-        NULL_COUNTER.inc(100)
-        NULL_GAUGE.set(3.5)
-        NULL_HISTOGRAM.observe(9)
-        NULL_HISTOGRAM.load([1] * 16, 7)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0.0
-        assert NULL_HISTOGRAM.count == 0
-
-    def test_disabled_registry_stays_empty(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("a").inc()
-        assert len(registry) == 0
-        assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                       "histograms": {}}
-
-    def test_null_registry_is_disabled(self):
-        assert not NULL_REGISTRY.enabled
-        assert len(NULL_REGISTRY) == 0
 
 
 class TestSnapshots:

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.toolchain import assemble
-from repro.toolchain.asm.parser import parse_expr
+from repro.toolchain.asm.encoder import EncodeError
+from repro.toolchain.asm.parser import AssemblyError, parse_expr
 from repro.toolchain.linker import Linker, LinkError, MemoryMapScript
-from repro.toolchain.objfile import Image, Section
+from repro.toolchain.objfile import Image, RelocKind, Section, apply_relocation
+from repro.utils import sign_extend
 
 
 class TestImage:
@@ -94,6 +96,49 @@ v: .word 1
         script = MemoryMapScript(placements={})
         with pytest.raises(LinkError):
             Linker(script).link([assemble("_start:\n    nop")])
+
+
+class TestApplyRelocation:
+    """One relocation decision for the assembler's folds, its in-section
+    branches and the linker; each reports a misfit in its own error."""
+
+    @given(place=st.integers(min_value=0, max_value=2**30).map(lambda x: 4 * x),
+           words=st.integers(min_value=-(1 << 21), max_value=(1 << 21) - 1))
+    def test_wdisp22_round_trips_in_range(self, place, words):
+        word = apply_relocation(0, RelocKind.WDISP22, place + 4 * words, place)
+        assert sign_extend(word, 22) == words
+
+    @given(value=st.integers(min_value=-(2**31), max_value=2**32 - 1))
+    def test_sethi_or_pair_rebuilds_the_value(self, value):
+        hi = apply_relocation(0, RelocKind.HI22, value)
+        lo = apply_relocation(0, RelocKind.LO10, value)
+        assert (hi << 10 | lo) == value & 0xFFFF_FFFF
+
+    @pytest.mark.parametrize("kind, value", [
+        (RelocKind.SIMM13, 4096), (RelocKind.SIMM13, -4097),
+        (RelocKind.WDISP22, 4 << 21), (RelocKind.WDISP22, -(4 << 21) - 4),
+    ])
+    def test_misfit_raises_value_error(self, kind, value):
+        with pytest.raises(ValueError):
+            apply_relocation(0, kind, value)
+
+    def test_assembler_fold_raises_encode_error(self):
+        with pytest.raises(EncodeError):
+            assemble("    add %o0, big, %o0\n    .set big, 5000")
+
+    def test_in_section_branch_raises_assembly_error_with_line(self):
+        with pytest.raises(AssemblyError) as err:
+            assemble("_start:\n    ba far\n    nop\n    .skip 8388608\n"
+                     "far:\n    nop")
+        assert err.value.line == 2
+
+    def test_linker_raises_link_error_with_symbol(self):
+        # The address of ``far`` never fits in 13 bits at this base.
+        obj = assemble("_start:\n    add %o0, far, %o0\n"
+                       "    .data\nfar: .word 0")
+        with pytest.raises(LinkError) as err:
+            Linker(MemoryMapScript.default(0x1000)).link([obj])
+        assert "'far'" in str(err.value)
 
 
 class TestExpressionProperties:
