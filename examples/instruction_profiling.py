@@ -72,7 +72,7 @@ def main() -> None:
 
     # What the trace tells the analyzer:
     trace = memory_trace(small, image)
-    misses = trace.filter(~trace.hit)
+    misses = trace.misses
     print(f"\n  demand misses: {len(misses)}; dominant miss strides:",
           stride_profile(misses)[:3])
     report = TraceAnalyzer().analyze(trace)

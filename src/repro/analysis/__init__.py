@@ -36,9 +36,7 @@ from repro.analysis.legality import (
 )
 from repro.analysis.stats import (
     MissCurvePoint,
-    footprint_histogram,
     observed_miss_rate,
-    reuse_distances,
     simulate_miss_curve,
     stride_profile,
     working_set_bytes,
@@ -53,9 +51,7 @@ from repro.analysis.verify import (
 
 __all__ = [
     "MissCurvePoint",
-    "footprint_histogram",
     "observed_miss_rate",
-    "reuse_distances",
     "simulate_miss_curve",
     "stride_profile",
     "working_set_bytes",

@@ -19,7 +19,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MemoryTrace:
-    """Immutable columnar trace of data-memory references."""
+    """Immutable columnar trace of data-memory references.  A whole-cache
+    flush is a size-0 entry in place (the controller reports one per
+    FLUSH, as a recording's ``REF_DFLUSH`` marks it); :attr:`accesses`
+    and :attr:`misses` drop those markers."""
 
     addresses: np.ndarray   # uint64
     sizes: np.ndarray       # uint8
@@ -30,12 +33,22 @@ class MemoryTrace:
         return len(self.addresses)
 
     @property
+    def accesses(self) -> "MemoryTrace":
+        """The references, without the flush markers."""
+        return self.filter(self.sizes != 0)
+
+    @property
+    def misses(self) -> "MemoryTrace":
+        """The references that missed, without the flush markers."""
+        return self.filter((self.sizes != 0) & ~self.hit)
+
+    @property
     def reads(self) -> "MemoryTrace":
-        return self.filter(~self.is_write)
+        return self.filter((self.sizes != 0) & ~self.is_write)
 
     @property
     def writes(self) -> "MemoryTrace":
-        return self.filter(self.is_write)
+        return self.filter((self.sizes != 0) & self.is_write)
 
     def filter(self, mask: np.ndarray) -> "MemoryTrace":
         return MemoryTrace(self.addresses[mask], self.sizes[mask],
@@ -78,7 +91,12 @@ class MemoryTrace:
 
 
 class TraceRecorder:
-    """Attachable recorder for a CacheController's ``on_access`` hook."""
+    """Attachable recorder for a CacheController's ``on_access`` hook.
+
+    A flush is recorded only after a read: until some read fills a
+    line, every cache of every geometry is empty, so the flush changes
+    nothing.  That keeps an idle polling loop, which flushes on every
+    lap, from growing the trace."""
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
@@ -86,6 +104,7 @@ class TraceRecorder:
         self._sizes: list[int] = []
         self._writes: list[bool] = []
         self._hits: list[bool] = []
+        self._read_since_flush = False
         self.dropped = 0
 
     def __call__(self, address: int, size: int, is_write: bool,
@@ -93,6 +112,12 @@ class TraceRecorder:
         if self.limit is not None and len(self._addresses) >= self.limit:
             self.dropped += 1
             return
+        if not size:
+            if not self._read_since_flush:
+                return
+            self._read_since_flush = False
+        elif not is_write:
+            self._read_since_flush = True
         self._addresses.append(address)
         self._sizes.append(size)
         self._writes.append(is_write)
@@ -118,4 +143,5 @@ class TraceRecorder:
         self._sizes.clear()
         self._writes.clear()
         self._hits.clear()
+        self._read_since_flush = False
         self.dropped = 0

@@ -7,18 +7,30 @@ size.  The LEON2 defaults are direct-mapped with LRR replacement for
 multi-way configurations; we support LRU/LRR/random (random is seeded and
 deterministic, as a hardware LFSR would be).
 
-The replacement decision lives in :class:`TagStore` alone: the
-machine's caches, the timing replayer (:mod:`repro.core.replay`) and
-the Trace Analyzer's miss curves
-(:func:`repro.analysis.stats.simulate_miss_curve`) share it, so they
-cannot disagree about which line a fill evicts.
+The replacement decision lives in :class:`TagStore` alone.
 :class:`SetAssociativeCache` adds the resident lines' data, so it can
 sit transparently between the CPU and the AHB (the controller in
 :mod:`repro.cache.controller` handles timing and write policy).
+
+:func:`walk` is the one offline walk, shared by replay's D-cache pass
+(:mod:`repro.core.replay`) and the Trace Analyzer's miss curve
+(:func:`repro.analysis.stats.simulate_miss_curve`).  It walks the
+direct-mapped geometries of one line size together.  A direct-mapped
+set holds the last line read into it since the last flush, and with
+bit-selection indexing the lines that map to one set of a cache with
+``2S`` sets all map to one set with ``S``; so the smaller cache's lines
+are all in the larger one (set-refinement inclusion: Mattson et al.,
+IBM Sys. J. 1970; Hill & Smith, IEEE TC 1989).  A read thus goes
+from the fewest sets up, fills each level that misses and stops at the
+first hit, and counts exactly what one walk per size would; a flush
+empties every level.  Any other geometry keeps its own walk through a
+:class:`TagStore`: an LRU hit must refresh every larger cache's stamps,
+and lrr and random have no inclusion.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +126,8 @@ class TagStore:
     """Which lines of one cache are resident, and the victim choice: the
     first invalid way, else lru (least recently used), lrr (least
     recently filled) or random (a generator seeded with *seed*, drawn
-    once per eviction).  The machine's caches, the timing replayer and
-    the Trace Analyzer's miss curves all keep their tags here.
+    once per eviction).  The machine's caches, replay's I-cache pass
+    and :func:`walk`'s set-associative caches keep their tags here.
 
     Lines are line numbers (``address >> offset_bits``); a set's ways are
     consecutive slots, ``-1`` when invalid.  Only :meth:`invalidate`
@@ -129,7 +141,6 @@ class TagStore:
         self.policy = geometry.replacement
         self.seed = seed
         self.slots = [-1] * (geometry.sets * geometry.ways)
-        self.evictions = 0
         self.restart()
 
     def lookup(self, line: int) -> bool:
@@ -154,7 +165,6 @@ class TagStore:
             if slots[slot] < 0 or slots[slot] == line:
                 break
         else:
-            self.evictions += 1
             if self.policy == "lru":
                 slot = min(ways, key=self.used.__getitem__)
             elif self.policy == "lrr":
@@ -194,10 +204,7 @@ class DirectTagStore(TagStore):
         slot = line & self.mask
         evicted = self.slots[slot]
         self.slots[slot] = line
-        if evicted < 0 or evicted == line:
-            return -1
-        self.evictions += 1
-        return evicted
+        return -1 if evicted == line else evicted
 
 
 def tag_store(geometry: CacheGeometry,
@@ -205,6 +212,110 @@ def tag_store(geometry: CacheGeometry,
     """An empty tag store for *geometry*."""
     store = DirectTagStore if geometry.ways == 1 else TagStore
     return store(geometry, seed)
+
+
+#: Reference kinds of a :func:`walk`: a flush marker empties the cache,
+#: a write only looks up (write-through, no-allocate), a read fills on a
+#: miss.  A caller names its read kinds in ``reads``; others pass by.
+FLUSH, WRITE, READ = 0, 1, 2
+
+
+def walk(geometries: list[CacheGeometry], addresses: np.ndarray,
+         kinds: list[int], split: int = 0, restart: bool = False,
+         reads: tuple[int, ...] = (READ,)) -> list[Counter]:
+    """Walk one stream of references (byte *addresses*, one kind each)
+    through an empty cache of each geometry, and count per geometry, in
+    order, ``read_hits``, ``write_hits``, ``evictions`` and ``("miss",
+    kind)`` per read kind from reference *split* on.  *restart* resets
+    the replacement state at the split, as a sampled window does."""
+    counts: dict[CacheGeometry, Counter] = {}
+    lines: dict[int, list[int]] = {}
+    families: dict[int, list[CacheGeometry]] = {}
+    for geometry in dict.fromkeys(geometries):
+        size = geometry.line_size
+        if size not in lines:
+            lines[size] = (addresses >> np.uint64(
+                geometry.offset_bits)).tolist()
+        if geometry.ways == 1:
+            families.setdefault(size, []).append(geometry)
+        else:
+            counts[geometry] = _store_walk(geometry, lines[size], kinds,
+                                           split, restart, reads)
+    for size, family in families.items():
+        family.sort(key=lambda geometry: geometry.sets)
+        counts.update(zip(family, _family_walk(family, lines[size], kinds,
+                                               split, reads)))
+    return [counts[geometry] for geometry in geometries]
+
+
+def _family_walk(family: list[CacheGeometry], lines: list[int],
+                 kinds: list[int], split: int,
+                 reads: tuple[int, ...]) -> list[Counter]:
+    """:func:`walk` for direct-mapped geometries of one line size, fewest
+    sets first (no replacement state, so nothing to restart)."""
+    depth = len(family)
+    levels = [([-1] * geometry.sets, geometry.sets - 1)
+              for geometry in family]
+    for lo, hi in ((0, split), (split, len(kinds))):
+        # References per first hitting level (depth: missed them all).
+        first = {kind: [0] * (depth + 1) for kind in reads}
+        write_first = [0] * (depth + 1)
+        evictions = [0] * depth
+        for kind, line in zip(kinds[lo:hi], lines[lo:hi]):
+            if kind == WRITE:
+                level = 0
+                for slots, mask in levels:
+                    if slots[line & mask] == line:
+                        break
+                    level += 1
+                write_first[level] += 1
+            elif kind in first:
+                level = 0
+                for slots, mask in levels:
+                    slot = line & mask
+                    resident = slots[slot]
+                    if resident == line:
+                        break
+                    evictions[level] += resident >= 0
+                    slots[slot] = line
+                    level += 1
+                first[kind][level] += 1
+            elif kind == FLUSH:
+                for slots, _ in levels:
+                    slots[:] = [-1] * len(slots)
+    result = []
+    for level in range(depth):
+        counts = Counter(write_hits=sum(write_first[:level + 1]),
+                         evictions=evictions[level])
+        for kind, hits in first.items():
+            counts["read_hits"] += sum(hits[:level + 1])
+            counts["miss", kind] = sum(hits[level + 1:])
+        result.append(counts)
+    return result
+
+
+def _store_walk(geometry: CacheGeometry, lines: list[int], kinds: list[int],
+                split: int, restart: bool,
+                reads: tuple[int, ...]) -> Counter:
+    """:func:`walk` for one geometry, through its :class:`TagStore`."""
+    tags = tag_store(geometry)
+    lookup, fill = tags.lookup, tags.fill
+    for lo, hi in ((0, split), (split, len(kinds))):
+        if lo == split and restart:
+            tags.restart()
+        counts = Counter()
+        for kind, line in zip(kinds[lo:hi], lines[lo:hi]):
+            if kind == WRITE:
+                counts["write_hits"] += lookup(line)
+            elif kind in reads:
+                if lookup(line):
+                    counts["read_hits"] += 1
+                else:
+                    counts["miss", kind] += 1
+                    counts["evictions"] += fill(line) >= 0
+            elif kind == FLUSH:
+                tags.invalidate()
+    return counts
 
 
 class SetAssociativeCache:

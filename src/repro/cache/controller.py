@@ -65,7 +65,8 @@ class CacheController:
         self.prefetcher = make_prefetcher(prefetch, geometry.line_size)
         # Line bases brought in speculatively but not yet demanded.
         self._speculative: set[int] = set()
-        # Optional trace hook: (address, size, is_write, hit) -> None.
+        # Optional trace hook: (address, size, is_write, hit) -> None; a
+        # flush reports itself as (0, 0, False, False).
         self.on_access: Callable[[int, int, bool, bool], None] | None = None
 
     @property
@@ -193,6 +194,8 @@ class CacheController:
         """Invalidate everything; returns the flush cost in cycles."""
         self.cache.invalidate_all()
         self._speculative.clear()
+        if self.on_access is not None:
+            self.on_access(0, 0, False, False)
         return self.geometry.lines
 
     def reset_stats(self) -> None:

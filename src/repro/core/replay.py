@@ -20,7 +20,9 @@ made exact:
   :class:`~repro.core.sim.SimReport` ``Simulator.run`` returns for one
   configuration: each cache as the machine's own tag store
   (:class:`~repro.cache.cache.TagStore`, the same victim choice and
-  seeded generator, without the data), each block's static issue cost per
+  seeded generator, without the data; the D-cache through
+  :func:`~repro.cache.cache.walk`, which counts every direct-mapped size
+  of a line size in one pass), each block's static issue cost per
   :class:`~repro.cpu.pipeline.TimingConfig` with the load-use interlock
   carried across blocks and reset by traps, I-fetches collapsed to
   cache-line runs, and the fixed bus and memory costs.  Boot and
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.cache import CacheGeometry, TagStore, tag_store
+from repro.cache.cache import FLUSH, READ, WRITE, CacheGeometry, tag_store, walk
 from repro.core.config import ArchitectureConfig
 from repro.core.sim import SimReport, Simulator, word_mix
 from repro.cpu.blockcache import (
@@ -153,11 +155,12 @@ def record(config: ArchitectureConfig, image: Image,
         uart_output=sim.uart.transmitted(), machine=sim, marks=stops)
 
 
-# Access kinds of a data reference or an instruction fetch: the flush
-# markers, the cached kinds (through the tag store) and the uncached
-# single transfers (fixed costs, Replayer._single).
-(_DFLUSH, _IFLUSH, _READ_SRAM, _READ_PROM, _WRITE_SRAM, _SRAM_READ,
- _SRAM_WRITE, _APB) = range(8)
+# Access kinds of a data reference or an instruction fetch: the cached
+# kinds and the D-cache flush marker (as the cache walk numbers them),
+# the I-cache flush marker, and the uncached single transfers (fixed
+# costs, Replayer._single).
+_DFLUSH, _WRITE_SRAM, _READ_SRAM = FLUSH, WRITE, READ
+_READ_PROM, _IFLUSH, _SRAM_READ, _SRAM_WRITE, _APB = range(3, 8)
 
 
 class _Span:
@@ -213,11 +216,17 @@ class Replayer:
     per D-cache geometry, the issue pass per :class:`TimingConfig`,
     each memoized per span — and :meth:`_counts` prices the events
     into the window's counts mapping, so a D-cache sweep replays the
-    fetch and issue streams once and only the data stream per point.
+    fetch and issue streams once.  *dcaches* names the D-cache
+    geometries the caller will ask for, so that the first data pass
+    walks them all at once (:func:`~repro.cache.cache.walk`), and a
+    sweep over direct-mapped D-cache sizes walks the data stream once.
     """
 
-    def __init__(self, recorded: Recorded):
+    def __init__(self, recorded: Recorded,
+                 dcaches: tuple[CacheGeometry, ...] = ()):
         self.recorded = recorded
+        #: The D-cache geometries this replayer is expected to time.
+        self.dcaches = dcaches
         rec = recorded.recording
         machine = recorded.machine
         bus = machine.bus.config
@@ -410,9 +419,7 @@ class Replayer:
                 else:
                     counts["read_hits"] += count - 1
                     counts["miss", kind] += 1
-                    evictions = tags.evictions
-                    tags.fill(line)
-                    counts["evictions"] += tags.evictions - evictions
+                    counts["evictions"] += tags.fill(line) >= 0
             flushes = flushes_after.get(index)
             if flushes:
                 tags.invalidate()
@@ -436,21 +443,19 @@ class Replayer:
         return [tuple(run) for run in runs]
 
     def _data(self, geometry: CacheGeometry, span: _Span) -> Counter:
-        """The D-cache side's event counts in *span*'s second phase."""
+        """The D-cache side's event counts in *span*'s second phase,
+        walked together with those of the replayer's other ``dcaches``."""
         memo = span.data.get(geometry)
         if memo is not None:
             return memo
-        tags = tag_store(geometry)
-        lines = (span.ref_addr >> np.uint64(geometry.offset_bits)).tolist()
-        kinds, split = span.kinds, span.ref_split
-        _data_pass(tags, kinds, lines, 0, split)
-        if span.restart:
-            tags.restart()
-        counts = (_data_pass(tags, kinds, lines, split, len(kinds))
-                  + span.ref_counts)
-        counts["flushes"] = counts[_DFLUSH]
-        span.data[geometry] = counts
-        return counts
+        geometries = [geometry, *(other for other in self.dcaches
+                                  if other not in span.data)]
+        for other, walked in zip(geometries, walk(
+                geometries, span.ref_addr, span.kinds, span.ref_split,
+                span.restart, reads=(_READ_SRAM, _READ_PROM))):
+            counts = span.data[other] = walked + span.ref_counts
+            counts["flushes"] = counts[_DFLUSH]
+        return span.data[geometry]
 
     def _priced(self, counts: Counter, geometry: CacheGeometry) -> dict:
         """A cache side's controller, bus and memory counters and its
@@ -598,34 +603,6 @@ class Replayer:
             "dcache": cache_counts(counts, "dcache"),
             "icache": cache_counts(counts, "icache"),
         }
-
-
-def _data_pass(tags: TagStore, kinds: list[int], lines: list[int], lo: int,
-               hi: int) -> Counter:
-    """The tag-dependent events of references ``lo:hi``: read hits,
-    misses per kind, write hits, evictions."""
-    lookup, fill = tags.lookup, tags.fill
-    evictions = tags.evictions
-    read_hits = write_hits = 0
-    misses = {_READ_SRAM: 0, _READ_PROM: 0}
-    for index in range(lo, hi):
-        kind = kinds[index]
-        if kind == _WRITE_SRAM:
-            write_hits += lookup(lines[index])
-        elif kind == _READ_SRAM or kind == _READ_PROM:
-            line = lines[index]
-            if lookup(line):
-                read_hits += 1
-            else:
-                misses[kind] += 1
-                fill(line)
-        elif kind == _DFLUSH:
-            tags.invalidate()
-    counts = Counter(read_hits=read_hits, write_hits=write_hits,
-                     evictions=tags.evictions - evictions)
-    for kind, count in misses.items():
-        counts["miss", kind] = count
-    return counts
 
 
 def _mix(recording: Recording, lo: tuple, hi: tuple) -> dict[str, int]:

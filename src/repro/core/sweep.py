@@ -22,7 +22,8 @@ analogue for the *evaluation* side of that loop:
   optional on-disk JSON layer, so re-running a sweep skips
   already-simulated points the way the paper skips re-synthesis; a disk
   record is also keyed by the :func:`model_digest` of the simulator
-  that wrote it, so no edit to the model is served a stale record.
+  (and the NumPy) that wrote it, so no edit to the model is served a
+  stale record.
 * :func:`best_point` and :func:`pareto_front` are the selection helpers
   the architecture-exploration loop ends with: fastest point, and the
   cycles-vs-area frontier from the :class:`~repro.core.synthesis`
@@ -43,6 +44,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+import numpy
 
 from repro.core.config import ArchitectureConfig
 from repro.core.replay import (
@@ -287,13 +290,19 @@ class ResultCache:
 
 @functools.cache
 def model_digest() -> str:
-    """Identity of the simulator's sources: a sha256 over every ``.py``
-    file of the ``repro`` package (this module's parent's tree), by
-    sorted relative path and bytes.  Any edit counts, a docstring's
-    too: a needless miss costs one simulation, a stale hit a wrong
-    result.  Computed on the first disk access, not at import."""
+    """Identity of the simulator: a sha256 over the NumPy version and
+    every ``.py`` file of the ``repro`` package (this module's parent's
+    tree), by sorted relative path and bytes.  Any edit counts, a
+    docstring's too: a needless miss costs one simulation, a stale hit a
+    wrong result.  NumPy counts because ``random`` replacement draws
+    from its generator, whose stream NumPy does not promise across
+    versions (NEP 19).  Computed on the first disk access, not at
+    import."""
     root = Path(__file__).resolve().parents[1]
+    version = numpy.__version__.encode()
     h = hashlib.sha256()
+    h.update(len(version).to_bytes(8, "big"))
+    h.update(version)
     for path in sorted(root.rglob("*.py")):
         for part in (path.relative_to(root).as_posix().encode(),
                      path.read_bytes()):
@@ -431,8 +440,9 @@ def _evaluate_group(tasks) -> list[tuple[dict, float, str]]:
     if replayable:
         config, image, max_instructions, _ = replayable[0]
         try:
-            replayer = Replayer(record_program(config, image,
-                                                max_instructions))
+            replayer = Replayer(
+                record_program(config, image, max_instructions),
+                dcaches=tuple(task[0].dcache for task in replayable))
         except (traps.WatchdogExpired, traps.ErrorMode):
             # The accurate engine raises it again, from the same step.
             cause = "error"

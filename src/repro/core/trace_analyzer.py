@@ -95,12 +95,14 @@ class TraceAnalyzer:
         # (loop counters, stack slots) pollute the full reference stream,
         # but a hardware stride prefetcher trains on misses — and so does
         # the analyzer that decides whether to instantiate one.
-        misses = trace.filter(~trace.hit)
-        stride_basis = misses if len(misses) >= 16 else trace
+        accesses = trace.accesses
+        misses = trace.misses
+        stride_basis = misses if len(misses) >= 16 else accesses
         strides = stride_profile(stride_basis)
-        write_fraction = float(trace.is_write.mean()) if len(trace) else 0.0
+        write_fraction = (float(accesses.is_write.mean()) if len(accesses)
+                          else 0.0)
         report = AnalysisReport(
-            references=len(trace),
+            references=len(accesses),
             working_set=working_set_bytes(trace, geometry.line_size),
             observed_miss_rate=observed_miss_rate(trace),
             miss_curve=curve,

@@ -375,13 +375,13 @@ class Assembler:
         self.fixups = []
         self.source = source_name
         self.absolutes = {}
-        for number, raw in enumerate(text.splitlines(), start=1):
-            self.line = number
-            try:
+        try:
+            for number, raw in enumerate(text.splitlines(), start=1):
+                self.line = number
                 self._process_line(raw)
-            except (ValueError, encoder.EncodeError) as exc:
-                raise AssemblyError(str(exc), source_name, number) from exc
-        self._resolve_fixups()
+            self._resolve_fixups()
+        except (ValueError, encoder.EncodeError) as exc:
+            raise AssemblyError(str(exc), source_name, self.line) from exc
         return self.obj
 
     # -- line processing -------------------------------------------------
@@ -514,8 +514,8 @@ class Assembler:
 
     @staticmethod
     def _apply_const(word: int, kind: RelocKind, value: int) -> int:
-        if kind not in (RelocKind.HI22, RelocKind.LO10, RelocKind.SIMM13):
-            raise encoder.EncodeError(f"cannot fold constant into {kind}")
+        """*word* with a constant folded in (an absolute kind: a branch
+        to a constant is a symbol-less relocation for the linker)."""
         try:
             return apply_relocation(word, kind, value)
         except ValueError as exc:
@@ -863,7 +863,10 @@ class Assembler:
     # -- fix-up resolution ---------------------------------------------------
 
     def _resolve_fixups(self) -> None:
+        """Patch or relocate every fix-up; an error names the fix-up's
+        source line (``self.line``)."""
         for fixup in self.fixups:
+            self.line = fixup.line
             if fixup.offset == -1:  # deferred .global marker
                 if fixup.symbol in self.obj.symbols:
                     self.obj.symbols[fixup.symbol].is_global = True
@@ -871,29 +874,29 @@ class Assembler:
                     # Undefined here: importing a symbol another object defines.
                     pass
                 continue
-            if fixup.symbol in self.absolutes:
-                value = self.absolutes[fixup.symbol] + fixup.addend
+            symbol, addend = fixup.symbol, fixup.addend
+            branch = fixup.kind in (RelocKind.WDISP22, RelocKind.WDISP30)
+            if symbol in self.absolutes:
+                # A constant defined after its use: as in _emit_with_fixup,
+                # an absolute branch target is left to the linker.
+                symbol, addend = "", self.absolutes[symbol] + addend
+                if not branch:
+                    section = self.obj.section(fixup.section)
+                    word = section.word_at(fixup.offset)
+                    section.patch_word(
+                        fixup.offset,
+                        self._apply_const(word, fixup.kind, addend))
+                    continue
+            defined = self.obj.symbols.get(symbol)
+            if branch and defined is not None \
+                    and defined.section == fixup.section:
                 section = self.obj.section(fixup.section)
-                word = section.word_at(fixup.offset)
-                section.patch_word(fixup.offset,
-                                   self._apply_const(word, fixup.kind, value))
-                continue
-            symbol = self.obj.symbols.get(fixup.symbol)
-            same_section = symbol is not None and symbol.section == fixup.section
-            if fixup.kind in (RelocKind.WDISP22, RelocKind.WDISP30) and same_section:
-                section = self.obj.section(fixup.section)
-                try:
-                    word = apply_relocation(
-                        section.word_at(fixup.offset), fixup.kind,
-                        symbol.offset + fixup.addend, fixup.offset)
-                except ValueError as exc:
-                    raise AssemblyError(str(exc), self.source,
-                                        fixup.line) from exc
-                section.patch_word(fixup.offset, word)
+                section.patch_word(fixup.offset, apply_relocation(
+                    section.word_at(fixup.offset), fixup.kind,
+                    defined.offset + addend, fixup.offset))
             else:
                 self.obj.section(fixup.section).relocations.append(
-                    Relocation(fixup.offset, fixup.symbol, fixup.kind,
-                               fixup.addend))
+                    Relocation(fixup.offset, symbol, fixup.kind, addend))
 
 
 def _decode_string(token: str) -> bytes:

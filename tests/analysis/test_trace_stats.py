@@ -10,25 +10,25 @@ from hypothesis import strategies as st
 from repro.analysis import (
     MemoryTrace,
     TraceRecorder,
-    footprint_histogram,
     observed_miss_rate,
-    reuse_distances,
     simulate_miss_curve,
     stride_profile,
     working_set_bytes,
 )
 from repro.cache.cache import CacheGeometry
-from repro.core import ArchitectureConfig, LiquidProcessorSystem
+from repro.core import ArchitectureConfig, LiquidProcessorSystem, Simulator
 from repro.toolchain import driver
+from repro.toolchain.driver import SourceFile, build_image
 from repro.workloads import get
 from tests.golden.regen import CONFLICT_SOURCE
 
 
-def make_trace(addresses, writes=None, hits=None) -> MemoryTrace:
+def make_trace(addresses, writes=None, hits=None, sizes=None) -> MemoryTrace:
     n = len(addresses)
     return MemoryTrace(
         addresses=np.asarray(addresses, dtype=np.uint64),
-        sizes=np.full(n, 4, dtype=np.uint8),
+        sizes=np.asarray(sizes if sizes is not None else [4] * n,
+                         dtype=np.uint8),
         is_write=np.asarray(writes if writes is not None else [False] * n),
         hit=np.asarray(hits if hits is not None else [True] * n),
     )
@@ -72,6 +72,34 @@ class TestRecorder:
         recorder.clear()
         assert len(recorder) == 0
 
+    def test_controller_reports_a_flush_as_a_size_zero_entry(self):
+        from repro.cache import CacheController, CacheGeometry
+        from repro.mem.interface import FlatMemory
+
+        memory = FlatMemory(size=1 << 16, base=0x4000_0000)
+        controller = CacheController(CacheGeometry(1024, 32), memory)
+        recorder = TraceRecorder().attach(controller)
+        controller.read(0x4000_0000, 4)
+        controller.flush()
+        controller.read(0x4000_0000, 4)
+        trace = recorder.trace()
+        assert trace.sizes.tolist() == [4, 0, 4]
+        assert trace.hit.tolist() == [False, False, False]
+        assert len(trace.accesses) == len(trace.reads) == 2
+        assert trace.misses.sizes.tolist() == [4, 4]
+
+    def test_flush_recorded_only_after_a_read(self):
+        """Before any read, and after only writes, every cache is empty
+        already: an idle polling loop's flushes leave no entries."""
+        recorder = TraceRecorder()
+        recorder(0, 0, False, False)
+        recorder(0x40, 4, True, False)
+        recorder(0, 0, False, False)
+        recorder(0x40, 4, False, False)
+        for _ in range(3):
+            recorder(0, 0, False, False)
+        assert recorder.trace().sizes.tolist() == [4, 4, 0]
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -81,6 +109,17 @@ class TestSerialization:
         assert np.array_equal(rebuilt.addresses, trace.addresses)
         assert np.array_equal(rebuilt.is_write, trace.is_write)
         assert np.array_equal(rebuilt.hit, trace.hit)
+
+    def test_roundtrip_keeps_flush_markers(self):
+        trace = make_trace([0x10, 0, 0x10], writes=[False, False, True],
+                           hits=[False, False, False], sizes=[4, 0, 2])
+        rebuilt = MemoryTrace.from_bytes(trace.to_bytes())
+        for column in ("addresses", "sizes", "is_write", "hit"):
+            assert np.array_equal(getattr(rebuilt, column),
+                                  getattr(trace, column))
+        assert len(rebuilt.accesses) == 2
+        assert rebuilt.reads.addresses.tolist() == [0x10]
+        assert rebuilt.writes.sizes.tolist() == [2]
 
     @given(addresses=st.lists(st.integers(0, 2**32 - 1), min_size=0,
                               max_size=200))
@@ -99,12 +138,6 @@ class TestReductions:
     def test_working_set_empty(self):
         assert working_set_bytes(make_trace([])) == 0
 
-    def test_footprint_histogram_ordering(self):
-        trace = make_trace([0] * 5 + [32] * 3 + [64])
-        hist = footprint_histogram(trace, line_size=32)
-        assert hist[0] == (0, 5)
-        assert hist[1] == (32, 3)
-
     def test_stride_profile_detects_constant_stride(self):
         trace = make_trace(list(range(0, 4000, 128)))
         strides = stride_profile(trace)
@@ -114,11 +147,12 @@ class TestReductions:
         trace = make_trace([0, 4, 8, 12], hits=[False, True, True, False])
         assert observed_miss_rate(trace) == 0.5
 
-    def test_reuse_distance_simple(self):
-        # a b a : reuse distance of the second 'a' is 1 (only b between).
-        trace = make_trace([0, 32, 0])
-        distances = reuse_distances(trace, line_size=32)
-        assert list(distances) == [1]
+    def test_reductions_skip_flush_markers(self):
+        trace = make_trace([0, 0, 128, 0, 256], sizes=[4, 0, 4, 0, 4],
+                           hits=[False, False, True, False, True])
+        assert working_set_bytes(trace, line_size=32) == 3 * 32
+        assert stride_profile(trace) == [(128, 2)]
+        assert observed_miss_rate(trace) == pytest.approx(1 / 3)
 
     def test_splits(self):
         trace = make_trace([0, 4], writes=[True, False])
@@ -167,6 +201,12 @@ class TestMissCurve:
         assoc = simulate_miss_curve(trace, [CacheGeometry(1024, 32, ways=4)])
         assert assoc[0].misses < direct[0].misses
 
+    def test_flush_marker_empties_the_cache(self):
+        trace = make_trace([0x40, 0, 0x40, 0x40], sizes=[4, 0, 4, 4])
+        [point] = simulate_miss_curve(trace, [CacheGeometry(1024)])
+        assert point.misses == 2
+        assert point.references == 3
+
     @given(addresses=st.lists(st.integers(0, 1 << 16), min_size=1,
                               max_size=300))
     @settings(max_examples=30, deadline=None)
@@ -209,3 +249,47 @@ def test_curve_at_captured_geometry_counts_the_machines_misses(
     [point] = simulate_miss_curve(trace, [geometry])
     assert observed > 0
     assert point.misses == observed
+
+
+# A flushing loop: each call loads two words of one line and then
+# flushes, so both loads miss on every call, whatever the D-cache size.
+FLUSH_LOOP_C = """
+extern void touch(unsigned *p);
+unsigned data[8];
+int main(void) {
+    int i;
+    for (i = 0; i < 50; i = i + 1) touch(data);
+    return 0;
+}
+"""
+
+FLUSH_LOOP_ASM = """
+    .text
+    .global touch
+touch:
+    ld [%o0], %o1
+    ld [%o0+4], %o2
+    flush [%o0]
+    retl
+    nop
+"""
+
+
+def test_curve_counts_the_machines_misses_under_flush():
+    """A trace captured at 1 KB carries the program's flushes, so the
+    curve equals ``Simulator.run``'s read misses at every size."""
+    image = build_image([SourceFile(FLUSH_LOOP_C, "c", "app.c"),
+                         SourceFile(FLUSH_LOOP_ASM, "asm", "touch.s")])
+    sizes = (1024, 2048, 4096, 8192, 16384)
+    captured = ArchitectureConfig().with_dcache_size(sizes[0])
+    sim = Simulator(captured)
+    recorder = TraceRecorder().attach(sim.dcache)
+    sim.run(image)
+    trace = recorder.trace()
+    curve = simulate_miss_curve(
+        trace, [replace(captured.dcache, size=size) for size in sizes])
+    for size, point in zip(sizes, curve):
+        report = Simulator(ArchitectureConfig().with_dcache_size(size)).run(
+            image)
+        assert report.dcache["flushes"] == 50
+        assert point.misses == report.dcache["read_misses"] > 100

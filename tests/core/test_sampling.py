@@ -387,7 +387,7 @@ class TestCheckpointResumedWindows:
                 steps += 1
             position = spec.ramp_start
             if config.dcache.replacement == "random":
-                assert tags.evictions > 0
+                assert sim.dcache.stats.evictions > 0
                 assert tags.rng.bit_generator.state != seeded
             sim._normalize_window_start()
             straight = measure_window(sim, spec, poll)

@@ -65,7 +65,7 @@ class TestSimulator:
         assert len(trace) > 500
         # The dominant stride of the Figure 7 kernel shows in the miss
         # stream (the full reference stream is polluted by stack slots).
-        misses = trace.filter(~trace.hit)
+        misses = trace.misses
         strides = stride_profile(misses)
         assert strides[0][0] == 128
 

@@ -9,6 +9,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from repro.core import (
     image_digest,
     pareto_front,
 )
+from repro.cache.cache import CacheGeometry
 from repro.core import sweep
 from repro.core.sampling import SamplingPlan
 from repro.core.sweep import _record_digest
@@ -299,6 +301,28 @@ class TestResultCache:
         with _edited_sources(tmp_path, monkeypatch):
             edited_run = SweepRunner(cache=cache).sweep(space, image)
         assert edited_run.stats.simulated == len(space)
+        assert cache.stats.disk_hits == 0
+
+    def test_disk_records_are_keyed_by_the_numpy_version(
+            self, image, tmp_path, monkeypatch):
+        """``random`` replacement draws from NumPy's generator, whose
+        stream may change between NumPy versions: under another version
+        every disk record is a miss."""
+        space = [ArchitectureConfig(dcache=CacheGeometry(
+            1024, 32, ways=2, replacement="random"))]
+        cache_dir = tmp_path / "cache"
+        SweepRunner(cache=ResultCache(cache_dir)).sweep(space, image)
+        rerun = SweepRunner(cache=ResultCache(cache_dir)).sweep(space, image)
+        assert rerun.stats.disk_hits == len(space)
+        cache = ResultCache(cache_dir)
+        with monkeypatch.context() as patch:
+            patch.setattr(numpy, "__version__", numpy.__version__ + ".post1")
+            sweep.model_digest.cache_clear()
+            try:
+                rerun = SweepRunner(cache=cache).sweep(space, image)
+            finally:
+                sweep.model_digest.cache_clear()
+        assert rerun.stats.simulated == len(space)
         assert cache.stats.disk_hits == 0
 
     def test_a_store_removes_the_points_records_from_other_sources(

@@ -49,7 +49,7 @@ class TestTraceStreaming:
         trace = client.fetch_trace()
         assert len(trace) > 1000
         # The streamed trace carries the kernel's signature stride.
-        misses = trace.filter(~trace.hit)
+        misses = trace.misses
         assert stride_profile(misses)[0][0] == 128
 
     def test_streamed_trace_matches_local_recorder(self):

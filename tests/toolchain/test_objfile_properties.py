@@ -123,8 +123,35 @@ class TestApplyRelocation:
             apply_relocation(0, kind, value)
 
     def test_assembler_fold_raises_encode_error(self):
-        with pytest.raises(EncodeError):
-            assemble("    add %o0, big, %o0\n    .set big, 5000")
+        """The fold's EncodeError reaches the caller as an AssemblyError
+        naming the using line, whether the constant is set before or
+        after its use."""
+        for source, line in (("    .set big, 5000\n    add %o0, big, %o0", 2),
+                             ("    add %o0, big, %o0\n    .set big, 5000", 1)):
+            with pytest.raises(AssemblyError) as err:
+                assemble(source, "fold.s")
+            assert err.value.line == line
+            assert str(err.value).startswith(f"fold.s:{line}: ")
+            assert isinstance(err.value.__cause__, EncodeError)
+
+    def test_word_of_a_constant_set_after_use(self):
+        for source in ("    .set big, 5\n    .word big",
+                       "    .word big\n    .set big, 5"):
+            assert assemble(source).section(".text").data == bytes(
+                [0, 0, 0, 5])
+
+    def test_absolute_branch_target_set_after_use_links_as_before(self):
+        """``ba tgt`` with ``tgt`` set later assembles as it does with
+        the ``.set`` first: a symbol-less relocation the linker applies."""
+        before = ("_start:\n    .set tgt, 0x40001000\n    ba tgt\n    nop")
+        after = ("_start:\n    ba tgt\n    nop\n    .set tgt, 0x40001000")
+        script = MemoryMapScript.default(0x4000_0000)
+        images = [Linker(script).link([assemble(text)])
+                  for text in (before, after)]
+        assert images[0].segments == images[1].segments
+        base, blob = images[1].flatten()
+        word = int.from_bytes(blob[:4], "big")
+        assert base + 4 * sign_extend(word, 22) == 0x4000_1000
 
     def test_in_section_branch_raises_assembly_error_with_line(self):
         with pytest.raises(AssemblyError) as err:
