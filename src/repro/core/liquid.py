@@ -53,7 +53,7 @@ class LiquidProcessorSystem:
         self.config = config or ArchitectureConfig()
         self.platform = FPXPlatform(self.config.platform_config())
         self.bitfile: Bitfile = SynthesisModel().synthesize(self.config)
-        self.platform.rad.program(self.platform, self.bitfile.name,
+        self.platform.rad.program(self.bitfile.name,
                                   self.bitfile.size_bytes)
         self.platform.boot()
         self.listener = ResponseListener()

@@ -139,7 +139,7 @@ class ReconfigurationServer:
         bitfile, synthesis_seconds, cache_hit = self.cache.get(config)
         # Instantiate the new architecture (= full RAD reconfiguration).
         platform = FPXPlatform(config.platform_config())
-        program_seconds = platform.rad.program(platform, bitfile.name,
+        program_seconds = platform.rad.program(bitfile.name,
                                                bitfile.size_bytes)
         platform.boot()
         self.platform = platform

@@ -135,11 +135,15 @@ class LeonController:
                 self.gate.connected = False
                 self.state = LeonState.POLLING
         elif pc == self.error_address and self.state != LeonState.ERROR:
-            self.state = LeonState.ERROR
-            self.error_code = ERROR_TRAP_FELL_THROUGH
-            self.cycle_counter.freeze()
-            if self.on_error is not None:
-                self.on_error(self.error_code)
+            self.enter_error(ERROR_TRAP_FELL_THROUGH)
+
+    def enter_error(self, code: int) -> None:
+        """The error state: stop the counter and report *code*."""
+        self.state = LeonState.ERROR
+        self.error_code = code
+        self.cycle_counter.freeze()
+        if self.on_error is not None:
+            self.on_error(code)
 
     # ------------------------------------------------------------------
     # Command execution (driven by the Control Packet Processor)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.fpx.wrappers import LayeredProtocolWrappers
+from repro.net import protocol
+from repro.net.protocol import LeonState
 
 
 class PacketGenerator:
@@ -39,3 +41,13 @@ class PacketGenerator:
         ip, port = self.last_requester
         self.send_to(payload, ip, port)
         return True
+
+    def send_done(self, cycles: int) -> None:
+        """leon_ctrl's program-done notification."""
+        self.send_to_requester(
+            protocol.encode_status_response(LeonState.DONE, cycles))
+
+    def send_error(self, code: int) -> None:
+        """leon_ctrl's error-state notification."""
+        self.send_to_requester(
+            protocol.encode_error(code, "leon_ctrl error state"))

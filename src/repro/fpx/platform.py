@@ -11,16 +11,21 @@ One object wires together everything on the board:
 * the layered protocol wrappers and the NID's four-port switch.
 
 Frames enter through :meth:`inject_frame` (as if arriving on a line
-card), responses appear on :attr:`tx_frames` / ``on_transmit``.  The
-processor advances only when :meth:`step`/:meth:`run_until` is called —
-the platform is fully deterministic and single-threaded, so tests and
-benchmarks control time explicitly.
+card), responses appear on :attr:`tx_frames`.  The processor advances
+only when :meth:`step`/:meth:`run_until` is called — the platform is
+fully deterministic and single-threaded, so tests and benchmarks control
+time explicitly.
+
+Every callback the board's parts hold (leon_ctrl's cache flush and
+notifications, the CPP's restart and trace source, the NID's RAD port,
+the packet generator's transmit) takes the parts it uses, never the
+platform, so a dropped platform holds no reference cycle and is freed
+at once, with its SRAM and SDRAM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.config import ArchitectureConfig
 from repro.cpu.traps import ErrorMode
@@ -35,7 +40,6 @@ from repro.mem.adapter import AhbSdramAdapter
 from repro.mem.memmap import IRQCTRL_OFFSET, TIMER_OFFSET
 from repro.mem.sdram import FpxSdramController
 from repro.mem.sram import SramBank
-from repro.net import protocol
 from repro.net.protocol import LeonState
 from repro.obs.collect import cache_record, simulator_snapshot
 from repro.peripherals import IrqController, Timer
@@ -97,40 +101,61 @@ class FPXPlatform(LiquidCore):
         self.cpu.interrupt_source = self.irqctrl.pending_level
 
         # ---- leon_ctrl ---------------------------------------------------------
-        self.leon_ctrl = LeonController(
+        cpu, icache, dcache = self.cpu, self.icache, self.dcache
+
+        def flush_caches() -> None:
+            icache.flush()
+            dcache.flush()
+
+        self.leon_ctrl = leon_ctrl = LeonController(
             gate=self.gate,
             cycle_counter=self.cycle_counter,
             poll_address=self.rom_info.poll_address,
             error_address=self.rom_info.error_address,
             mailbox_address=memmap.mailbox_start,
-            flush_caches=self._flush_caches,
+            flush_caches=flush_caches,
             # Loads/reads addressed to SDRAM go through the controller's
             # host (network) port — how an OS-sized payload would arrive.
             extra_memories=[self.sdram],
         )
-        self.cpu.on_fetch = self.leon_ctrl.snoop_fetch
-        self.leon_ctrl.on_done = self._program_done
-        self.leon_ctrl.on_error = self._program_error
+        cpu.on_fetch = leon_ctrl.snoop_fetch
 
         # ---- network side ---------------------------------------------------------
         self.tx_frames: list[bytes] = []
-        self.on_transmit: Callable[[bytes], None] | None = None
-        self.wrappers = LayeredProtocolWrappers.for_address(cfg.device_ip)
-        self.packet_gen = PacketGenerator(self.wrappers, cfg.control_port,
-                                          self._transmit)
-        self.trace_recorder = None
+        self.wrappers = wrappers = LayeredProtocolWrappers.for_address(
+            cfg.device_ip)
+        self.packet_gen = PacketGenerator(wrappers, cfg.control_port,
+                                          self.tx_frames.append)
+        leon_ctrl.on_done = self.packet_gen.send_done
+        leon_ctrl.on_error = self.packet_gen.send_error
+        self.trace_recorder = recorder = None
         if cfg.capture_trace:
             from repro.analysis.trace import TraceRecorder
 
-            self.trace_recorder = TraceRecorder().attach(self.dcache)
-        self.cpp = ControlPacketProcessor(self.leon_ctrl, self.packet_gen,
-                                          cfg.control_port,
-                                          restart_handler=self.restart,
-                                          trace_source=self._trace_bytes)
+            self.trace_recorder = recorder = TraceRecorder().attach(dcache)
+
+        def restart() -> None:
+            """The RESTART command: full processor + controller reset."""
+            cpu.reset()
+            leon_ctrl.reset()
+            flush_caches()
+
+        self.restart = restart
+        self.cpp = cpp = ControlPacketProcessor(
+            leon_ctrl, self.packet_gen, cfg.control_port,
+            restart_handler=restart,
+            trace_source=None if recorder is None
+            else lambda: recorder.trace().to_bytes())
+
+        def rad_port(ingress_port: str, frame: bytes) -> None:
+            unwrapped = wrappers.unwrap(frame)
+            if unwrapped is not None:
+                cpp.handle(unwrapped)
+
         self.nid = FourPortSwitch()
-        self.nid.attach("rad", self._rad_frame_handler)
+        self.nid.attach("rad", rad_port)
         self.rad = Rad()
-        self.rad.program(self, bitfile_name="liquid_baseline.bit")
+        self.rad.program("liquid_baseline.bit")
 
         self.instructions_retired = 0
         self._net_dma_countdown = cfg.net_dma_period
@@ -150,41 +175,10 @@ class FPXPlatform(LiquidCore):
         """A frame arrives from the network (via the NID)."""
         self.nid.ingress(port, frame)
 
-    def _rad_frame_handler(self, ingress_port: str, frame: bytes) -> None:
-        unwrapped = self.wrappers.unwrap(frame)
-        if unwrapped is None:
-            return
-        self.cpp.handle(unwrapped)
-
-    def _transmit(self, frame: bytes) -> None:
-        self.tx_frames.append(frame)
-        if self.on_transmit is not None:
-            self.on_transmit(frame)
-
     def take_tx_frames(self) -> list[bytes]:
-        frames, self.tx_frames = self.tx_frames, []
+        frames = self.tx_frames[:]
+        self.tx_frames.clear()
         return frames
-
-    # ------------------------------------------------------------------
-    # Events from leon_ctrl
-    # ------------------------------------------------------------------
-
-    def _program_done(self, cycles: int) -> None:
-        self.packet_gen.send_to_requester(
-            protocol.encode_status_response(LeonState.DONE, cycles))
-
-    def _program_error(self, code: int) -> None:
-        self.packet_gen.send_to_requester(
-            protocol.encode_error(code, "leon_ctrl error state"))
-
-    def _trace_bytes(self):
-        if self.trace_recorder is None:
-            return None
-        return self.trace_recorder.trace().to_bytes()
-
-    def _flush_caches(self) -> None:
-        self.icache.flush()
-        self.dcache.flush()
 
     # ------------------------------------------------------------------
     # Time
@@ -201,10 +195,7 @@ class FPXPlatform(LiquidCore):
             try:
                 cycles = self.cpu.step()
             except ErrorMode as exc:
-                self.leon_ctrl.state = LeonState.ERROR
-                self.leon_ctrl.error_code = exc.tt
-                self.cycle_counter.freeze()
-                self._program_error(exc.tt)
+                self.leon_ctrl.enter_error(exc.tt)
                 break
             self.clock.advance(cycles)
             total += cycles
@@ -248,12 +239,6 @@ class FPXPlatform(LiquidCore):
         """After a START command, run to completion (DONE or ERROR)."""
         return self.run_until({LeonState.DONE, LeonState.ERROR},
                               max_instructions)
-
-    def restart(self) -> None:
-        """The RESTART command: full processor + controller reset."""
-        self.cpu.reset()
-        self.leon_ctrl.reset()
-        self._flush_caches()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -11,7 +11,6 @@ server) and charges the SelectMap transfer time on the model clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 #: SelectMap bandwidth: the XCV2000E bitstream is ~1.2 MB; at 50 MHz x 8 bit
 #: programming takes ~20 ms.  We charge time proportional to bitfile size.
@@ -28,19 +27,18 @@ class ProgrammingRecord:
 
 
 class Rad:
-    """Holds the currently-programmed module and its bitfile identity."""
+    """Holds the identity of the currently-programmed bitfile."""
 
     def __init__(self):
-        self.module: Any = None
         self.bitfile_name: str | None = None
         self.history: list[ProgrammingRecord] = []
         self.total_programming_seconds = 0.0
 
-    def program(self, module: Any, bitfile_name: str,
+    def program(self, bitfile_name: str,
                 bitfile_bytes: int = XCV2000E_BITSTREAM_BYTES) -> float:
-        """Install *module* (full reconfiguration); returns seconds spent."""
+        """Load *bitfile_name* (full reconfiguration); returns seconds
+        spent."""
         seconds = bitfile_bytes / SELECTMAP_BYTES_PER_SECOND
-        self.module = module
         self.bitfile_name = bitfile_name
         self.history.append(ProgrammingRecord(bitfile_name, bitfile_bytes,
                                               seconds))

@@ -72,7 +72,9 @@ class FpxSdramController:
         self.size = size
         self.timing = timing or SdramTiming()
         self.data = bytearray(size)
-        self._ports: list[SdramPort] = []
+        # Names only: a port holds its controller, so the controller
+        # holding its ports would be a reference cycle.
+        self._port_names: list[str] = []
         self._last_port: int | None = None
         self._open_row: int | None = None
         self.total_handshakes = 0
@@ -84,12 +86,11 @@ class FpxSdramController:
 
     def connect(self, name: str) -> SdramPort:
         """Register a request module; the FPX controller supports three."""
-        if len(self._ports) >= MAX_PORTS:
+        if len(self._port_names) >= MAX_PORTS:
             raise ValueError("FPX SDRAM controller supports at most "
                              f"{MAX_PORTS} request modules")
-        port = SdramPort(self, len(self._ports), name)
-        self._ports.append(port)
-        return port
+        self._port_names.append(name)
+        return SdramPort(self, len(self._port_names) - 1, name)
 
     # -- internals -----------------------------------------------------------
 
@@ -162,5 +163,5 @@ class FpxSdramController:
             "beats": self.total_beats,
             "row_misses": self.row_misses,
             "arbitration_switches": self.arbitration_switches,
-            "ports": [port.name for port in self._ports],
+            "ports": list(self._port_names),
         }

@@ -7,10 +7,13 @@ import pytest
 
 from repro.analysis import TraceRecorder, stride_profile
 from repro.cache.cache import CacheGeometry
+from repro.control import DirectTransport, LiquidClient
 from repro.core import (
     POPCOUNT_RECIPE,
     ArchitectureConfig,
+    Job,
     LiquidProcessorSystem,
+    ReconfigurationServer,
     Simulator,
     simulate,
 )
@@ -20,6 +23,9 @@ from repro.core.sim import MixRecorder, _classify
 from repro.cpu.blockcache import Recording
 from repro.cpu.decode import decode
 from repro.cpu.isa import Trap
+from repro.fpx.platform import FPXPlatform
+from repro.mem.memmap import DEFAULT_MAP
+from repro.net.protocol import LeonState
 from repro.toolchain.asm import encoder
 from repro.toolchain.driver import compile_c_program
 from repro.workloads import get
@@ -302,6 +308,41 @@ class TestFreedByRefcount:
             dispatch, done = sim.events.events()
             assert (dispatch.kind, done.kind) == ("dispatch", "done")
             assert done.cycle - dispatch.cycle == report.cycles
+
+        assert _cyclic_repro_garbage(run) == []
+
+
+class TestFpxFreedByRefcount:
+    """A dropped FPX node holds no reference cycle either: every
+    callback on the board takes the parts it uses, not the platform, so
+    a server that rebuilds its node per reconfiguration frees each old
+    one (with its 2 MiB SRAM and 64 MiB SDRAM) at once."""
+
+    def test_boot_and_run(self):
+        image = compile_c_program("int main(void) { return 6 * 7; }")
+
+        def run():
+            platform = FPXPlatform()
+            platform.boot()
+            client = LiquidClient(DirectTransport(
+                platform, platform.config.device_ip,
+                platform.config.control_port))
+            run = client.run_image(image, result_addr=DEFAULT_MAP.result_addr)
+            assert run.result_word == 42
+            assert platform.leon_ctrl.state == LeonState.DONE
+
+        assert _cyclic_repro_garbage(run) == []
+
+    def test_two_job_server(self):
+        image = compile_c_program("int main(void) { return 6 * 7; }")
+
+        def run():
+            server = ReconfigurationServer()
+            for size in (1024, 4096):
+                job = Job(image=image,
+                          config=ArchitectureConfig().with_dcache_size(size))
+                assert server.run_job(job).result_word == 42
+            assert server.reconfigurations == 2
 
         assert _cyclic_repro_garbage(run) == []
 

@@ -107,6 +107,16 @@ ALL_TIMING = tuple(TIMING_CONFIGS)
 #: Non-stock configurations, for rotating one per generated seed.
 EXTRA_TIMING = ALL_TIMING[1:]
 
+#: Seeded programs in the default randomized set.
+DEFAULT_PROGRAMS = 200
+
+
+def timing_for(seed: int) -> tuple[str, ...]:
+    """A generated seed's timing configurations: stock plus the extra
+    one whose turn it is."""
+    return ("stock", EXTRA_TIMING[seed % len(EXTRA_TIMING)])
+
+
 #: The sampled column's plan: generated programs run a few hundred
 #: steps, so short windows and ramps still place several of each.
 SAMPLED_PLAN = SamplingPlan(n_windows=3, window_length=24, ramp_length=16,

@@ -32,17 +32,18 @@ from tests.difftest import gen
 from repro.core.replay import REPLAYED
 from tests.difftest.harness import (
     ALL_TIMING,
-    EXTRA_TIMING,
+    DEFAULT_PROGRAMS,
     MAX_INSTRUCTIONS,
     build,
     compare_engines,
     compare_generated,
     compare_sampled,
+    timing_for,
 )
 
 pytestmark = pytest.mark.difftest
 
-PROGRAMS = int(os.environ.get("DIFFTEST_PROGRAMS", "200"))
+PROGRAMS = int(os.environ.get("DIFFTEST_PROGRAMS", DEFAULT_PROGRAMS))
 CHUNKS = 20
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 #: The sampled column's seeds: a stride coprime to the rotation, so
@@ -55,17 +56,13 @@ def _seeds_for(chunk: int) -> range:
     return range(chunk * per, min((chunk + 1) * per, PROGRAMS))
 
 
-def _timing_for(seed: int) -> tuple[str, ...]:
-    return ("stock", EXTRA_TIMING[seed % len(EXTRA_TIMING)])
-
-
 def _shrink_and_record(seed: int, problems: list[str]) -> str:
     """Minimize the failing seed and write the listing into corpus/."""
     blocks = gen.generate_blocks(seed)
 
     def still_fails(candidate):
         return bool(compare_generated(gen.render(candidate, seed),
-                                      timing=_timing_for(seed)).problems)
+                                      timing=timing_for(seed)).problems)
 
     minimal = gen.shrink(blocks, still_fails)
     listing = gen.render(minimal, seed)
@@ -85,7 +82,7 @@ def _shrink_and_record(seed: int, problems: list[str]) -> str:
 def test_generated_programs_match(chunk):
     for seed in _seeds_for(chunk):
         result = compare_generated(gen.generate(seed),
-                                   timing=_timing_for(seed))
+                                   timing=timing_for(seed))
         problems = result.problems
         if problems:
             path = _shrink_and_record(seed, problems)
@@ -139,7 +136,7 @@ def test_hot_loops_span_blocks():
 @pytest.mark.parametrize("seed", SAMPLED_SEEDS)
 def test_sampled_windows_match_the_oracle(seed):
     problems, paths = compare_sampled(build(gen.generate(seed)),
-                                      MAX_INSTRUCTIONS, _timing_for(seed))
+                                      MAX_INSTRUCTIONS, timing_for(seed))
     assert not problems, f"seed {seed}:\n" + "\n".join(problems)
     assert set(paths.values()) == {REPLAYED}
 

@@ -10,7 +10,7 @@ cache statistics on purpose regenerates the file with::
 and says why in its change log, so the drift shows up as a reviewed
 diff instead of passing unseen.
 
-The three sweeps:
+The four sweeps:
 
 * ``fig8`` — ``ConfigurationSpace.paper_cache_sweep()`` (D-cache 1K to
   16K) over the paper's Figure-7 kernel with array seed 0, one digest
@@ -25,7 +25,12 @@ The three sweeps:
   one digest per kernel and config label.  ``crc32`` never evicts a
   D-cache line, so the conflict kernel is what makes the three
   policies disagree inside a D-cache window, and ``ipcheck`` inside an
-  I-cache window.
+  I-cache window;
+* ``difftest`` — the replayed records of the difftest's default seeded
+  programs, each under stock timing and the extra configuration whose
+  turn it is (``harness.timing_for``), one digest over all of them.
+  The difftest proves each equal to the accurate engine's; this pins
+  them, so both engines drifting together shows too.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from repro.core import ArchitectureConfig, ConfigurationSpace, SweepRunner
 from repro.core.sampling import SamplingPlan
 from repro.toolchain import driver
 from repro.workloads import all_workloads, get
+from tests.difftest import gen, harness
 
 GOLDEN = Path(__file__).with_name("records.json")
 
@@ -146,11 +152,19 @@ def digests(runner: SweepRunner | None = None) -> dict:
                                sampling=SAMPLING_PLAN)
         for label, point in zip(configs, outcome.points):
             sampled[f"{kernel}/{label}"] = sha256(point.canonical_json())
+    difftest = []
+    for seed in range(harness.DEFAULT_PROGRAMS):
+        configs = [harness.TIMING_CONFIGS[name]
+                   for name in harness.timing_for(seed)]
+        outcome = runner.sweep(configs, harness.build(gen.generate(seed)),
+                               harness.MAX_INSTRUCTIONS)
+        difftest += [point.canonical_json() for point in outcome.points]
     return {
         "fig8": {point.config.key(): sha256(point.canonical_json())
                  for point in fig8.points},
         "matrix": sha256(matrix.canonical_json()),
         "sampled": sampled,
+        "difftest": sha256("\n".join(difftest)),
     }
 
 

@@ -1,4 +1,4 @@
-"""Timing is pinned: the records of three fixed sweeps (two full-detail,
+"""Timing is pinned: the records of four fixed sweeps (three full-detail,
 one sampled) must hash to the committed digests in ``records.json``.
 
 A failure here means cycles, cache statistics, the instruction mix or
@@ -20,3 +20,4 @@ def test_records_match_golden_digests():
     assert actual["fig8"] == expected["fig8"]
     assert actual["matrix"] == expected["matrix"]
     assert actual["sampled"] == expected["sampled"]
+    assert actual["difftest"] == expected["difftest"]

@@ -139,10 +139,10 @@ class TestRad:
         from repro.fpx.rad import SELECTMAP_BYTES_PER_SECOND, Rad
 
         rad = Rad()
-        seconds = rad.program(object(), "a.bit", bitfile_bytes=1_000_000)
+        seconds = rad.program("a.bit", bitfile_bytes=1_000_000)
         assert seconds == pytest.approx(1_000_000 /
                                         SELECTMAP_BYTES_PER_SECOND)
-        rad.program(object(), "b.bit")
+        rad.program("b.bit")
         assert rad.reprogram_count == 2
         assert rad.bitfile_name == "b.bit"
         assert rad.total_programming_seconds > seconds

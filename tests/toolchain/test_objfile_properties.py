@@ -194,27 +194,3 @@ class TestExpressionProperties:
         expr = parse_expr("base + 4 * 8 - 2")
         assert expr.symbol == "base"
         assert expr.addend == 30
-
-
-class TestGeneratorDeterminism:
-    def test_sweep_is_reproducible(self):
-        """Two independent sweeps measure identical cycle counts — the
-        whole model (CPU, caches, protocol, synthesis) is deterministic."""
-        from repro.core import ArchitectureGenerator, ConfigurationSpace
-        from repro.toolchain.driver import compile_c_program
-
-        image = compile_c_program("""
-int main(void) {
-    int total = 0;
-    for (int i = 0; i < 200; i++) total += i;
-    return total;
-}""")
-        space = ConfigurationSpace().add_dimension("dcache_size",
-                                                   [1024, 4096])
-
-        def run():
-            return [(m.config.key(), m.cycles)
-                    for m in ArchitectureGenerator().sweep(
-                        image, space).measurements]
-
-        assert run() == run()
