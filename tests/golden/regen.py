@@ -10,7 +10,7 @@ cache statistics on purpose regenerates the file with::
 and says why in its change log, so the drift shows up as a reviewed
 diff instead of passing unseen.
 
-The four sweeps:
+The five sweeps:
 
 * ``fig8`` — ``ConfigurationSpace.paper_cache_sweep()`` (D-cache 1K to
   16K) over the paper's Figure-7 kernel with array seed 0, one digest
@@ -26,6 +26,12 @@ The four sweeps:
   D-cache line, so the conflict kernel is what makes the three
   policies disagree inside a D-cache window, and ``ipcheck`` inside an
   I-cache window;
+* ``icache`` — a full-detail sweep of ``qsort_rec``, ``des_round`` and
+  ``ipcheck`` over :func:`icache_configs`: direct-mapped I-caches from
+  512 bytes to 16 KB, a 1 KB I-cache with 16-byte lines, and a 1 KB
+  2-way I-cache under each replacement policy; one digest per kernel
+  and config label.  Their I-cache misses move with size
+  (``qsort_rec`` reads 491 at 512 bytes and 250 at 16 KB);
 * ``difftest`` — the replayed records of the difftest's default seeded
   programs, each under stock timing and the extra configuration whose
   turn it is (``harness.timing_for``), one digest over all of them.
@@ -131,6 +137,25 @@ def sampled_configs() -> dict[str, ArchitectureConfig]:
     return configs
 
 
+#: Kernels whose I-cache misses move with the I-cache size.
+ICACHE_KERNELS = ("qsort_rec", "des_round", "ipcheck")
+
+
+def icache_configs() -> dict[str, ArchitectureConfig]:
+    """The I-cache sweep's configs by label."""
+    base = ArchitectureConfig()
+    configs = {}
+    for size in (512, 1024, 2048, 4096, 8192, 16384):
+        label = f"ic{size}" if size < 1024 else f"ic{size // 1024}k"
+        configs[label] = replace(base, icache=CacheGeometry(size=size))
+    configs["ic1k-16b"] = replace(base, icache=CacheGeometry(
+        size=1024, line_size=16))
+    for policy in ("lru", "lrr", "random"):
+        configs[f"ic1k-2w-{policy}"] = replace(base, icache=CacheGeometry(
+            size=1024, line_size=32, ways=2, replacement=policy))
+    return configs
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -152,6 +177,12 @@ def digests(runner: SweepRunner | None = None) -> dict:
                                sampling=SAMPLING_PLAN)
         for label, point in zip(configs, outcome.points):
             sampled[f"{kernel}/{label}"] = sha256(point.canonical_json())
+    configs = icache_configs()
+    icache = {}
+    for kernel in ICACHE_KERNELS:
+        outcome = runner.sweep(list(configs.values()), get(kernel).image(0))
+        for label, point in zip(configs, outcome.points):
+            icache[f"{kernel}/{label}"] = sha256(point.canonical_json())
     difftest = []
     for seed in range(harness.DEFAULT_PROGRAMS):
         configs = [harness.TIMING_CONFIGS[name]
@@ -164,6 +195,7 @@ def digests(runner: SweepRunner | None = None) -> dict:
                  for point in fig8.points},
         "matrix": sha256(matrix.canonical_json()),
         "sampled": sampled,
+        "icache": icache,
         "difftest": sha256("\n".join(difftest)),
     }
 

@@ -1,4 +1,4 @@
-"""Timing is pinned: the records of four fixed sweeps (three full-detail,
+"""Timing is pinned: the records of five fixed sweeps (four full-detail,
 one sampled) must hash to the committed digests in ``records.json``.
 
 A failure here means cycles, cache statistics, the instruction mix or
@@ -20,4 +20,5 @@ def test_records_match_golden_digests():
     assert actual["fig8"] == expected["fig8"]
     assert actual["matrix"] == expected["matrix"]
     assert actual["sampled"] == expected["sampled"]
+    assert actual["icache"] == expected["icache"]
     assert actual["difftest"] == expected["difftest"]
