@@ -12,8 +12,8 @@ The replacement decision lives in :class:`TagStore` alone.
 sit transparently between the CPU and the AHB (the controller in
 :mod:`repro.cache.controller` handles timing and write policy).
 
-:func:`walk` is the one offline walk, shared by replay's D-cache pass
-(:mod:`repro.core.replay`) and the Trace Analyzer's miss curve
+:func:`walk` is the one offline walk, shared by replay's passes over
+both caches (:mod:`repro.core.replay`) and the Trace Analyzer's miss curve
 (:func:`repro.analysis.stats.simulate_miss_curve`).  It walks the
 direct-mapped geometries of one line size together.  A direct-mapped
 set holds the last line read into it since the last flush, and with
@@ -126,8 +126,8 @@ class TagStore:
     """Which lines of one cache are resident, and the victim choice: the
     first invalid way, else lru (least recently used), lrr (least
     recently filled) or random (a generator seeded with *seed*, drawn
-    once per eviction).  The machine's caches, replay's I-cache pass
-    and :func:`walk`'s set-associative caches keep their tags here.
+    once per eviction).  The machine's caches and :func:`walk`'s
+    set-associative caches keep their tags here.
 
     Lines are line numbers (``address >> offset_bits``); a set's ways are
     consecutive slots, ``-1`` when invalid.  Only :meth:`invalidate`
@@ -227,7 +227,9 @@ def walk(geometries: list[CacheGeometry], addresses: np.ndarray,
     through an empty cache of each geometry, and count per geometry, in
     order, ``read_hits``, ``write_hits``, ``evictions`` and ``("miss",
     kind)`` per read kind from reference *split* on.  *restart* resets
-    the replacement state at the split, as a sampled window does."""
+    the replacement state at the split, as a sampled window does.
+    Replay walks its data references and its fetches (one reference
+    per run of fetches from one line) through here."""
     counts: dict[CacheGeometry, Counter] = {}
     lines: dict[int, list[int]] = {}
     families: dict[int, list[CacheGeometry]] = {}

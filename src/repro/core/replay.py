@@ -18,16 +18,15 @@ made exact:
   ``Simulator.run``'s step budgets;
 * :meth:`Replayer.report` turns that stream into the
   :class:`~repro.core.sim.SimReport` ``Simulator.run`` returns for one
-  configuration: each cache as the machine's own tag store
-  (:class:`~repro.cache.cache.TagStore`, the same victim choice and
-  seeded generator, without the data; the D-cache through
-  :func:`~repro.cache.cache.walk`, which counts every direct-mapped size
-  of a line size in one pass), each block's static issue cost per
-  :class:`~repro.cpu.pipeline.TimingConfig` with the load-use interlock
-  carried across blocks and reset by traps, I-fetches collapsed to
-  cache-line runs, and the fixed bus and memory costs.  Boot and
-  dispatch only warm the caches; every field of the report covers the
-  program window, exactly as on the accurate engine;
+  configuration: both caches walked by :func:`~repro.cache.cache.walk`
+  (the machine's victim choice and seeded generator, without the data;
+  every direct-mapped size of a line size in one pass), the I-cache
+  over the fetches collapsed to cache-line runs, each block's static
+  issue cost per :class:`~repro.cpu.pipeline.TimingConfig` with the
+  load-use interlock carried across blocks and reset by traps, and the
+  fixed bus and memory costs.  Boot and dispatch only warm the caches;
+  every field of the report covers the program window, exactly as on
+  the accurate engine;
 * :meth:`Replayer.window` replays one slice of the stream instead: a
   sampled window (:mod:`repro.core.sampling`) from its ramp start,
   through the measured window's start, to its end.  ``record(...,
@@ -57,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.cache import FLUSH, READ, WRITE, CacheGeometry, tag_store, walk
+from repro.cache.cache import FLUSH, READ, WRITE, CacheGeometry, walk
 from repro.core.config import ArchitectureConfig
 from repro.core.sim import SimReport, Simulator, word_mix
 from repro.cpu.blockcache import (
@@ -80,6 +79,7 @@ from repro.obs.collect import (
     point_snapshot,
 )
 from repro.toolchain.objfile import Image
+from repro.utils import log2_exact
 
 __all__ = ["FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
            "ReplayUnsupported", "record"]
@@ -156,17 +156,19 @@ def record(config: ArchitectureConfig, image: Image,
 
 
 # Access kinds of a data reference or an instruction fetch: the cached
-# kinds and the D-cache flush marker (as the cache walk numbers them),
-# the I-cache flush marker, and the uncached single transfers (fixed
-# costs, Replayer._single).
+# kinds and the flush marker (as the cache walk numbers them), the data
+# stream's I-cache flush marker, the uncached single transfers (fixed
+# costs, Replayer._single), and an access that faults on the bus.
 _DFLUSH, _WRITE_SRAM, _READ_SRAM = FLUSH, WRITE, READ
 _READ_PROM, _IFLUSH, _SRAM_READ, _SRAM_WRITE, _APB = range(3, 8)
+_FAULT = -1
 
 
 class _Span:
     """A slice of the recording, replayed as two phases of which only
-    the second is counted: its columns, where the phases split, the
-    second phase's instruction mix, and the passes already run over it.
+    the second is counted: its bounds and columns, where the phases
+    split, the second phase's instruction mix, and the passes and
+    reference streams already built over it.
 
     The whole program's span splits at the program's first instruction
     and ``restart`` is false: boot and dispatch only warm the caches.
@@ -178,55 +180,45 @@ class _Span:
     def __init__(self, replayer: "Replayer", lo: tuple, split: tuple,
                  hi: tuple, restart: bool):
         rec = replayer.recorded.recording
+        self.bounds = lo, split, hi
         self.restart = restart
         self.events = rec.events[lo[0]:hi[0]].tolist()
-        self.step_pcs = rec.step_pcs[lo[2]:hi[2]].tolist()
         self.step_words = rec.step_words[lo[2]:hi[2]].tolist()
         self.split = split[0] - lo[0]
-        kinds = replayer._kinds[lo[1]:hi[1]]
-        self.kinds = kinds.tolist()
-        self.ref_addr = replayer._ref_addr[lo[1]:hi[1]]
-        self.ref_split = split[1] - lo[1]
-        #: How many references of each kind the second phase makes.
-        self.ref_counts = Counter(
-            {int(kind): int(count) for kind, count
-             in zip(*np.unique(kinds[self.ref_split:], return_counts=True))})
-        #: I-cache flushes per event (the flush follows its fetches).
-        iflushes = rec.iflushes
-        self.flushes_after = Counter(
-            index - lo[0] for index in iflushes[
-                bisect_left(iflushes, lo[0]):bisect_left(iflushes, hi[0])])
         #: The instruction mix of the second phase.
         self.mix = _mix(rec, split, hi)
         self.issue: dict[TimingConfig, dict] = {}
-        self.fetch: dict[CacheGeometry, Counter] = {}
-        self.data: dict[CacheGeometry, Counter] = {}
+        #: Each cache side's event counts, per (side, geometry).
+        self.walked: dict[tuple[str, CacheGeometry], Counter] = {}
+        #: Each side's :meth:`Replayer._stream`, per (side, line size);
+        #: the data stream serves every line size.
+        self.streams: dict[tuple, tuple] = {}
 
 
 class Replayer:
     """Every configuration's report from one :class:`Recorded` run, and
     every configuration's observation of each sampled window in it.
 
-    Config-independent work (classifying every address, the SMC check)
-    happens once here, and each span's columns are decoded and its
-    instruction mix folded once.  Each pass runs through a span's two
-    phases (boot and dispatch, then the program window; or a window's
-    ramp, then the window) and counts
-    the second — the fetch pass per I-cache geometry, the data pass
-    per D-cache geometry, the issue pass per :class:`TimingConfig`,
-    each memoized per span — and :meth:`_counts` prices the events
-    into the window's counts mapping, so a D-cache sweep replays the
-    fetch and issue streams once.  *dcaches* names the D-cache
-    geometries the caller will ask for, so that the first data pass
-    walks them all at once (:func:`~repro.cache.cache.walk`), and a
-    sweep over direct-mapped D-cache sizes walks the data stream once.
+    Config-independent work (classifying every data address and every
+    word the program fetches, the SMC check) happens once here, and
+    each span's columns are decoded and its instruction mix folded
+    once.  Each pass runs through a span's two phases (boot and
+    dispatch, then the program window; or a window's ramp, then the
+    window) and counts the second — the cache pass per side and
+    geometry, the issue pass per :class:`TimingConfig`, each memoized
+    per span — and :meth:`_counts` prices the events into the window's
+    counts mapping.  The cache pass walks a side's reference stream
+    (:func:`~repro.cache.cache.walk`) for the geometry asked for and
+    every geometry of that side among *configs* not yet walked, so a
+    sweep over the direct-mapped sizes of one cache walks each cache's
+    stream once and the issue stream once.
     """
 
     def __init__(self, recorded: Recorded,
-                 dcaches: tuple[CacheGeometry, ...] = ()):
+                 configs: tuple[ArchitectureConfig, ...] = ()):
         self.recorded = recorded
-        #: The D-cache geometries this replayer is expected to time.
-        self.dcaches = dcaches
+        #: The configurations this replayer is expected to time.
+        self.configs = configs
         rec = recorded.recording
         machine = recorded.machine
         bus = machine.bus.config
@@ -256,14 +248,21 @@ class Replayer:
 
         refs = np.frombuffer(rec.refs, dtype=np.uint64)
         self._ref_addr = refs >> np.uint64(4)
-        self._fetch_kinds: dict[int, int] = {}
-        try:
-            self._kinds = self._classify_refs(refs)
-        except ReplayUnsupported as exc:
-            self.unsupported = exc.cause
+        self._kinds = self._classify_refs(refs)
+        if (self._kinds == _FAULT).any():
+            self.unsupported = "bus_error"
             return
         if _smc_hazard(rec, refs):
             self.unsupported = "smc"
+        #: Every word the recording can fetch (its blocks' words and
+        #: its interpreted steps' pcs), sorted, and its access kind; a
+        #: span that fetches a faulting one is not replayed.
+        self._code_words = np.unique(np.concatenate([
+            np.frombuffer(rec.step_pcs, dtype=np.uint64).astype(np.int64),
+            *(np.arange(block.lo, block.hi, 4) for block in rec.blocks)]))
+        self._code_kinds = np.array(
+            [self._kind(word, False) for word in self._code_words.tolist()],
+            dtype=np.int64)
         self._decode = DecodeCache()
         self._spans: dict[tuple, _Span] = {}
 
@@ -278,11 +277,11 @@ class Replayer:
     # -- addresses ---------------------------------------------------------
 
     def _kind(self, address: int, write: bool) -> int:
-        """The access kind of *address*; faults are unsupported."""
+        """The access kind of *address* (``_FAULT`` on a bus fault)."""
         slave = next((name for lo, hi, name in self._slaves
                       if lo <= address < hi), None)
         if slave is None:
-            raise ReplayUnsupported("bus_error")
+            return _FAULT
         if self._memmap.cacheable(address):
             if slave == "sram":
                 return _WRITE_SRAM if write else _READ_SRAM
@@ -293,7 +292,7 @@ class Replayer:
         elif slave == "apb" and any(lo <= address < hi
                                     for lo, hi in self._devices):
             return _APB
-        raise ReplayUnsupported("bus_error")
+        return _FAULT
 
     def _classify_refs(self, refs: np.ndarray) -> np.ndarray:
         """Per reference: its kind (flush markers included), classified
@@ -307,12 +306,6 @@ class Replayer:
         kinds = np.where(refs == REF_IFLUSH, _IFLUSH, _DFLUSH)
         kinds[~flush] = table[inverse]
         return kinds
-
-    def _fetch_kind(self, address: int) -> int:
-        kind = self._fetch_kinds.get(address)
-        if kind is None:
-            kind = self._fetch_kinds[address] = self._kind(address, False)
-        return kind
 
     # -- the three passes --------------------------------------------------
 
@@ -382,80 +375,98 @@ class Replayer:
         span.issue[timing] = counts
         return counts
 
-    def _fetch(self, geometry: CacheGeometry, span: _Span) -> Counter:
-        """The I-cache side's event counts in *span*'s second phase."""
-        memo = span.fetch.get(geometry)
-        if memo is not None:
-            return memo
-        tags = tag_store(geometry)
-        blocks = self.recorded.recording.blocks
-        offset_bits = geometry.offset_bits
-        runs_memo: dict[int, list] = {}
-        flushes_after = span.flushes_after
-        split = span.split
-        pcs = span.step_pcs
-        steps_seen = 0
-        window, counts = Counter(), Counter()
-        for index, code in enumerate(span.events):
-            if index == split:
-                counts = window
-                if span.restart:
-                    tags.restart()
-            if code >= 0:
-                key = code >> 9  # block id and steps
-                runs = runs_memo.get(key)
-                if runs is None:
-                    runs = runs_memo[key] = self._runs(
-                        blocks[code >> 16], (code >> 9) & 127, offset_bits)
-            else:
-                pc = pcs[steps_seen]
-                steps_seen += 1
-                runs = ((self._fetch_kind(pc), pc >> offset_bits, 1),)
-            for kind, line, count in runs:
-                if kind >= _SRAM_READ:
-                    counts[kind] += count
-                elif tags.lookup(line):
-                    counts["read_hits"] += count
-                else:
-                    counts["read_hits"] += count - 1
-                    counts["miss", kind] += 1
-                    counts["evictions"] += tags.fill(line) >= 0
-            flushes = flushes_after.get(index)
-            if flushes:
-                tags.invalidate()
-                counts["flushes"] += flushes
-        span.fetch[geometry] = window
-        return window
+    def _side(self, side: str, geometry: CacheGeometry,
+              span: _Span) -> Counter:
+        """The event counts of one cache side (``"icache"`` or
+        ``"dcache"``) in *span*'s second phase, walked together with
+        every geometry of that side among ``configs`` not walked yet,
+        one walk per line size."""
+        walked = span.walked
+        pending = [other for other in dict.fromkeys(
+            [geometry, *(getattr(config, side) for config in self.configs)])
+            if (side, other) not in walked]
+        for line_size in dict.fromkeys(other.line_size for other in pending):
+            geometries = [other for other in pending
+                          if other.line_size == line_size]
+            key = (side, line_size if side == "icache" else None)
+            if key not in span.streams:
+                span.streams[key] = self._stream(side, line_size, span)
+            addresses, kinds, split, fixed = span.streams[key]
+            for other, counts in zip(geometries, walk(
+                    geometries, addresses, kinds, split, span.restart,
+                    reads=(_READ_SRAM, _READ_PROM))):
+                walked[side, other] = counts + fixed
+        return walked[side, geometry]
 
-    def _runs(self, block, steps: int, offset_bits: int) -> list:
-        """The fetches of a block execution that fetched *steps* words:
-        ``(kind, line, count)`` per run of consecutive fetches from one
-        cache line (uncached fetches stand alone)."""
-        runs: list[list] = []
-        for address in range(block.entry, block.entry + 4 * steps, 4):
-            kind = self._fetch_kind(address)
-            line = address >> offset_bits
-            if (runs and kind < _SRAM_READ and runs[-1][0] == kind
-                    and runs[-1][1] == line):
-                runs[-1][2] += 1
-            else:
-                runs.append([kind, line, 1])
-        return [tuple(run) for run in runs]
+    def _stream(self, side: str, line_size: int, span: _Span) -> tuple:
+        """*span*'s references on one cache side as :func:`walk` takes
+        them (addresses, kinds, where the second phase starts) and the
+        second phase's counts that no geometry changes: references per
+        kind and, on the fetch side, a read hit for each fetch after a
+        run's first.  The fetch side's references are its runs of
+        fetches from one cache line within one block execution or
+        interpreted step (uncached fetches stand alone), with a FLUSH
+        marker after each event that flushed the I-cache."""
+        lo, split, hi = span.bounds
+        if side == "dcache":
+            addresses = self._ref_addr[lo[1]:hi[1]]
+            kinds = self._kinds[lo[1]:hi[1]]
+            ref_split, read_hits = split[1] - lo[1], 0
+        else:
+            addresses, kinds, ref_split, read_hits = self._fetches(
+                span, log2_exact(line_size))
+        fixed = Counter(dict(zip(*(column.tolist() for column in np.unique(
+            kinds[ref_split:], return_counts=True)))), read_hits=read_hits)
+        return addresses, kinds.tolist(), ref_split, fixed
 
-    def _data(self, geometry: CacheGeometry, span: _Span) -> Counter:
-        """The D-cache side's event counts in *span*'s second phase,
-        walked together with those of the replayer's other ``dcaches``."""
-        memo = span.data.get(geometry)
-        if memo is not None:
-            return memo
-        geometries = [geometry, *(other for other in self.dcaches
-                                  if other not in span.data)]
-        for other, walked in zip(geometries, walk(
-                geometries, span.ref_addr, span.kinds, span.ref_split,
-                span.restart, reads=(_READ_SRAM, _READ_PROM))):
-            counts = span.data[other] = walked + span.ref_counts
-            counts["flushes"] = counts[_DFLUSH]
-        return span.data[geometry]
+    def _fetches(self, span: _Span, offset_bits: int) -> tuple:
+        """The fetch side of :meth:`_stream`: addresses, kinds, where the
+        second phase starts, and its fetches after a run's first."""
+        lo, split, hi = span.bounds
+        rec = self.recorded.recording
+        codes = np.frombuffer(rec.events, dtype=np.int64)[lo[0]:hi[0]]
+        # Each distinct event: a block execution (block id and steps)
+        # fetches its steps' words from the block's entry, an
+        # interpreted step (the complement of its pc) that one word.
+        keys = codes >> 9
+        keys[codes < 0] = ~np.frombuffer(rec.step_pcs, dtype=np.uint64)[
+            lo[2]:hi[2]].astype(np.int64)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        count = np.where(keys < 0, 1, keys & 127)
+        entry = ~keys
+        entry[keys >= 0] = [rec.blocks[key >> 7].entry
+                            for key in keys[keys >= 0].tolist()]
+        starts = np.cumsum(count) - count
+        words = np.repeat(entry - 4 * starts, count) \
+            + 4 * np.arange(int(count.sum()))
+        kinds = self._code_kinds[np.searchsorted(self._code_words, words)]
+        if (kinds == _FAULT).any():
+            raise ReplayUnsupported("bus_error")
+        # A run starts with each event's fetches, and where the kind or
+        # the line changes or the fetch is uncached.
+        lines = words >> offset_bits
+        first = np.ones(len(words), dtype=bool)
+        first[1:] = ((kinds[1:] != kinds[:-1]) | (lines[1:] != lines[:-1])
+                     | (kinds[1:] >= _SRAM_READ))
+        first[starts[count > 0]] = True
+        runs = np.flatnonzero(first)
+        # Each event's runs in stream order, from its key's first run.
+        key_runs = np.searchsorted(runs, np.append(starts, len(words)))
+        per_event = np.diff(key_runs)[inverse]
+        ends = np.cumsum(per_event)
+        order = np.arange(int(per_event.sum())) + np.repeat(
+            key_runs[:-1][inverse] - ends + per_event, per_event)
+        later = (np.diff(runs, append=len(words)) - 1)[order]
+        iflushes = rec.iflushes
+        flushed = np.array(iflushes[bisect_left(iflushes, lo[0]):
+                                    bisect_left(iflushes, hi[0])],
+                           dtype=np.int64) - lo[0]
+        at = ends[flushed]
+        first_phase = int(ends[span.split - 1]) if span.split else 0
+        return (np.insert(words[runs[order]].astype(np.uint64), at, 0),
+                np.insert(kinds[runs[order]], at, FLUSH),
+                first_phase + int(np.count_nonzero(flushed < span.split)),
+                int(later[first_phase:].sum()))
 
     def _priced(self, counts: Counter, geometry: CacheGeometry) -> dict:
         """A cache side's controller, bus and memory counters and its
@@ -464,7 +475,7 @@ class Replayer:
                   "write_hits": counts["write_hits"],
                   "write_misses": counts[_WRITE_SRAM] - counts["write_hits"],
                   "evictions": counts["evictions"],
-                  "flushes": counts["flushes"],
+                  "flushes": counts[FLUSH],
                   "buckets": [0] * 16}
         for name in ("read_misses", "bypasses", "miss_sum", "extra",
                      "transfers", "bursts", "beats", "waits", "sram_reads",
@@ -516,8 +527,9 @@ class Replayer:
         machine) for *span*'s second phase, priced from the passes."""
         timing = config.timing()
         issue = self._issue(timing, span)
-        fetch = self._priced(self._fetch(config.icache, span), config.icache)
-        data_events = self._data(config.dcache, span)
+        fetch = self._priced(self._side("icache", config.icache, span),
+                             config.icache)
+        data_events = self._side("dcache", config.dcache, span)
         data = self._priced(data_events, config.dcache)
         mem_stall = (data["extra"]
                      + data["flushes"] * config.dcache.lines

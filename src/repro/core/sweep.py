@@ -342,28 +342,22 @@ def _load_record(path: Path) -> dict | None:
 
 def _sampled_record(config: ArchitectureConfig, run, runner,
                     counters: dict, utilization) -> dict:
-    """The cacheable record of one sampled point.  *counters* is the
+    """The cacheable record of one sampled point: its estimate as a
+    full-detail record, plus the ``sampled`` section.  *counters* is the
     per-run delta of the group's shared runner's accounting: the
     counters are derived from the run, not from memo hits, so it equals
     what a fresh runner would publish."""
     registry = MetricsRegistry()
     runner.publish_obs(registry, counters=counters)
-    return {
-        "schema": SCHEMA_VERSION,
-        "config_key": config.key(),
-        "cycles": int(round(run.estimated_cycles)),
-        "instructions": run.total_instructions,
-        "instruction_mix": run.instruction_mix(),
-        "dcache": run.cache_totals("dcache"),
-        "icache": run.cache_totals("icache"),
-        "result_word": run.result_word,
-        "uart_hex": run.uart_hex,
-        "frequency_mhz": utilization.frequency_mhz,
-        "slices": utilization.slices,
-        "block_rams": utilization.block_rams,
-        "obs": registry.snapshot(),
-        "sampled": run.to_record(),
-    }
+    report = SimReport(
+        cycles=int(round(run.estimated_cycles)),
+        instructions=run.total_instructions,
+        instruction_mix=run.instruction_mix(),
+        dcache=run.cache_totals("dcache"), icache=run.cache_totals("icache"),
+        result_word=run.result_word, uart_output=bytes.fromhex(run.uart_hex),
+        obs=registry.snapshot())
+    return {**_report_record(config, report, utilization),
+            "sampled": run.to_record()}
 
 
 def _evaluate_sampled(tasks) -> list[tuple[dict, float, str]]:
@@ -442,7 +436,7 @@ def _evaluate_group(tasks) -> list[tuple[dict, float, str]]:
         try:
             replayer = Replayer(
                 record_program(config, image, max_instructions),
-                dcaches=tuple(task[0].dcache for task in replayable))
+                configs=tuple(task[0] for task in replayable))
         except (traps.WatchdogExpired, traps.ErrorMode):
             # The accurate engine raises it again, from the same step.
             cause = "error"
@@ -869,23 +863,9 @@ class SweepRunner:
     def _point(index: int, config: ArchitectureConfig, digest: str,
                fingerprint: str, record: dict, source: str,
                wall_seconds: float) -> SweepPoint:
-        return SweepPoint(
-            index=index,
-            config=config,
-            image_digest=digest,
-            fingerprint=fingerprint,
-            cycles=record["cycles"],
-            instructions=record["instructions"],
-            instruction_mix=dict(record["instruction_mix"]),
-            dcache=record["dcache"],
-            icache=record["icache"],
-            result_word=record["result_word"],
-            uart_hex=record["uart_hex"],
-            frequency_mhz=record["frequency_mhz"],
-            slices=record["slices"],
-            block_rams=record["block_rams"],
-            obs=record.get("obs", {}),
-            sampled=record.get("sampled"),
-            source=source,
-            wall_seconds=wall_seconds,
-        )
+        fields = {name: record[name] for name in _RECORD_FIELDS}
+        fields["instruction_mix"] = dict(fields["instruction_mix"])
+        return SweepPoint(index=index, config=config, image_digest=digest,
+                          fingerprint=fingerprint, obs=record.get("obs", {}),
+                          sampled=record.get("sampled"), source=source,
+                          wall_seconds=wall_seconds, **fields)

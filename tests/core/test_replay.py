@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cache.cache import CacheGeometry
+from repro.cache import cache
+from repro.cache.cache import CacheGeometry, TagStore
 from repro.core import ArchitectureConfig, ConfigurationSpace, ResultCache
 from repro.core.replay import FALLBACK_CAUSES, Replayer, record
 from repro.core.sampling import SampledRunner, SamplingPlan
@@ -292,6 +293,49 @@ def test_sampled_prefetch_point_falls_back(image):
     for point, config in zip(outcome.points, configs):
         oracle = OracleRunner(config).run(image, plan)
         assert _canonical(point.sampled) == _canonical(oracle.to_record())
+
+
+def test_icache_size_sweep_walks_its_fetch_stream_once(monkeypatch):
+    """Replay walks both caches through ``cache.walk``: five
+    direct-mapped I-cache sizes at one D-cache are one walk of the fetch
+    stream, no tag store is built for a direct-mapped I-cache, and each
+    point is the accurate engine's record."""
+    image = get("ipcheck").image(0)
+    icaches = [CacheGeometry(size=size)
+               for size in (512, 1024, 2048, 4096, 8192)]
+    tasks = [(replace(ArchitectureConfig(), icache=geometry), image,
+              20_000_000, None) for geometry in icaches]
+    families, stores, replaying = [], [], []
+    family_walk, store_init = cache._family_walk, TagStore.__init__
+    report = Replayer.report
+
+    def spy_family_walk(family, *args):
+        if replaying:
+            families.append(tuple(family))
+        return family_walk(family, *args)
+
+    def spy_store_init(self, geometry, *args):
+        if replaying:
+            stores.append(geometry)
+        store_init(self, geometry, *args)
+
+    def spy_report(self, config):
+        replaying.append(config)
+        try:
+            return report(self, config)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(cache, "_family_walk", spy_family_walk)
+    monkeypatch.setattr(TagStore, "__init__", spy_store_init)
+    monkeypatch.setattr(Replayer, "report", spy_report)
+    results = _evaluate_group(tasks)
+    assert families.count(tuple(icaches)) == 1
+    assert not [geometry for geometry in stores if geometry in icaches]
+    assert [path for _, _, path in results] == [REPLAYED] * len(tasks)
+    for task, (replayed, _, _) in zip(tasks, results):
+        accurate, _ = _evaluate_task(task)
+        assert _canonical(replayed) == _canonical(accurate)
 
 
 def test_watchdog_raises_as_on_the_accurate_engine(image):
