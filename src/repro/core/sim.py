@@ -339,8 +339,9 @@ class Simulator(LiquidCore):
         replayed report's, folded from the translated engine's
         recording: ``Replayer(record(config, image,
         max_instructions)).report(config).instruction_mix``
-        (:mod:`repro.core.replay`).  The block-cache counters and the
-        size of the code it generated (``source_chars``) are in the
+        (:mod:`repro.core.replay`).  The block-cache counters, the calls
+        of generated code the dispatch loop made (``dispatches``) and
+        the size of the code it generated (``source_chars``) are in the
         report's ``fastpath`` section."""
         poll = self.rom_info.poll_address
         fast = self.translated_unit()
@@ -373,6 +374,7 @@ class Simulator(LiquidCore):
                 "blocks_executed": fast.blocks_executed,
                 "blocks_invalidated": fast.blocks_invalidated,
                 "traces_translated": fast.traces_translated,
+                "dispatches": fast.dispatches,
                 "source_chars": fast.source_chars,
             },
         )

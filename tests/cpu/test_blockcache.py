@@ -1012,6 +1012,237 @@ buf:
 """
 
 
+#: Loop shapes whose region holds more than one path: each maps a name
+#: to (source, the labels that start the region's members, a label
+#: inside a member that is not its entry).
+REGION_SHAPES = {
+    # Both arms of the branch in the loop return to the head.
+    "both_arms": ("""
+    .text
+    .global _start
+_start:
+    set 12, %l0
+loop:
+    deccc %l0               ! head: the exit test
+    be done
+    andcc %l0, 1, %g0
+    bne odd                 ! the branch in the loop
+    nop
+even:
+    add %g1, 1, %g1
+    ba loop
+    sll %g1, 1, %g3
+odd:
+    add %g2, %l0, %g2
+inside:
+    xor %g2, %g1, %g4
+    ba loop
+    nop
+done:
+    nop
+""", ["loop", "even", "odd", "loop+12"], "inside"),
+    # A rotated loop: the back edge's target is its head, but it is
+    # entered at its second member, the test.
+    "rotated": ("""
+    .text
+    .global _start
+_start:
+    set 10, %l0
+    ba test
+    nop
+body:
+    add %g1, %l0, %g1       ! head
+inside:
+    sll %g1, 1, %g2
+    ba test
+    xor %g2, %g1, %g3
+    nop
+test:
+    deccc %l0               ! entered here first
+    bne body
+    add %g4, 1, %g4
+done:
+    nop
+""", ["body", "test"], "inside"),
+    # A two-level nest: one region runs both loops.
+    "nest": ("""
+    .text
+    .global _start
+_start:
+    set 4, %l1
+outer:
+    set 5, %l0
+inner:
+    add %g1, %l0, %g1       ! inner body
+inside:
+    deccc %l0
+    bne inner
+    nop
+    add %g2, %g1, %g2       ! outer latch
+    deccc %l1
+    bne outer
+    nop
+done:
+    nop
+""", ["inner", "inner+16", "outer"], "inside"),
+    # A store on the loop's third lap writes a data word on the code's
+    # page: every member is dropped, and the region forms again once
+    # they are back.
+    "store": ("""
+    .text
+    .global _start
+_start:
+    set 9, %l0
+    set pad, %o0
+loop:
+    deccc %l0               ! head
+    be done
+    cmp %l0, 6
+    bne next
+    nop
+    st %l0, [%o0]           ! the store, on one lap only
+next:
+    add %g1, %l0, %g1
+inside:
+    ba loop
+    sll %g1, 1, %g2
+done:
+    nop
+pad:
+    .word 0
+""", ["loop", "next", "loop+12"], "inside"),
+}
+
+
+#: Returns to the head from generated code before a shape's region
+#: forms, where the first is too early: ``both_arms`` runs one lap
+#: through each arm as translated blocks first, so that the region
+#: forms with both arms translated.
+WARM_UP = {"both_arms": 2}
+
+
+def _address(image, label: str) -> int:
+    name, _, offset = label.partition("+")
+    return image.symbols[name] + int(offset or 0)
+
+
+@pytest.mark.parametrize("shape", sorted(REGION_SHAPES))
+class TestLoopRegions:
+    """A hot loop region compiles every translated path of its loop into
+    one function; everything observable stays what its blocks one by
+    one would do."""
+
+    @pytest.fixture(autouse=True)
+    def _warm_up(self, shape, chain_on_first_return, monkeypatch):
+        monkeypatch.setattr(blockcache, "HOT_TRACE", WARM_UP.get(shape, 1))
+
+    def test_region_takes_every_path_of_the_loop(self, shape):
+        source, members, _ = REGION_SHAPES[shape]
+        image = build(source)
+        tu = _run_pair(source)
+        # The region that ran the loop (a nest may also have formed one
+        # at its inner head, before its outer blocks were translated).
+        trace = max(tu._traces.values(), key=lambda t: len(t.members))
+        assert isinstance(trace, Trace)
+        assert ({block.entry for block in trace.members}
+                == {_address(image, label) for label in members})
+        assert tu.dispatches < tu.blocks_executed
+
+    def test_fast_forward_every_budget_and_in_pieces(self, shape):
+        source = REGION_SHAPES[shape][0]
+        probe, _, image = _make(source, FunctionalUnit)
+        done = image.symbols["done"]
+        total = probe.fast_forward(10_000, stop_pc=done)
+        for budget in range(1, total + 1):
+            fu, fu_ram, _ = _make(source, FunctionalUnit)
+            tu, tu_ram, _ = _make(source, TranslatedUnit)
+            assert fu.fast_forward(budget) == tu.fast_forward(budget)
+            _assert_same_state(tu, fu, tu_ram, fu_ram)
+        assert tu.traces_translated > 0
+        for chunk in (3, 10, 23, 37):
+            fu, fu_ram, _ = _make(source, FunctionalUnit)
+            tu, tu_ram, _ = _make(source, TranslatedUnit)
+            while fu.pc != done:
+                assert (fu.fast_forward(chunk, stop_pc=done)
+                        == tu.fast_forward(chunk, stop_pc=done))
+                _assert_same_state(tu, fu, tu_ram, fu_ram)
+
+    @pytest.mark.parametrize("chunk", [None, 3, 10, 23, 37])
+    def test_recording_is_the_blocks_recording(self, shape, chunk,
+                                                monkeypatch):
+        _assert_traces_record_like_blocks(REGION_SHAPES[shape][0],
+                                          monkeypatch, chunk)
+
+    def test_stop_pc_inside_a_member_keeps_the_region_out(self, shape):
+        source, _, label = REGION_SHAPES[shape]
+        fu, fu_ram, image = _make(source, FunctionalUnit)
+        tu, tu_ram, _ = _make(source, TranslatedUnit)
+        # Run until a region exists, then stop inside a member.
+        while not tu._traces:
+            assert fu.fast_forward(10) == tu.fast_forward(10)
+        entered = []
+        for trace in tu._traces.values():
+            trace.code = (lambda unit, left, code=trace.code:
+                          entered.append(left) or code(unit, left))
+        stop = _address(image, label)
+        fu.fast_forward(1_000, stop_pc=stop)
+        tu.fast_forward(1_000, stop_pc=stop)
+        assert tu.pc == stop and not entered
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+        done = image.symbols["done"]
+        fu.fast_forward(1_000, stop_pc=done)
+        tu.fast_forward(1_000, stop_pc=done)
+        _assert_same_state(tu, fu, tu_ram, fu_ram)
+
+
+def test_a_region_a_store_dropped_forms_again_once_its_members_are_back(
+        monkeypatch):
+    """A store on the sixth lap drops every member.  The next return to
+    the head comes through the odd arm, before the even one is back: the
+    region waits for it and is compiled once more, whole, not once per
+    member as they come back."""
+    monkeypatch.setattr(blockcache, "HOT_TRACE", 3)
+    targets = ", ".join("pad" if i == 6 else "scratch" for i in range(12))
+    source = f"""
+    .text
+    .global _start
+_start:
+    set 12, %l0
+    set targets, %o5
+loop:
+    deccc %l0               ! head
+    be done
+    andcc %l0, 1, %g0
+    bne odd
+    sll %l0, 2, %o4
+even:
+    ld [%o5 + %o4], %o3
+    st %g0, [%o3]           ! to scratch, or once to the code's page
+    ba loop
+    add %g1, 1, %g1
+odd:
+    add %g2, %l0, %g2
+    ba loop
+    nop
+done:
+    nop
+pad:
+    .word 0
+    .data
+    .skip 256
+targets:
+    .word {targets}
+scratch:
+    .word 0
+"""
+    tu = _run_pair(source)
+    assert tu.blocks_invalidated > 0
+    assert tu.traces_translated == 2
+    (trace,) = tu._traces.values()
+    assert len(trace.members) == 4
+    assert not tu._lost
+
+
 class TestSimulatorIntegration:
     def test_translated_unit_shares_architectural_state(self):
         from repro.core.sim import Simulator
@@ -1196,8 +1427,14 @@ class TestGeneratedSource:
         real = blockcache._compile
 
         def counting(unit, members, loop):
-            compiled.append((unit, sum(len(insts) for _, insts, _ in members)))
-            return real(unit, members, loop)
+            before = unit.source_chars
+            out = real(unit, members, loop)
+            # A source compiled before reuses its code: neither its
+            # characters nor its instructions count again.
+            count = sum(len(insts) for _, insts, _ in members)
+            compiled.append((unit, count if unit.source_chars > before
+                             else 0))
+            return out
 
         monkeypatch.setattr(blockcache, "_compile", counting)
         for kernel in all_workloads():
