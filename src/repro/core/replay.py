@@ -82,7 +82,7 @@ from repro.toolchain.objfile import Image
 from repro.utils import log2_exact
 
 __all__ = ["FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
-           "ReplayUnsupported", "record"]
+           "ReplayUnsupported", "record", "replayable"]
 
 #: How a replayed point or sampled run was measured when nothing fell
 #: back (else the path is the fallback cause).
@@ -93,6 +93,12 @@ REPLAYED = "replayed"
 #: FLUSH, a faulting bus access, or a recording pass that ended in a
 #: watchdog or error-mode trap (the accurate engine then raises it).
 FALLBACK_CAUSES = ("prefetch", "smc", "bus_error", "error")
+
+
+def replayable(config: ArchitectureConfig) -> bool:
+    """Whether replay can price *config* from a recording at all: a
+    prefetching D-cache has state the recording does not carry."""
+    return config.prefetch == "none"
 
 
 class ReplayUnsupported(Exception):
@@ -211,14 +217,16 @@ class Replayer:
     (:func:`~repro.cache.cache.walk`) for the geometry asked for and
     every geometry of that side among *configs* not yet walked, so a
     sweep over the direct-mapped sizes of one cache walks each cache's
-    stream once and the issue stream once.
+    stream once and the issue stream once; *configs* it cannot price
+    (:func:`replayable`) are left out.
     """
 
     def __init__(self, recorded: Recorded,
                  configs: tuple[ArchitectureConfig, ...] = ()):
         self.recorded = recorded
         #: The configurations this replayer is expected to time.
-        self.configs = configs
+        self.configs = tuple(config for config in configs
+                             if replayable(config))
         rec = recorded.recording
         machine = recorded.machine
         bus = machine.bus.config
@@ -516,7 +524,7 @@ class Replayer:
     def _check(self, config: ArchitectureConfig) -> None:
         """Raise :class:`ReplayUnsupported` where *config*'s replay
         could not be exact."""
-        if config.prefetch != "none":
+        if not replayable(config):
             raise ReplayUnsupported("prefetch")
         if self.unsupported is not None:
             raise ReplayUnsupported(self.unsupported)

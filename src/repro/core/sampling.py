@@ -53,7 +53,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.core.config import ArchitectureConfig
-from repro.core.replay import REPLAYED, Replayer, ReplayUnsupported, record
+from repro.core.replay import (
+    REPLAYED,
+    Replayer,
+    ReplayUnsupported,
+    record,
+    replayable,
+)
 from repro.core.sim import MixRecorder, Simulator
 from repro.cpu.archstate import ArchState
 from repro.obs.collect import (
@@ -552,10 +558,17 @@ class SampledRunner:
     same observations, which is what makes a sampled run a pure
     function of ``(image, config, plan)`` and lets sweep workers
     rebuild it bit-for-bit in parallel.
+
+    *configs* names the configurations the runner will be asked to
+    measure (a sweep group's points), as :class:`Replayer` takes them:
+    each window's first replay walks every cache geometry among them,
+    so a D-cache size sweep walks each window's data stream once.
     """
 
-    def __init__(self, config: ArchitectureConfig | None = None):
+    def __init__(self, config: ArchitectureConfig | None = None,
+                 configs: tuple[ArchitectureConfig, ...] = ()):
         self.config = config or ArchitectureConfig()
+        self.configs = configs
         #: Cumulative accounting, keyed by the ``sampling.*`` series.
         self.counters = dict.fromkeys(SAMPLING_SERIES, 0)
         #: How the last :meth:`run` measured its windows:
@@ -602,7 +615,8 @@ class SampledRunner:
             return memo[2]
         self._recording_memo = None
         replayer = Replayer(record(self.config, image, max_instructions,
-                                   _boundaries(specs, total_steps)))
+                                   _boundaries(specs, total_steps)),
+                            configs=self.configs)
         self._recording_memo = (image, key, replayer)
         return replayer
 
@@ -713,7 +727,7 @@ class SampledRunner:
         config = config or self.config
         measured_specs = [head, *specs]
         try:
-            if config.prefetch != "none":
+            if not replayable(config):
                 # Replay refuses it anyway: skip the recording.
                 raise ReplayUnsupported("prefetch")
             replayer = self._recording_pass(image, measured_specs,

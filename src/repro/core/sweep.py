@@ -53,6 +53,7 @@ from repro.core.replay import (
     REPLAYED,
     Replayer,
     ReplayUnsupported,
+    replayable,
 )
 from repro.core.replay import record as record_program
 from repro.core.sampling import SampledRunner, SamplingPlan
@@ -364,12 +365,14 @@ def _evaluate_sampled(tasks) -> list[tuple[dict, float, str]]:
     """Evaluate the sampled points of one ``(image, arch_key)`` group on
     one :class:`SampledRunner`, so every point shares the memoised
     survey and recording passes and pays only for replaying its own
-    windows.  Returns ``(record, wall seconds, path)`` per task, in
+    windows; the first point's replay of a window walks the caches of
+    every point.  Returns ``(record, wall seconds, path)`` per task, in
     order, *path* being :data:`~repro.core.replay.REPLAYED` or the
     cause of the point's fallback to the accurate engine.  Obs counters
     are published as per-run deltas, so a point's record does not
     depend on which other points shared its runner."""
-    runner = SampledRunner(tasks[0][0])
+    runner = SampledRunner(tasks[0][0],
+                           configs=tuple(task[0] for task in tasks))
     results = []
     for config, image, max_instructions, sampling in tasks:
         start = time.perf_counter()
@@ -430,13 +433,13 @@ def _evaluate_group(tasks) -> list[tuple[dict, float, str]]:
     and parallel sweeps both evaluate whole groups through here."""
     started = time.perf_counter()
     replayer, cause = None, "prefetch"  # the cause if nothing records
-    replayable = [task for task in tasks if task[0].prefetch == "none"]
-    if replayable:
-        config, image, max_instructions, _ = replayable[0]
+    recordable = [task for task in tasks if replayable(task[0])]
+    if recordable:
+        config, image, max_instructions, _ = recordable[0]
         try:
             replayer = Replayer(
                 record_program(config, image, max_instructions),
-                configs=tuple(task[0] for task in replayable))
+                configs=tuple(task[0] for task in tasks))
         except (traps.WatchdogExpired, traps.ErrorMode):
             # The accurate engine raises it again, from the same step.
             cause = "error"

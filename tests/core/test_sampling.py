@@ -336,6 +336,49 @@ class TestSweepSampling:
         assert whole.points[0].sampled is None
 
 
+def test_dcache_size_sweep_walks_each_window_once(monkeypatch, crc_image):
+    """A sampled sweep group hands its points to the replayer, so the
+    first point's replay of a window walks the window's data stream for
+    all four direct-mapped D-cache sizes at once, and the other points
+    read their counts from that walk."""
+    from repro.cache import cache
+    from repro.core.replay import Replayer
+
+    dcaches = [CacheGeometry(size=size) for size in (1024, 2048, 4096, 8192)]
+    configs = [replace(ArchitectureConfig(), dcache=geometry)
+               for geometry in dcaches]
+    plan = SamplingPlan(n_windows=3, window_length=300, ramp_length=128,
+                        seed=2)
+    families, sides, windows = [], [], []
+    family_walk, side, window = (cache._family_walk, Replayer._side,
+                                 Replayer.window)
+
+    def spy_family_walk(family, *args):
+        if sides[-1:] == ["dcache"]:
+            families.append(tuple(family))
+        return family_walk(family, *args)
+
+    def spy_side(self, which, *args):
+        sides.append(which)
+        try:
+            return side(self, which, *args)
+        finally:
+            sides.pop()
+
+    def spy_window(self, *args):
+        windows.append(args)
+        return window(self, *args)
+
+    monkeypatch.setattr(cache, "_family_walk", spy_family_walk)
+    monkeypatch.setattr(Replayer, "_side", spy_side)
+    monkeypatch.setattr(Replayer, "window", spy_window)
+    outcome = SweepRunner().sweep(configs, crc_image, sampling=plan)
+    assert all(point.sampled is not None for point in outcome.points)
+    spans = len(windows) // len(configs)
+    assert spans > 1 and len(windows) == spans * len(configs)
+    assert families == [tuple(dcaches)] * spans
+
+
 #: A tiny 4-way random D-cache with a stride prefetcher: replay cannot
 #: time the prefetcher, so a sampled run takes the checkpoint fallback,
 #: and the loop evicts inside each window, so the windows depend on the
