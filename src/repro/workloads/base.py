@@ -77,12 +77,13 @@ class Workload:
         return self.render(self.input_for(seed))
 
     def image(self, seed: int = DEFAULT_SEED):
-        """Compile to a loadable image (memoised per (name, seed))."""
-        return _compile_cached(self.name, seed)
+        """Compile to a loadable image (memoised per (workload, seed))."""
+        return _compile_cached(self, seed)
 
     def expected(self, seed: int = DEFAULT_SEED) -> int:
-        """The RESULT word the kernel must produce, as u32."""
-        return u32(self.reference(self.input_for(seed)))
+        """The RESULT word the kernel must produce, as u32 (the reference
+        model runs once per (workload, seed))."""
+        return _expected_cached(self, seed)
 
     def check(self, result_word: int | None,
               seed: int = DEFAULT_SEED) -> bool:
@@ -153,11 +154,15 @@ class SelfCheckResult:
 
 
 @lru_cache(maxsize=128)
-def _compile_cached(name: str, seed: int):
+def _compile_cached(workload: Workload, seed: int):
     from repro.toolchain.driver import compile_c_program
 
-    workload = REGISTRY[name]
     return compile_c_program(workload.c_source(seed))
+
+
+@lru_cache(maxsize=1024)
+def _expected_cached(workload: Workload, seed: int) -> int:
+    return u32(workload.reference(workload.input_for(seed)))
 
 
 # ---------------------------------------------------------------------------

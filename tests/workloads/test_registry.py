@@ -8,9 +8,12 @@ both execution engines — no golden answer files.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.space import DIMENSION_SETTERS
+from repro.utils import u32
 from repro.workloads import (
     CLASSES,
     DEFAULT_SEED,
@@ -71,7 +74,10 @@ class TestDeterminism:
     def test_generation_is_deterministic(self, workload):
         assert workload.input_for(7) == workload.input_for(7)
         assert workload.c_source(7) == workload.c_source(7)
-        assert workload.expected(7) == workload.expected(7)
+        # expected() is memoised: run the reference model itself twice.
+        assert (u32(workload.reference(workload.input_for(7)))
+                == u32(workload.reference(workload.input_for(7)))
+                == workload.expected(7))
 
     @pytest.mark.parametrize("workload", WORKLOADS, ids=IDS)
     def test_seeds_change_the_input(self, workload):
@@ -108,3 +114,51 @@ class TestSelfChecks:
         assert not workload.check(None)
         assert not workload.check(workload.expected() ^ 1)
         assert workload.check(workload.expected())
+
+
+def _spied(workload: Workload, **changes) -> tuple[Workload, list]:
+    """A copy of *workload* (with *changes*) whose reference model logs
+    each run into the returned list."""
+    calls: list = []
+
+    def reference(data):
+        calls.append(data)
+        return workload.reference(data)
+
+    return dataclasses.replace(workload, reference=reference,
+                               **changes), calls
+
+
+class TestReferenceRunsOncePerSeed:
+    """Every check of a seed's RESULT word compares against one run of
+    the reference model."""
+
+    def test_self_check_and_check(self):
+        workload, calls = _spied(WORKLOADS[0])
+        for _ in range(2):
+            result = workload.self_check(engine="translated", seed=5)
+            assert result.ok, result.describe()
+            assert workload.check(result.result_word, seed=5)
+            assert not workload.check(result.result_word ^ 1, seed=5)
+        assert result.expected == WORKLOADS[0].expected(5)
+        assert len(calls) == 1
+
+    def test_every_cell_of_a_matrix(self):
+        from repro.core import ArchitectureConfig, ConfigurationSpace
+        from repro.core.sweep import SweepRunner
+
+        workload, calls = _spied(WORKLOADS[0])
+        space = ConfigurationSpace(ArchitectureConfig())
+        space.add_dimension("dcache_size", [1024, 2048, 4096])
+        outcome = SweepRunner(workers=0).sweep_matrix([workload], space)
+        assert len(outcome.cells) == 3
+        assert not outcome.failed_checks()
+        assert len(calls) == 1
+
+    def test_a_workload_outside_the_registry(self):
+        workload, calls = _spied(WORKLOADS[0],
+                                 name=WORKLOADS[0].name + "_copy")
+        assert workload.name not in REGISTRY
+        result = workload.self_check(engine="translated", seed=5)
+        assert result.ok, result.describe()
+        assert len(calls) == 1
