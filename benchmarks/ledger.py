@@ -3,6 +3,7 @@
     python -m benchmarks.ledger --pr N --session E29 \\
         --parent ../parent-checkout --change . \\
         --workload fig8_exact --seeds 11-20
+    python -m benchmarks.ledger --pr N --session E29 --tier1 [--change .]
 
 For each workload and seed, runs ``perfbench/run.py --trace 0`` once in
 each checkout, for the ``run_seconds`` that ``BENCHMARK.json`` fixes,
@@ -16,6 +17,11 @@ measured), its ``src/`` tree, the failed operations and the records
 sha256 per seed.  Rows are compared only within one session (one
 ``--session`` tag): across sessions the same tree drifts by a few
 percent.
+
+``--tier1`` appends one row of another kind (``"kind": "tier1"``)
+instead: the tier-1 suite run once in the ``--change`` checkout with
+``--durations=10``, its wall time, its outcome counts and its ten
+slowest test phases.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +127,39 @@ def identity(checkout: Path) -> dict:
     return {"commit": commit, "src_tree": tree}
 
 
+def parse_tier1(output: str) -> dict:
+    """Outcome counts and the slowest test phases from a pytest run's
+    output with ``--durations``."""
+    summary = output.strip().splitlines()[-1]
+    outcomes = {name: int(count) for count, name in re.findall(
+        r"(\d+) (passed|failed|skipped|xfailed|xpassed|errors?|deselected)",
+        summary)}
+    slowest = [{"seconds": float(match[1]), "when": match[2],
+                "test": match[3]}
+               for match in (re.match(r"(\d+\.\d+)s (setup|call|teardown) +"
+                                      r"(\S+)$", line)
+                             for line in output.splitlines())
+               if match]
+    return {"tests": sum(count for name, count in outcomes.items()
+                         if name != "deselected"),
+            "outcomes": outcomes, "slowest": slowest}
+
+
+def tier1_row(pr: int, session: str, checkout: Path) -> dict:
+    """Run the tier-1 suite once in *checkout* and make its row."""
+    args = ["-x", "--durations=10"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", *args],
+                          cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - started
+    return {"kind": "tier1", "pr": pr, "session": session,
+            **identity(checkout), "args": args, "wall_s": wall,
+            "exit_code": done.returncode, **parse_tier1(done.stdout)}
+
+
 def load(path: Path) -> dict:
     if path.exists():
         return json.loads(path.read_text())
@@ -139,12 +179,24 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--session", required=True,
                         help="tag of the measuring session, e.g. E29")
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path, default=Path("."))
+    parser.add_argument("--workload", action="append")
     parser.add_argument("--seeds", type=parse_seeds, default="11-20")
     parser.add_argument("--ledger", type=Path, default=LEDGER)
+    parser.add_argument("--tier1", action="store_true",
+                        help="append a tier-1 row for --change instead")
     args = parser.parse_args(argv)
+    if args.tier1:
+        row = tier1_row(args.pr, args.session, args.change.resolve())
+        ledger = load(args.ledger)
+        ledger["rows"].append(row)
+        args.ledger.write_text(dump(ledger))
+        print(f"tier1: {row['tests']} tests in {row['wall_s']:.1f} s, "
+              f"exit {row['exit_code']}", flush=True)
+        return 0
+    if args.parent is None or not args.workload:
+        parser.error("--parent and --workload are required without --tier1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = end_to_end(spec)

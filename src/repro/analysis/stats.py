@@ -75,11 +75,13 @@ def simulate_miss_curve(trace: MemoryTrace,
     not references).
     """
     flush = trace.sizes == 0
-    kinds = np.where(flush, FLUSH, np.where(trace.is_write, WRITE, READ))
+    kinds = np.full(len(trace), READ, dtype=np.int8)
+    kinds[trace.is_write] = WRITE
+    kinds[flush] = FLUSH
     references = len(trace) - int(flush.sum())
     points = []
     for geometry, counts in zip(geometries, walk(
-            geometries, trace.addresses, kinds.tolist())):
+            geometries, trace.addresses, kinds)):
         misses = counts["miss", READ]
         rate = misses / references if references else 0.0
         points.append(MissCurvePoint(geometry.size, rate, misses, references))

@@ -23,9 +23,13 @@ are all in the larger one (set-refinement inclusion: Mattson et al.,
 IBM Sys. J. 1970; Hill & Smith, IEEE TC 1989).  A read thus goes
 from the fewest sets up, fills each level that misses and stops at the
 first hit, and counts exactly what one walk per size would; a flush
-empties every level.  Any other geometry keeps its own walk through a
-:class:`TagStore`: an LRU hit must refresh every larger cache's stamps,
-and lrr and random have no inclusion.
+empties every level.  Only a reference that misses the smallest cache
+is counted one by one: each kind's total, counted per chunk, is the
+smallest cache's hits plus what moved on.  Any other geometry keeps
+its own walk through a :class:`TagStore`: an LRU hit must refresh
+every larger cache's stamps, and lrr and random have no inclusion.
+Either walk reads its stream :data:`CHUNK` references at a time and
+carries its state across chunks.
 """
 
 from __future__ import annotations
@@ -219,72 +223,106 @@ def tag_store(geometry: CacheGeometry,
 #: miss.  A caller names its read kinds in ``reads``; others pass by.
 FLUSH, WRITE, READ = 0, 1, 2
 
+#: References per chunk of a :func:`walk` (and of replay's other passes
+#: over a recording): a walk turns one chunk at a time into Python ints,
+#: so its transient memory is a chunk's, not the stream's.
+CHUNK = 1 << 14
 
-def walk(geometries: list[CacheGeometry], addresses: np.ndarray,
-         kinds: list[int], split: int = 0, restart: bool = False,
-         reads: tuple[int, ...] = (READ,)) -> list[Counter]:
-    """Walk one stream of references (byte *addresses*, one kind each)
-    through an empty cache of each geometry, and count per geometry, in
-    order, ``read_hits``, ``write_hits``, ``evictions`` and ``("miss",
-    kind)`` per read kind from reference *split* on.  *restart* resets
-    the replacement state at the split, as a sampled window does.
-    Replay walks its data references and its fetches (one reference
-    per run of fetches from one line) through here."""
+
+def walk(geometries: list[CacheGeometry], addresses, kinds, split: int = 0,
+         restart: bool = False, reads: tuple[int, ...] = (READ,),
+         chunk: int = CHUNK) -> list[Counter]:
+    """Walk one stream of references (byte *addresses*, one kind each;
+    numpy arrays of any integer width, or sequences) through an empty
+    cache of each geometry, and count per geometry, in order,
+    ``read_hits``, ``write_hits``, ``evictions`` and ``("miss", kind)``
+    per read kind from reference *split* on.  *restart* resets the
+    replacement state at the split, as a sampled window does.  The
+    stream is read *chunk* references at a time, each walk carrying its
+    levels or tag store from chunk to chunk, so no whole-stream list is
+    built.  Replay walks its data references and its fetches (one
+    reference per run of fetches from one line) through here."""
     counts: dict[CacheGeometry, Counter] = {}
-    lines: dict[int, list[int]] = {}
     families: dict[int, list[CacheGeometry]] = {}
+
+    def phases(offset_bits: int) -> tuple:
+        return (_chunks(addresses, kinds, offset_bits, 0, split, chunk),
+                _chunks(addresses, kinds, offset_bits, split, len(kinds),
+                        chunk))
+
     for geometry in dict.fromkeys(geometries):
-        size = geometry.line_size
-        if size not in lines:
-            lines[size] = (addresses >> np.uint64(
-                geometry.offset_bits)).tolist()
         if geometry.ways == 1:
-            families.setdefault(size, []).append(geometry)
+            families.setdefault(geometry.line_size, []).append(geometry)
         else:
-            counts[geometry] = _store_walk(geometry, lines[size], kinds,
-                                           split, restart, reads)
-    for size, family in families.items():
+            counts[geometry] = _store_walk(
+                geometry, phases(geometry.offset_bits), restart, reads)
+    for family in families.values():
         family.sort(key=lambda geometry: geometry.sets)
-        counts.update(zip(family, _family_walk(family, lines[size], kinds,
-                                               split, reads)))
+        counts.update(zip(family, _family_walk(
+            family, phases(family[0].offset_bits), reads)))
     return [counts[geometry] for geometry in geometries]
 
 
-def _family_walk(family: list[CacheGeometry], lines: list[int],
-                 kinds: list[int], split: int,
+def _chunks(addresses, kinds, offset_bits: int, lo: int, hi: int,
+            chunk: int):
+    """References *lo* to *hi* of a walk's stream as ``(kinds, line
+    numbers)`` lists, *chunk* references at a time."""
+    shift = np.uint8(offset_bits)
+    for start in range(lo, hi, chunk):
+        end = min(start + chunk, hi)
+        yield (np.asarray(kinds[start:end]).tolist(),
+               (np.asarray(addresses[start:end]) >> shift).tolist())
+
+
+def _family_walk(family: list[CacheGeometry], phases: tuple,
                  reads: tuple[int, ...]) -> list[Counter]:
     """:func:`walk` for direct-mapped geometries of one line size, fewest
     sets first (no replacement state, so nothing to restart)."""
     depth = len(family)
     levels = [([-1] * geometry.sets, geometry.sets - 1)
               for geometry in family]
-    for lo, hi in ((0, split), (split, len(kinds))):
+    smallest, smallest_mask = levels[0]
+    for phase in phases:
         # References per first hitting level (depth: missed them all).
+        # Each chunk counts all of a kind's references as hits in the
+        # smallest cache and moves only its misses on, so a hit there,
+        # the common case, counts nothing.
         first = {kind: [0] * (depth + 1) for kind in reads}
         write_first = [0] * (depth + 1)
         evictions = [0] * depth
-        for kind, line in zip(kinds[lo:hi], lines[lo:hi]):
-            if kind == WRITE:
-                level = 0
-                for slots, mask in levels:
-                    if slots[line & mask] == line:
-                        break
-                    level += 1
-                write_first[level] += 1
-            elif kind in first:
-                level = 0
-                for slots, mask in levels:
-                    slot = line & mask
-                    resident = slots[slot]
-                    if resident == line:
-                        break
-                    evictions[level] += resident >= 0
-                    slots[slot] = line
-                    level += 1
-                first[kind][level] += 1
-            elif kind == FLUSH:
-                for slots, _ in levels:
-                    slots[:] = [-1] * len(slots)
+        for kinds, lines in phase:
+            write_first[0] += kinds.count(WRITE)
+            for kind, hits in first.items():
+                hits[0] += kinds.count(kind)
+            for kind, line in zip(kinds, lines):
+                if kind == WRITE:
+                    if smallest[line & smallest_mask] == line:
+                        continue
+                    level = 0
+                    for slots, mask in levels:
+                        if slots[line & mask] == line:
+                            break
+                        level += 1
+                    write_first[0] -= 1
+                    write_first[level] += 1
+                elif kind in first:
+                    if smallest[line & smallest_mask] == line:
+                        continue
+                    level = 0
+                    for slots, mask in levels:
+                        slot = line & mask
+                        resident = slots[slot]
+                        if resident == line:
+                            break
+                        evictions[level] += resident >= 0
+                        slots[slot] = line
+                        level += 1
+                    hits = first[kind]
+                    hits[0] -= 1
+                    hits[level] += 1
+                elif kind == FLUSH:
+                    for slots, _ in levels:
+                        slots[:] = [-1] * len(slots)
     result = []
     for level in range(depth):
         counts = Counter(write_hits=sum(write_first[:level + 1]),
@@ -296,27 +334,27 @@ def _family_walk(family: list[CacheGeometry], lines: list[int],
     return result
 
 
-def _store_walk(geometry: CacheGeometry, lines: list[int], kinds: list[int],
-                split: int, restart: bool,
+def _store_walk(geometry: CacheGeometry, phases: tuple, restart: bool,
                 reads: tuple[int, ...]) -> Counter:
     """:func:`walk` for one geometry, through its :class:`TagStore`."""
     tags = tag_store(geometry)
     lookup, fill = tags.lookup, tags.fill
-    for lo, hi in ((0, split), (split, len(kinds))):
-        if lo == split and restart:
+    for index, phase in enumerate(phases):
+        if index and restart:
             tags.restart()
         counts = Counter()
-        for kind, line in zip(kinds[lo:hi], lines[lo:hi]):
-            if kind == WRITE:
-                counts["write_hits"] += lookup(line)
-            elif kind in reads:
-                if lookup(line):
-                    counts["read_hits"] += 1
-                else:
-                    counts["miss", kind] += 1
-                    counts["evictions"] += fill(line) >= 0
-            elif kind == FLUSH:
-                tags.invalidate()
+        for kinds, lines in phase:
+            for kind, line in zip(kinds, lines):
+                if kind == WRITE:
+                    counts["write_hits"] += lookup(line)
+                elif kind in reads:
+                    if lookup(line):
+                        counts["read_hits"] += 1
+                    else:
+                        counts["miss", kind] += 1
+                        counts["evictions"] += fill(line) >= 0
+                elif kind == FLUSH:
+                    tags.invalidate()
     return counts
 
 

@@ -39,6 +39,18 @@ made exact:
   power-on, and the interlock carry continues — exactly as
   ``measure_window`` runs it.
 
+Replay's memory follows a chunk of the stream, not the recording.  The
+replayer holds one ``uint32`` address and one ``int8`` access kind per
+data reference (5 bytes, where the recording holds 8), classified
+:data:`CHUNK` references at a time through an interval table of the
+memory map.  Every pass (the cache walks, the building of the fetch
+stream, the issue pass, the mix fold) reads its stream a chunk at a
+time and carries its cache levels, tag store or load-use carry across
+chunks.  A side's reference stream (the data side's a view of those
+columns, the fetch side's one ``uint32`` and one ``int8`` per run)
+lives only for the one walk that serves every geometry of that side
+among the replayer's configurations.
+
 Replay refuses, raising :class:`ReplayUnsupported` with a cause from
 :data:`FALLBACK_CAUSES`, where it cannot be exact: a prefetching D-cache
 (the prefetcher has state), a store to code that is fetched again
@@ -56,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.cache import FLUSH, READ, WRITE, CacheGeometry, walk
+from repro.cache.cache import CHUNK, FLUSH, READ, WRITE, CacheGeometry, walk
 from repro.core.config import ArchitectureConfig
 from repro.core.sim import SimReport, Simulator, word_mix
 from repro.cpu.blockcache import (
@@ -81,7 +93,7 @@ from repro.obs.collect import (
 from repro.toolchain.objfile import Image
 from repro.utils import log2_exact
 
-__all__ = ["FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
+__all__ = ["CHUNK", "FALLBACK_CAUSES", "REPLAYED", "Recorded", "Replayer",
            "ReplayUnsupported", "record", "replayable"]
 
 #: How a replayed point or sampled run was measured when nothing fell
@@ -172,9 +184,10 @@ _FAULT = -1
 
 class _Span:
     """A slice of the recording, replayed as two phases of which only
-    the second is counted: its bounds and columns, where the phases
-    split, the second phase's instruction mix, and the passes and
-    reference streams already built over it.
+    the second is counted: its bounds (three of ``record``'s marks, the
+    middle one where the phases split), the second phase's events
+    counted once (:func:`_event_counts`) and its instruction mix, and
+    the passes already made over it.
 
     The whole program's span splits at the program's first instruction
     and ``restart`` is false: boot and dispatch only warm the caches.
@@ -183,22 +196,16 @@ class _Span:
     ``reset_stats`` does there (the lines stay, the replacement state
     goes back to power-on)."""
 
-    def __init__(self, replayer: "Replayer", lo: tuple, split: tuple,
+    def __init__(self, recording: Recording, lo: tuple, split: tuple,
                  hi: tuple, restart: bool):
-        rec = replayer.recorded.recording
         self.bounds = lo, split, hi
         self.restart = restart
-        self.events = rec.events[lo[0]:hi[0]].tolist()
-        self.step_words = rec.step_words[lo[2]:hi[2]].tolist()
-        self.split = split[0] - lo[0]
+        self.events, self.pairs = _event_counts(recording, lo, split, hi)
         #: The instruction mix of the second phase.
-        self.mix = _mix(rec, split, hi)
+        self.mix = _mix(recording.blocks, self.events)
         self.issue: dict[TimingConfig, dict] = {}
         #: Each cache side's event counts, per (side, geometry).
         self.walked: dict[tuple[str, CacheGeometry], Counter] = {}
-        #: Each side's :meth:`Replayer._stream`, per (side, line size);
-        #: the data stream serves every line size.
-        self.streams: dict[tuple, tuple] = {}
 
 
 class Replayer:
@@ -206,9 +213,11 @@ class Replayer:
     every configuration's observation of each sampled window in it.
 
     Config-independent work (classifying every data address and every
-    word the program fetches, the SMC check) happens once here, and
-    each span's columns are decoded and its instruction mix folded
-    once.  Each pass runs through a span's two phases (boot and
+    word the program fetches, the SMC check) happens once here, a chunk
+    of references at a time, into one ``uint32`` address and one
+    ``int8`` kind per data reference; each span's events are counted
+    once, for its instruction mix and every timing's issue pass.  Each
+    pass runs through a span's two phases (boot and
     dispatch, then the program window; or a window's ramp, then the
     window) and counts the second — the cache pass per side and
     geometry, the issue pass per :class:`TimingConfig`, each memoized
@@ -217,8 +226,11 @@ class Replayer:
     (:func:`~repro.cache.cache.walk`) for the geometry asked for and
     every geometry of that side among *configs* not yet walked, so a
     sweep over the direct-mapped sizes of one cache walks each cache's
-    stream once and the issue stream once; *configs* it cannot price
-    (:func:`replayable`) are left out.
+    stream once and counts the events once; *configs* it cannot price
+    (:func:`replayable`) are left out.  Every pass reads its stream
+    :data:`CHUNK` entries at a time, and a side's reference stream
+    lives only as long as the walk that reads it: the one walk that
+    serves every listed geometry.
     """
 
     def __init__(self, recorded: Recorded,
@@ -231,7 +243,7 @@ class Replayer:
         machine = recorded.machine
         bus = machine.bus.config
         self._overhead = bus.address_cycles + bus.arbitration_cycles
-        self._memmap = machine.memmap
+        self._memmap = memmap = machine.memmap
         self._slaves = [(m["base"], m["base"] + m["size"], m["name"])
                         for m in machine.bus.topology()]
         self._devices = [(m["base"], m["base"] + m["size"])
@@ -254,23 +266,34 @@ class Replayer:
         }
         self.unsupported: str | None = None
 
-        refs = np.frombuffer(rec.refs, dtype=np.uint64)
-        self._ref_addr = refs >> np.uint64(4)
-        self._kinds = self._classify_refs(refs)
-        if (self._kinds == _FAULT).any():
+        #: The address space as intervals of one access kind each: their
+        #: sorted starts, and per interval its read and its write kind.
+        #: The kinds change only at a bound of the memory map, a bus
+        #: slave or an APB device.
+        bounds = memmap.bounds().union(
+            *({lo, hi} for lo, hi, _ in self._slaves),
+            *({lo, hi} for lo, hi in self._devices))
+        starts = sorted(bound for bound in bounds | {0} if bound < 1 << 32)
+        self._starts = np.array(starts, dtype=np.uint32)
+        self._interval_kinds = np.array(
+            [(self._kind(start, False), self._kind(start, True))
+             for start in starts], dtype=np.int8)
+
+        self._ref_addr, self._kinds, stores, iflushes = self._classify_refs(
+            rec)
+        if stores is None:
             self.unsupported = "bus_error"
             return
-        if _smc_hazard(rec, refs):
+        if _smc_hazard(rec, stores, iflushes):
             self.unsupported = "smc"
         #: Every word the recording can fetch (its blocks' words and
         #: its interpreted steps' pcs), sorted, and its access kind; a
         #: span that fetches a faulting one is not replayed.
-        self._code_words = np.unique(np.concatenate([
-            np.frombuffer(rec.step_pcs, dtype=np.uint64).astype(np.int64),
-            *(np.arange(block.lo, block.hi, 4) for block in rec.blocks)]))
-        self._code_kinds = np.array(
-            [self._kind(word, False) for word in self._code_words.tolist()],
-            dtype=np.int64)
+        words = set(rec.step_pcs)
+        for block in rec.blocks:
+            words.update(range(block.lo, block.hi, 4))
+        self._code_words = np.array(sorted(words), dtype=np.int64)
+        self._code_kinds = self._classify(self._code_words, 0)
         self._decode = DecodeCache()
         self._spans: dict[tuple, _Span] = {}
 
@@ -279,7 +302,8 @@ class Replayer:
         key = (lo, split, hi, restart)
         span = self._spans.get(key)
         if span is None:
-            span = self._spans[key] = _Span(self, lo, split, hi, restart)
+            span = self._spans[key] = _Span(self.recorded.recording, lo,
+                                            split, hi, restart)
         return span
 
     # -- addresses ---------------------------------------------------------
@@ -302,84 +326,78 @@ class Replayer:
             return _APB
         return _FAULT
 
-    def _classify_refs(self, refs: np.ndarray) -> np.ndarray:
-        """Per reference: its kind (flush markers included), classified
-        once per distinct (word, read/write)."""
-        flush = ((refs >> np.uint64(1)) & np.uint64(7)) == 0
-        keys = ((self._ref_addr >> np.uint64(2)) << np.uint64(1)) \
-            | (refs & np.uint64(REF_WRITE))
-        unique, inverse = np.unique(keys[~flush], return_inverse=True)
-        table = np.array([self._kind(int(key >> 1) << 2, bool(key & 1))
-                          for key in unique.tolist()], dtype=np.int64)
-        kinds = np.where(refs == REF_IFLUSH, _IFLUSH, _DFLUSH)
-        kinds[~flush] = table[inverse]
-        return kinds
+    def _classify(self, addresses: np.ndarray, writes) -> np.ndarray:
+        """The access kinds of *addresses*' words, read or written as
+        *writes* (0 or 1, per address or for all) says: :meth:`_kind`,
+        through the interval table."""
+        words = np.asarray(addresses, dtype=np.uint32) & np.uint32(0xFFFFFFFC)
+        at = np.searchsorted(self._starts, words, side="right") - 1
+        return self._interval_kinds[at, writes]
+
+    def _classify_refs(self, rec: Recording) -> tuple:
+        """Per data reference, a chunk at a time: its address and its
+        kind (flush markers included).  Also every store into a word
+        the recording reads as code, as ``(reference, word)``, and every
+        I-cache flush's reference, for the SMC check; or ``None`` for
+        the stores if some reference faults on the bus."""
+        refs = np.frombuffer(rec.refs, dtype=np.uint64)
+        addresses = np.empty(len(refs), dtype=np.uint32)
+        kinds = np.empty(len(refs), dtype=np.int8)
+        code = _code_read_words(rec)
+        stores: list[tuple[int, int]] = []
+        iflushes: list[int] = []
+        for lo in range(0, len(refs), CHUNK):
+            chunk = refs[lo:lo + CHUNK]
+            chunk_addresses = addresses[lo:lo + CHUNK]
+            chunk_addresses[:] = chunk >> np.uint64(4)
+            writes = chunk & np.uint64(REF_WRITE)
+            chunk_kinds = kinds[lo:lo + CHUNK]
+            chunk_kinds[:] = self._classify(chunk_addresses, writes)
+            flush = ((chunk >> np.uint64(1)) & np.uint64(7)) == 0
+            iflush = chunk == np.uint64(REF_IFLUSH)
+            chunk_kinds[flush] = _DFLUSH
+            chunk_kinds[iflush] = _IFLUSH
+            if (chunk_kinds == _FAULT).any():
+                return addresses, kinds, None, None
+            stored = np.flatnonzero((writes != 0) & ~flush)
+            words = chunk_addresses[stored] & np.uint32(0xFFFFFFFC)
+            into_code = (np.searchsorted(code, words, side="right")
+                         > np.searchsorted(code, words))
+            stores += zip((stored[into_code] + lo).tolist(),
+                          words[into_code].tolist())
+            iflushes += (np.flatnonzero(iflush) + lo).tolist()
+        return addresses, kinds, stores, iflushes
 
     # -- the three passes --------------------------------------------------
 
     def _issue(self, timing: TimingConfig, span: _Span) -> dict:
         """Pipeline counters of the span's second phase: issue cycles
         (with interlocks), retirements, taken CTIs, annulled slots,
-        traps.  The load-use carry starts empty and crosses the split."""
+        traps; from what each distinct event adds, and a load-use
+        interlock per pair of an event and the event that set the
+        carry into it where the carry is a register the event's first
+        instruction reads."""
         memo = span.issue.get(timing)
         if memo is not None:
             return memo
-        model = PipelineModel(timing)
-        plan, lookup = model.plan, self._decode.lookup
+        plan = PipelineModel(timing).plan
+        lookup = self._decode.lookup
         blocks = self.recorded.recording.blocks
         tables: dict[int, tuple] = {}
-        words, steps_seen = span.step_words, 0
-        issue = interlocks = instret = taken = annulled = traps = 0
-        carry = None  # the previous instruction's load destination
-        split = span.split
-        for index, code in enumerate(span.events):
-            if index == split:
-                issue = interlocks = instret = taken = annulled = traps = 0
-            if code >= 0:
-                block_id = code >> 16
-                retired = (code >> 2) & 127
-                if retired:
-                    table = tables.get(block_id)
-                    if table is None:
-                        table = tables[block_id] = _issue_table(
-                            blocks[block_id], plan)
-                    cost, stalls, first_sources, load_rds = table
-                    if carry in first_sources:
-                        issue += 1
-                        interlocks += 1
-                    issue += cost[retired]
-                    interlocks += stalls[retired]
-                    carry = load_rds[retired - 1]
-                    instret += retired
-                if code & EXIT_TAKEN:
-                    taken += 1
-                if code & EXIT_ANNULLED:
-                    annulled += 1
-                elif ((code >> 9) & 127) != retired:
-                    traps += 1
-                    carry = None
-                continue
-            word = words[steps_seen]
-            steps_seen += 1
-            if code == STEP_RETIRED or code == STEP_TAKEN:
-                base, sources, load_rd = plan(lookup(word))
-                if carry in sources:
-                    issue += 1
-                    interlocks += 1
-                issue += base
-                carry = load_rd
-                instret += 1
-                taken += code == STEP_TAKEN
-            elif code == STEP_ANNULLED:
-                annulled += 1
-            else:  # STEP_TRAPPED
-                traps += 1
-                carry = None
-        if split == len(span.events):
-            issue = interlocks = instret = taken = annulled = traps = 0
-        counts = {"issue": issue, "interlocks": interlocks,
-                  "instret": instret, "taken": taken, "annulled": annulled,
-                  "traps": traps}
+        keys = {*span.events, *(setter for setter, _ in span.pairs)} - {None}
+        effects = {key: _effect(key, blocks, plan, lookup, tables)
+                   for key in keys}
+        effects[None] = ((), None, None)  # no event set the carry
+        totals = [0] * 6
+        for key, count in span.events.items():
+            for index, add in enumerate(effects[key][0]):
+                totals[index] += add * count
+        for (setter, key), count in span.pairs.items():
+            if effects[setter][2] in effects[key][1]:
+                totals[0] += count
+                totals[1] += count
+        counts = dict(zip(("issue", "interlocks", "instret", "taken",
+                           "annulled", "traps"), totals))
         span.issue[timing] = counts
         return counts
 
@@ -393,28 +411,32 @@ class Replayer:
         pending = [other for other in dict.fromkeys(
             [geometry, *(getattr(config, side) for config in self.configs)])
             if (side, other) not in walked]
-        for line_size in dict.fromkeys(other.line_size for other in pending):
-            geometries = [other for other in pending
-                          if other.line_size == line_size]
-            key = (side, line_size if side == "icache" else None)
-            if key not in span.streams:
-                span.streams[key] = self._stream(side, line_size, span)
-            addresses, kinds, split, fixed = span.streams[key]
+        # One data stream serves every line size; the fetch stream has
+        # one reference per run of fetches from a line, so one per size.
+        groups = [pending] if side == "dcache" else [
+            [other for other in pending if other.line_size == line_size]
+            for line_size in dict.fromkeys(other.line_size
+                                           for other in pending)]
+        for geometries in filter(None, groups):
+            addresses, kinds, split, fixed = self._stream(
+                side, geometries[0].line_size, span)
             for other, counts in zip(geometries, walk(
                     geometries, addresses, kinds, split, span.restart,
-                    reads=(_READ_SRAM, _READ_PROM))):
+                    reads=(_READ_SRAM, _READ_PROM), chunk=CHUNK)):
                 walked[side, other] = counts + fixed
         return walked[side, geometry]
 
     def _stream(self, side: str, line_size: int, span: _Span) -> tuple:
         """*span*'s references on one cache side as :func:`walk` takes
-        them (addresses, kinds, where the second phase starts) and the
-        second phase's counts that no geometry changes: references per
-        kind and, on the fetch side, a read hit for each fetch after a
-        run's first.  The fetch side's references are its runs of
-        fetches from one cache line within one block execution or
-        interpreted step (uncached fetches stand alone), with a FLUSH
-        marker after each event that flushed the I-cache."""
+        them (``uint32`` addresses, ``int8`` kinds, where the second
+        phase starts; the data side's are views of the replayer's
+        columns) and the second phase's counts that no geometry
+        changes: references per kind and, on the fetch side, a read hit
+        for each fetch after a run's first.  The fetch side's references
+        are its runs of fetches from one cache line within one block
+        execution or interpreted step (uncached fetches stand alone),
+        with a FLUSH marker after each event that flushed the
+        I-cache."""
         lo, split, hi = span.bounds
         if side == "dcache":
             addresses = self._ref_addr[lo[1]:hi[1]]
@@ -423,58 +445,79 @@ class Replayer:
         else:
             addresses, kinds, ref_split, read_hits = self._fetches(
                 span, log2_exact(line_size))
-        fixed = Counter(dict(zip(*(column.tolist() for column in np.unique(
-            kinds[ref_split:], return_counts=True)))), read_hits=read_hits)
-        return addresses, kinds.tolist(), ref_split, fixed
+        fixed = Counter(read_hits=read_hits)
+        for start in range(ref_split, len(kinds), CHUNK):
+            per_kind = np.bincount(kinds[start:start + CHUNK])
+            fixed.update(dict(enumerate(per_kind.tolist())))
+        return addresses, kinds, ref_split, fixed
 
     def _fetches(self, span: _Span, offset_bits: int) -> tuple:
         """The fetch side of :meth:`_stream`: addresses, kinds, where the
-        second phase starts, and its fetches after a run's first."""
+        second phase starts, and its fetches after a run's first, built
+        a chunk of events at a time."""
         lo, split, hi = span.bounds
         rec = self.recorded.recording
-        codes = np.frombuffer(rec.events, dtype=np.int64)[lo[0]:hi[0]]
-        # Each distinct event: a block execution (block id and steps)
-        # fetches its steps' words from the block's entry, an
-        # interpreted step (the complement of its pc) that one word.
-        keys = codes >> 9
-        keys[codes < 0] = ~np.frombuffer(rec.step_pcs, dtype=np.uint64)[
-            lo[2]:hi[2]].astype(np.int64)
-        keys, inverse = np.unique(keys, return_inverse=True)
-        count = np.where(keys < 0, 1, keys & 127)
-        entry = ~keys
-        entry[keys >= 0] = [rec.blocks[key >> 7].entry
-                            for key in keys[keys >= 0].tolist()]
-        starts = np.cumsum(count) - count
-        words = np.repeat(entry - 4 * starts, count) \
-            + 4 * np.arange(int(count.sum()))
-        kinds = self._code_kinds[np.searchsorted(self._code_words, words)]
-        if (kinds == _FAULT).any():
-            raise ReplayUnsupported("bus_error")
-        # A run starts with each event's fetches, and where the kind or
-        # the line changes or the fetch is uncached.
-        lines = words >> offset_bits
-        first = np.ones(len(words), dtype=bool)
-        first[1:] = ((kinds[1:] != kinds[:-1]) | (lines[1:] != lines[:-1])
-                     | (kinds[1:] >= _SRAM_READ))
-        first[starts[count > 0]] = True
-        runs = np.flatnonzero(first)
-        # Each event's runs in stream order, from its key's first run.
-        key_runs = np.searchsorted(runs, np.append(starts, len(words)))
-        per_event = np.diff(key_runs)[inverse]
-        ends = np.cumsum(per_event)
-        order = np.arange(int(per_event.sum())) + np.repeat(
-            key_runs[:-1][inverse] - ends + per_event, per_event)
-        later = (np.diff(runs, append=len(words)) - 1)[order]
+        events = np.frombuffer(rec.events, dtype=np.int64)
+        step_pcs = np.frombuffer(rec.step_pcs, dtype=np.uint64)
         iflushes = rec.iflushes
-        flushed = np.array(iflushes[bisect_left(iflushes, lo[0]):
-                                    bisect_left(iflushes, hi[0])],
-                           dtype=np.int64) - lo[0]
-        at = ends[flushed]
-        first_phase = int(ends[span.split - 1]) if span.split else 0
-        return (np.insert(words[runs[order]].astype(np.uint64), at, 0),
-                np.insert(kinds[runs[order]], at, FLUSH),
-                first_phase + int(np.count_nonzero(flushed < span.split)),
-                int(later[first_phase:].sum()))
+        addresses = [np.empty(0, dtype=np.uint32)]
+        kinds = [np.empty(0, dtype=np.int8)]
+        steps_seen, first_phase, later_fetches = lo[2], 0, 0
+        for start in range(lo[0], hi[0], CHUNK):
+            codes = events[start:min(start + CHUNK, hi[0])]
+            # Each distinct event: a block execution (block id and
+            # steps) fetches its steps' words from the block's entry, an
+            # interpreted step (the complement of its pc) that one word.
+            keys = codes >> 9
+            stepped = codes < 0
+            steps = int(np.count_nonzero(stepped))
+            keys[stepped] = ~step_pcs[steps_seen:steps_seen + steps].astype(
+                np.int64)
+            steps_seen += steps
+            keys, inverse = np.unique(keys, return_inverse=True)
+            count = np.where(keys < 0, 1, keys & 127)
+            entry = ~keys
+            entry[keys >= 0] = [rec.blocks[key >> 7].entry
+                                for key in keys[keys >= 0].tolist()]
+            starts = np.cumsum(count) - count
+            words = np.repeat(entry - 4 * starts, count) \
+                + 4 * np.arange(int(count.sum()))
+            fetched = self._code_kinds[np.searchsorted(self._code_words,
+                                                       words)]
+            if (fetched == _FAULT).any():
+                raise ReplayUnsupported("bus_error")
+            # A run starts with each event's fetches, and where the kind
+            # or the line changes or the fetch is uncached.
+            lines = words >> offset_bits
+            first = np.ones(len(words), dtype=bool)
+            first[1:] = ((fetched[1:] != fetched[:-1])
+                         | (lines[1:] != lines[:-1])
+                         | (fetched[1:] >= _SRAM_READ))
+            first[starts[count > 0]] = True
+            runs = np.flatnonzero(first)
+            # Each event's runs in stream order, from its key's first run.
+            key_runs = np.searchsorted(runs, np.append(starts, len(words)))
+            per_event = np.diff(key_runs)[inverse]
+            ends = np.cumsum(per_event)
+            order = np.arange(int(per_event.sum())) + np.repeat(
+                key_runs[:-1][inverse] - ends + per_event, per_event)
+            later = (np.diff(runs, append=len(words)) - 1)[order]
+            flushed = np.array(iflushes[bisect_left(iflushes, start):
+                                        bisect_left(iflushes, start
+                                                    + len(codes))],
+                               dtype=np.int64) - start
+            at = ends[flushed]
+            addresses.append(np.insert(words[runs[order]].astype(np.uint32),
+                                       at, 0))
+            kinds.append(np.insert(fetched[runs[order]], at, FLUSH))
+            # This chunk's events before the split, and their runs.
+            before = min(max(split[0] - start, 0), len(codes))
+            runs_before = int(ends[before - 1]) if before else 0
+            first_phase += runs_before + int(np.count_nonzero(
+                flushed < before))
+            later_fetches += int(later[runs_before:].sum())
+        return (np.concatenate(addresses), np.concatenate(kinds),
+                first_phase, later_fetches)
 
     def _priced(self, counts: Counter, geometry: CacheGeometry) -> dict:
         """A cache side's controller, bus and memory counters and its
@@ -625,29 +668,116 @@ class Replayer:
         }
 
 
-def _mix(recording: Recording, lo: tuple, hi: tuple) -> dict[str, int]:
-    """The instruction mix of the recording between two of its marks:
-    each block exit retired ``blocks[id].insts[:retired]``, and each
-    retired interpreted step its word.  Counted once per distinct
-    (block id, retired) and per distinct step word, expanded into
-    counts per instruction word and classified once per word."""
-    codes = np.frombuffer(recording.events, dtype=np.int64)[lo[0]:hi[0]]
-    exits = codes[codes >= 0]
-    words: dict[int, int] = {}
-    blocks = recording.blocks
-    keys, counts = np.unique((exits >> 16) << 7 | (exits >> 2) & 127,
-                             return_counts=True)
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        for inst in blocks[key >> 7].insts[:key & 127]:
-            words[inst.word] = words.get(inst.word, 0) + count
-    steps = codes[codes < 0]
-    step_words = np.frombuffer(recording.step_words,
-                               dtype=np.uint64)[lo[2]:hi[2]]
-    retired = step_words[(steps == STEP_RETIRED) | (steps == STEP_TAKEN)]
-    for word, count in zip(*(column.tolist() for column in np.unique(
-            retired, return_counts=True))):
-        words[word] = words.get(word, 0) + count
+def _event_flags(key: int) -> tuple[bool, bool]:
+    """Whether an event (keyed as :func:`_event_counts` keys it) issues
+    an instruction, and whether it sets the load-use carry."""
+    if key < 0:  # an interpreted step
+        code = ~(~key & 7)
+        return code in (STEP_RETIRED, STEP_TAKEN), code != STEP_ANNULLED
+    retired = (key >> 2) & 127
+    trapped = not key & EXIT_ANNULLED and (key >> 9) & 127 != retired
+    return retired > 0, bool(retired or trapped)
+
+
+def _event_counts(recording: Recording, lo: tuple, split: tuple,
+                  hi: tuple) -> tuple[Counter, Counter]:
+    """The events of the recording between *split* and *hi* (two of its
+    marks, the phase before them starting at *lo*), read a chunk at a
+    time: how often each distinct event occurs, and how often each
+    event that issues an instruction follows each event that set the
+    load-use carry last (``None`` if none did since *lo*).  A block
+    execution is keyed by its exit code, an interpreted step by the
+    complement of its word shifted left by three over the complement of
+    its code."""
+    events = np.frombuffer(recording.events, dtype=np.int64)
+    step_words = np.frombuffer(recording.step_words, dtype=np.uint64)
+    counts: Counter = Counter()
+    pairs: Counter = Counter()
+    setter = None  # the key of the event that set the carry last
+    steps_seen = lo[2]
+    for first, last in ((lo[0], split[0]), (split[0], hi[0])):
+        for start in range(first, last, CHUNK):
+            codes = events[start:min(start + CHUNK, last)]
+            stepped = codes < 0
+            steps = int(np.count_nonzero(stepped))
+            keys = codes.copy()
+            keys[stepped] = ~(step_words[steps_seen:steps_seen + steps]
+                              .astype(np.int64) << 3 | ~codes[stepped])
+            steps_seen += steps
+            keys, inverse, key_counts = np.unique(
+                keys, return_inverse=True, return_counts=True)
+            keys = keys.tolist()
+            issues, sets = (np.array(column)[inverse] for column in
+                            zip(*map(_event_flags, keys)))
+            last_set = np.where(sets, np.arange(len(codes)), -1)
+            np.maximum.accumulate(last_set, out=last_set)
+            if first == split[0]:
+                counts.update(dict(zip(keys, key_counts.tolist())))
+                # Who set the carry into each event: 0 for the one set
+                # before the chunk, else 1 + the setter's distinct key.
+                before = np.insert(last_set[:-1], 0, -1)
+                setters = np.where(before >= 0, inverse[before] + 1, 0)
+                ids, id_counts = np.unique(
+                    setters[issues] * len(keys) + inverse[issues],
+                    return_counts=True)
+                into = [setter, *keys]
+                for pair, count in zip(ids.tolist(), id_counts.tolist()):
+                    pairs[into[pair // len(keys)],
+                          keys[pair % len(keys)]] += count
+            if last_set[-1] >= 0:
+                setter = keys[inverse[last_set[-1]]]
+    return counts, pairs
+
+
+def _mix(blocks: list, events: Counter) -> dict[str, int]:
+    """The instruction mix of :func:`_event_counts`' *events*: each
+    block exit retired ``blocks[id].insts[:retired]``, and each retired
+    interpreted step its word; counted per instruction word and
+    classified once per word."""
+    words: Counter[int] = Counter()
+    for key, count in events.items():
+        if key >= 0:
+            for inst in blocks[key >> 16].insts[:(key >> 2) & 127]:
+                words[inst.word] += count
+        elif _event_flags(key)[0]:
+            words[~key >> 3] += count
     return word_mix(words)
+
+
+def _effect(key: int, blocks: list, plan, lookup, tables: dict) -> tuple:
+    """What one event (keyed as :func:`_event_counts` keys it) does in
+    the issue pass: ``(adds, sources, carry)``.  *adds* is what it adds
+    to the counters (issue cycles without an interlock into its first
+    instruction, interlock stalls, retirements, taken CTIs, annulled
+    slots, traps), *sources* the registers its first issued instruction
+    reads (``None`` when it issues none) and *carry* the load-use carry
+    it leaves, if it sets one; *tables* memoizes :func:`_issue_table`
+    per block id."""
+    if key < 0:
+        word, code = ~key >> 3, ~(~key & 7)
+        if code == STEP_ANNULLED:
+            return (0, 0, 0, 0, 1, 0), None, None
+        if code not in (STEP_RETIRED, STEP_TAKEN):  # STEP_TRAPPED
+            return (0, 0, 0, 0, 0, 1), None, None
+        base, sources, load_rd = plan(lookup(word))
+        return ((base, 0, 1, int(code == STEP_TAKEN), 0, 0), sources,
+                load_rd)
+    block_id, steps, retired = key >> 16, (key >> 9) & 127, (key >> 2) & 127
+    issue = stalls = 0
+    sources = carry = None
+    if retired:
+        table = tables.get(block_id)
+        if table is None:
+            table = tables[block_id] = _issue_table(blocks[block_id], plan)
+        cost, stalls_per, sources, load_rds = table
+        issue, stalls, carry = (cost[retired], stalls_per[retired],
+                                load_rds[retired - 1])
+    annulled = int(bool(key & EXIT_ANNULLED))
+    trapped = int(not annulled and steps != retired)
+    if trapped:
+        carry = None
+    return ((issue, stalls, retired, int(bool(key & EXIT_TAKEN)), annulled,
+             trapped), sources, carry)
 
 
 def _issue_table(block, plan) -> tuple:
@@ -668,31 +798,40 @@ def _issue_table(block, plan) -> tuple:
     return cost, stalls, plans[0][1], [load_rd for _, _, load_rd in plans]
 
 
-def _smc_hazard(recording: Recording, refs: np.ndarray) -> bool:
+def _code_read_words(recording: Recording) -> np.ndarray:
+    """Every word the recording reads as code (``code_lo``/``code_hi``),
+    sorted."""
+    words: set[int] = set()
+    for lo, hi in set(zip(recording.code_lo, recording.code_hi)):
+        words.update(range(lo, hi, 4))
+    return np.array(sorted(words), dtype=np.uint32)
+
+
+def _smc_hazard(recording: Recording, stores: list[tuple[int, int]],
+                iflushes: list[int]) -> bool:
     """Whether some word stored by the program is read as code again
     with no I-cache flush in between — the only way the accurate
     engine's I-cache could serve a stale word.  (Every read of code
     after a store is visible: the translator and the decode memo drop
-    what a store overlaps, so re-executing it means reading it again.)"""
-    sizes = (refs >> np.uint64(1)) & np.uint64(7)
-    store_at = np.nonzero((sizes != 0) & ((refs & np.uint64(REF_WRITE)) != 0))[0]
-    if not len(store_at):
+    what a store overlaps, so re-executing it means reading it again.)
+    *stores* are the ``(reference, word)`` of every store into a word
+    read as code, in order, and *iflushes* the references that flush
+    the I-cache."""
+    if not stores:
         return False
-    store_words = ((refs[store_at] >> np.uint64(4)) & ~np.uint64(3)).tolist()
-    stores: dict[int, list[int]] = {}
-    for at, word in zip(store_at.tolist(), store_words):
-        stores.setdefault(word, []).append(at)
-    flushes = np.nonzero(refs == REF_IFLUSH)[0].tolist()
+    positions: dict[int, list[int]] = {}
+    for at, word in stores:
+        positions.setdefault(word, []).append(at)
     for lo, hi, at in zip(recording.code_lo, recording.code_hi,
                           recording.code_at):
         for word in range(lo, hi, 4):
-            positions = stores.get(word)
-            if positions is None:
+            stored = positions.get(word)
+            if stored is None:
                 continue
-            last = bisect_left(positions, at) - 1
+            last = bisect_left(stored, at) - 1
             if last < 0:
                 continue
-            flush = bisect_right(flushes, positions[last])
-            if flush == len(flushes) or flushes[flush] >= at:
+            flush = bisect_right(iflushes, stored[last])
+            if flush == len(iflushes) or iflushes[flush] >= at:
                 return True
     return False

@@ -34,6 +34,7 @@ APB_SIZE = 0x0000_1000
 
 MAILBOX_START = SRAM_BASE + 0x0    # 0x4000_0000: program start address
 RESULT_ADDR = SRAM_BASE + 0x8      # 0x4000_0008: main() return value
+MAILBOX_BYTES = 0x10               # the mailbox words, kept uncached
 PROGRAM_BASE = SRAM_BASE + 0x1000  # default load address for user code
 # Initial %sp.  SPARC frames keep a 64-byte register-window save area at
 # [%sp .. %sp+63], so the top of stack leaves that much headroom below
@@ -87,13 +88,23 @@ class MemoryMap:
         (the real hardware relies on the boot-loop cache flush for this;
         keeping the two mailbox words uncached makes the model robust to
         user programs that poll them without flushing)."""
-        if self.sram_base <= address < self.sram_base + 0x10:
+        if self.sram_base <= address < self.sram_base + MAILBOX_BYTES:
             return False
         return (
             self.prom_base <= address < self.prom_base + self.prom_size
             or self.sram_base <= address < self.sram_base + self.sram_size
             or self.sdram_base <= address < self.sdram_base + self.sdram_size
         )
+
+    def bounds(self) -> set[int]:
+        """Every address at which :meth:`cacheable` or :meth:`region_of`
+        can change its answer: each region's start and end, and the end
+        of the uncached mailbox words."""
+        return {self.prom_base, self.prom_base + self.prom_size,
+                self.sram_base, self.sram_base + MAILBOX_BYTES,
+                self.sram_base + self.sram_size,
+                self.sdram_base, self.sdram_base + self.sdram_size,
+                self.apb_base, self.apb_base + self.apb_size}
 
     def region_of(self, address: int) -> str:
         if self.prom_base <= address < self.prom_base + self.prom_size:

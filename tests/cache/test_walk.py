@@ -110,6 +110,23 @@ class TestWalk:
         geometries = others[:1] + family + others[1:]
         _check(geometries, stream, split, restart)
 
+    @given(family=families(), others=st.lists(associative, max_size=2),
+           stream=streams, split=st.integers(0, 400), restart=st.booleans(),
+           chunk=st.integers(1, 70))
+    @settings(max_examples=30, deadline=None)
+    def test_chunks_and_column_widths_never_show(self, family, others, stream,
+                                                 split, restart, chunk):
+        """A walk reads its stream *chunk* references at a time, from
+        sequences or from narrow numpy columns, and counts the same."""
+        geometries = others + family
+        addresses = [address for address, _ in stream]
+        kinds = [kind for _, kind in stream]
+        split = min(split, len(kinds))
+        assert walk(geometries, np.asarray(addresses, dtype=np.uint32),
+                    np.asarray(kinds, dtype=np.int8), split, restart,
+                    reads=READS, chunk=chunk) == walk(
+            geometries, addresses, kinds, split, restart, reads=READS)
+
     def test_duplicates_and_order_are_kept(self):
         small, large = CacheGeometry(64, 16), CacheGeometry(256, 16)
         stream = [(0x4000_0000, READ), (0x4000_0040, READ),

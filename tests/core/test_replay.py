@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cache import cache
 from repro.cache.cache import CacheGeometry, TagStore
 from repro.core import ArchitectureConfig, ConfigurationSpace, ResultCache
+from repro.core import replay
 from repro.core.replay import FALLBACK_CAUSES, Replayer, record
 from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import Simulator
@@ -57,6 +60,58 @@ EPILOGUE = """
     st %l0, [%g7]
     ta 0
     nop
+"""
+
+#: Patches its own loop body with no FLUSH: the accurate engine's
+#: I-cache serves the stale word, so replay must refuse it.
+SMC_BODY = """
+    set patch, %o0
+    ld [%o0], %o1
+    set target, %o2
+    set 3, %o3
+    mov 0, %l0
+top:
+target:
+    add %l0, 1, %l0
+    st %o1, [%o2]                ! patch the loop body, no flush
+    deccc %o3
+    bg top
+    nop
+    ba done
+    nop
+patch:
+    add %l0, 5, %l0
+done:
+"""
+#: Installs its own trap table, then loads from 0x60000000 (cacheable,
+#: but nothing decodes it) and skips the faulting load in its handler.
+BUS_FAULT_BODY = """
+    set 0x40040090, %o0          ! trap table at 0x40040000, slot tt 9
+    set handler, %o1
+    ld [%o1], %o2
+    st %o2, [%o0]
+    ld [%o1 + 4], %o2
+    st %o2, [%o0 + 4]
+    flush [%o0]
+    rd %tbr, %l5
+    set 0x40040000, %o3
+    wr %o3, %tbr
+    nop
+    nop
+    nop
+    set 0x60000000, %o4          ! cacheable, but nothing decodes it
+    ld [%o4], %o5
+    wr %l5, %tbr
+    nop
+    nop
+    nop
+    mov 7, %l0
+    ba done
+    nop
+handler:
+    jmp %l2                      ! skip the faulting load
+    rett %l2 + 4
+done:
 """
 
 
@@ -174,25 +229,7 @@ def test_code_store_without_flush_falls_back():
     """A store into code that is fetched again with no FLUSH between
     is the one case the accurate engine's I-cache serves a stale word;
     replay refuses it and the accurate engine measures the point."""
-    program = build(PROLOGUE + """
-    set patch, %o0
-    ld [%o0], %o1
-    set target, %o2
-    set 3, %o3
-    mov 0, %l0
-top:
-target:
-    add %l0, 1, %l0
-    st %o1, [%o2]                ! patch the loop body, no flush
-    deccc %o3
-    bg top
-    nop
-    ba done
-    nop
-patch:
-    add %l0, 5, %l0
-done:
-""" + EPILOGUE)
+    program = build(PROLOGUE + SMC_BODY + EPILOGUE)
     config = ArchitectureConfig()
     registry = MetricsRegistry()
     outcome = SweepRunner(obs=registry).sweep([config], program)
@@ -216,34 +253,7 @@ def test_bus_fault_falls_back():
     """A data access that faults on the bus is not replayed.  The
     program installs its own trap table so it survives the fault (the
     boot ROM's would park it in error_state)."""
-    program = build(PROLOGUE + """
-    set 0x40040090, %o0          ! trap table at 0x40040000, slot tt 9
-    set handler, %o1
-    ld [%o1], %o2
-    st %o2, [%o0]
-    ld [%o1 + 4], %o2
-    st %o2, [%o0 + 4]
-    flush [%o0]
-    rd %tbr, %l5
-    set 0x40040000, %o3
-    wr %o3, %tbr
-    nop
-    nop
-    nop
-    set 0x60000000, %o4          ! cacheable, but nothing decodes it
-    ld [%o4], %o5
-    wr %l5, %tbr
-    nop
-    nop
-    nop
-    mov 7, %l0
-    ba done
-    nop
-handler:
-    jmp %l2                      ! skip the faulting load
-    rett %l2 + 4
-done:
-""" + EPILOGUE)
+    program = build(PROLOGUE + BUS_FAULT_BODY + EPILOGUE)
     config = ArchitectureConfig()
     registry = MetricsRegistry()
     outcome = SweepRunner(obs=registry).sweep([config], program)
@@ -440,3 +450,109 @@ loop:
     config = ArchitectureConfig()
     accurate, _ = _evaluate_task((config, program, 20_000_000, None))
     assert Replayer(recorded).report(config).cycles == accurate["cycles"]
+
+
+def test_interval_table_classifies_every_word_as_kind_does(image):
+    """The replayer classifies references through an interval table of
+    the memory map; every word within 8 bytes of a bound of the map, a
+    bus slave or an APB device (the mailbox words at the SRAM base, the
+    gaps between APB devices) and of unmapped space gets the kind
+    ``Replayer._kind`` gives it, read and written."""
+    replayer = Replayer(record(ArchitectureConfig(), image, 20_000_000))
+    machine = replayer.recorded.machine
+    memmap = machine.memmap
+    bounds = {0, 0x2000_0000, 0x6000_0000, 0xFFFF_FFFC,
+              memmap.mailbox_start, memmap.result_addr,
+              memmap.result_addr + 4, memmap.result_addr + 8}
+    for base, size in ((memmap.prom_base, memmap.prom_size),
+                       (memmap.sram_base, memmap.sram_size),
+                       (memmap.sdram_base, memmap.sdram_size),
+                       (memmap.apb_base, memmap.apb_size)):
+        bounds |= {base, base + size}
+    for part in machine.bus.topology() + machine.apb.topology():
+        bounds |= {part["base"], part["base"] + part["size"]}
+    words = sorted({bound + offset for bound in bounds
+                    for offset in range(-8, 12, 4)
+                    if 0 <= bound + offset < 1 << 32})
+    seen = set()
+    for write in (0, 1):
+        kinds = replayer._classify(np.array(words, dtype=np.uint32), write)
+        assert kinds.tolist() == [replayer._kind(word, bool(write))
+                                  for word in words]
+        seen |= set(kinds.tolist())
+    assert len(seen) == 7  # every kind but the two flush markers
+
+
+#: Program steps of the windows :func:`test_chunks_never_show` replays:
+#: (ramp start, window start, end).
+WINDOWS = ((0, 150, 400), (700, 1000, 1300), (2000, 2048, 2900))
+
+
+def _replayed(image) -> list[str]:
+    """Every record replay makes of *image*: the points of a sweep over
+    direct-mapped and set-associative caches, then each of ``WINDOWS``
+    on each point's configuration."""
+    stock = ArchitectureConfig()
+    configs = [stock.with_dcache_size(1024), stock, replace(
+        stock, icache=CacheGeometry(512, 32, 2, "random"),
+        dcache=CacheGeometry(1024, 16, 2, "lrr"))]
+    records = [point.canonical_json()
+               for point in SweepRunner().sweep(configs, image).points]
+    marks = {step for window in WINDOWS for step in window}
+    replayer = Replayer(record(stock, image, 20_000_000, marks),
+                        configs=tuple(configs))
+    records += [_canonical(replayer.window(config, *window))
+                for config in configs for window in WINDOWS]
+    return records
+
+
+def test_chunks_never_show(image, monkeypatch):
+    """Whole-program records and sampled windows are byte-identical
+    however many references a chunk holds."""
+    default = _replayed(image)
+    monkeypatch.setattr(replay, "CHUNK", 7)
+    assert _replayed(image) == default
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_fallback_causes_survive_small_chunks(monkeypatch, chunk):
+    """The SMC and bus-fault programs keep their causes when the store
+    and the re-fetch (or the fault) fall in different chunks."""
+    monkeypatch.setattr(replay, "CHUNK", chunk)
+    for body, cause in ((SMC_BODY, "smc"), (BUS_FAULT_BODY, "bus_error")):
+        recorded = record(ArchitectureConfig(),
+                          build(PROLOGUE + body + EPILOGUE), 20_000_000)
+        assert Replayer(recorded).unsupported == cause
+
+
+def _column_bytes(recording) -> int:
+    return sum(len(column) * column.itemsize for column in (
+        recording.events, recording.step_pcs, recording.step_words,
+        recording.refs, recording.iflushes, recording.code_lo,
+        recording.code_hi, recording.code_at))
+
+
+def test_replay_memory_follows_a_chunk_not_the_recording():
+    """Exact replay of four D-cache sizes of ``fir_stream`` peaks under
+    twice its recording's column bytes, traced from the replayer's
+    construction to its last report, and the replayer holds at most 5
+    bytes per data reference (an address and a kind) beside a few
+    kilobytes of tables of the memory map and the code."""
+    kernel = get("fir_stream")
+    stock = ArchitectureConfig()
+    configs = tuple(stock.with_dcache_size(size)
+                    for size in (1024, 2048, 4096, 8192))
+    recorded = record(stock, kernel.image(0), kernel.max_instructions)
+    Replayer(recorded).report(stock)  # lazy imports and memos, untraced
+    references = len(recorded.recording.refs)
+    tracemalloc.start()
+    try:
+        replayer = Replayer(recorded, configs=configs)
+        held = tracemalloc.get_traced_memory()[0]
+        reports = [replayer.report(config) for config in configs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * references + 16 * 1024
+    assert peak < 2 * _column_bytes(recorded.recording)
+    assert all(kernel.check(report.result_word, 0) for report in reports)

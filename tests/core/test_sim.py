@@ -17,7 +17,7 @@ from repro.core import (
     Simulator,
     simulate,
 )
-from repro.core.replay import Replayer, _mix, record
+from repro.core.replay import Replayer, _event_counts, _mix, record
 from repro.core.sampling import SampledRunner, SamplingPlan
 from repro.core.sim import MixRecorder, _classify
 from repro.cpu.blockcache import Recording
@@ -403,12 +403,18 @@ class TestMixRecorder:
 
         recording = Recording()
         recording.blocks.append(Block())
+
+        def mix() -> dict:
+            events, _ = _event_counts(recording, (0, 0, 0), (0, 0, 0),
+                                      recording.mark())
+            return _mix(recording.blocks, events)
+
         # Block 0 fetched one word and retired none of it.
         recording.events.append(1 << 9)
-        assert _mix(recording, (0, 0, 0), recording.mark()) == {}
+        assert mix() == {}
         # Twice: one word fetched, one retired.
         recording.events.extend([1 << 9 | 1 << 2] * 2)
-        assert _mix(recording, (0, 0, 0), recording.mark()) == {"load": 2}
+        assert mix() == {"load": 2}
 
     def test_hooks_detached_after_window(self, kernel_image):
         sim = Simulator()
@@ -442,5 +448,6 @@ def test_translated_mix_matches_accurate_on_a_long_kernel():
                       workload.max_instructions)
     recording = recorded.recording
     assert recorded.instructions == accurate.instructions
-    assert _mix(recording, recorded.window, recording.mark()) == \
-        accurate.instruction_mix
+    events, _ = _event_counts(recording, recorded.window, recorded.window,
+                              recording.mark())
+    assert _mix(recording.blocks, events) == accurate.instruction_mix

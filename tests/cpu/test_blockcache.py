@@ -1449,7 +1449,7 @@ def _mix_pair(source: str, max_instructions: int = 10_000,
     """Run *source* on the interpreter under a :class:`MixRecorder` and
     on a :class:`RecordingUnit`; return (the mix folded from the
     recording, the interpreter's mix, the recording unit)."""
-    from repro.core.replay import _mix
+    from repro.core.replay import _event_counts, _mix
     from repro.core.sim import MixRecorder
 
     interpreter, _, image = _make(source, FunctionalUnit)
@@ -1464,7 +1464,9 @@ def _mix_pair(source: str, max_instructions: int = 10_000,
                     unit.run(max_instructions=max_instructions,
                              until_pc=done)
     recording = recording_unit.recording
-    translated = _mix(recording, (0, 0, 0), recording.mark())
+    events, _ = _event_counts(recording, (0, 0, 0), (0, 0, 0),
+                              recording.mark())
+    translated = _mix(recording.blocks, events)
     assert sum(recorder.mix().values()) == interpreter.instret
     assert sum(translated.values()) == recording_unit.instret
     return translated, recorder.mix(), recording_unit

@@ -11,9 +11,19 @@ from benchmarks import ledger
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _ledger_rows() -> list[dict]:
+    return json.loads((ROOT / "BENCH_perfbench.json").read_text())["rows"]
+
+
 @pytest.fixture(scope="module")
 def rows():
-    return json.loads((ROOT / "BENCH_perfbench.json").read_text())["rows"]
+    """The benchmark rows (the tier-1 rows are checked on their own)."""
+    return [row for row in _ledger_rows() if row.get("kind") != "tier1"]
+
+
+@pytest.fixture(scope="module")
+def tier1_rows():
+    return [row for row in _ledger_rows() if row.get("kind") == "tier1"]
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +93,35 @@ def test_appender_summaries():
     assert parent["role"] == "parent" and "won" not in parent
     assert change["won"] == {"wall_ref_s": 1}
     assert change["records_sha256"] == {"11": "ab", "12": "ab"}
+
+
+def test_every_tier1_row_times_a_whole_suite(tier1_rows):
+    for row in tier1_rows:
+        assert isinstance(row["commit"], str) and row["commit"]
+        assert isinstance(row["pr"], int) and row["session"]
+        assert "--durations=10" in row["args"]
+        assert row["wall_s"] > 0 and row["tests"] > 0
+        assert row["tests"] == sum(count for name, count
+                                   in row["outcomes"].items()
+                                   if name != "deselected")
+        seconds = [phase["seconds"] for phase in row["slowest"]]
+        assert 0 < len(seconds) <= 10
+        assert seconds == sorted(seconds, reverse=True)
+        assert sum(seconds) < row["wall_s"]
+        assert all("::" in phase["test"] for phase in row["slowest"])
+
+
+def test_tier1_output_parses():
+    parsed = ledger.parse_tier1(
+        "....\n"
+        "===== slowest 10 durations =====\n"
+        "10.28s call     tests/difftest/test_x.py::test_a[ipsum_stream]\n"
+        "0.50s setup    tests/core/test_y.py::test_b\n"
+        "\n"
+        "1749 passed, 2 skipped, 1 error in 119.80s (0:01:59)\n")
+    assert parsed["tests"] == 1752
+    assert parsed["outcomes"] == {"passed": 1749, "skipped": 2, "error": 1}
+    assert parsed["slowest"] == [
+        {"seconds": 10.28, "when": "call",
+         "test": "tests/difftest/test_x.py::test_a[ipsum_stream]"},
+        {"seconds": 0.5, "when": "setup", "test": "tests/core/test_y.py::test_b"}]
