@@ -37,9 +37,10 @@ Coherence piggybacks on the contract the per-PC decode memo already
 obeys (see ``FunctionalUnit.data_write``/``flush_icache``):
 
 * every store that could touch translated code goes through
-  :meth:`TranslatedUnit.data_write`, which drops the blocks whose pages
-  the write overlaps — a page map keeps that check O(pages written) —
-  and the regions they belong to;
+  :meth:`TranslatedUnit.data_write`, which drops the blocks whose words
+  the write overlaps — a word map keeps that check O(words written), and
+  a store to data beside the code drops nothing — and the regions they
+  belong to;
 * a store into the *currently executing* block (or a FLUSH from inside
   one) raises the ``_code_dirty`` flag; the helper that ran the write
   from generated code checks it and bails out of the block with exact
@@ -96,8 +97,6 @@ HOT_ENTRY = 2
 #: head's count; the counts are cleared with the block cache at
 #: MAX_BLOCKS.
 HOT_TRACE = 1024
-#: Granularity of the code-page invalidation map (bytes = 1 << shift).
-PAGE_SHIFT = 8
 
 _M32 = 0xFFFFFFFF
 #: A big-endian word: the inline RAM paths load and store words with it.
@@ -218,8 +217,9 @@ def _kind(inst: DecodedInstruction) -> int:
 
 class TranslatedBlock:
     """One compiled basic block: entry PC, decoded instructions (``cti``
-    indexes the block-ending control transfer, if any), pages it spans
-    (for store invalidation) and the generated step function.
+    indexes the block-ending control transfer, if any), the address
+    range ``lo``-``hi`` of its words (for store invalidation) and the
+    generated step function.
 
     Calling ``code(unit, left)`` executes the block and returns the
     number of steps consumed (= retired instructions + annulled slot +
@@ -230,29 +230,26 @@ class TranslatedBlock:
     to: a region's hot path follows it, and a CALL or JMPL member
     stays in the region only towards it."""
 
-    __slots__ = ("entry", "length", "code", "insts", "cti", "pages",
-                 "source", "writes", "lo", "hi", "succ", "walked")
+    __slots__ = ("entry", "length", "code", "insts", "cti", "source",
+                 "writes", "lo", "hi", "succ", "walked")
 
     #: A block is a trace of one: nothing smaller to fall back to.
     fallback = None
 
-    def __init__(self, entry, length, code, insts, cti, pages, source,
-                 writes):
+    def __init__(self, entry, length, code, insts, cti, source, writes):
         self.entry = entry
         self.length = length
         self.code = code
         self.insts = insts
         self.cti = cti
-        self.pages = pages
         self.source = source
         self.writes = writes
         #: The code's address range.
         self.lo, self.hi = entry, entry + 4 * length
         self.succ = None
         #: The unit's ``blocks_translated`` when a region walk from here
-        #: last found no cycle, or one still missing a member a store
-        #: dropped: only a newly translated block can change that, so
-        #: the walk waits for the next.
+        #: last found no cycle: only a newly translated block can change
+        #: that, so the walk waits for the next.
         self.walked = -1
 
     def __repr__(self):
@@ -287,7 +284,7 @@ class Trace:
     step sequence and the same recorded event."""
 
     __slots__ = ("entry", "length", "code", "members", "entries",
-                 "pages", "source", "lo", "hi", "alive", "succ")
+                 "source", "lo", "hi", "alive", "succ")
 
     def __init__(self, members, code, source, alive):
         head = members[0]
@@ -296,7 +293,6 @@ class Trace:
         self.code = code
         self.members = tuple(members)
         self.entries = frozenset(block.entry for block in members)
-        self.pages = head.pages
         self.source = source
         self.lo = min(block.lo for block in members)
         self.hi = max(block.hi for block in members)
@@ -339,7 +335,7 @@ class _Codegen:
     Only the paths that run on every execution are inline.  A load or
     store computes ``of``, its address less the RAM base, unwrapped, and
     makes one test, alignment and RAM range together (for a store also
-    the decode memo ``_ic`` and the code pages ``_pages``), then runs
+    the decode memo ``_ic`` and the translated words ``_cw``), then runs
     its inline RAM access; anything else is one call to a module helper,
     :func:`_ld` or :func:`_st`, which wraps the address, pins pc/npc,
     raises the misaligned trap or runs the unit's own
@@ -766,13 +762,11 @@ class _Codegen:
             self.emit(ind, slow)
             return
         # The inline path must preserve both coherence contracts: skip
-        # it when the stored word is memoized (_ic) or lands on a page
-        # holding translated code (_pages).  Past the range test, ``ea``
-        # is the exact address.
-        ea = f"(ea := of + {self.ram_base})"
-        word = ea if size == 4 else f"{ea} & -4"
-        self.emit(ind, f"if {self._ram_miss(size)} or {word} in _ic"
-                       f" or ea >> {PAGE_SHIFT} in _pages:")
+        # it when the stored word is memoized (_ic) or holds translated
+        # code (_cw).
+        word = f"of + {self.ram_base}" + ("" if size == 4 else " & -4")
+        self.emit(ind, f"if {self._ram_miss(size)} or (wd := {word}) in _ic"
+                       " or wd in _cw:")
         self.emit(ind + 1, slow)
         self.emit(ind, "else:")
         if size == 4:
@@ -1037,7 +1031,7 @@ def _ld(unit, offset: int, size: int, signed: int, pc: int,
 def _st(unit, offset: int, size: int, value: int, span, pc: int,
         npc: int | None = None) -> None:
     """Slow path of an inline store at *pc*: as :func:`_ld`, plus a
-    store to a memoized word or a page holding translated code.  With a
+    store to a memoized word or a word of translated code.  With a
     running member's *span*, raises :class:`_Stale` as :func:`_stale`
     does; None in a delay slot."""
     address = (offset + unit._ram_base) & _M32
@@ -1081,7 +1075,7 @@ def _compile(unit, members, links):
         "_LW": _WORD.unpack_from,
         "_SW": _WORD.pack_into,
         "_ic": unit._inst_cache,
-        "_pages": unit._code_pages,
+        "_cw": unit._code_words,
         "_ctrl": unit.ctrl,
         "_G": unit.regs._globals,
         "_W": unit.regs._window_regs,
@@ -1122,10 +1116,7 @@ def _compile(unit, members, links):
 def _compile_block(unit, entry: int, insts: list, cti: int | None
                    ) -> TranslatedBlock:
     code, source, gen, _ = _compile(unit, [(entry, insts, cti)], None)
-    length = len(insts)
-    pages = tuple(range(entry >> PAGE_SHIFT,
-                        ((entry + 4 * length - 1) >> PAGE_SHIFT) + 1))
-    block = TranslatedBlock(entry, length, code, tuple(insts), cti, pages,
+    block = TranslatedBlock(entry, len(insts), code, tuple(insts), cti,
                             source, gen.writes[0])
     recording = unit.recording
     if recording is not None and gen.block_ids[0] == len(recording.blocks):
@@ -1219,11 +1210,9 @@ class TranslatedUnit(FunctionalUnit):
         #: Returns to each PC from a block, up to HOT_TRACE; restarted
         #: when a store drops a member of the PC's trace.
         self._closings: dict[int, int] = {}
-        #: Per head of a trace a store dropped, the trace's members: the
-        #: region forms again at the first return that finds them all
-        #: translated again, at the latest at the HOT_TRACE-th.
-        self._lost: dict[int, frozenset] = {}
-        self._code_pages: dict[int, set[int]] = {}
+        #: Per word address of translated code, the entries of the
+        #: blocks that cover it.
+        self._code_words: dict[int, set[int]] = {}
         self._code_dirty = False
         self._active_lo = 0
         self._active_hi = 0
@@ -1249,10 +1238,9 @@ class TranslatedUnit(FunctionalUnit):
             # The store landed inside the currently executing block:
             # its remaining decoded instructions may be stale.
             self._code_dirty = True
-        if self._code_pages:
-            for page in range(address >> PAGE_SHIFT,
-                              ((end - 1) >> PAGE_SHIFT) + 1):
-                entries = self._code_pages.get(page)
+        if self._code_words:
+            for word in range(address & -4, end, 4):
+                entries = self._code_words.get(word)
                 if entries:
                     for entry in tuple(entries):
                         self._invalidate(entry)
@@ -1266,7 +1254,7 @@ class TranslatedUnit(FunctionalUnit):
     def _clear_blocks(self) -> None:
         self.blocks_invalidated += len(self._blocks)
         self._blocks.clear()
-        self._code_pages.clear()
+        self._code_words.clear()
         for trace in self._traces.values():
             trace.alive[0] = False
         self._traces.clear()
@@ -1276,12 +1264,12 @@ class TranslatedUnit(FunctionalUnit):
         if block is None:
             return
         self.blocks_invalidated += 1
-        for page in block.pages:
-            entries = self._code_pages.get(page)
+        for word in range(block.lo, block.hi, 4):
+            entries = self._code_words.get(word)
             if entries is not None:
                 entries.discard(entry)
                 if not entries:
-                    del self._code_pages[page]
+                    del self._code_words[word]
         for head, trace in tuple(self._traces.items()):
             if entry in trace.entries:
                 # A running trace stops before it re-enters the member;
@@ -1290,8 +1278,7 @@ class TranslatedUnit(FunctionalUnit):
                 del self._traces[head]
                 if self._blocks.get(head) is trace:
                     self._blocks[head] = trace.fallback
-                # The region forms again once its members are back.
-                self._lost[head] = trace.entries
+                # The region forms again as a new loop's would.
                 self._closings[head] = 0
 
     # -- translation -------------------------------------------------------
@@ -1334,13 +1321,12 @@ class TranslatedUnit(FunctionalUnit):
             self._clear_blocks()
             self._entries.clear()
             self._closings.clear()
-            self._lost.clear()
             self._code.clear()
         block = _compile_block(self, entry, insts, cti)
         self.blocks_translated += 1
         self._blocks[entry] = block
-        for page in block.pages:
-            self._code_pages.setdefault(page, set()).add(entry)
+        for word in range(block.lo, block.hi, 4):
+            self._code_words.setdefault(word, set()).add(entry)
         return block
 
     def _chain(self, head: int) -> None:
@@ -1348,40 +1334,33 @@ class TranslatedUnit(FunctionalUnit):
         HOT_TRACE-th time on, compile the loop region through *head*
         (:meth:`_region`) into a trace.  If *head* is on no cycle of
         translated blocks, the walk is tried again on a return after the
-        next block is translated.  After a store dropped a member of the
-        head's trace, the region forms again at the first return that
-        finds every old member translated again (a walk that meets one
-        still missing waits for the next translation), and at the latest
-        at the HOT_TRACE-th return: one compile per drop, not one per
-        member as they come back."""
+        next block is translated.  A store that drops a member of the
+        head's trace restarts the count, so the region forms again as a
+        new loop's would."""
         first = self._blocks.get(head)
         if type(first) is not TranslatedBlock:
             return
         closings = self._closings.get(head, 0) + 1
-        lost = self._lost.get(head)
         if closings <= HOT_TRACE:
             self._closings[head] = closings
-            if closings < HOT_TRACE and lost is None:
+            if closings < HOT_TRACE:
                 return
-        due = closings == HOT_TRACE
-        if (self._horizon is not None and self.cycles > self._horizon
-                or not due and first.walked == self.blocks_translated):
+        elif first.walked == self.blocks_translated:
             return
-        region = self._region(first)
-        if region is None or (not due and lost is not None
-                              and lost & region[1]):
+        if self._horizon is not None and self.cycles > self._horizon:
+            return
+        members = self._region(first)
+        if members is None:
             first.walked = self.blocks_translated
             return
-        self._lost.pop(head, None)
-        trace = _compile_trace(self, region[0])
+        trace = _compile_trace(self, members)
         self.traces_translated += 1
         self._blocks[head] = self._traces[head] = trace
 
-    def _region(self, first: TranslatedBlock) -> tuple | None:
+    def _region(self, first: TranslatedBlock) -> list | None:
         """The translated blocks reachable from *first* through their
-        exits (:func:`_exits`) that lead back to it, *first* included,
-        and the exits on the way that were entered but are not
-        translated yet; None if *first* is on no such cycle.  The blocks
+        exits (:func:`_exits`) that lead back to it, *first* included;
+        None if *first* is on no such cycle.  The blocks
         are laid out along each one's last exit (``succ``) from *first*
         on, so the loop's hot path falls through, and cut at
         MAX_REGION."""
@@ -1392,19 +1371,14 @@ class TranslatedUnit(FunctionalUnit):
             return block.fallback if type(block) is Trace else block
 
         succs: dict[int, list] = {}
-        cold = set()
         walk = [first]
         while walk:
             block = walk.pop()
             if block.entry in succs:
                 continue
-            found = succs[block.entry] = []
-            for pc in _exits(block):
-                target = at(pc)
-                if target is not None:
-                    found.append(target)
-                elif pc in self._entries:
-                    cold.add(pc)
+            found = succs[block.entry] = [
+                target for target in map(at, _exits(block))
+                if target is not None]
             walk += found
         preds: dict[int, list] = {}
         for entry, found in succs.items():
@@ -1431,7 +1405,7 @@ class TranslatedUnit(FunctionalUnit):
                 block = at(block.succ)
                 if block is None:
                     break
-        return members[:MAX_REGION], cold
+        return members[:MAX_REGION]
 
     # -- execution ---------------------------------------------------------
 
