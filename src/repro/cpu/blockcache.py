@@ -1360,10 +1360,9 @@ class TranslatedUnit(FunctionalUnit):
     def _region(self, first: TranslatedBlock) -> list | None:
         """The translated blocks reachable from *first* through their
         exits (:func:`_exits`) that lead back to it, *first* included;
-        None if *first* is on no such cycle.  The blocks
-        are laid out along each one's last exit (``succ``) from *first*
-        on, so the loop's hot path falls through, and cut at
-        MAX_REGION."""
+        None if *first* is on no such cycle.  The blocks are laid out
+        along each one's last exit (``succ``) from *first* on, so the
+        loop's hot path falls through, and cut at MAX_REGION."""
         blocks = self._blocks
 
         def at(pc):
